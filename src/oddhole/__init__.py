@@ -36,17 +36,7 @@ from .probes import (
     set_gaps,
     vertex_gaps,
 )
-from .fast import (
-    detect,
-    detect_fast,
-    detect_type1,
-    detect_type2,
-    detect_type3,
-    detect_type4,
-    detect_type5,
-    detect_type6,
-    odd_linkage,
-)
+from .fast import detect, detect_fast
 from .simple import detect_simple, detect_with_simple_pipeline
 from .oracle import oracle_find_jewel, oracle_find_odd_hole, oracle_find_pyramid
 
@@ -61,12 +51,6 @@ __all__ = [
     "detect",
     "detect_fast",
     "detect_simple",
-    "detect_type1",
-    "detect_type2",
-    "detect_type3",
-    "detect_type4",
-    "detect_type5",
-    "detect_type6",
     "detect_with_simple_pipeline",
     "distance",
     "find_jewel",
@@ -83,7 +67,6 @@ __all__ = [
     "vertex_gaps",
     "odd_hole_from_jewel",
     "odd_hole_from_pyramid",
-    "odd_linkage",
     "oracle_find_jewel",
     "oracle_find_odd_hole",
     "oracle_find_pyramid",

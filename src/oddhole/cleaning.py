@@ -17,11 +17,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .configs import (
+    find_jewel,
+    find_pyramid,
+    odd_hole_from_jewel,
+    odd_hole_from_pyramid,
+)
 from .graph import (
     Graph,
     Mask,
     bits,
     bfs_distances,
+    induced_four_paths,
     is_odd_hole,
 )
 
@@ -115,8 +122,6 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     spread-out outside vertices, one of these deletions makes it clean.
     Requires a pyramid- and jewel-free input graph.
     """
-    from .graph import induced_four_paths
-
     full = g.full_mask
     adj = g.adj
     seen: set[int] = set()
@@ -146,13 +151,6 @@ def classify_candidate(g: Graph) -> Optional[Hole]:
     detectors handle.  The checks run cheapest-first: jewel, pyramid, then
     the dominating-edge sweep.
     """
-    from .configs import (
-        find_jewel,
-        find_pyramid,
-        odd_hole_from_jewel,
-        odd_hole_from_pyramid,
-    )
-
     if g.n < 5:
         return None
     jewel = find_jewel(g)

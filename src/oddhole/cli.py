@@ -2,21 +2,17 @@
 
 Exit codes are a stable contract for scripting: 0 means no odd hole (or
 perfect), 1 means an odd hole was found (or the graph is imperfect), and 2
-means the input could not be parsed.  ``ODDHOLE_THREADS`` caps the worker
-count used by the streaming mode.
+means the input could not be parsed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import click
 
-from .fast import detect_fast
 from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
 from .generators import generate_corpus
 from .graph import Graph
@@ -45,14 +41,6 @@ def _load(path: Optional[str], fmt: str) -> Graph:
         sys.exit(EXIT_INPUT)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ODDHOLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @click.group()
 def main() -> None:
     """Detect odd holes and test graph perfection."""
@@ -64,26 +52,15 @@ def main() -> None:
               type=click.Choice(["auto", "graph6", "edgelist"]))
 @click.option("--algorithm", default="fast",
               type=click.Choice(["fast", "simple", "oracle"]))
-@click.option("--types", default=None,
-              help="comma-separated shape subset for the fast detector, e.g. 1,3")
 @click.option("--witness", is_flag=True, help="print the witness cycle")
 @click.option("--json", "as_json", is_flag=True, help="print the full result document")
 @click.option("--stdin-stream", is_flag=True,
               help="treat stdin as one graph6 value per line")
-def detect(input, fmt, algorithm, types, witness, as_json, stdin_stream):
+def detect(input, fmt, algorithm, witness, as_json, stdin_stream):
     """Decide whether a graph contains an odd hole."""
     if stdin_stream:
         sys.exit(_stream_detect(algorithm, as_json))
-    g = _load(input, fmt)
-    if types is not None:
-        chosen = [int(t) for t in types.split(",") if t]
-        hole = detect_fast(g, chosen)
-        doc = run_detection(g, "fast")  # timing/digest shell for formatting
-        verdict = "odd-hole-found" if hole is not None else "no-odd-hole"
-        doc = type(doc)(verdict, g.n, f"fast[{types}]", doc.millis, doc.digest,
-                        witness=hole, witness_kind="hole" if hole else None)
-    else:
-        doc = run_detection(g, algorithm)
+    doc = run_detection(_load(input, fmt), algorithm)
     _emit(doc, witness, as_json)
     sys.exit(EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN)
 
@@ -104,14 +81,9 @@ def _stream_detect(algorithm: str, as_json: bool) -> int:
     except ParseError as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(lambda g: run_detection(g, algorithm), graphs))
-    else:
-        docs = [run_detection(g, algorithm) for g in graphs]
     any_found = False
-    for doc in docs:
+    for g in graphs:
+        doc = run_detection(g, algorithm)
         if as_json:
             click.echo(doc.to_json())
         else:

@@ -21,11 +21,19 @@ result before reporting.  Witnesses are therefore always genuine; the
 completeness of the six-way split is exercised by the differential and
 oracle suites.  See docs/derived-types.md for how shapes 4-6 are obtained
 from their short counterparts.
+
+Two pieces are shared by all six shapes.  A :class:`_Memo`, created once per
+shape call, answers every masked BFS and every clean-test fallback, so each
+distinct (source, mask) pair is searched once per shape; it holds one
+distance list per such pair and is freed when the shape returns.
+:func:`_strip` is the common deletion step: drop the guessed neighbours of
+the probe and the dominating edge, plus the fringe of the union of the
+shortest paths that recover the gap (``graph.geodesic_mask``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Optional
 
 from .cleaning import classify_candidate, test_clean, _walk_down
 from .graph import (
@@ -33,9 +41,9 @@ from .graph import (
     Mask,
     bits,
     bfs_distances,
+    geodesic_mask,
     induced_four_paths,
     induced_three_paths,
-    is_induced_path,
     is_odd_hole,
     mask_of,
 )
@@ -44,77 +52,56 @@ Hole = tuple[int, ...]
 RData = dict[int, tuple[tuple[int, ...], int, int]]  # v -> (path, mask, length)
 
 
-def odd_linkage(
-    g: Graph,
-    a_side: Iterable[int],
-    b_side: Iterable[int],
-    hub: int,
-    paths: Mapping[int, tuple[int, ...]],
-    within: Optional[Mask] = None,
-) -> Optional[tuple[int, int]]:
-    """Find a pair whose anchored paths join into one induced path.
+class _Memo:
+    """Masked BFS distances and clean-test results for one graph.
 
-    Every vertex of ``a_side`` and ``b_side`` carries an induced path to the
-    common hub; the hub has no neighbor on either side and no path visits a
-    side vertex other than its own.  Adding edges from each side vertex to
-    the interior of its path makes "the two paths form an induced path"
-    equivalent to "the pair is at distance exactly four inside the subgraph
-    on the two paths", which a constant number of masked steps per pair
-    decides.  Malformed instances raise ValueError.
+    ``bfs_distances`` and ``test_clean`` are looked up in this module at call
+    time, so rebinding them here (as an outside tracer does) is honoured.
+    The distance lists are shared by every caller of the same (source, mask)
+    pair and must not be modified.
     """
-    a_set = sorted(set(a_side))
-    b_set = sorted(set(b_side))
-    ab_mask = mask_of(a_set) | mask_of(b_set)
-    if mask_of(a_set) & mask_of(b_set):
-        raise ValueError("side sets overlap")
-    if (1 << hub) & ab_mask or g.adj[hub] & ab_mask:
-        raise ValueError("hub touches a side vertex")
-    allowed = g.full_mask if within is None else within
-    rows = list(g.adj)
-    pmasks: dict[int, Mask] = {}
-    for v in a_set + b_set:
-        p = paths.get(v)
-        if p is None or p[0] != v or p[-1] != hub:
-            raise ValueError(f"bad anchored path for {v}")
-        if not is_induced_path(g, p):
-            raise ValueError(f"anchored path for {v} is not induced")
-        pmask = mask_of(p)
-        if pmask & ab_mask & ~(1 << v):
-            raise ValueError(f"path for {v} visits another side vertex")
-        if pmask & ~allowed:
-            raise ValueError(f"path for {v} leaves the working mask")
-        pmasks[v] = pmask
-        extras = pmask & ~(1 << v) & ~(1 << hub)
-        rows[v] |= extras
-        for w in bits(extras):
-            rows[w] |= 1 << v
-    # Distance four is equivalent to "the two paths join into one induced
-    # path" only inside the subgraph on those two paths, so each pair gets
-    # its own masked four-step walk.
-    for a in a_set:
-        abit = 1 << a
-        for b in b_set:
-            scope = pmasks[a] | pmasks[b]
-            seen = cur = abit
-            for _ in range(4):
-                nxt = 0
-                for v in bits(cur):
-                    nxt |= rows[v]
-                cur = nxt & scope & ~seen
-                seen |= cur
-            if cur >> b & 1:
-                return a, b
-    return None
+
+    __slots__ = ("g", "_dist", "_clean")
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self._dist: dict[tuple[int, Mask], list[int]] = {}
+        self._clean: dict[Mask, Optional[Hole]] = {}
+
+    def dist(self, source: int, mask: Mask) -> list[int]:
+        key = (source, mask)
+        d = self._dist.get(key)
+        if d is None:
+            d = self._dist[key] = bfs_distances(self.g, source, mask)
+        return d
+
+    def clean(self, mask: Mask) -> Optional[Hole]:
+        if mask not in self._clean:
+            self._clean[mask] = test_clean(self.g, mask)
+        return self._clean[mask]
 
 
-def _r_paths(g: Graph, hub: int, core: Mask, members: Mask) -> RData:
+def _strip(g: Graph, drop: Mask, y: Mask, keep: Mask) -> Mask:
+    """All vertices but ``drop`` and the fringe of ``y``.
+
+    The fringe is every vertex outside ``y | keep`` with a neighbour in ``y``.
+    """
+    adj = g.adj
+    near = 0
+    for w in bits(y):
+        near |= adj[w]
+    return g.full_mask & ~(drop | (near & ~y & ~keep))
+
+
+def _r_paths(memo: _Memo, hub: int, core: Mask, members: Mask) -> RData:
     """Shortest anchored paths: each member, then only core vertices, to hub.
 
     A member need not lie in the core itself; its path steps into the core
     immediately.  Minimum length makes every returned path induced.  Members
     with no route are omitted; the hub itself gets the trivial path.
     """
-    hd = bfs_distances(g, hub, core)
+    g = memo.g
+    hd = memo.dist(hub, core)
     out: RData = {}
     for v in bits(members):
         if v == hub:
@@ -170,13 +157,31 @@ def _pair_scan(g, a_items, b_items, hub_mask, assemble, net) -> Optional[Hole]:
     return None
 
 
+def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, c1set: Mask, r4: RData,
+                 c4set: Mask, hub_mask: Mask, assemble) -> Optional[Hole]:
+    """Pair the two flanks' anchored paths in matching length parity."""
+    ev_a, od_a = _parity_split(r1, c1set)
+    ev_b, od_b = _parity_split(r4, c4set)
+
+    def net(a, b):
+        return memo.clean(gpp | (1 << a) | (1 << b))
+
+    for a_items, b_items in ((ev_a, ev_b), (od_a, od_b)):
+        if not a_items or not b_items:
+            continue
+        hole = _pair_scan(memo.g, a_items, b_items, hub_mask, assemble, net)
+        if hole is not None:
+            return hole
+    return None
+
+
 def detect_type1(g: Graph) -> Optional[Hole]:
     """Shape 1: dominating edge away from the gap, gap shorter than half."""
     if g.n < 5:
         return None
+    memo = _Memo(g)
     full, adj = g.full_mask, g.adj
     p3s = induced_three_paths(g)
-    cache: dict[int, Optional[Hole]] = {}
     for c2 in range(g.n):
         for c3 in g.neighbors_of[c2]:
             pairbit = (1 << c2) | (1 << c3)
@@ -194,67 +199,42 @@ def detect_type1(g: Graph) -> Optional[Hole]:
                 x1 = adj[d1] & adj[d2] & ~xbit
                 x2 = x2base & ~trip
                 gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~dpair))
-                dd1 = bfs_distances(g, d1, gp)
+                dd1 = memo.dist(d1, gp)
                 t = dd1[d2]
                 if t < 0:
                     continue
-                dd2 = bfs_distances(g, d2, gp)
-                y = 0
-                for v in bits(gp & ~dpair):
-                    if dd1[v] >= 0 and dd2[v] >= 0 and dd1[v] + dd2[v] == t:
-                        y |= 1 << v
-                x3 = 0
-                for v in bits(full & ~y & ~xbit & ~dpair):
-                    if adj[v] & y:
-                        x3 |= 1 << v
-                gpp = full & ~(x1 | x2 | x3 | xbit)
+                y = geodesic_mask(dd1, memo.dist(d2, gp), t, gp & ~dpair)
+                gpp = _strip(g, x1 | x2 | xbit, y, dpair)
                 c1set = c1base & ~xbit
                 c4set = c4base & ~xbit
                 for d3 in bits(gpp & ~pairbit & ~trip):
-                    hole = _finish_split_hub(
-                        g, cache, c2, c3, c1set, c4set, d3, gpp
-                    )
+                    hole = _finish_split_hub(memo, c2, c3, c1set, c4set, d3, gpp)
                     if hole is not None:
                         return hole
     return None
 
 
-def _finish_split_hub(g, cache, c2, c3, c1set, c4set, d3, gpp) -> Optional[Hole]:
-    rdata = _r_paths(g, d3, gpp, c1set | c4set)
+def _finish_split_hub(memo, c2, c3, c1set, c4set, d3, gpp) -> Optional[Hole]:
+    rdata = _r_paths(memo, d3, gpp, c1set | c4set)
     if not rdata:
         return None
-    ev_a, od_a = _parity_split(rdata, c1set)
-    ev_b, od_b = _parity_split(rdata, c4set)
+    g = memo.g
 
     def assemble(pa, pb):
         cycle = pa + tuple(reversed(pb))[1:] + (c3, c2)
         return cycle if is_odd_hole(g, cycle) else None
 
-    def net(a, b):
-        key = gpp | (1 << a) | (1 << b)
-        if key not in cache:
-            cache[key] = test_clean(g, key)
-        return cache[key]
-
-    for a_items, b_items in ((ev_a, ev_b), (od_a, od_b)):
-        if not a_items or not b_items:
-            continue
-        hole = _pair_scan(g, a_items, b_items, 1 << d3, assemble, net)
-        if hole is not None:
-            return hole
-    return None
+    return _flank_pairs(memo, gpp, rdata, c1set, rdata, c4set, 1 << d3, assemble)
 
 
 def detect_type2(g: Graph) -> Optional[Hole]:
     """Shape 2: dominating edge away from the gap, gap longer than half."""
     if g.n < 5:
         return None
+    memo = _Memo(g)
     full, adj = g.full_mask, g.adj
     base_p3s = induced_three_paths(g)
-    p3s = [(d1, x, d2) for (d1, x, d2) in base_p3s] + [
-        (d2, x, d1) for (d1, x, d2) in base_p3s
-    ]
-    cache: dict[int, Optional[Hole]] = {}
+    p3s = base_p3s + [(d2, x, d1) for (d1, x, d2) in base_p3s]
     for c2 in range(g.n):
         for c3 in g.neighbors_of[c2]:
             pairbit = (1 << c2) | (1 << c3)
@@ -272,15 +252,15 @@ def detect_type2(g: Graph) -> Optional[Hole]:
                 x1 = adj[d1] & adj[d2] & ~xbit
                 x2 = x2base & ~trip
                 gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~dpair))
-                dd1 = bfs_distances(g, d1, gp)
-                dd2 = bfs_distances(g, d2, gp)
+                dd1 = memo.dist(d1, gp)
+                dd2 = memo.dist(d2, gp)
                 for d3 in bits(gp & ~pairbit & ~trip):
                     t = dd1[d3]
                     if t < 1 or dd2[d3] != t:
                         continue
                     hole = _type2_finish(
-                        g, cache, c2, c3, c1base, c4base, d1, x, d2, d3,
-                        x1, x2, gp, dd1, dd2, xbit, dpair,
+                        memo, c2, c3, c1base, c4base, d1, d2, d3,
+                        x1 | x2 | xbit, gp, dd1, dd2, xbit, dpair,
                     )
                     if hole is not None:
                         return hole
@@ -288,23 +268,15 @@ def detect_type2(g: Graph) -> Optional[Hole]:
 
 
 def _type2_finish(
-    g, cache, c2, c3, c1base, c4base, d1, x, d2, d3, x1, x2, gp, dd1, dd2, xbit, dpair
+    memo, c2, c3, c1base, c4base, d1, d2, d3, drop, gp, dd1, dd2, xbit, dpair
 ) -> Optional[Hole]:
-    full, adj = g.full_mask, g.adj
+    g = memo.g
+    adj = g.adj
     t = dd1[d3]
-    dd3 = bfs_distances(g, d3, gp)
-    y = 0
-    for v in bits(gp & ~dpair):
-        dv = dd3[v]
-        if dv < 0:
-            continue
-        if (dd1[v] >= 0 and dd1[v] + dv == t) or (dd2[v] >= 0 and dd2[v] + dv == t):
-            y |= 1 << v
-    x3 = 0
-    for v in bits(full & ~y & ~xbit & ~dpair):
-        if adj[v] & y:
-            x3 |= 1 << v
-    gpp = full & ~(x1 | x2 | x3 | xbit)
+    dd3 = memo.dist(d3, gp)
+    scope = gp & ~dpair
+    y = geodesic_mask(dd1, dd3, t, scope) | geodesic_mask(dd2, dd3, t, scope)
+    gpp = _strip(g, drop, y, dpair)
     half1 = _walk_down(g, dd1, d3, gp)  # d3 .. d1
     half1.reverse()
     half2 = _walk_down(g, dd2, d3, gp)  # d3 .. d2
@@ -312,28 +284,14 @@ def _type2_finish(
     avoid_hub = adj[d3] | (1 << d3)
     c1set = c1base & ~xbit & ~avoid_hub
     c4set = c4base & ~xbit & ~avoid_hub
-    r1 = _r_paths(g, d1, gpp, c1set)
-    r4 = _r_paths(g, d2, gpp, c4set)
-    ev_a, od_a = _parity_split(r1, c1set)
-    ev_b, od_b = _parity_split(r4, c4set)
+    r1 = _r_paths(memo, d1, gpp, c1set)
+    r4 = _r_paths(memo, d2, gpp, c4set)
 
     def assemble(pa, pb):
         cycle = pa + gap_path[1:] + tuple(reversed(pb))[1:] + (c3, c2)
         return cycle if is_odd_hole(g, cycle) else None
 
-    def net(a, b):
-        key = gpp | (1 << a) | (1 << b)
-        if key not in cache:
-            cache[key] = test_clean(g, key)
-        return cache[key]
-
-    for a_items, b_items in ((ev_a, ev_b), (od_a, od_b)):
-        if not a_items or not b_items:
-            continue
-        hole = _pair_scan(g, a_items, b_items, 0, assemble, net)
-        if hole is not None:
-            return hole
-    return None
+    return _flank_pairs(memo, gpp, r1, c1set, r4, c4set, 0, assemble)
 
 
 def _oriented_four_paths(g: Graph) -> Iterator[tuple[int, int, int, int]]:
@@ -356,8 +314,8 @@ def _anchored_tuples(g: Graph) -> Iterator[tuple[int, int, int, int, int, int, M
 def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
     if g.n < 5:
         return None
+    memo = _Memo(g)
     full, adj = g.full_mask, g.adj
-    cache: dict[int, Optional[Hole]] = {}
     for c1, d1, c3, c4, x, d2, cbits in _anchored_tuples(g):
         anchor = c3 if anchor_on_c3 else c1
         xbit = 1 << x
@@ -367,25 +325,17 @@ def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
         gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~spare))
         if (gp & spare) != spare:
             continue
-        da = bfs_distances(g, anchor, gp)
+        da = memo.dist(anchor, gp)
         t = da[d2]
         if t < 0:
             continue
-        db = bfs_distances(g, d2, gp)
-        y = 0
-        for v in bits(gp & ~spare):
-            if da[v] >= 0 and db[v] >= 0 and da[v] + db[v] == t:
-                y |= 1 << v
-        x3 = 0
-        for v in bits(full & ~y & ~xbit & ~spare):
-            if adj[v] & y:
-                x3 |= 1 << v
-        gpp = full & ~(x1 | x2 | x3 | xbit)
+        y = geodesic_mask(da, memo.dist(d2, gp), t, gp & ~spare)
+        gpp = _strip(g, x1 | x2 | xbit, y, spare)
         need = (1 << c1) | (1 << c4)
         if (gpp & need) != need:
             continue
-        e1 = bfs_distances(g, c1, gpp)
-        e4 = bfs_distances(g, c4, gpp)
+        e1 = memo.dist(c1, gpp)
+        e4 = memo.dist(c4, gpp)
         used = cbits | xbit | (1 << d2)
         for d3 in bits(gpp & ~used):
             ta = e1[d3]
@@ -397,18 +347,17 @@ def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = (d1,) + tuple(pa) + tuple(pb[1:]) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            if gpp not in cache:
-                cache[gpp] = test_clean(g, gpp)
-            if cache[gpp] is not None:
-                return cache[gpp]
+            hole = memo.clean(gpp)
+            if hole is not None:
+                return hole
     return None
 
 
 def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
     if g.n < 5:
         return None
+    memo = _Memo(g)
     full, adj = g.full_mask, g.adj
-    cache: dict[int, Optional[Hole]] = {}
     for c1, d1, c3, c4, x, d2, cbits in _anchored_tuples(g):
         anchor = c3 if anchor_on_c3 else c1
         r_end = c1 if anchor_on_c3 else c4
@@ -419,28 +368,17 @@ def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
         gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~spare))
         if (gp & spare) != spare:
             continue
-        da = bfs_distances(g, anchor, gp)
-        db = bfs_distances(g, d2, gp)
+        da = memo.dist(anchor, gp)
+        db = memo.dist(d2, gp)
+        scope = gp & ~spare
         for d3 in bits(gp & ~cbits & ~xbit & ~(1 << d2)):
             t1 = da[d3]
             if t1 < 1 or db[d3] != t1 + 1:
                 continue
-            dd3 = bfs_distances(g, d3, gp)
-            y = 0
-            for v in bits(gp & ~spare):
-                dv = dd3[v]
-                if dv < 0:
-                    continue
-                if (da[v] >= 0 and da[v] + dv == t1) or (
-                    db[v] >= 0 and db[v] + dv == t1 + 1
-                ):
-                    y |= 1 << v
-            x3 = 0
-            for v in bits(full & ~y & ~xbit & ~spare):
-                if adj[v] & y:
-                    x3 |= 1 << v
-            gpp = full & ~(x1 | x2 | x3 | xbit)
-            rdata = _r_paths(g, d2, gpp, 1 << r_end)
+            dd3 = memo.dist(d3, gp)
+            y = geodesic_mask(da, dd3, t1, scope) | geodesic_mask(db, dd3, t1 + 1, scope)
+            gpp = _strip(g, x1 | x2 | xbit, y, spare)
+            rdata = _r_paths(memo, d2, gpp, 1 << r_end)
             if r_end not in rdata:
                 continue
             rpath = rdata[r_end][0]  # r_end .. d2
@@ -451,10 +389,9 @@ def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = body + ((c3,) if not anchor_on_c3 else ())
             if is_odd_hole(g, cycle):
                 return cycle
-            if gpp not in cache:
-                cache[gpp] = test_clean(g, gpp)
-            if cache[gpp] is not None:
-                return cache[gpp]
+            hole = memo.clean(gpp)
+            if hole is not None:
+                return hole
     return None
 
 
@@ -488,17 +425,10 @@ _TYPE_DETECTORS: tuple[Callable[[Graph], Optional[Hole]], ...] = (
 )
 
 
-def detect_fast(g: Graph, types: Optional[Iterable[int]] = None) -> Optional[Hole]:
-    """Run the six shape detectors in order on a candidate graph.
-
-    ``types`` restricts to a subset of shapes (1-based), for debugging; the
-    no-hole answer is then only meaningful for the shapes actually run.
-    """
-    chosen = range(1, 7) if types is None else sorted(set(types))
-    for i in chosen:
-        if not 1 <= i <= 6:
-            raise ValueError(f"no such shape: {i}")
-        hole = _TYPE_DETECTORS[i - 1](g)
+def detect_fast(g: Graph) -> Optional[Hole]:
+    """Run the six shape detectors in order on a candidate graph."""
+    for shape in _TYPE_DETECTORS:
+        hole = shape(g)
         if hole is not None:
             return hole
     return None

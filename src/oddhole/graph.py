@@ -102,20 +102,6 @@ class Graph:
             rows[perm[u]] = row
         return Graph.from_rows(self.n, rows)
 
-    def merge(self, keep: int, gone: int) -> "Graph":
-        """Identify ``gone`` with ``keep``: ``gone`` becomes isolated and its
-        edges move to ``keep``.  Vertex ids are preserved."""
-        rows = list(self.adj)
-        moved = rows[gone] & ~(1 << keep)
-        rows[keep] = (rows[keep] | moved) & ~(1 << keep) & ~(1 << gone)
-        for v in bits(rows[gone]):
-            rows[v] = rows[v] & ~(1 << gone)
-            if v != keep:
-                rows[v] |= 1 << keep
-        rows[gone] = 0
-        rows[keep] &= ~(1 << gone)
-        return Graph.from_rows(self.n, rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -193,6 +179,22 @@ def shortest_path(
     return tuple(rev)
 
 
+def geodesic_mask(du: Sequence[int], dv: Sequence[int], total: int, scope: Mask) -> Mask:
+    """The vertices ``w`` of ``scope`` with ``du[w] + dv[w] == total``.
+
+    Only vertices with both distances finite count.  With ``du``, ``dv`` the
+    distances from ``u`` and ``v`` and ``total`` their distance, these are
+    the vertices on some shortest u-v path.
+    """
+    out = 0
+    for w in bits(scope):
+        a = du[w]
+        b = dv[w]
+        if a != UNREACHABLE and b != UNREACHABLE and a + b == total:
+            out |= 1 << w
+    return out
+
+
 def shortest_path_interior_union(
     g: Graph, u: int, v: int, within: Optional[Mask] = None
 ) -> Mask:
@@ -205,13 +207,8 @@ def shortest_path_interior_union(
     if du[v] == UNREACHABLE:
         return 0
     dv = bfs_distances(g, v, within)
-    total = du[v]
-    out = 0
     allowed = g.full_mask if within is None else within
-    for w in bits(allowed & ~(1 << u) & ~(1 << v)):
-        if du[w] != UNREACHABLE and dv[w] != UNREACHABLE and du[w] + dv[w] == total:
-            out |= 1 << w
-    return out
+    return geodesic_mask(du, dv, du[v], allowed & ~(1 << u) & ~(1 << v))
 
 
 def is_induced_path(g: Graph, seq: Sequence[int], within: Optional[Mask] = None) -> bool:

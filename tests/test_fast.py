@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from oddhole import (
     Graph,
     classify_candidate,
@@ -9,8 +7,8 @@ from oddhole import (
     detect_fast,
     detect_simple,
     is_odd_hole,
-    odd_linkage,
 )
+import oddhole.fast
 from oddhole.fast import (
     detect_type1,
     detect_type2,
@@ -19,7 +17,6 @@ from oddhole.fast import (
     detect_type5,
     detect_type6,
 )
-from oddhole.graph import bfs_distances, is_induced_path, shortest_path
 from oddhole.generators import (
     complete_graph,
     cycle_graph,
@@ -27,6 +24,7 @@ from oddhole.generators import (
     gnp,
     petersen_graph,
     random_bipartite,
+    random_chordal,
 )
 from oddhole.oracle import oracle_find_odd_hole
 from .conftest import random_graphs
@@ -39,84 +37,6 @@ ALL_TYPES = (
     detect_type5,
     detect_type6,
 )
-
-
-def test_odd_linkage_accepts_simple_pair():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    paths = {0: (0, 1, 2), 4: (4, 3, 2)}
-    assert odd_linkage(g, [0], [4], 2, paths) == (0, 4)
-
-
-def test_odd_linkage_rejects_crossing_pair():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
-    paths = {0: (0, 1, 2), 4: (4, 3, 2)}
-    assert odd_linkage(g, [0], [4], 2, paths) is None
-
-
-def test_odd_linkage_validation():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    paths = {0: (0, 1, 2), 4: (4, 3, 2)}
-    with pytest.raises(ValueError):
-        odd_linkage(g, [0], [0], 2, paths)  # overlapping sides
-    with pytest.raises(ValueError):
-        odd_linkage(g, [1], [4], 2, {1: (1, 2), 4: (4, 3, 2)})  # hub adjacency
-    bad = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
-    with pytest.raises(ValueError):
-        odd_linkage(bad, [0], [4], 2, paths)  # stored path not induced
-    chain = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    with pytest.raises(ValueError):
-        # the path for 0 walks straight through the other side vertex 2
-        odd_linkage(chain, [0], [2], 4, {0: (0, 1, 2, 3, 4), 2: (2, 3, 4)})
-
-
-def _linkage_instance(seed):
-    """Random valid instance: hub plus anchored shortest paths."""
-    rng = random.Random(seed)
-    g = gnp(rng.randint(7, 11), 0.35, seed)
-    hub = rng.randrange(g.n)
-    d = bfs_distances(g, hub)
-    far = [v for v in range(g.n) if d[v] >= 2]
-    rng.shuffle(far)
-    if len(far) < 2:
-        return None
-    split = max(1, len(far) // 2)
-    a_side, b_side = far[:split], far[split:]
-    members = set(far)
-    paths = {}
-    for v in far:
-        p = shortest_path(g, v, hub)
-        if p is None or set(p[1:]) & members:
-            return None
-        paths[v] = p
-    if not a_side or not b_side:
-        return None
-    return g, a_side, b_side, hub, paths
-
-
-def test_odd_linkage_matches_quadratic_bruteforce():
-    tried = 0
-    for seed in range(400):
-        inst = _linkage_instance(seed)
-        if inst is None:
-            continue
-        g, a_side, b_side, hub, paths = inst
-        tried += 1
-        got = odd_linkage(g, a_side, b_side, hub, paths)
-        want = None
-        for a in sorted(a_side):
-            for b in sorted(b_side):
-                union = paths[a] + tuple(reversed(paths[b]))[1:]
-                if len(set(union)) == len(union) and is_induced_path(g, union):
-                    want = (a, b)
-                    break
-            if want:
-                break
-        assert (got is None) == (want is None), (seed, got, want)
-        if got is not None:
-            a, b = got
-            union = paths[a] + tuple(reversed(paths[b]))[1:]
-            assert is_induced_path(g, union)
-    assert tried >= 100
 
 
 def test_types_trivial_negatives():
@@ -139,14 +59,26 @@ def test_types_sound_on_decorated_instances():
     assert all(hits[i] > 0 for i in hits), hits
 
 
-def test_detect_fast_type_subset():
-    g = decorated_odd_cycle(9, 2, 3)
-    whole = detect_fast(g)
-    if whole is not None:
-        assert is_odd_hole(g, whole)
-    with pytest.raises(ValueError):
-        detect_fast(g, [0])
-    assert detect_fast(cycle_graph(6), [1, 2]) is None
+def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
+    # both graphs are perfect, so every shape runs its whole enumeration; the
+    # chordal one also reaches shapes 3-6, which skip the co-bipartite one
+    graphs = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 1))
+    bfs = oddhole.fast.bfs_distances
+    keys = []
+
+    def counted(g, source, within=None):
+        keys.append((source, within))
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.fast, "bfs_distances", counted)
+    for det in ALL_TYPES:
+        calls = 0
+        for g in graphs:
+            keys.clear()
+            assert det(g) is None
+            assert len(keys) == len(set(keys)), det.__name__
+            calls += len(keys)
+        assert calls > 0, det.__name__
 
 
 def test_detect_known_families():

@@ -48,14 +48,6 @@ def test_complement_involution_and_cases():
     assert is_odd_hole(comp, (0, 2, 4, 1, 3))
 
 
-def test_merge_identifies_vertices():
-    c5 = cycle_graph(5)
-    m = c5.merge(0, 2)
-    assert m.degree(2) == 0
-    assert m.has_edge(0, 1) and m.has_edge(0, 4) and m.has_edge(0, 3)
-    assert not m.has_edge(0, 0)
-
-
 def test_is_induced_path_basics():
     p4 = path_graph(4)
     assert is_induced_path(p4, (0, 1, 2, 3))
