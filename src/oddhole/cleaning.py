@@ -30,25 +30,10 @@ from .graph import (
     bfs_distances,
     induced_four_paths,
     is_odd_hole,
+    walk_down,
 )
 
 Hole = tuple[int, ...]
-
-
-def _walk_down(g: Graph, dist: list[int], frm: int, within: Mask) -> list[int]:
-    """Follow distances from ``frm`` down to the BFS source, lowest id first."""
-    path = [frm]
-    d = dist[frm]
-    cur = frm
-    adj = g.adj
-    while d > 0:
-        d -= 1
-        for w in bits(adj[cur] & within):
-            if dist[w] == d:
-                cur = w
-                break
-        path.append(cur)
-    return path
 
 
 def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
@@ -99,11 +84,11 @@ def _reassemble(
     y3: int,
     total: int,
 ) -> Optional[Hole]:
-    p12 = _walk_down(g, dist[y1], y2, allowed)  # y2 .. y1
+    p12 = walk_down(g, dist[y1], y2, allowed)  # y2 .. y1
     p12.reverse()
-    p23 = _walk_down(g, dist[y2], y3, allowed)  # y3 .. y2
+    p23 = walk_down(g, dist[y2], y3, allowed)  # y3 .. y2
     p23.reverse()
-    p31 = _walk_down(g, dist[y3], y1, allowed)  # y1 .. y3
+    p31 = walk_down(g, dist[y3], y1, allowed)  # y1 .. y3
     p31.reverse()
     cycle = tuple(p12) + tuple(p23[1:]) + tuple(p31[1:-1])
     if len(cycle) != total:

@@ -2,7 +2,12 @@
 
 Exit codes are a stable contract for scripting: 0 means no odd hole (or
 perfect), 1 means an odd hole was found (or the graph is imperfect), and 2
-means the input could not be parsed.
+means the input could not be parsed or is too large for the command.
+
+``probe`` runs the exponential brute-force search, so it refuses graphs with
+more than ``PROBE_MAX_VERTICES`` (36) vertices with exit code 2; on grid
+graphs that search takes a fraction of a second at 36 vertices and about 25
+times as long at 49 (see README.md).
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ EXIT_CLEAN = 0
 EXIT_FOUND = 1
 EXIT_INPUT = 2
 
+PROBE_MAX_VERTICES = 36
+
 
 def _read_input(path: Optional[str]) -> str:
     if path is None or path == "-":
@@ -36,7 +43,7 @@ def _read_input(path: Optional[str]) -> str:
 def _load(path: Optional[str], fmt: str) -> Graph:
     try:
         return parse_graph(_read_input(path), fmt).graph
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
@@ -75,10 +82,10 @@ def _emit(doc, witness: bool, as_json: bool) -> None:
 
 
 def _stream_detect(algorithm: str, as_json: bool) -> int:
-    lines = [ln.strip() for ln in sys.stdin if ln.strip()]
     try:
+        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
         graphs = [parse_graph6(ln).graph for ln in lines]
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     any_found = False
@@ -118,8 +125,15 @@ def perfect(input, fmt, algorithm, as_json):
 @click.option("--format", "fmt", default="auto",
               type=click.Choice(["auto", "graph6", "edgelist"]))
 def probe(input, fmt):
-    """Dump hole structure (majors, gaps, heavy edges) as JSON."""
+    """Dump hole structure (majors, gaps, heavy edges) as JSON.
+
+    Graphs with more than PROBE_MAX_VERTICES vertices are refused (exit 2).
+    """
     g = _load(input, fmt)
+    if g.n > PROBE_MAX_VERTICES:
+        click.echo(f"input error: probe takes at most {PROBE_MAX_VERTICES} vertices, "
+                   f"got {g.n}", err=True)
+        sys.exit(EXIT_INPUT)
     hole = oracle_find_odd_hole(g)
     if hole is None:
         click.echo(json.dumps({"hole": None}))

@@ -29,13 +29,21 @@ distance list per such pair and is freed when the shape returns.
 :func:`_strip` is the common deletion step: drop the guessed neighbours of
 the probe and the dominating edge, plus the fringe of the union of the
 shortest paths that recover the gap (``graph.geodesic_mask``).
+
+Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
+with :func:`_flank_pairs`; shapes 3-6 draw theirs from
+:func:`_anchored_cuts`.  Each guess of shapes 1-2 has a mirror (``c2`` and
+``c3`` swapped, and for shape 2 also ``d1`` and ``d2``) with the same
+deletion sets whose cycles are the same cycles reversed, so shape 1 takes
+each edge in one orientation and shape 2 each three-path in one.  Every
+path is read off BFS distances by ``graph.walk_down``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import classify_candidate, test_clean, _walk_down
+from .cleaning import classify_candidate, test_clean
 from .graph import (
     Graph,
     Mask,
@@ -46,6 +54,7 @@ from .graph import (
     induced_three_paths,
     is_odd_hole,
     mask_of,
+    walk_down,
 )
 
 Hole = tuple[int, ...]
@@ -115,236 +124,187 @@ def _r_paths(memo: _Memo, hub: int, core: Mask, members: Mask) -> RData:
                 best, via = d, u
         if best < 0:
             continue
-        tail = _walk_down(g, hd, via, core)  # via .. hub
-        path = (v,) + tuple(tail)
+        path = (v,) + tuple(walk_down(g, hd, via, core))  # v, via .. hub
         out[v] = (path, mask_of(path), best + 1)
     return out
 
 
-def _parity_split(rdata: RData, side: Mask):
-    evens, odds = [], []
-    for v in bits(side):
-        entry = rdata.get(v)
-        if entry is None:
-            continue
-        (evens if entry[2] % 2 == 0 else odds).append((v,) + entry)
-    return evens, odds
+def _through(g: Graph, da: list[int], db: list[int], mid: int, within: Mask) -> Hole:
+    """A shortest path from the source of ``da`` to ``mid``, then on to that of ``db``."""
+    head = walk_down(g, da, mid, within)
+    head.reverse()
+    return tuple(head) + tuple(walk_down(g, db, mid, within)[1:])
 
 
-def _pair_scan(g, a_items, b_items, hub_mask, assemble, net) -> Optional[Hole]:
-    """Try every pair whose anchored paths are disjoint and non-adjacent.
+def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, r4: RData, gap: Hole,
+                 close: tuple[int, int]) -> Optional[Hole]:
+    """Close the hole through one anchored path from each flank.
 
-    Joint vertices or edges between the two paths (hub aside) disqualify a
-    pair outright; surviving pairs are assembled into a full cycle and
-    verified, with the clean-test net as the fallback when assembly fails.
+    The paths of ``r1`` end at ``gap[0]`` and those of ``r4`` at ``gap[-1]``;
+    a one-vertex gap is a hub both flanks share.  Pairs are tried in matching
+    length parity, evens first.  A pair whose paths share a vertex or an edge
+    (the hub aside) is skipped; any other is assembled as
+    ``a .. gap .. b, close`` and verified, with the clean test on ``gpp``
+    plus the two flank vertices as the fallback.
     """
+    g = memo.g
     adj = g.adj
-    for (a, pa, ma, _la) in a_items:
-        ca = ma & ~hub_mask
-        na = 0
-        for w in bits(ca):
-            na |= adj[w]
-        for (b, pb, mb, _lb) in b_items:
-            cb = mb & ~hub_mask
-            if ca & cb or na & cb:
-                continue
-            hole = assemble(pa, pb)
-            if hole is not None:
-                return hole
-            hole = net(a, b)
-            if hole is not None:
-                return hole
+    hub = 1 << gap[0] if len(gap) == 1 else 0
+    sides = []
+    for rdata in (r1, r4):
+        by_parity: tuple[list, list] = ([], [])
+        for v, (path, mask, length) in rdata.items():
+            by_parity[length % 2].append((v, path, mask & ~hub))
+        sides.append(by_parity)
+    for a_items, b_items in zip(*sides):
+        for a, pa, ca in a_items:
+            na = 0
+            for w in bits(ca):
+                na |= adj[w]
+            for b, pb, cb in b_items:
+                if ca & cb or na & cb:
+                    continue
+                cycle = pa + gap[1:] + pb[-2::-1] + close
+                if is_odd_hole(g, cycle):
+                    return cycle
+                hole = memo.clean(gpp | (1 << a) | (1 << b))
+                if hole is not None:
+                    return hole
     return None
 
 
-def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, c1set: Mask, r4: RData,
-                 c4set: Mask, hub_mask: Mask, assemble) -> Optional[Hole]:
-    """Pair the two flanks' anchored paths in matching length parity."""
-    ev_a, od_a = _parity_split(r1, c1set)
-    ev_b, od_b = _parity_split(r4, c4set)
+def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+    """The guesses of shapes 1-2: each arc c2-c3 with each induced path d1-x-d2 off it.
 
-    def net(a, b):
-        return memo.clean(gpp | (1 << a) | (1 << b))
+    The three-paths come from ``graph.induced_three_paths`` (``d1 < d2``).
 
-    for a_items, b_items in ((ev_a, ev_b), (od_a, od_b)):
-        if not a_items or not b_items:
+    Yields ``(c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp)``: the two
+    flank sets (neighbours of one end of the arc only, less ``x``), the path's
+    vertex mask ``trip``, ``used`` (``trip`` plus the arc), the deletion set
+    ``drop`` (common neighbours of ``d1, d2`` other than ``x``, the arc's
+    other neighbours, and ``x``) and ``gp``, the vertices left once ``drop``
+    and the rest of the neighbourhood of ``x`` are gone.
+    """
+    if g.n < 5:
+        return
+    full, adj = g.full_mask, g.adj
+    p3s = induced_three_paths(g)
+    for c2, c3 in arcs:
+        pairbit = (1 << c2) | (1 << c3)
+        c1base = adj[c2] & ~adj[c3] & ~pairbit
+        c4base = adj[c3] & ~adj[c2] & ~pairbit
+        if not c1base or not c4base:
             continue
-        hole = _pair_scan(memo.g, a_items, b_items, hub_mask, assemble, net)
-        if hole is not None:
-            return hole
-    return None
+        x2base = (adj[c2] | adj[c3]) & ~pairbit
+        for (d1, x, d2) in p3s:
+            trip = (1 << d1) | (1 << x) | (1 << d2)
+            if trip & pairbit:
+                continue
+            xbit = 1 << x
+            drop = (adj[d1] & adj[d2] & ~xbit) | (x2base & ~trip) | xbit
+            gp = full & ~(drop | (adj[x] & ~trip))
+            yield (c2, c3, c1base & ~xbit, c4base & ~xbit, d1, d2, trip,
+                   trip | pairbit, drop, gp)
 
 
 def detect_type1(g: Graph) -> Optional[Hole]:
     """Shape 1: dominating edge away from the gap, gap shorter than half."""
-    if g.n < 5:
-        return None
     memo = _Memo(g)
-    full, adj = g.full_mask, g.adj
-    p3s = induced_three_paths(g)
-    for c2 in range(g.n):
-        for c3 in g.neighbors_of[c2]:
-            pairbit = (1 << c2) | (1 << c3)
-            c1base = adj[c2] & ~adj[c3] & ~pairbit
-            c4base = adj[c3] & ~adj[c2] & ~pairbit
-            if not c1base or not c4base:
-                continue
-            x2base = (adj[c2] | adj[c3]) & ~pairbit
-            for (d1, x, d2) in p3s:
-                trip = (1 << d1) | (1 << x) | (1 << d2)
-                if trip & pairbit:
-                    continue
-                xbit = 1 << x
-                dpair = trip & ~xbit
-                x1 = adj[d1] & adj[d2] & ~xbit
-                x2 = x2base & ~trip
-                gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~dpair))
-                dd1 = memo.dist(d1, gp)
-                t = dd1[d2]
-                if t < 0:
-                    continue
-                y = geodesic_mask(dd1, memo.dist(d2, gp), t, gp & ~dpair)
-                gpp = _strip(g, x1 | x2 | xbit, y, dpair)
-                c1set = c1base & ~xbit
-                c4set = c4base & ~xbit
-                for d3 in bits(gpp & ~pairbit & ~trip):
-                    hole = _finish_split_hub(memo, c2, c3, c1set, c4set, d3, gpp)
-                    if hole is not None:
-                        return hole
+    # Swapping c2 and c3 swaps the flank sets and reverses every cycle built
+    # below, so each edge is tried in one orientation only.
+    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, g.edges()):
+        dd1 = memo.dist(d1, gp)
+        t = dd1[d2]
+        if t < 0:
+            continue
+        y = geodesic_mask(dd1, memo.dist(d2, gp), t, gp & ~trip)
+        gpp = _strip(g, drop, y, trip)
+        for d3 in bits(gpp & ~used):
+            hole = _flank_pairs(memo, gpp, _r_paths(memo, d3, gpp, c1set),
+                                _r_paths(memo, d3, gpp, c4set), (d3,), (c3, c2))
+            if hole is not None:
+                return hole
     return None
-
-
-def _finish_split_hub(memo, c2, c3, c1set, c4set, d3, gpp) -> Optional[Hole]:
-    rdata = _r_paths(memo, d3, gpp, c1set | c4set)
-    if not rdata:
-        return None
-    g = memo.g
-
-    def assemble(pa, pb):
-        cycle = pa + tuple(reversed(pb))[1:] + (c3, c2)
-        return cycle if is_odd_hole(g, cycle) else None
-
-    return _flank_pairs(memo, gpp, rdata, c1set, rdata, c4set, 1 << d3, assemble)
 
 
 def detect_type2(g: Graph) -> Optional[Hole]:
     """Shape 2: dominating edge away from the gap, gap longer than half."""
-    if g.n < 5:
-        return None
     memo = _Memo(g)
-    full, adj = g.full_mask, g.adj
-    base_p3s = induced_three_paths(g)
-    p3s = base_p3s + [(d2, x, d1) for (d1, x, d2) in base_p3s]
-    for c2 in range(g.n):
-        for c3 in g.neighbors_of[c2]:
-            pairbit = (1 << c2) | (1 << c3)
-            c1base = adj[c2] & ~adj[c3] & ~pairbit
-            c4base = adj[c3] & ~adj[c2] & ~pairbit
-            if not c1base or not c4base:
+    adj = g.adj
+    # Swapping both c2, c3 and d1, d2 swaps the flanks and reverses the gap
+    # path and every cycle, so the three-path is tried in one orientation.
+    arcs = [(c2, c3) for c2 in range(g.n) for c3 in g.neighbors_of[c2]]
+    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
+        dd1 = memo.dist(d1, gp)
+        dd2 = memo.dist(d2, gp)
+        scope = gp & ~trip
+        for d3 in bits(gp & ~used):
+            t = dd1[d3]
+            if t < 1 or dd2[d3] != t:
                 continue
-            x2base = (adj[c2] | adj[c3]) & ~pairbit
-            for (d1, x, d2) in p3s:
-                trip = (1 << d1) | (1 << x) | (1 << d2)
-                if trip & pairbit:
-                    continue
-                xbit = 1 << x
-                dpair = trip & ~xbit
-                x1 = adj[d1] & adj[d2] & ~xbit
-                x2 = x2base & ~trip
-                gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~dpair))
-                dd1 = memo.dist(d1, gp)
-                dd2 = memo.dist(d2, gp)
-                for d3 in bits(gp & ~pairbit & ~trip):
-                    t = dd1[d3]
-                    if t < 1 or dd2[d3] != t:
-                        continue
-                    hole = _type2_finish(
-                        memo, c2, c3, c1base, c4base, d1, d2, d3,
-                        x1 | x2 | xbit, gp, dd1, dd2, xbit, dpair,
-                    )
-                    if hole is not None:
-                        return hole
+            dd3 = memo.dist(d3, gp)
+            y = geodesic_mask(dd1, dd3, t, scope) | geodesic_mask(dd2, dd3, t, scope)
+            gpp = _strip(g, drop, y, trip)
+            off_hub = ~(adj[d3] | (1 << d3))
+            hole = _flank_pairs(memo, gpp, _r_paths(memo, d1, gpp, c1set & off_hub),
+                                _r_paths(memo, d2, gpp, c4set & off_hub),
+                                _through(g, dd1, dd2, d3, gp), (c3, c2))
+            if hole is not None:
+                return hole
     return None
 
 
-def _type2_finish(
-    memo, c2, c3, c1base, c4base, d1, d2, d3, drop, gp, dd1, dd2, xbit, dpair
-) -> Optional[Hole]:
-    g = memo.g
-    adj = g.adj
-    t = dd1[d3]
-    dd3 = memo.dist(d3, gp)
-    scope = gp & ~dpair
-    y = geodesic_mask(dd1, dd3, t, scope) | geodesic_mask(dd2, dd3, t, scope)
-    gpp = _strip(g, drop, y, dpair)
-    half1 = _walk_down(g, dd1, d3, gp)  # d3 .. d1
-    half1.reverse()
-    half2 = _walk_down(g, dd2, d3, gp)  # d3 .. d2
-    gap_path = tuple(half1) + tuple(half2[1:])  # d1 .. d3 .. d2
-    avoid_hub = adj[d3] | (1 << d3)
-    c1set = c1base & ~xbit & ~avoid_hub
-    c4set = c4base & ~xbit & ~avoid_hub
-    r1 = _r_paths(memo, d1, gpp, c1set)
-    r4 = _r_paths(memo, d2, gpp, c4set)
+def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
+    """The guesses of shapes 3-6: an induced path c1-d1-c3-c4, x and d2.
 
-    def assemble(pa, pb):
-        cycle = pa + gap_path[1:] + tuple(reversed(pb))[1:] + (c3, c2)
-        return cycle if is_odd_hole(g, cycle) else None
-
-    return _flank_pairs(memo, gpp, r1, c1set, r4, c4set, 0, assemble)
-
-
-def _oriented_four_paths(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    for (a, b, c, d) in induced_four_paths(g):
-        yield (a, b, c, d)
-        yield (d, c, b, a)
-
-
-def _anchored_tuples(g: Graph) -> Iterator[tuple[int, int, int, int, int, int, Mask]]:
-    """Tuples (c1, d1, c3, c4, x, d2) with the dominating edge at d1-c3."""
-    adj = g.adj
-    for (c1, d1, c3, c4) in _oriented_four_paths(g):
-        cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
-        for x in bits(adj[d1] & ~cbits):
-            xbit = 1 << x
-            for d2 in bits(adj[x] & ~adj[d1] & ~cbits & ~xbit):
-                yield c1, d1, c3, c4, x, d2, cbits
+    ``d1-c3`` is the dominating edge, ``x`` a neighbour of ``d1`` off the
+    path and ``d2`` a neighbour of ``x`` but not of ``d1``; each four-path is
+    taken in both orientations.  The anchor, the second vertex of the gap,
+    is ``c3`` or ``c1``.  Yields ``(c1, d1, c3, c4, d2, anchor, spare, used,
+    drop, gp)`` for the guesses whose anchor and ``d2`` survive the deletion
+    of ``drop`` (common neighbours of ``d1, d2`` other than ``x``, the other
+    neighbours of ``d1`` and ``c3``, and ``x``) and of the rest of the
+    neighbourhood of ``x``; ``spare`` is the anchor and ``d2``, ``used`` the
+    four-path, ``x`` and ``d2``.
+    """
+    if g.n < 5:
+        return
+    full, adj = g.full_mask, g.adj
+    for p in induced_four_paths(g):
+        for (c1, d1, c3, c4) in (p, p[::-1]):
+            cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
+            anchor = c3 if anchor_on_c3 else c1
+            x2 = (adj[d1] | adj[c3]) & ~cbits
+            for x in bits(adj[d1] & ~cbits):
+                xbit = 1 << x
+                for d2 in bits(adj[x] & ~adj[d1] & ~cbits & ~xbit):
+                    spare = (1 << anchor) | (1 << d2)
+                    drop = (adj[d1] & adj[d2] & ~xbit) | x2 | xbit
+                    gp = full & ~(drop | (adj[x] & ~spare))
+                    if gp & spare == spare:
+                        yield (c1, d1, c3, c4, d2, anchor, spare,
+                               cbits | xbit | (1 << d2), drop, gp)
 
 
 def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
-    if g.n < 5:
-        return None
     memo = _Memo(g)
-    full, adj = g.full_mask, g.adj
-    for c1, d1, c3, c4, x, d2, cbits in _anchored_tuples(g):
-        anchor = c3 if anchor_on_c3 else c1
-        xbit = 1 << x
-        x1 = adj[d1] & adj[d2] & ~xbit
-        x2 = (adj[d1] | adj[c3]) & ~cbits
-        spare = (1 << anchor) | (1 << d2)
-        gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~spare))
-        if (gp & spare) != spare:
-            continue
+    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
         da = memo.dist(anchor, gp)
         t = da[d2]
         if t < 0:
             continue
         y = geodesic_mask(da, memo.dist(d2, gp), t, gp & ~spare)
-        gpp = _strip(g, x1 | x2 | xbit, y, spare)
+        gpp = _strip(g, drop, y, spare)
         need = (1 << c1) | (1 << c4)
         if (gpp & need) != need:
             continue
         e1 = memo.dist(c1, gpp)
         e4 = memo.dist(c4, gpp)
-        used = cbits | xbit | (1 << d2)
         for d3 in bits(gpp & ~used):
             ta = e1[d3]
             if ta < 1 or e4[d3] != ta:
                 continue
-            pa = _walk_down(g, e1, d3, gpp)  # d3 .. c1
-            pa.reverse()
-            pb = _walk_down(g, e4, d3, gpp)  # d3 .. c4
-            cycle = (d1,) + tuple(pa) + tuple(pb[1:]) + (c3,)
+            cycle = (d1,) + _through(g, e1, e4, d3, gpp) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
             hole = memo.clean(gpp)
@@ -354,39 +314,25 @@ def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
 
 
 def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
-    if g.n < 5:
-        return None
     memo = _Memo(g)
-    full, adj = g.full_mask, g.adj
-    for c1, d1, c3, c4, x, d2, cbits in _anchored_tuples(g):
-        anchor = c3 if anchor_on_c3 else c1
+    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
         r_end = c1 if anchor_on_c3 else c4
-        xbit = 1 << x
-        x1 = adj[d1] & adj[d2] & ~xbit
-        x2 = (adj[d1] | adj[c3]) & ~cbits
-        spare = (1 << anchor) | (1 << d2)
-        gp = full & ~(x1 | x2 | ((adj[x] | xbit) & ~spare))
-        if (gp & spare) != spare:
-            continue
         da = memo.dist(anchor, gp)
         db = memo.dist(d2, gp)
         scope = gp & ~spare
-        for d3 in bits(gp & ~cbits & ~xbit & ~(1 << d2)):
+        for d3 in bits(gp & ~used):
             t1 = da[d3]
             if t1 < 1 or db[d3] != t1 + 1:
                 continue
             dd3 = memo.dist(d3, gp)
             y = geodesic_mask(da, dd3, t1, scope) | geodesic_mask(db, dd3, t1 + 1, scope)
-            gpp = _strip(g, x1 | x2 | xbit, y, spare)
+            gpp = _strip(g, drop, y, spare)
             rdata = _r_paths(memo, d2, gpp, 1 << r_end)
             if r_end not in rdata:
                 continue
             rpath = rdata[r_end][0]  # r_end .. d2
-            p1 = _walk_down(g, da, d3, gp)  # d3 .. anchor
-            p1.reverse()
-            p2 = _walk_down(g, db, d3, gp)  # d3 .. d2
-            body = (d1,) + tuple(p1) + tuple(p2[1:]) + tuple(reversed(rpath))[1:]
-            cycle = body + ((c3,) if not anchor_on_c3 else ())
+            body = (d1,) + _through(g, da, db, d3, gp) + rpath[-2::-1]
+            cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
             hole = memo.clean(gpp)

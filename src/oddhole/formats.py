@@ -8,6 +8,8 @@ first line, then one ``u v`` pair per line with 0-based vertex ids.
 
 Both directions are provided and ``parse(encode(g))`` is the identity;
 encoded output is canonical, so canonical inputs round-trip bit-exactly.
+Both parsers refuse graphs with more than ``MAX_VERTICES`` vertices, the
+most graph6 can encode, before allocating anything for them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from typing import Optional
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+
+# the largest vertex count the four-byte graph6 size prefix can encode
+MAX_VERTICES = 258047
 
 
 class ParseError(ValueError):
@@ -36,7 +41,7 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         out = [chr(n + 63)]
-    elif n <= 258047:
+    elif n <= MAX_VERTICES:
         out = ["~", chr(63 + (n >> 12)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
     else:
         raise ValueError("graph too large for this graph6 writer")
@@ -118,6 +123,8 @@ def parse_edgelist(text: str) -> GraphDocument:
         raise ParseError(f"line {no}: non-integer header") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {no}: negative size")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {no}: more than {MAX_VERTICES} vertices")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

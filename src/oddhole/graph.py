@@ -164,19 +164,30 @@ def shortest_path(
     dist = bfs_distances(g, u, within)
     if dist[v] == UNREACHABLE:
         return None
-    rev = [v]
-    cur = v
-    d = dist[v]
+    path = walk_down(g, dist, v, allowed)
+    path.reverse()
+    return tuple(path)
+
+
+def walk_down(g: Graph, dist: Sequence[int], frm: int, within: Mask) -> list[int]:
+    """The path from ``frm`` down to the source of the BFS that gave ``dist``.
+
+    Each step goes to the lowest-id neighbour inside ``within`` one level
+    closer, so the path is deterministic and induced.  ``dist`` must come from
+    a BFS confined to ``within`` that reached ``frm``.
+    """
+    path = [frm]
+    d = dist[frm]
+    cur = frm
     adj = g.adj
     while d > 0:
         d -= 1
-        for w in bits(adj[cur] & allowed):
+        for w in bits(adj[cur] & within):
             if dist[w] == d:
                 cur = w
                 break
-        rev.append(cur)
-    rev.reverse()
-    return tuple(rev)
+        path.append(cur)
+    return path
 
 
 def geodesic_mask(du: Sequence[int], dv: Sequence[int], total: int, scope: Mask) -> Mask:

@@ -2,9 +2,10 @@ import json
 
 from click.testing import CliRunner
 
-from oddhole.cli import main
+from oddhole.cli import PROBE_MAX_VERTICES, main
 from oddhole.formats import encode_graph6
 from oddhole.generators import cycle_graph, petersen_graph
+from oddhole.graph import Graph
 
 
 def run(args, input=None, env=None):
@@ -81,6 +82,24 @@ def test_probe_command():
     res = run(["probe", "-"], input=C6)
     assert res.exit_code == 0
     assert json.loads(res.output)["hole"] is None
+
+
+def test_probe_refuses_large_graphs():
+    # the bound keeps the exponential search away from large inputs
+    at_bound = encode_graph6(Graph(PROBE_MAX_VERTICES))
+    assert run(["probe", "-"], input=at_bound).exit_code == 0
+    res = run(["probe", "-"], input=encode_graph6(Graph(PROBE_MAX_VERTICES + 1)))
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
+def test_non_ascii_input_is_an_input_error(tmp_path):
+    path = tmp_path / "graph.g6"
+    path.write_bytes(b"D\xffw")
+    for command in ("detect", "perfect"):
+        res = run([command, str(path)])
+        assert res.exit_code == 2, command
+        assert "input error" in res.output
 
 
 def test_gen_command():

@@ -83,6 +83,8 @@ def test_edgelist_errors():
         parse_edgelist("3 2\n0 1\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_edgelist("4 2\n0 1\nx y\n")
+    with pytest.raises(ParseError, match="vertices"):
+        parse_edgelist("300000 0\n")  # more than graph6 can encode
 
 
 def test_auto_format_sniffing():
