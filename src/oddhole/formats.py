@@ -4,7 +4,8 @@ graph6 is the compact printable encoding used by the usual small-graph
 enumeration tools: the vertex count, then the upper triangle of the
 adjacency matrix in column order, packed six bits per printable byte with
 an offset of 63.  The edge-list format is line oriented: ``n m`` on the
-first line, then one ``u v`` pair per line with 0-based vertex ids.
+first line, then one ``u v`` pair per line with 0-based vertex ids, every
+number in ASCII digits.
 
 Both directions are provided and ``parse(encode(g))`` is the identity;
 encoded output is canonical, so canonical inputs round-trip bit-exactly.
@@ -23,6 +24,15 @@ GRAPH6_HEADER = ">>graph6<<"
 
 # the largest vertex count the four-byte graph6 size prefix can encode
 MAX_VERTICES = 258047
+
+
+def _numbers(parts: list[str]) -> bool:
+    """Whether every part is ASCII digits only.
+
+    ``int`` alone would also take other scripts' digits, signs and
+    underscores.
+    """
+    return all(p.isascii() and p.isdigit() for p in parts)
 
 
 class ParseError(ValueError):
@@ -117,12 +127,9 @@ def parse_edgelist(text: str) -> GraphDocument:
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(f"line {no}: expected 'n m' header")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {no}: non-integer header") from None
-    if n < 0 or m < 0:
-        raise ParseError(f"line {no}: negative size")
+    if not _numbers(parts):
+        raise ParseError(f"line {no}: non-integer header")
+    n, m = int(parts[0]), int(parts[1])
     if n > MAX_VERTICES:
         raise ParseError(f"line {no}: more than {MAX_VERTICES} vertices")
     if len(rows) - 1 != m:
@@ -133,10 +140,9 @@ def parse_edgelist(text: str) -> GraphDocument:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"line {no}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {no}: non-integer endpoint") from None
+        if not _numbers(parts):
+            raise ParseError(f"line {no}: non-integer endpoint")
+        u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {no}: vertex out of range 0..{n - 1}")
         if u == v:
@@ -159,7 +165,7 @@ def parse_graph(text: str, fmt: str = "auto") -> GraphDocument:
         first = text.strip().splitlines()[0] if text.strip() else ""
         stripped = first.strip()
         parts = stripped.split()
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
+        if len(parts) == 2 and _numbers(parts):
             return parse_edgelist(text)
         return parse_graph6(text)
     raise ParseError(f"unknown format {fmt!r}")

@@ -70,11 +70,15 @@ class ResultDocument:
         return is_odd_hole(g, self.witness)
 
 
-def run_detection(g: Graph, algorithm: str = "fast") -> ResultDocument:
+def _detector(algorithm: str) -> Callable[[Graph], Optional[tuple[int, ...]]]:
     try:
-        fn = ALGORITHMS[algorithm]
+        return ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}") from None
+
+
+def run_detection(g: Graph, algorithm: str = "fast") -> ResultDocument:
+    fn = _detector(algorithm)
     t0 = time.perf_counter()
     witness = fn(g)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -88,8 +92,8 @@ def run_detection(g: Graph, algorithm: str = "fast") -> ResultDocument:
 
 def test_perfect(g: Graph, algorithm: str = "fast") -> ResultDocument:
     """Perfection via the strong characterization: check g and its complement."""
+    fn = _detector(algorithm)
     t0 = time.perf_counter()
-    fn = ALGORITHMS[algorithm]
     hole = fn(g)
     if hole is not None:
         ms = (time.perf_counter() - t0) * 1000.0

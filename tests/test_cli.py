@@ -102,6 +102,14 @@ def test_non_ascii_input_is_an_input_error(tmp_path):
         assert "input error" in res.output
 
 
+def test_edgelist_digits_are_ascii_on_stdin():
+    # the last endpoint is ARABIC-INDIC DIGIT ZERO; as a file it fails to decode
+    text = "5 5\n0 1\n1 2\n2 3\n3 4\n4 \u0660\n"
+    res = run(["detect", "-", "--format", "edgelist"], input=text)
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
 def test_gen_command():
     res = run(["gen", "cycle", "7"])
     assert res.exit_code == 0

@@ -12,7 +12,9 @@ from oddhole import (
     verify_jewel,
     verify_pyramid,
 )
-from oddhole.generators import cycle_graph, gnp
+import oddhole.configs
+import oddhole.graph
+from oddhole.generators import cycle_graph, gnp, random_bipartite, random_chordal
 from oddhole.oracle import oracle_find_jewel, oracle_find_pyramid
 from .conftest import random_graphs
 
@@ -126,3 +128,59 @@ def test_fuzz_witnesses_always_verify():
             hole = odd_hole_from_jewel(g, jw)
             assert is_odd_hole(g, hole)
     assert pyramids >= 20 and jewels >= 20
+
+
+def _line_graph(h):
+    es = list(h.edges())
+    return Graph(len(es), [(i, j) for i in range(len(es)) for j in range(i + 1, len(es))
+                           if set(es[i]) & set(es[j])])
+
+
+def test_pyramid_builds_each_leg_set_once(monkeypatch):
+    # Both graphs are perfect, so the whole search runs.  A line graph is
+    # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
+    # ever built.  A BFS per midpoint for each first half, and each leg set
+    # rebuilt for every anchor triple that needs it, made 108 and 0.
+    bfs = oddhole.graph.bfs_distances
+    calls = 0
+
+    def counted(g, source, within=None):
+        nonlocal calls
+        calls += 1
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
+    counts = []
+    for g in (random_chordal(10, 5), _line_graph(random_bipartite(5, 5, 0.5, 0))):
+        calls = 0
+        assert find_pyramid(g) is None
+        counts.append(calls)
+    assert counts == [46, 0]
+
+
+def test_pyramid_legs_belong_to_their_apex(monkeypatch):
+    # two apexes with the same anchor, base vertex and allowed set each get
+    # legs of their own
+    build = oddhole.configs._build_legs
+    candidates = oddhole.configs._leg_candidates
+    apexes = {}
+
+    def recorded(g, a, si, bi, allowed):
+        apexes.setdefault((g, si, bi, allowed), set()).add(a)
+        return build(g, a, si, bi, allowed)
+
+    def checked(g, a, base, s, i, memo):
+        legs = candidates(g, a, base, s, i, memo)
+        assert all(leg[0] == a for leg in legs)
+        return legs
+
+    monkeypatch.setattr(oddhole.configs, "_build_legs", recorded)
+    monkeypatch.setattr(oddhole.configs, "_leg_candidates", checked)
+    found = 0
+    for g in [random_chordal(10, 5)] + [gnp(9 + i % 4, 0.35, 100 + i) for i in range(48)]:
+        w = find_pyramid(g)
+        if w is not None:
+            found += 1
+            assert verify_pyramid(g, w)
+    assert found >= 10
+    assert any(len(shared) > 1 for shared in apexes.values())

@@ -10,6 +10,8 @@ from oddhole import (
 )
 import oddhole.fast
 from oddhole.fast import (
+    _anchored_cuts,
+    _split_cuts,
     detect_type1,
     detect_type2,
     detect_type3,
@@ -19,6 +21,7 @@ from oddhole.fast import (
 )
 from oddhole.generators import (
     complete_graph,
+    connected_small_graphs,
     cycle_graph,
     decorated_odd_cycle,
     gnp,
@@ -26,6 +29,7 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
+from oddhole.graph import bits, induced_four_paths, induced_three_paths
 from oddhole.oracle import oracle_find_odd_hole
 from .conftest import random_graphs
 
@@ -83,6 +87,72 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
             assert len(keys) == len(set(keys)), det.__name__
             calls += len(keys)
         assert calls > 0, det.__name__
+
+
+def _unfiltered_split_cuts(g, arcs):
+    # every guess of shapes 1-2, with no test for dead ones
+    full, adj = g.full_mask, g.adj
+    for c2, c3 in arcs:
+        pairbit = (1 << c2) | (1 << c3)
+        c1base = adj[c2] & ~adj[c3] & ~pairbit
+        c4base = adj[c3] & ~adj[c2] & ~pairbit
+        if not c1base or not c4base:
+            continue
+        x2base = (adj[c2] | adj[c3]) & ~pairbit
+        for (d1, x, d2) in induced_three_paths(g):
+            trip = (1 << d1) | (1 << x) | (1 << d2)
+            if trip & pairbit:
+                continue
+            xbit = 1 << x
+            drop = (adj[d1] & adj[d2] & ~xbit) | (x2base & ~trip) | xbit
+            gp = full & ~(drop | (adj[x] & ~trip))
+            yield (c2, c3, c1base & ~xbit, c4base & ~xbit, d1, d2, trip,
+                   trip | pairbit, drop, gp)
+
+
+def _checked_anchored_cuts(g, anchor_on_c3):
+    # every guess of shapes 3-6, kept by the survival test on the anchor and d2
+    full, adj = g.full_mask, g.adj
+    for p in induced_four_paths(g):
+        for (c1, d1, c3, c4) in (p, p[::-1]):
+            cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
+            anchor = c3 if anchor_on_c3 else c1
+            x2 = (adj[d1] | adj[c3]) & ~cbits
+            for x in bits(adj[d1] & ~cbits):
+                xbit = 1 << x
+                for d2 in bits(adj[x] & ~adj[d1] & ~cbits & ~xbit):
+                    spare = (1 << anchor) | (1 << d2)
+                    drop = (adj[d1] & adj[d2] & ~xbit) | x2 | xbit
+                    gp = full & ~(drop | (adj[x] & ~spare))
+                    if gp & spare == spare:
+                        yield (c1, d1, c3, c4, d2, anchor, spare,
+                               cbits | xbit | (1 << d2), drop, gp)
+
+
+def test_stage3_prefilters_drop_only_dead_guesses():
+    graphs = [g for n in range(5, 8) for g in connected_small_graphs(n)]
+    for i in range(40):
+        g = gnp(8 + i % 4, (0.3, 0.5, 0.7)[i % 3], 4400 + i)
+        graphs += [g, g.complement()]
+    dropped = 0
+    for g in graphs:
+        adj = g.adj
+        arcs = [(u, v) for u in range(g.n) for v in g.neighbors_of[u]]
+        kept = iter(_split_cuts(g, arcs))
+        nxt = next(kept, None)
+        for guess in _unfiltered_split_cuts(g, arcs):
+            if guess == nxt:
+                nxt = next(kept, None)
+                continue
+            # a dropped guess leaves d1 or d2 no step into gp off the path
+            d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
+            assert not (adj[d1] & gp & ~trip and adj[d2] & gp & ~trip), guess
+            dropped += 1
+        assert nxt is None, "a kept guess is not among the unfiltered ones, in order"
+        for anchor_on_c3 in (False, True):
+            assert (list(_anchored_cuts(g, anchor_on_c3))
+                    == list(_checked_anchored_cuts(g, anchor_on_c3)))
+    assert dropped > 0
 
 
 def test_detect_known_families():

@@ -87,6 +87,26 @@ def test_edgelist_errors():
         parse_edgelist("300000 0\n")  # more than graph6 can encode
 
 
+def test_edgelist_numbers_are_ascii_digits():
+    # int() alone would read each of these as a number
+    for text in (
+        "3 1\n\u0660 \u0661\n",  # Arabic-Indic digits
+        "1_1 1\n0 1_0\n",  # underscores
+        "3 1\n+0 1\n",  # sign
+        "\uff13 1\n0 1\n",  # fullwidth digit in the header
+    ):
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_edgelist(text)
+    assert parse_edgelist("3 1\n002 1\n").graph.has_edge(1, 2)
+
+
+def test_auto_sniff_wants_ascii_digits():
+    # a first line of other digits is not an edge-list header
+    with pytest.raises(ParseError, match="graph6"):
+        parse_graph("\u0663 \u0661\n\u0660 \u0661\n", "auto")
+    assert parse_graph("3 1\n0 2\n", "auto").fmt == "edgelist"
+
+
 def test_auto_format_sniffing():
     assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", "auto").fmt == "edgelist"
     assert parse_graph("D~{", "auto").fmt == "graph6"

@@ -1,3 +1,5 @@
+import pytest
+
 from oddhole import Graph, is_odd_hole
 from oddhole.generators import (
     cycle_graph,
@@ -40,6 +42,12 @@ def test_algorithm_dispatch():
         pass
     else:
         raise AssertionError("unknown algorithm accepted")
+
+
+def test_unknown_algorithm_is_a_value_error():
+    for call in (run_detection, test_perfect):
+        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+            call(cycle_graph(5), "nope")
 
 
 def test_json_roundtrip_and_reverify():
