@@ -129,7 +129,10 @@ def parse_edgelist(text: str) -> GraphDocument:
         raise ParseError(f"line {no}: expected 'n m' header")
     if not _numbers(parts):
         raise ParseError(f"line {no}: non-integer header")
-    n, m = int(parts[0]), int(parts[1])
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"line {no}: number too long") from None
     if n > MAX_VERTICES:
         raise ParseError(f"line {no}: more than {MAX_VERTICES} vertices")
     if len(rows) - 1 != m:
@@ -142,7 +145,10 @@ def parse_edgelist(text: str) -> GraphDocument:
             raise ParseError(f"line {no}: expected 'u v'")
         if not _numbers(parts):
             raise ParseError(f"line {no}: non-integer endpoint")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {no}: number too long") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {no}: vertex out of range 0..{n - 1}")
         if u == v:

@@ -110,6 +110,14 @@ def test_edgelist_digits_are_ascii_on_stdin():
     assert "input error" in res.output
 
 
+def test_overlong_number_is_an_input_error():
+    # more digits than int() converts; exit 1 would claim an odd hole
+    for text in ("1" * 5000 + " 0\n", "3 1\n0 " + "1" * 5000 + "\n"):
+        res = run(["detect", "-"], input=text)
+        assert res.exit_code == 2
+        assert "number too long" in res.output
+
+
 def test_gen_command():
     res = run(["gen", "cycle", "7"])
     assert res.exit_code == 0

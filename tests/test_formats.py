@@ -85,6 +85,10 @@ def test_edgelist_errors():
         parse_edgelist("4 2\n0 1\nx y\n")
     with pytest.raises(ParseError, match="vertices"):
         parse_edgelist("300000 0\n")  # more than graph6 can encode
+    with pytest.raises(ParseError, match="line 1: number too long"):
+        parse_edgelist("1" * 5000 + " 0\n")  # beyond int()'s digit limit
+    with pytest.raises(ParseError, match="line 2: number too long"):
+        parse_edgelist("3 1\n0 " + "1" * 5000 + "\n")
 
 
 def test_edgelist_numbers_are_ascii_digits():
