@@ -80,11 +80,11 @@ __all__ = [
 ]
 
 
-def test_perfect(g: Graph):
+def test_perfect(g: Graph, algorithm: str = "fast"):
     """Deferred import wrapper; see :mod:`oddhole.pipeline`."""
     from .pipeline import test_perfect as _tp
 
-    return _tp(g)
+    return _tp(g, algorithm)
 
 
 test_perfect.__test__ = False  # type: ignore[attr-defined]

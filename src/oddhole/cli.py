@@ -174,8 +174,13 @@ def bench(sizes, p, per, algorithm, seed):
     """Wall-time report over random graphs; CSV on stdout."""
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
+        if any(n < 0 for n in size_list):
+            raise ValueError
     except ValueError:
-        click.echo("bad --sizes", err=True)
+        click.echo("bad --sizes: want non-negative integers", err=True)
+        sys.exit(EXIT_INPUT)
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        click.echo("bad --p: want a probability in [0, 1]", err=True)
         sys.exit(EXIT_INPUT)
     for row in bench_rows(size_list, p, per, algorithm, seed):
         click.echo(row)

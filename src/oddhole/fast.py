@@ -59,6 +59,7 @@ from .graph import (
     induced_three_paths,
     is_odd_hole,
     mask_of,
+    peels_to_bipartite,
     walk_down,
 )
 
@@ -397,7 +398,17 @@ def detect_fast(g: Graph) -> Optional[Hole]:
 
 
 def detect(g: Graph) -> Optional[Hole]:
-    """Decide whether the graph has an odd hole; return a verified one if so."""
+    """Decide whether the graph has an odd hole; return a verified one if so.
+
+    First, simplicial vertices are deleted as long as any is left; if the
+    rest is bipartite, the answer is None.  A simplicial vertex lies on no
+    hole, since its two hole neighbours would be adjacent, and a bipartite
+    graph has no odd cycle.  Otherwise the original graph goes through
+    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) and then
+    the six staged shapes of :func:`detect_fast`.
+    """
+    if peels_to_bipartite(g):
+        return None
     hole = classify_candidate(g)
     if hole is not None:
         return hole

@@ -100,6 +100,12 @@ def decorated_odd_cycle(
     """
     if k < 5 or k % 2 == 0:
         raise ValueError("need an odd cycle of length at least five")
+    # Two or more anchors out of k leave a gap of at least ceil(k / count), so
+    # the span test below could never pass and the loop would never end.
+    most = min(k - 1, min_anchors + 2)
+    if extras > 0 and min_anchors >= 2 and -(-k // most) > k - 4:
+        raise ValueError(f"a {k}-cycle has no room for {min_anchors} or more anchors "
+                         "beyond three consecutive positions")
     rng = random.Random(("decorated", k, extras, seed).__repr__())
     edges = [(i, (i + 1) % k) for i in range(k)]
     for e in range(extras):

@@ -270,6 +270,45 @@ def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
     return len(cycle) % 2 == 1 and is_hole(g, cycle)
 
 
+def peels_to_bipartite(g: Graph) -> bool:
+    """True if deleting simplicial vertices, as long as any is left, leaves a
+    bipartite graph; then ``g`` has no odd hole.
+
+    A simplicial vertex (its neighbours form a clique) lies on no hole, since
+    its two neighbours on the hole would be adjacent, so deleting it keeps
+    every hole; and a bipartite graph has no odd cycle.  Chordal graphs peel
+    away entirely.  Deleting vertices keeps the others simplicial, so the
+    worklist order does not change what is left.
+    """
+    adj = g.adj
+    alive = g.full_mask
+    todo = list(range(g.n))
+    while todo:
+        v = todo.pop()
+        if not alive >> v & 1:
+            continue
+        nbrs = adj[v] & alive
+        for u in bits(nbrs):
+            if nbrs & ~adj[u] != 1 << u:
+                break
+        else:
+            alive ^= 1 << v
+            todo.extend(bits(nbrs))
+    # Two-colour the rest by BFS layers: a breadth-first search puts no edge
+    # between layers two apart, so an odd cycle shows as an edge inside a layer.
+    while alive:
+        layer = alive & -alive
+        while layer:
+            alive &= ~layer
+            nxt = 0
+            for v in bits(layer):
+                if adj[v] & layer:
+                    return False
+                nxt |= adj[v]
+            layer = nxt & alive
+    return True
+
+
 def induced_three_paths(g: Graph) -> list[tuple[int, int, int]]:
     """All induced paths a-x-b with a < b (each returned once)."""
     out = []

@@ -125,6 +125,8 @@ def test_gen_command():
     res = run(["gen", "gnp", "8", "0.3", "seed=1", "count=2"])
     assert len(res.output.strip().splitlines()) == 2
     assert run(["gen", "nonsense"]).exit_code == 2
+    res = run(["gen", "decorated", "5", "1"])
+    assert res.exit_code == 2 and "spec error" in res.output
 
 
 def test_gen_detect_pipeline():
@@ -140,4 +142,8 @@ def test_bench_command():
     lines = res.output.strip().splitlines()
     assert lines[0] == "n,p,algorithm,seed,millis,verdict"
     assert len(lines) == 3
-    assert run(["bench", "--sizes", "x"]).exit_code == 2
+    for args in (["--sizes", "x"], ["--sizes", "-5"], ["--sizes", "8,-1"], ["--sizes", "1.5"],
+                 ["--p", "-0.1"], ["--p", "1.5"], ["--p", "nan"]):
+        res = run(["bench", "--per", "1", *args])
+        assert res.exit_code == 2 and "bad --" in res.output, args
+    assert run(["bench", "--sizes", "6", "--per", "1", "--p", "1"]).exit_code == 0

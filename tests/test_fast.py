@@ -8,7 +8,9 @@ from oddhole import (
     detect_simple,
     is_odd_hole,
 )
+import oddhole.cleaning
 import oddhole.fast
+import oddhole.graph
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -29,7 +31,7 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
-from oddhole.graph import bits, induced_four_paths, induced_three_paths
+from oddhole.graph import bits, induced_four_paths, induced_three_paths, peels_to_bipartite
 from oddhole.oracle import oracle_find_odd_hole
 from .conftest import random_graphs
 
@@ -87,6 +89,56 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
             assert len(keys) == len(set(keys)), det.__name__
             calls += len(keys)
         assert calls > 0, det.__name__
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _with_pendant_cliques(g, size, at):
+    """``g`` plus, for each vertex ``v`` in ``at``, ``size`` new vertices that
+    form a clique with ``v``."""
+    edges = list(g.edges())
+    n = g.n
+    for v in at:
+        clique = [v] + list(range(n, n + size))
+        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        n += size
+    return Graph(n, edges)
+
+
+def test_peeled_bipartite_inputs_skip_the_search(monkeypatch):
+    bfs = oddhole.graph.bfs_distances
+    calls = []
+
+    def counted(g, source, within=None):
+        calls.append(source)
+        return bfs(g, source, within)
+
+    # every module the search reaches BFS through
+    for module in (oddhole.graph, oddhole.cleaning, oddhole.fast):
+        monkeypatch.setattr(module, "bfs_distances", counted)
+    decided = (
+        [_random_tree(12, seed) for seed in range(3)]
+        + [random_bipartite(6, 6, 0.4, seed) for seed in range(3)]
+        + [random_chordal(12, seed) for seed in range(3)]
+        + [_with_pendant_cliques(random_bipartite(5, 5, 0.5, 2), 3, (0, 5, 9))]
+    )
+    for g in decided:
+        calls.clear()
+        assert detect(g) is None
+        assert calls == []
+        # the search alone would have paid for BFS on the same graph
+        assert classify_candidate(g) is None and detect_fast(g) is None
+        assert calls
+    # an odd hole survives the peeling: simplicial vertices are not on it
+    c5_triangle = _with_pendant_cliques(cycle_graph(5), 2, (0,))
+    undecided = [c5_triangle] + [decorated_odd_cycle(7 + 2 * (s % 2), 1 + s % 3, s) for s in range(10)]
+    for g in undecided:
+        assert not peels_to_bipartite(g)
+        hole = detect(g)
+        assert hole is not None and is_odd_hole(g, hole)
 
 
 def _unfiltered_split_cuts(g, arcs):

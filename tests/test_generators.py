@@ -92,6 +92,10 @@ def test_decorated_cycle_rejects_bad_parameters():
         decorated_odd_cycle(6, 1, 0)
     with pytest.raises(ValueError):
         decorated_odd_cycle(3, 1, 0)
+    # four anchors on a 5-cycle always leave a gap of two: this used to loop
+    with pytest.raises(ValueError, match="no room"):
+        decorated_odd_cycle(5, 1, 0)
+    assert decorated_odd_cycle(5, 0, 0) == cycle_graph(5)
 
 
 def test_corpus_specs():

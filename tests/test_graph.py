@@ -14,10 +14,18 @@ from oddhole.graph import (
     is_induced_path,
     is_odd_hole,
     mask_of,
+    peels_to_bipartite,
     shortest_path,
     shortest_path_interior_union,
 )
-from oddhole.generators import complete_graph, cycle_graph, gnp, path_graph
+from oddhole.generators import (
+    complete_graph,
+    connected_small_graphs,
+    cycle_graph,
+    gnp,
+    path_graph,
+)
+from oddhole.oracle import oracle_find_odd_hole
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -220,3 +228,16 @@ def test_relabel_preserves_structure():
     for u in range(8):
         for v in range(8):
             assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
+
+
+def test_peeled_bipartite_graphs_have_no_odd_hole():
+    graphs = [g for n in range(1, 7) for g in connected_small_graphs(n)]
+    sampled = [gnp(8 + i % 3, (0.15, 0.3, 0.5)[i % 3], 4100 + i) for i in range(120)]
+    graphs += sampled + [g.complement() for g in sampled]
+    certified = [g for g in graphs if peels_to_bipartite(g)]
+    for g in certified:
+        assert oracle_find_odd_hole(g) is None, g.adj
+    # the check is not vacuous: it decides about half of them
+    assert 150 <= len(certified) <= len(graphs) - 150
+    assert not peels_to_bipartite(cycle_graph(5))
+    assert peels_to_bipartite(cycle_graph(6)) and peels_to_bipartite(complete_graph(6))

@@ -1,5 +1,6 @@
 import pytest
 
+import oddhole
 from oddhole import Graph, is_odd_hole
 from oddhole.generators import (
     cycle_graph,
@@ -45,9 +46,11 @@ def test_algorithm_dispatch():
 
 
 def test_unknown_algorithm_is_a_value_error():
-    for call in (run_detection, test_perfect):
+    # the top-level wrapper forwards the algorithm too
+    for call in (run_detection, test_perfect, oddhole.test_perfect):
         with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
             call(cycle_graph(5), "nope")
+    assert oddhole.test_perfect(cycle_graph(5), "oracle").algorithm == "oracle"
 
 
 def test_json_roundtrip_and_reverify():
