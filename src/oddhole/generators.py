@@ -100,10 +100,11 @@ def decorated_odd_cycle(
     """
     if k < 5 or k % 2 == 0:
         raise ValueError("need an odd cycle of length at least five")
-    # Two or more anchors out of k leave a gap of at least ceil(k / count), so
-    # the span test below could never pass and the loop would never end.
+    # Anchors out of k leave a gap of at least ceil(k / count), and one or no
+    # anchor a gap of k; if every draw's gap is too wide, the span test below
+    # could never pass and the loop would never end.
     most = min(k - 1, min_anchors + 2)
-    if extras > 0 and min_anchors >= 2 and -(-k // most) > k - 4:
+    if extras > 0 and -(-k // most) > k - 4:
         raise ValueError(f"a {k}-cycle has no room for {min_anchors} or more anchors "
                          "beyond three consecutive positions")
     rng = random.Random(("decorated", k, extras, seed).__repr__())
@@ -113,7 +114,7 @@ def decorated_odd_cycle(
         while True:
             count = rng.randint(min_anchors, min(k - 1, min_anchors + 2))
             anchors = sorted(rng.sample(range(k), count))
-            span = max(
+            span = k if count < 2 else max(
                 (anchors[(i + 1) % count] - anchors[i]) % k for i in range(count)
             )
             if span <= k - 4:  # neighbors do not fit three consecutive spots
@@ -228,6 +229,12 @@ def generate_corpus(spec: str) -> list[GraphDocument]:
     if kw:
         raise ValueError(f"unknown options: {sorted(kw)}")
 
+    # positional parameters of each family; multipartite takes any number
+    arity = {"cycle": 1, "path": 1, "complete": 1, "petersen": 0, "chordal": 1,
+             "gnp": 2, "decorated": 2, "bipartite": 3}.get(family)
+    if arity is not None and len(pos) != arity:
+        raise ValueError(f"{family} takes {arity} positional parameters, got {len(pos)}")
+
     def doc(g: Graph, name: str) -> GraphDocument:
         return GraphDocument(g, "generated", name=name)
 
@@ -241,8 +248,6 @@ def generate_corpus(spec: str) -> list[GraphDocument]:
         (n,) = map(int, pos)
         return [doc(complete_graph(n), f"complete-{n}")]
     if family == "petersen":
-        if pos:
-            raise ValueError("petersen takes no parameters")
         return [doc(petersen_graph(), "petersen")]
     if family == "multipartite":
         sizes = list(map(int, pos))

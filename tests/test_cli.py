@@ -127,6 +127,11 @@ def test_gen_command():
     assert run(["gen", "nonsense"]).exit_code == 2
     res = run(["gen", "decorated", "5", "1"])
     assert res.exit_code == 2 and "spec error" in res.output
+    # too few or too many positional parameters
+    for spec in (["decorated", "9"], ["gnp", "10"], ["bipartite", "4", "5"],
+                 ["gnp", "10", "0.3", "extra"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and "spec error" in res.output, spec
 
 
 def test_gen_detect_pipeline():

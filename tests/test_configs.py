@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from oddhole import (
@@ -14,7 +16,14 @@ from oddhole import (
 )
 import oddhole.configs
 import oddhole.graph
-from oddhole.generators import cycle_graph, gnp, random_bipartite, random_chordal
+from oddhole.generators import (
+    connected_small_graphs,
+    cycle_graph,
+    gnp,
+    random_bipartite,
+    random_chordal,
+)
+from oddhole.graph import bits
 from oddhole.oracle import oracle_find_jewel, oracle_find_pyramid
 from .conftest import random_graphs
 
@@ -139,8 +148,9 @@ def _line_graph(h):
 def test_pyramid_builds_each_leg_set_once(monkeypatch):
     # Both graphs are perfect, so the whole search runs.  A line graph is
     # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
-    # ever built.  A BFS per midpoint for each first half, and each leg set
-    # rebuilt for every anchor triple that needs it, made 108 and 0.
+    # ever built.  Building all three leg sets of a triple before testing any
+    # for emptiness makes 46 and 0; a BFS per midpoint for each first half,
+    # and each leg set rebuilt for every anchor triple that needs it, 108.
     bfs = oddhole.graph.bfs_distances
     calls = 0
 
@@ -155,7 +165,62 @@ def test_pyramid_builds_each_leg_set_once(monkeypatch):
         calls = 0
         assert find_pyramid(g) is None
         counts.append(calls)
-    assert counts == [46, 0]
+    assert counts == [27, 0]
+
+
+def _product_anchor_triples(g):
+    # Every (apex, base, anchors) the pyramid search must try, in its order:
+    # the full product of each leg's anchor choices, filtered for distinct,
+    # pairwise non-adjacent anchors.
+    adj = g.adj
+    out = []
+    for b1 in range(g.n):
+        for b2 in g.neighbors_of[b1]:
+            if b2 < b1:
+                continue
+            for b3 in bits(adj[b1] & adj[b2]):
+                if b3 < b2:
+                    continue
+                base = (b1, b2, b3)
+                for a in range(g.n):
+                    if a in base or sum(g.has_edge(a, b) for b in base) > 1:
+                        continue
+                    choices = []
+                    for bi in base:
+                        others = [b for b in base if b != bi]
+                        choices.append([bi] if g.has_edge(a, bi) else [
+                            v for v in g.neighbors_of[a]
+                            if all(v != b and not g.has_edge(v, b) for b in others)])
+                    for s in product(*choices):
+                        if len(set(s)) == 3 and not any(
+                            g.has_edge(s[i], s[j]) for i, j in ((0, 1), (0, 2), (1, 2))
+                        ):
+                            out.append((a, base, s))
+    return out
+
+
+def test_pyramid_enumerates_the_same_anchor_triples(monkeypatch):
+    # With every first leg set empty the search tries each triple once and
+    # never stops early.
+    tried = []
+
+    def first_leg_empty(g, a, base, s, i, memo):
+        assert i == 0
+        tried.append((a, base, s))
+        return []
+
+    monkeypatch.setattr(oddhole.configs, "_leg_candidates", first_leg_empty)
+    graphs = [g for n in range(3, 8) for g in connected_small_graphs(n)]
+    for i in range(40):
+        g = gnp(8 + i % 4, (0.3, 0.45, 0.6)[i % 3], 700 + i)
+        graphs += [g, g.complement()]
+    total = 0
+    for g in graphs:
+        tried.clear()
+        assert find_pyramid(g) is None
+        assert tried == _product_anchor_triples(g)
+        total += len(tried)
+    assert total > 600
 
 
 def test_pyramid_legs_belong_to_their_apex(monkeypatch):

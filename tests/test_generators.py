@@ -85,6 +85,12 @@ def test_decorated_cycle_extras_are_major():
         majors = major_vertices(g, hole)
         assert majors >> 9 & 1 and majors >> 10 & 1
         assert oracle_find_odd_hole(g) is not None
+    # also with fewer anchors, where a draw may hold a single anchor
+    for k, least in ((7, 1), (7, 2), (9, 0), (9, 1), (11, 1), (11, 3)):
+        for seed in range(10):
+            g = decorated_odd_cycle(k, 3, seed, min_anchors=least)
+            extras = g.full_mask & ~((1 << k) - 1)
+            assert major_vertices(g, tuple(range(k))) == extras, (k, least, seed)
 
 
 def test_decorated_cycle_rejects_bad_parameters():
@@ -95,6 +101,11 @@ def test_decorated_cycle_rejects_bad_parameters():
     # four anchors on a 5-cycle always leave a gap of two: this used to loop
     with pytest.raises(ValueError, match="no room"):
         decorated_odd_cycle(5, 1, 0)
+    for least in (0, 1):
+        with pytest.raises(ValueError, match="no room"):
+            decorated_odd_cycle(5, 1, 0, min_anchors=least)
+    with pytest.raises(ValueError, match="no room"):
+        decorated_odd_cycle(7, 1, 0, min_anchors=0)
     assert decorated_odd_cycle(5, 0, 0) == cycle_graph(5)
 
 
