@@ -4,10 +4,10 @@ Exit codes are a stable contract for scripting: 0 means no odd hole (or
 perfect), 1 means an odd hole was found (or the graph is imperfect), and 2
 means the input could not be parsed or is too large for the command.
 
-``probe`` runs the exponential brute-force search, so it refuses graphs with
-more than ``PROBE_MAX_VERTICES`` (36) vertices with exit code 2; on grid
-graphs that search takes a fraction of a second at 36 vertices and about 25
-times as long at 49 (see README.md).
+``probe`` and ``--algorithm oracle`` run the exponential brute-force search,
+so they refuse graphs with more than ``PROBE_MAX_VERTICES`` (36) vertices with
+exit code 2; on grid graphs that search takes a fraction of a second at 36
+vertices and about 25 times as long at 49 (see README.md).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
 from .generators import generate_corpus
 from .graph import Graph
 from .oracle import oracle_find_odd_hole
-from .pipeline import BENCH_HEADER, bench_rows, run_detection, test_perfect
+from .pipeline import ALGORITHMS, bench_rows, run_detection, test_perfect
 from .probes import heavy_edges, major_vertices, vertex_gaps
 from .graph import bits as _bits
 
@@ -31,6 +31,9 @@ EXIT_FOUND = 1
 EXIT_INPUT = 2
 
 PROBE_MAX_VERTICES = 36
+
+_algorithm_option = click.option("--algorithm", default="fast",
+                                 type=click.Choice(list(ALGORITHMS)))
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -48,6 +51,15 @@ def _load(path: Optional[str], fmt: str) -> Graph:
         sys.exit(EXIT_INPUT)
 
 
+def _too_large(g: Graph, algorithm: str) -> bool:
+    """Say so on stderr if ``g`` is too large for the brute-force search."""
+    if algorithm != "oracle" or g.n <= PROBE_MAX_VERTICES:
+        return False
+    click.echo(f"input error: the brute-force search takes at most {PROBE_MAX_VERTICES} "
+               f"vertices, got {g.n}", err=True)
+    return True
+
+
 @click.group()
 def main() -> None:
     """Detect odd holes and test graph perfection."""
@@ -57,8 +69,7 @@ def main() -> None:
 @click.argument("input", required=False)
 @click.option("--format", "fmt", default="auto",
               type=click.Choice(["auto", "graph6", "edgelist"]))
-@click.option("--algorithm", default="fast",
-              type=click.Choice(["fast", "simple", "oracle"]))
+@_algorithm_option
 @click.option("--witness", is_flag=True, help="print the witness cycle")
 @click.option("--json", "as_json", is_flag=True, help="print the full result document")
 @click.option("--stdin-stream", is_flag=True,
@@ -67,7 +78,10 @@ def detect(input, fmt, algorithm, witness, as_json, stdin_stream):
     """Decide whether a graph contains an odd hole."""
     if stdin_stream:
         sys.exit(_stream_detect(algorithm, as_json))
-    doc = run_detection(_load(input, fmt), algorithm)
+    g = _load(input, fmt)
+    if _too_large(g, algorithm):
+        sys.exit(EXIT_INPUT)
+    doc = run_detection(g, algorithm)
     _emit(doc, witness, as_json)
     sys.exit(EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN)
 
@@ -88,13 +102,12 @@ def _stream_detect(algorithm: str, as_json: bool) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
+    if any(_too_large(g, algorithm) for g in graphs):
+        return EXIT_INPUT
     any_found = False
     for g in graphs:
         doc = run_detection(g, algorithm)
-        if as_json:
-            click.echo(doc.to_json())
-        else:
-            click.echo(doc.verdict)
+        _emit(doc, False, as_json)
         any_found |= doc.verdict == "odd-hole-found"
     return EXIT_FOUND if any_found else EXIT_CLEAN
 
@@ -103,12 +116,13 @@ def _stream_detect(algorithm: str, as_json: bool) -> int:
 @click.argument("input", required=False)
 @click.option("--format", "fmt", default="auto",
               type=click.Choice(["auto", "graph6", "edgelist"]))
-@click.option("--algorithm", default="fast",
-              type=click.Choice(["fast", "simple", "oracle"]))
+@_algorithm_option
 @click.option("--json", "as_json", is_flag=True)
 def perfect(input, fmt, algorithm, as_json):
     """Test whether a graph is perfect."""
     g = _load(input, fmt)
+    if _too_large(g, algorithm):
+        sys.exit(EXIT_INPUT)
     doc = test_perfect(g, algorithm)
     if as_json:
         click.echo(doc.to_json())
@@ -130,9 +144,7 @@ def probe(input, fmt):
     Graphs with more than PROBE_MAX_VERTICES vertices are refused (exit 2).
     """
     g = _load(input, fmt)
-    if g.n > PROBE_MAX_VERTICES:
-        click.echo(f"input error: probe takes at most {PROBE_MAX_VERTICES} vertices, "
-                   f"got {g.n}", err=True)
+    if _too_large(g, "oracle"):
         sys.exit(EXIT_INPUT)
     hole = oracle_find_odd_hole(g)
     if hole is None:
@@ -167,8 +179,7 @@ def gen(spec):
 @click.option("--sizes", default="10,15,20,25,30")
 @click.option("--p", default=0.3, type=float)
 @click.option("--per", default=3, type=int, help="graphs per size")
-@click.option("--algorithm", default="fast",
-              type=click.Choice(["fast", "simple", "oracle"]))
+@_algorithm_option
 @click.option("--seed", default=0, type=int)
 def bench(sizes, p, per, algorithm, seed):
     """Wall-time report over random graphs; CSV on stdout."""
@@ -178,6 +189,10 @@ def bench(sizes, p, per, algorithm, seed):
             raise ValueError
     except ValueError:
         click.echo("bad --sizes: want non-negative integers", err=True)
+        sys.exit(EXIT_INPUT)
+    if algorithm == "oracle" and any(n > PROBE_MAX_VERTICES for n in size_list):
+        click.echo(f"bad --sizes: the brute-force search takes at most {PROBE_MAX_VERTICES} "
+                   "vertices", err=True)
         sys.exit(EXIT_INPUT)
     if not 0.0 <= p <= 1.0:  # NaN fails too
         click.echo("bad --p: want a probability in [0, 1]", err=True)

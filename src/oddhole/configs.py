@@ -17,11 +17,14 @@ from .graph import (
     bits,
     is_induced_path,
     is_odd_hole,
+    mask_of,
     shortest_path,
     walk_down,
 )
 
-Leg = tuple[int, ...]
+Path = tuple[int, ...]
+# (path from the apex, mask of path[1:], neighborhoods of path[1:-1])
+Leg = tuple[Path, int, int]
 # (apex, anchor, base vertex, allowed mask) -> the candidate legs it gives
 LegMemo = dict[tuple[int, int, int, int], list[Leg]]
 
@@ -119,6 +122,7 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
     completes the witness.
     """
     adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
     for v1 in range(g.n):
         for v2 in g.neighbors_of[v1]:
             for v3 in bits(adj[v2] & ~adj[v1] & ~(1 << v1)):
@@ -128,10 +132,8 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
                     for v5 in bits(adj[v4] & adj[v1]):
                         if v5 in (v2, v3):
                             continue
-                        spare = (1 << v1) | (1 << v4)
-                        banned = (adj[v2] | adj[v3] | adj[v5]) & ~spare
-                        banned |= (1 << v2) | (1 << v3) | (1 << v5)
-                        allowed = g.full_mask & ~banned
+                        allowed = (g.full_mask & ~(closed[v2] | closed[v3] | closed[v5])
+                                   | 1 << v1 | 1 << v4)
                         path = shortest_path(g, v1, v4, allowed)
                         if path is None:
                             continue
@@ -184,32 +186,31 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     (one per leg), each leg is rebuilt from a guessed midpoint as two
     restricted shortest halves; the halves avoid the closed neighborhoods of
     the apex, the other two base vertices and the other two anchors.  Every
-    assembled triple is checked pairwise and then fully verified, so a
-    returned witness is always genuine.
+    compatible triple of legs is fully verified, so a returned witness is
+    always genuine.
 
     Only live anchor triples are enumerated, by bitmask tests made before
     any leg is built.  Per triangle, the apexes are the vertices that see at
     most one base vertex (two length-1 legs can never be repaired).  The
     anchors of leg i are base[i] alone when the apex sees it, and otherwise
     the apex's neighbors outside the closed neighborhoods of the other two
-    base vertices; an apex with no anchor for some leg is skipped.  s2 is
-    drawn outside the closed neighborhood of s1 and s3 outside those of s1
-    and s2, so the triples are exactly the distinct, pairwise non-adjacent
-    ones, in the order of the full product.  The three leg sets of a triple
-    are built in turn, and the triple is dropped at the first empty one.
+    base vertices.  s2 avoids the closed neighborhood of s1 and s3 those of
+    s1 and s2, so the triples are the distinct, pairwise non-adjacent ones,
+    in the order of the full product.  The triple is dropped at its first
+    empty leg set.
 
-    The legs are a function of the apex, the anchor, the base vertex and the
-    allowed set alone, so each such leg set is built once per call, from one
-    BFS out of the anchor plus one per midpoint, and kept in a memo that is
-    freed on return.  The memo spans the whole call rather than one
-    (apex, base) pair because leg sets recur across the base triangles of
-    one apex: on the benchmark's seed-1 corpora and their complements,
-    26-40% of memo hits (by workload) come from an earlier (apex, base)
-    pair, and a call holds at most 540 leg sets.
+    A leg set depends only on the apex, the anchor, the base vertex and the
+    allowed set, so it is built once per call, from two BFS, and kept in a
+    memo freed on return (leg sets recur across the triangles of an apex).
+    Each leg carries two masks, and one nested loop tests them pair by pair
+    in lexicographic order, the third leg against the union of the first
+    two.  Pair tables would not pay: on the graph sides of the benchmark's
+    seed-1 corpora and their complements that the peeling leaves, 21,375 of
+    21,636 leg sets are empty, 259 hold one leg and 2 hold two.
     """
     adj = g.adj
     closed = [row | 1 << v for v, row in enumerate(adj)]
-    legs: LegMemo = {}
+    memo: LegMemo = {}
     for b1 in range(g.n):
         for b2 in g.neighbors_of[b1]:
             if b2 < b1:
@@ -226,118 +227,82 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
                     row = adj[a]
                     choices = [row & 1 << b or row & ~block for b, block in zip(base, blocks)]
                     if all(choices):
-                        w = _pyramid_at(g, a, base, choices, closed, legs)
+                        w = _pyramid_at(g, a, base, blocks, choices, closed, memo)
                         if w is not None:
                             return w
     return None
 
 
-def _leg_candidates(
-    g: Graph, a: int, base: tuple[int, int, int], s: tuple[int, int, int], i: int,
-    memo: LegMemo,
-) -> list[Leg]:
-    """All midpoint-assembled candidate legs from the apex to base[i].
-
-    The list is shared through ``memo`` and must not be modified.
-    """
-    bi, si = base[i], s[i]
-    if si == bi:
-        return [(a, bi)]
-    block = g.adj[a] | (1 << a)
-    for j in range(3):
-        if j != i:
-            block |= g.adj[base[j]] | (1 << base[j])
-            block |= g.adj[s[j]] | (1 << s[j])
-    allowed = (g.full_mask & ~block) | (1 << si) | (1 << bi)
-    key = (a, si, bi, allowed)
-    legs = memo.get(key)
-    if legs is None:
-        legs = memo[key] = _build_legs(g, a, si, bi, allowed)
-    return legs
-
-
 def _build_legs(g: Graph, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
     """The induced legs ``a, si .. m .. bi`` over every midpoint ``m``.
 
-    Each half is a shortest path inside ``allowed``; every first half is read
-    off one BFS from ``si``, the path ``shortest_path(g, si, m, allowed)``
-    would give.  The BFS is looked up in ``graph`` at call time, so a tracer
-    that rebinds it there counts it.
+    Each half is a shortest path inside ``allowed``, read off one of two
+    BFS: first halves off the BFS from ``si``, second halves off the BFS
+    from ``bi``.  Both BFS are looked up in ``graph`` at call time, so a
+    tracer that rebinds it there counts them.  Each leg comes with ``body``,
+    the mask of ``path[1:]``, and ``near``, the union of the neighborhoods
+    of ``path[1:-1]``.
     """
     dist = graph.bfs_distances(g, si, allowed)
-    seen: dict[Leg, None] = {}
+    back = graph.bfs_distances(g, bi, allowed)
+    paths: dict[Path, None] = {}
     for m in bits(allowed):
-        if dist[m] < 0:
+        if dist[m] < 0 or back[m] < 0:
             continue
         first = walk_down(g, dist, m, allowed)  # m .. si
-        second = shortest_path(g, m, bi, allowed)
-        if second is None:
-            continue
-        joined = tuple(reversed(first)) + second[1:]
+        joined = first[::-1] + walk_down(g, back, m, allowed)[1:]
         if len(set(joined)) != len(joined):
             continue
-        cand = (a,) + joined
+        cand = (a, *joined)
         if is_induced_path(g, cand):
-            seen.setdefault(cand, None)
-    return list(seen)
+            paths.setdefault(cand, None)
+    return [_leg(g, path) for path in paths]
 
 
-def _pair_ok(g: Graph, p: tuple[int, ...], q: tuple[int, ...], bp: int, bq: int) -> bool:
-    if set(p[1:]) & set(q[1:]):
-        return False
-    for u in p[1:]:
-        ru = g.adj[u]
-        for v in q[1:]:
-            if ru >> v & 1 and (u, v) != (bp, bq):
-                return False
-    return True
+def _leg(g: Graph, path: Path) -> Leg:
+    near = 0
+    for v in path[1:-1]:
+        near |= g.adj[v]
+    return path, mask_of(path[1:]), near
+
+
+def _apart(body_p: int, near_p: int, body_q: int, near_q: int) -> bool:
+    """No shared vertex past the apex; no edge between the legs but the base edge."""
+    return not (body_p & body_q or near_p & body_q or near_q & body_p)
 
 
 def _pyramid_at(
-    g: Graph, a: int, base: tuple[int, int, int], choices: list[int], closed: list[int],
-    memo: LegMemo,
+    g: Graph, a: int, base: tuple[int, int, int], blocks: tuple[int, int, int],
+    choices: list[int], closed: list[int], memo: LegMemo,
 ) -> Optional[PyramidWitness]:
     c0, c1, c2 = choices
+    outside = g.full_mask & ~closed[a]
     triples = ((s1, s2, s3) for s1 in bits(c0) for s2 in bits(c1 & ~closed[s1])
                for s3 in bits(c2 & ~(closed[s1] | closed[s2])))
     for s in triples:
-        legs = []
-        for i in range(3):
-            legs.append(_leg_candidates(g, a, base, s, i, memo))
+        legs: list[list[Leg]] = []
+        for i, (si, bi) in enumerate(zip(s, base)):
+            if si == bi:
+                legs.append([_leg(g, (a, bi))])
+                continue
+            allowed = (outside & ~(blocks[i] | closed[s[i - 1]] | closed[s[i - 2]])
+                       | 1 << si | 1 << bi)
+            key = (a, si, bi, allowed)
+            if key not in memo:
+                memo[key] = _build_legs(g, a, si, bi, allowed)
+            legs.append(memo[key])
             if not legs[i]:
                 break
         if not legs[-1]:
             continue
-        good01 = _pair_table(g, legs[0], legs[1], base[0], base[1])
-        if not any(good01):
-            continue
-        good02 = _pair_table(g, legs[0], legs[2], base[0], base[2])
-        if not any(good02):
-            continue
-        good12 = _pair_table(g, legs[1], legs[2], base[1], base[2])
-        if not any(good12):
-            continue
-        for i0, p0 in enumerate(legs[0]):
-            row01 = good01[i0]
-            row02 = good02[i0]
-            if not row01 or not row02:
-                continue
-            for i1 in bits(row01):
-                both = row02 & good12[i1]
-                for i2 in bits(both):
-                    w = PyramidWitness(a, base, (p0, legs[1][i1], legs[2][i2]))
+        for p0, body0, near0 in legs[0]:
+            for p1, body1, near1 in legs[1]:
+                if not _apart(body0, near0, body1, near1):
+                    continue
+                for p2, body2, near2 in legs[2]:
+                    if not _apart(body0 | body1, near0 | near1, body2, near2):
+                        continue
+                    w = PyramidWitness(a, base, (p0, p1, p2))
                     if verify_pyramid(g, w):
                         return w
     return None
-
-
-def _pair_table(g, pa, pb, ba, bb) -> list[int]:
-    """Bitset rows: row[i] has bit j set iff legs pa[i], pb[j] are compatible."""
-    table = []
-    for p in pa:
-        row = 0
-        for j, q in enumerate(pb):
-            if _pair_ok(g, p, q, ba, bb):
-                row |= 1 << j
-        table.append(row)
-    return table

@@ -93,6 +93,27 @@ def test_probe_refuses_large_graphs():
     assert "input error" in res.output
 
 
+def test_oracle_refuses_large_graphs():
+    # the same bound guards every command that can run the brute-force search
+    over = encode_graph6(Graph(PROBE_MAX_VERTICES + 1))
+    at_bound = encode_graph6(Graph(PROBE_MAX_VERTICES))
+    for args in (["detect", "-"], ["perfect", "-"], ["detect", "--stdin-stream"]):
+        res = run([*args, "--algorithm", "oracle"], input=over)
+        assert res.exit_code == 2 and "input error" in res.output, args
+        assert run([*args, "--algorithm", "oracle"], input=at_bound).exit_code == 0, args
+    # the stream refuses the batch before it prints a result for any line
+    res = run(["detect", "--stdin-stream", "--algorithm", "oracle"], input=f"{C7}\n{over}\n")
+    assert res.exit_code == 2 and "odd-hole-found" not in res.output
+    # the other algorithms take the same graph
+    assert run(["detect", "-"], input=over).exit_code == 0
+    res = run(["bench", "--algorithm", "oracle", "--per", "1",
+               "--sizes", f"8,{PROBE_MAX_VERTICES + 1}"])
+    assert res.exit_code == 2 and "bad --sizes" in res.output
+    res = run(["bench", "--algorithm", "oracle", "--per", "1", "--p", "0",
+               "--sizes", str(PROBE_MAX_VERTICES)])
+    assert res.exit_code == 0
+
+
 def test_non_ascii_input_is_an_input_error(tmp_path):
     path = tmp_path / "graph.g6"
     path.write_bytes(b"D\xffw")

@@ -148,9 +148,10 @@ def _line_graph(h):
 def test_pyramid_builds_each_leg_set_once(monkeypatch):
     # Both graphs are perfect, so the whole search runs.  A line graph is
     # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
-    # ever built.  Building all three leg sets of a triple before testing any
-    # for emptiness makes 46 and 0; a BFS per midpoint for each first half,
-    # and each leg set rebuilt for every anchor triple that needs it, 108.
+    # ever built.  Each leg set costs two BFS, one from its anchor and one
+    # from its base vertex; a BFS per midpoint for each second half made 27,
+    # and building all three leg sets of a triple before testing any for
+    # emptiness made 46 with those.
     bfs = oddhole.graph.bfs_distances
     calls = 0
 
@@ -165,7 +166,7 @@ def test_pyramid_builds_each_leg_set_once(monkeypatch):
         calls = 0
         assert find_pyramid(g) is None
         counts.append(calls)
-    assert counts == [27, 0]
+    assert counts == [16, 0]
 
 
 def _product_anchor_triples(g):
@@ -199,48 +200,62 @@ def _product_anchor_triples(g):
     return out
 
 
-def test_pyramid_enumerates_the_same_anchor_triples(monkeypatch):
-    # With every first leg set empty the search tries each triple once and
-    # never stops early.
-    tried = []
+def _first_leg_key(g, a, base, s):
+    # The memo key of the first leg set a triple builds: the first leg whose
+    # anchor is not its base vertex, with its allowed set written out in full.
+    i = next(i for i in range(3) if s[i] != base[i])
+    block = g.adj[a] | 1 << a
+    for j in range(3):
+        if j != i:
+            block |= g.adj[base[j]] | 1 << base[j] | g.adj[s[j]] | 1 << s[j]
+    return (a, s[i], base[i], g.full_mask & ~block | 1 << s[i] | 1 << base[i])
 
-    def first_leg_empty(g, a, base, s, i, memo):
-        assert i == 0
-        tried.append((a, base, s))
+
+def test_pyramid_enumerates_the_same_anchor_triples(monkeypatch):
+    # With every leg set empty each triple stops at its first built leg set,
+    # so the leg sets built are the distinct first keys of the triples, in the
+    # order the triples are tried.
+    built = []
+
+    def no_legs(g, a, si, bi, allowed):
+        built.append((a, si, bi, allowed))
         return []
 
-    monkeypatch.setattr(oddhole.configs, "_leg_candidates", first_leg_empty)
+    monkeypatch.setattr(oddhole.configs, "_build_legs", no_legs)
     graphs = [g for n in range(3, 8) for g in connected_small_graphs(n)]
     for i in range(40):
         g = gnp(8 + i % 4, (0.3, 0.45, 0.6)[i % 3], 700 + i)
         graphs += [g, g.complement()]
-    total = 0
+    triples = total = 0
     for g in graphs:
-        tried.clear()
+        built.clear()
         assert find_pyramid(g) is None
-        assert tried == _product_anchor_triples(g)
-        total += len(tried)
-    assert total > 600
+        keys = [_first_leg_key(g, *t) for t in _product_anchor_triples(g)]
+        assert built == list(dict.fromkeys(keys))
+        triples += len(keys)
+        total += len(built)
+    assert triples > 600 and total > 500
 
 
 def test_pyramid_legs_belong_to_their_apex(monkeypatch):
     # two apexes with the same anchor, base vertex and allowed set each get
-    # legs of their own
+    # legs of their own, and every leg carries the masks of its own path
     build = oddhole.configs._build_legs
-    candidates = oddhole.configs._leg_candidates
     apexes = {}
 
-    def recorded(g, a, si, bi, allowed):
+    def checked(g, a, si, bi, allowed):
         apexes.setdefault((g, si, bi, allowed), set()).add(a)
-        return build(g, a, si, bi, allowed)
-
-    def checked(g, a, base, s, i, memo):
-        legs = candidates(g, a, base, s, i, memo)
-        assert all(leg[0] == a for leg in legs)
+        legs = build(g, a, si, bi, allowed)
+        for path, body, near in legs:
+            assert path[0] == a and path[1] == si and path[-1] == bi
+            assert body == oddhole.graph.mask_of(path[1:])
+            near_of_path = 0
+            for v in path[1:-1]:
+                near_of_path |= g.adj[v]
+            assert near == near_of_path
         return legs
 
-    monkeypatch.setattr(oddhole.configs, "_build_legs", recorded)
-    monkeypatch.setattr(oddhole.configs, "_leg_candidates", checked)
+    monkeypatch.setattr(oddhole.configs, "_build_legs", checked)
     found = 0
     for g in [random_chordal(10, 5)] + [gnp(9 + i % 4, 0.35, 100 + i) for i in range(48)]:
         w = find_pyramid(g)
@@ -249,3 +264,48 @@ def test_pyramid_legs_belong_to_their_apex(monkeypatch):
             assert verify_pyramid(g, w)
     assert found >= 10
     assert any(len(shared) > 1 for shared in apexes.values())
+
+
+def _induced_paths_from(g, a):
+    # every induced path starting at a, depth first
+    out = []
+    stack = [(a,)]
+    while stack:
+        path = stack.pop()
+        out.append(path)
+        for v in g.neighbors_of[path[-1]]:
+            if v not in path and not any(g.has_edge(v, u) for u in path[:-1]):
+                stack.append(path + (v,))
+    return out
+
+
+def test_leg_masks_decide_compatibility_like_the_vertex_loop():
+    # The search meets few incompatible leg pairs, so every pair of induced
+    # paths from one apex to the two ends of an edge is checked here against
+    # the vertex-by-vertex test the masks replace.
+    def pair_ok(g, p, q, bp, bq):
+        if set(p[1:]) & set(q[1:]):
+            return False
+        for u in p[1:]:
+            for v in q[1:]:
+                if g.has_edge(u, v) and (u, v) != (bp, bq):
+                    return False
+        return True
+
+    leg, apart = oddhole.configs._leg, oddhole.configs._apart
+    pairs = rejected = 0
+    for n in range(2, 7):
+        for g in connected_small_graphs(n):
+            for a in range(g.n):
+                ends = {}
+                for path in _induced_paths_from(g, a)[1:]:
+                    ends.setdefault(path[-1], []).append(leg(g, path))
+                for u, v in g.edges():
+                    for bp, bq in ((u, v), (v, u)):
+                        for p, body_p, near_p in ends.get(bp, []):
+                            for q, body_q, near_q in ends.get(bq, []):
+                                ok = pair_ok(g, p, q, bp, bq)
+                                assert apart(body_p, near_p, body_q, near_q) == ok, (g, p, q)
+                                pairs += 1
+                                rejected += not ok
+    assert (pairs, rejected) == (16164, 11090)

@@ -1,8 +1,9 @@
 import pytest
 
-from oddhole import Graph
+from oddhole import Graph, find_jewel, find_pyramid
 from oddhole.generators import cycle_graph, gnp
 from oddhole.graph import bits, mask_of
+from oddhole.oracle import oracle_odd_holes
 from oddhole.probes import (
     heavy_edges,
     is_clean,
@@ -150,3 +151,41 @@ def test_heavy_edges_examples():
     for (u, v) in [(e, (e + 1) % 9) for e in range(9)]:
         dominated = g.has_edge(9, u) or g.has_edge(9, v)
         assert ((u, v) in got) == dominated
+
+
+def test_two_majors_on_a_c9_leave_a_heavy_edge():
+    # The reason stage 3 may never decide a graph: in a pyramid- and
+    # jewel-free graph, some edge of a shortest odd hole C dominates every
+    # C-major vertex, so the heavy sweep finds the hole first.  A graph
+    # breaking this shrinks to C plus its majors, so here every C9 with two
+    # majors is built: each neighborhood that makes a vertex major without a
+    # shorter odd hole (the first major's up to rotation and reflection),
+    # with the majors adjacent or not.
+    hole = tuple(range(9))
+    ring = [(i, (i + 1) % 9) for i in range(9)]
+
+    def shorter_hole(g):
+        return any(len(c) < 9 for c in oracle_odd_holes(g))
+
+    rows = [row for row in range(1, 1 << 9)
+            if major_vertices(_cycle_plus(9, bits(row)), hole)
+            and not shorter_hole(_cycle_plus(9, bits(row)))]
+    assert len(rows) == 184
+
+    def images(row):
+        members = list(bits(row))
+        for shift in range(9):
+            for sign in (1, -1):
+                yield mask_of((sign * v + shift) % 9 for v in members)
+
+    firsts = [row for row in rows if row == min(images(row))]
+    assert len(firsts) == 17
+    graphs = [Graph(11, ring + [(9, u) for u in bits(r1)] + [(10, u) for u in bits(r2)]
+                    + joined)
+              for r1 in firsts for r2 in rows for joined in ([], [(9, 10)])]
+    assert len(graphs) == 6256
+    # none of them lacks a heavy edge; with three majors some do, and each
+    # of those fails a precondition
+    for g in graphs:
+        if not heavy_edges(g, hole, [9, 10]):
+            assert shorter_hole(g) or find_pyramid(g) or find_jewel(g)
