@@ -8,6 +8,15 @@ their pairwise shortest paths finds one.  The sweep over induced four-paths
 then extends the test to holes that merely have one edge dominating all the
 spread-out vertices ("heavy-cleanable" holes).
 
+The sweep scans only the triples through the second vertex ``p2`` of its
+four-path.  If ``p2p3`` is an edge of a shortest odd hole ``C`` whose ends
+dominate every major vertex of ``C``, then deleting ``N(p2) | N(p3)`` off the
+four-path keeps ``C`` as a clean shortest odd hole that contains ``p2``.  On
+an odd hole of length ``2k + 1`` every vertex is one of three vertices whose
+arcs are ``k``, ``k`` and ``1``, all shorter than half the hole, which is the
+condition the triple scan of :func:`test_clean` relies on; so the triples
+through ``p2`` already include one that reassembles a hole.
+
 Both tests only ever report verified holes, so a wrong answer can only be a
 missed hole, never a bogus witness; the completeness side is covered by the
 oracle-backed suites in the tests.
@@ -15,7 +24,7 @@ oracle-backed suites in the tests.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .configs import (
     find_jewel,
@@ -34,6 +43,44 @@ from .graph import (
 )
 
 Hole = tuple[int, ...]
+
+
+class _Memo:
+    """Masked BFS distances and clean-test results for one graph.
+
+    ``detect`` creates one per call and hands it to the heavy sweep and to
+    the six staged shapes; each public stage called alone creates its own.
+    It is passed explicitly, never kept in module state, so concurrent calls
+    share nothing.  ``bfs_distances`` is looked up in this module at call
+    time, so rebinding it here (as an outside tracer does) is honoured.  The
+    distance lists are shared by every caller of the same (source, mask)
+    pair and must not be modified.
+    """
+
+    __slots__ = ("g", "_dist", "_clean")
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self._dist: dict[tuple[int, Mask], list[int]] = {}
+        self._clean: dict[Mask, Optional[Hole]] = {}
+
+    def dist(self, source: int, mask: Mask) -> list[int]:
+        key = (source, mask)
+        d = self._dist.get(key)
+        if d is None:
+            d = self._dist[key] = bfs_distances(self.g, source, mask)
+        return d
+
+    def clean(self, mask: Mask, test: Callable[[Graph, Mask], Optional[Hole]]) -> Optional[Hole]:
+        """``test(g, mask)``, run once per mask.
+
+        ``test`` is :func:`test_clean` as the caller looks it up in its own
+        module, so that a tracer rebinding it there counts the call; only
+        its full results are stored here.
+        """
+        if mask not in self._clean:
+            self._clean[mask] = test(self.g, mask)
+        return self._clean[mask]
 
 
 def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
@@ -69,30 +116,56 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
                 total = d12 + d23 + d13
                 if total < 5 or total % 2 == 0:
                     continue
-                hole = _reassemble(g, allowed, dist, y1, y2, y3, total)
+                hole = _reassemble(g, allowed, d1, d2, dist[y3], y1, y2, y3)
                 if hole is not None:
                     return hole
+    return None
+
+
+def _clean_through(memo: _Memo, allowed: Mask, y1: int) -> Optional[Hole]:
+    """The triple scan of :func:`test_clean` over the triples that contain ``y1``.
+
+    ``y1`` is fixed and the pairs ``(y2, y3)`` of the other vertices that it
+    reaches are scanned in increasing order; the distance lists come from
+    ``memo``.
+    """
+    g = memo.g
+    d1 = memo.dist(y1, allowed)
+    verts = [v for v in bits(allowed) if d1[v] > 0]
+    k = len(verts)
+    for j in range(k - 1):
+        y2 = verts[j]
+        d12 = d1[y2]
+        d2 = memo.dist(y2, allowed)
+        for l in range(j + 1, k):
+            y3 = verts[l]
+            total = d12 + d2[y3] + d1[y3]
+            if total < 5 or total % 2 == 0:
+                continue
+            hole = _reassemble(g, allowed, d1, d2, memo.dist(y3, allowed), y1, y2, y3)
+            if hole is not None:
+                return hole
     return None
 
 
 def _reassemble(
     g: Graph,
     allowed: Mask,
-    dist: dict[int, list[int]],
+    d1: list[int],
+    d2: list[int],
+    d3: list[int],
     y1: int,
     y2: int,
     y3: int,
-    total: int,
 ) -> Optional[Hole]:
-    p12 = walk_down(g, dist[y1], y2, allowed)  # y2 .. y1
+    """Glue the shortest paths y1 .. y2 .. y3 .. y1 read off the BFS from each."""
+    p12 = walk_down(g, d1, y2, allowed)  # y2 .. y1
     p12.reverse()
-    p23 = walk_down(g, dist[y2], y3, allowed)  # y3 .. y2
+    p23 = walk_down(g, d2, y3, allowed)  # y3 .. y2
     p23.reverse()
-    p31 = walk_down(g, dist[y3], y1, allowed)  # y1 .. y3
+    p31 = walk_down(g, d3, y1, allowed)  # y1 .. y3
     p31.reverse()
     cycle = tuple(p12) + tuple(p23[1:]) + tuple(p31[1:-1])
-    if len(cycle) != total:
-        return None
     if is_odd_hole(g, cycle):
         return cycle
     return None
@@ -102,22 +175,30 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     """Find an odd hole assuming some shortest odd hole has a dominating edge.
 
     For every induced four-path p1-p2-p3-p4, delete every other vertex
-    adjacent to p2 or p3 and run the clean test on what remains.  If a
-    shortest odd hole has an edge whose ends together dominate all its
-    spread-out outside vertices, one of these deletions makes it clean.
+    adjacent to p2 or p3 and scan what remains for an odd hole through
+    ``p2``.  If a shortest odd hole has an edge whose ends together dominate
+    all its spread-out outside vertices, the deletion made at that edge
+    leaves it clean and shortest, and it passes through ``p2``; since any
+    vertex of an odd hole can be one of the three equally spaced vertices the
+    clean test needs, scanning the triples through ``p2`` is enough.
     Requires a pyramid- and jewel-free input graph.
     """
+    return _sweep(_Memo(g))
+
+
+def _sweep(memo: _Memo) -> Optional[Hole]:
+    g = memo.g
     full = g.full_mask
     adj = g.adj
-    seen: set[int] = set()
+    seen: set[tuple[Mask, int]] = set()
     for (p1, p2, p3, p4) in induced_four_paths(g):
         four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-        banned = (adj[p2] | adj[p3]) & ~four
-        within = full & ~banned
-        if within in seen:
+        within = full & ~((adj[p2] | adj[p3]) & ~four)
+        # most masks of dense graphs keep only the four-path: skip them before any BFS
+        if within.bit_count() < 5 or (within, p2) in seen:
             continue
-        seen.add(within)
-        hole = test_clean(g, within)
+        seen.add((within, p2))
+        hole = _clean_through(memo, within, p2)
         if hole is not None:
             return hole
     return None
@@ -136,6 +217,11 @@ def classify_candidate(g: Graph) -> Optional[Hole]:
     detectors handle.  The checks run cheapest-first: jewel, pyramid, then
     the dominating-edge sweep.
     """
+    return _classify(_Memo(g))
+
+
+def _classify(memo: _Memo) -> Optional[Hole]:
+    g = memo.g
     if g.n < 5:
         return None
     jewel = find_jewel(g)
@@ -144,4 +230,4 @@ def classify_candidate(g: Graph) -> Optional[Hole]:
     pyramid = find_pyramid(g)
     if pyramid is not None:
         return odd_hole_from_pyramid(g, pyramid)
-    return test_heavy_cleanable(g)
+    return _sweep(memo)

@@ -238,12 +238,15 @@ def _build_legs(g: Graph, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
 
     Each half is a shortest path inside ``allowed``, read off one of two
     BFS: first halves off the BFS from ``si``, second halves off the BFS
-    from ``bi``.  Both BFS are looked up in ``graph`` at call time, so a
-    tracer that rebinds it there counts them.  Each leg comes with ``body``,
+    from ``bi``; when the first does not reach ``bi`` there is no leg and the
+    second is skipped.  Both BFS are looked up in ``graph`` at call time, so
+    a tracer that rebinds it there counts them.  Each leg comes with ``body``,
     the mask of ``path[1:]``, and ``near``, the union of the neighborhoods
     of ``path[1:-1]``.
     """
     dist = graph.bfs_distances(g, si, allowed)
+    if dist[bi] < 0:
+        return []
     back = graph.bfs_distances(g, bi, allowed)
     paths: dict[Path, None] = {}
     for m in bits(allowed):

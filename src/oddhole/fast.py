@@ -22,13 +22,17 @@ completeness of the six-way split is exercised by the differential and
 oracle suites.  See docs/derived-types.md for how shapes 4-6 are obtained
 from their short counterparts.
 
-Two pieces are shared by all six shapes.  A :class:`_Memo`, created once per
-shape call, answers every masked BFS and every clean-test fallback, so each
-distinct (source, mask) pair is searched once per shape; it holds one
-distance list per such pair and is freed when the shape returns.
-:func:`_strip` is the common deletion step: drop the guessed neighbours of
-the probe and the dominating edge, plus the fringe of the union of the
-shortest paths that recover the gap (``graph.geodesic_mask``).
+Two pieces are shared by all six shapes.  A :class:`_Memo`
+(``oddhole.cleaning``), created once per :func:`detect` or
+:func:`detect_fast` call and passed to every shape, answers every masked BFS
+and every clean-test fallback, so each distinct (source, mask) pair is
+searched, and each fallback mask tested, once per call; in ``detect`` the
+heavy-cleanable sweep fills the same memo first.  It holds one distance list
+per such pair and is freed when the call returns; a public ``detect_typeN``
+called alone gets a memo of its own.  :func:`_strip` is the common deletion
+step: drop the guessed neighbours of the probe and the dominating edge, plus
+the fringe of the union of the shortest paths that recover the gap
+(``graph.geodesic_mask``).
 
 Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
 with :func:`_flank_pairs`; shapes 3-6 draw theirs from
@@ -46,14 +50,15 @@ the witnesses are unchanged.  Every path is read off BFS distances by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import classify_candidate, test_clean
+from .cleaning import _Memo, _classify, test_clean
 from .graph import (
     Graph,
     Mask,
     bits,
-    bfs_distances,
+    bfs_distances,  # not called here; perfbench's tracer rebinds and restores it
     geodesic_mask,
     induced_four_paths,
     induced_three_paths,
@@ -65,35 +70,6 @@ from .graph import (
 
 Hole = tuple[int, ...]
 RData = dict[int, tuple[tuple[int, ...], int, int]]  # v -> (path, mask, length)
-
-
-class _Memo:
-    """Masked BFS distances and clean-test results for one graph.
-
-    ``bfs_distances`` and ``test_clean`` are looked up in this module at call
-    time, so rebinding them here (as an outside tracer does) is honoured.
-    The distance lists are shared by every caller of the same (source, mask)
-    pair and must not be modified.
-    """
-
-    __slots__ = ("g", "_dist", "_clean")
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self._dist: dict[tuple[int, Mask], list[int]] = {}
-        self._clean: dict[Mask, Optional[Hole]] = {}
-
-    def dist(self, source: int, mask: Mask) -> list[int]:
-        key = (source, mask)
-        d = self._dist.get(key)
-        if d is None:
-            d = self._dist[key] = bfs_distances(self.g, source, mask)
-        return d
-
-    def clean(self, mask: Mask) -> Optional[Hole]:
-        if mask not in self._clean:
-            self._clean[mask] = test_clean(self.g, mask)
-        return self._clean[mask]
 
 
 def _strip(g: Graph, drop: Mask, y: Mask, keep: Mask) -> Mask:
@@ -173,7 +149,7 @@ def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, r4: RData, gap: Hole,
                 cycle = pa + gap[1:] + pb[-2::-1] + close
                 if is_odd_hole(g, cycle):
                     return cycle
-                hole = memo.clean(gpp | (1 << a) | (1 << b))
+                hole = memo.clean(gpp | (1 << a) | (1 << b), test_clean)
                 if hole is not None:
                     return hole
     return None
@@ -225,7 +201,11 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
 
 def detect_type1(g: Graph) -> Optional[Hole]:
     """Shape 1: dominating edge away from the gap, gap shorter than half."""
-    memo = _Memo(g)
+    return _type1(_Memo(g))
+
+
+def _type1(memo: _Memo) -> Optional[Hole]:
+    g = memo.g
     # Swapping c2 and c3 swaps the flank sets and reverses every cycle built
     # below, so each edge is tried in one orientation only.
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, g.edges()):
@@ -245,7 +225,11 @@ def detect_type1(g: Graph) -> Optional[Hole]:
 
 def detect_type2(g: Graph) -> Optional[Hole]:
     """Shape 2: dominating edge away from the gap, gap longer than half."""
-    memo = _Memo(g)
+    return _type2(_Memo(g))
+
+
+def _type2(memo: _Memo) -> Optional[Hole]:
+    g = memo.g
     adj = g.adj
     # Swapping both c2, c3 and d1, d2 swaps the flanks and reverses the gap
     # path and every cycle, so the three-path is tried in one orientation.
@@ -303,8 +287,8 @@ def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
                            full & ~(drop | (adj[x] & ~spare)))
 
 
-def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
-    memo = _Memo(g)
+def _short_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
+    g = memo.g
     for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
         da = memo.dist(anchor, gp)
         t = da[d2]
@@ -324,14 +308,14 @@ def _short_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = (d1,) + _through(g, e1, e4, d3, gpp) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = memo.clean(gpp)
+            hole = memo.clean(gpp, test_clean)
             if hole is not None:
                 return hole
     return None
 
 
-def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
-    memo = _Memo(g)
+def _long_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
+    g = memo.g
     for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
         r_end = c1 if anchor_on_c3 else c4
         da = memo.dist(anchor, gp)
@@ -352,7 +336,7 @@ def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = memo.clean(gpp)
+            hole = memo.clean(gpp, test_clean)
             if hole is not None:
                 return hole
     return None
@@ -360,38 +344,42 @@ def _long_anchored(g: Graph, anchor_on_c3: bool) -> Optional[Hole]:
 
 def detect_type3(g: Graph) -> Optional[Hole]:
     """Shape 3: dominating edge meets the gap end, hole flank outside, short gap."""
-    return _short_anchored(g, anchor_on_c3=False)
+    return _short_anchored(_Memo(g), anchor_on_c3=False)
 
 
 def detect_type4(g: Graph) -> Optional[Hole]:
     """Shape 4: like shape 3 with the gap longer than half the hole."""
-    return _long_anchored(g, anchor_on_c3=False)
+    return _long_anchored(_Memo(g), anchor_on_c3=False)
 
 
 def detect_type5(g: Graph) -> Optional[Hole]:
     """Shape 5: dominating edge meets the gap end, flank inside the gap, short gap."""
-    return _short_anchored(g, anchor_on_c3=True)
+    return _short_anchored(_Memo(g), anchor_on_c3=True)
 
 
 def detect_type6(g: Graph) -> Optional[Hole]:
     """Shape 6: like shape 5 with the gap longer than half the hole."""
-    return _long_anchored(g, anchor_on_c3=True)
+    return _long_anchored(_Memo(g), anchor_on_c3=True)
 
 
-_TYPE_DETECTORS: tuple[Callable[[Graph], Optional[Hole]], ...] = (
-    detect_type1,
-    detect_type2,
-    detect_type3,
-    detect_type4,
-    detect_type5,
-    detect_type6,
+_SHAPES: tuple[Callable[[_Memo], Optional[Hole]], ...] = (
+    _type1,
+    _type2,
+    partial(_short_anchored, anchor_on_c3=False),
+    partial(_long_anchored, anchor_on_c3=False),
+    partial(_short_anchored, anchor_on_c3=True),
+    partial(_long_anchored, anchor_on_c3=True),
 )
 
 
 def detect_fast(g: Graph) -> Optional[Hole]:
     """Run the six shape detectors in order on a candidate graph."""
-    for shape in _TYPE_DETECTORS:
-        hole = shape(g)
+    return _staged(_Memo(g))
+
+
+def _staged(memo: _Memo) -> Optional[Hole]:
+    for shape in _SHAPES:
+        hole = shape(memo)
         if hole is not None:
             return hole
     return None
@@ -405,11 +393,13 @@ def detect(g: Graph) -> Optional[Hole]:
     hole, since its two hole neighbours would be adjacent, and a bipartite
     graph has no odd cycle.  Otherwise the original graph goes through
     ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) and then
-    the six staged shapes of :func:`detect_fast`.
+    the six staged shapes of :func:`detect_fast`, which share one search
+    memo with the sweep.
     """
     if peels_to_bipartite(g):
         return None
-    hole = classify_candidate(g)
+    memo = _Memo(g)
+    hole = _classify(memo)
     if hole is not None:
         return hole
-    return detect_fast(g)
+    return _staged(memo)

@@ -1,3 +1,4 @@
+import oddhole.cleaning
 from oddhole import (
     Graph,
     classify_candidate,
@@ -5,9 +6,14 @@ from oddhole import (
     test_clean,
     test_heavy_cleanable,
 )
+from oddhole.cleaning import _clean_through, _Memo
+from oddhole.configs import find_jewel, find_pyramid
+from oddhole.formats import parse_graph6
 from oddhole.generators import (
     complete_graph,
+    connected_small_graphs,
     cycle_graph,
+    gnp,
     petersen_graph,
     small_graphs,
 )
@@ -18,7 +24,7 @@ from oddhole.oracle import (
     shortest_odd_holes,
 )
 from oddhole.probes import is_clean, major_vertices
-from oddhole.graph import bits
+from oddhole.graph import bits, induced_four_paths
 from .conftest import random_graphs
 
 
@@ -68,6 +74,84 @@ def test_heavy_cleanable_examples():
     hole = test_heavy_cleanable(cycle_graph(7))
     assert hole is not None and len(hole) == 7
     assert test_heavy_cleanable(cycle_graph(6)) is None
+
+
+def test_clean_through_finds_odd_cycles_from_every_vertex():
+    for k in range(5, 16, 2):
+        g = cycle_graph(k)
+        memo = _Memo(g)
+        for y in range(k):
+            hole = _clean_through(memo, g.full_mask, y)
+            assert hole is not None and len(hole) == k and y in hole, (k, y)
+
+
+# C9 on vertices 4-12 with two adjacent majors 2 and 3, and the path 0-1
+# hanging off the hole vertex 8: pyramid- and jewel-free, and the majors keep
+# the hole from being clean in the whole graph.
+PENDANT_C9 = "L`CghDPGH_a@I@"
+
+
+def _induced(g, mask):
+    vs = list(bits(mask))
+    index = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), [(index[u], index[v]) for u, v in g.edges()
+                           if u in index and v in index])
+
+
+def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
+    g = parse_graph6(PENDANT_C9).graph
+    assert find_jewel(g) is None and find_pyramid(g) is None
+    assert test_clean(g) is None
+    scans = []
+
+    def recorded(memo, allowed, y1):
+        hole = _clean_through(memo, allowed, y1)
+        scans.append((allowed, y1, hole))
+        return hole
+
+    monkeypatch.setattr(oddhole.cleaning, "_clean_through", recorded)
+    hole = test_heavy_cleanable(g)
+    assert hole is not None and sorted(hole) == list(range(4, 13))
+    within, p2, found = scans[-1]
+    assert found == hole and p2 in hole
+    # The deciding mask keeps the pendant path, whose vertices come first but
+    # lie on no hole, and every odd hole of the mask passes through p2.
+    assert within & 0b11 == 0b11
+    assert oracle_find_odd_hole(_induced(g, within & ~(1 << p2))) is None
+    memo = _Memo(g)
+    assert all(_clean_through(memo, within, y) is None for y in (0, 1))
+
+
+def _full_scan_sweep(g):
+    # the sweep before it fixed p2: test_clean over every triple of each mask
+    full, adj = g.full_mask, g.adj
+    seen = set()
+    for (p1, p2, p3, p4) in induced_four_paths(g):
+        four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
+        within = full & ~((adj[p2] | adj[p3]) & ~four)
+        if within in seen:
+            continue
+        seen.add(within)
+        hole = test_clean(g, within)
+        if hole is not None:
+            return hole
+    return None
+
+
+def test_heavy_sweep_through_p2_matches_the_full_scan():
+    graphs = [g for n in range(1, 8) for g in connected_small_graphs(n)]
+    assert len(graphs) == 996
+    for i in range(60):
+        g = gnp(8 + i % 5, (0.2, 0.35, 0.5)[i % 3], 7700 + i)
+        graphs += [g, g.complement()]
+    found = 0
+    for g in graphs:
+        hole = test_heavy_cleanable(g)
+        assert (hole is None) == (_full_scan_sweep(g) is None)
+        if hole is not None:
+            assert is_odd_hole(g, hole)
+            found += 1
+    assert found > 150
 
 
 def _has_dominating_edge(g, h):

@@ -148,10 +148,12 @@ def _line_graph(h):
 def test_pyramid_builds_each_leg_set_once(monkeypatch):
     # Both graphs are perfect, so the whole search runs.  A line graph is
     # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
-    # ever built.  Each leg set costs two BFS, one from its anchor and one
-    # from its base vertex; a BFS per midpoint for each second half made 27,
-    # and building all three leg sets of a triple before testing any for
-    # emptiness made 46 with those.
+    # ever built.  Each leg set costs one BFS from its anchor, plus one from
+    # its base vertex when the first reaches it: the chordal graph builds 8
+    # leg sets, 6 of them with an unreachable base vertex.  Always running
+    # the second BFS made 16, a BFS per midpoint for each second half 27, and
+    # building all three leg sets of a triple before testing any for
+    # emptiness 46 with those.
     bfs = oddhole.graph.bfs_distances
     calls = 0
 
@@ -166,7 +168,7 @@ def test_pyramid_builds_each_leg_set_once(monkeypatch):
         calls = 0
         assert find_pyramid(g) is None
         counts.append(calls)
-    assert counts == [16, 0]
+    assert counts == [10, 0]
 
 
 def _product_anchor_triples(g):

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from oddhole import (
     Graph,
@@ -21,6 +23,7 @@ from oddhole.fast import (
     detect_type5,
     detect_type6,
 )
+from oddhole.formats import parse_graph6
 from oddhole.generators import (
     complete_graph,
     connected_small_graphs,
@@ -73,15 +76,17 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
     # both graphs are perfect, so every shape runs its whole enumeration; the
     # chordal one also reaches shapes 3-6, which skip the co-bipartite one
     graphs = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 1))
-    bfs = oddhole.fast.bfs_distances
+    bfs = oddhole.cleaning.bfs_distances
     keys = []
 
     def counted(g, source, within=None):
         keys.append((source, within))
         return bfs(g, source, within)
 
-    monkeypatch.setattr(oddhole.fast, "bfs_distances", counted)
-    for det in ALL_TYPES:
+    # the search memo lives in ``cleaning`` and looks the BFS up there
+    monkeypatch.setattr(oddhole.cleaning, "bfs_distances", counted)
+    # detect_fast runs all six shapes over one memo: none repeats another's BFS
+    for det in ALL_TYPES + (detect_fast,):
         calls = 0
         for g in graphs:
             keys.clear()
@@ -89,6 +94,60 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
             assert len(keys) == len(set(keys)), det.__name__
             calls += len(keys)
         assert calls > 0, det.__name__
+
+
+# The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
+# decided by the peeling, a candidate, and every shape searches it.
+LINE_CANDIDATE = "IrKy_SFAO"
+
+
+def test_detect_builds_one_memo_per_call(monkeypatch):
+    g = parse_graph6(LINE_CANDIDATE).graph
+    assert not peels_to_bipartite(g) and classify_candidate(g) is None
+    init = oddhole.cleaning._Memo.__init__
+    built = 0
+
+    def counted(self, graph):
+        nonlocal built
+        built += 1
+        init(self, graph)
+
+    monkeypatch.setattr(oddhole.cleaning._Memo, "__init__", counted)
+    dist = oddhole.cleaning._Memo.dist
+    searches = []
+
+    def counted_dist(self, source, mask):
+        searches[-1] += 1
+        return dist(self, source, mask)
+
+    monkeypatch.setattr(oddhole.cleaning._Memo, "dist", counted_dist)
+    answers = []
+    for det in ALL_TYPES:
+        searches.append(0)
+        answers.append(det(g))
+    assert all(searches), searches
+    answer = next((hole for hole in answers if hole is not None), None)
+    for run in (detect, detect_fast):
+        built = 0
+        assert run(g) == answer
+        assert built == 1, run.__name__
+
+
+def test_detect_from_threads_matches_sequential():
+    # no search state is shared between calls, so threads cannot mix them up
+    graphs = [decorated_odd_cycle(7 + 2 * (i % 2), 1 + i % 3, i) for i in range(20)]
+    graphs += [gnp(10, 0.4, 8800 + i) for i in range(20)]
+    graphs += [random_chordal(10, i).complement() for i in range(10)]
+    want = [detect(g) for g in graphs]
+    assert any(w is None for w in want) and any(w is not None for w in want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(detect, graphs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def _random_tree(n, seed):
