@@ -24,63 +24,12 @@ oracle-backed suites in the tests.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from .configs import (
-    find_jewel,
-    find_pyramid,
-    odd_hole_from_jewel,
-    odd_hole_from_pyramid,
-)
-from .graph import (
-    Graph,
-    Mask,
-    bits,
-    bfs_distances,
-    induced_four_paths,
-    is_odd_hole,
-    walk_down,
-)
+from .configs import _jewel, _pyramid, odd_hole_from_jewel, odd_hole_from_pyramid
+from .graph import Graph, Mask, _Search, bits, bfs_distances, is_odd_hole, walk_down
 
 Hole = tuple[int, ...]
-
-
-class _Memo:
-    """Masked BFS distances and clean-test results for one graph.
-
-    ``detect`` creates one per call and hands it to the heavy sweep and to
-    the six staged shapes; each public stage called alone creates its own.
-    It is passed explicitly, never kept in module state, so concurrent calls
-    share nothing.  ``bfs_distances`` is looked up in this module at call
-    time, so rebinding it here (as an outside tracer does) is honoured.  The
-    distance lists are shared by every caller of the same (source, mask)
-    pair and must not be modified.
-    """
-
-    __slots__ = ("g", "_dist", "_clean")
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self._dist: dict[tuple[int, Mask], list[int]] = {}
-        self._clean: dict[Mask, Optional[Hole]] = {}
-
-    def dist(self, source: int, mask: Mask) -> list[int]:
-        key = (source, mask)
-        d = self._dist.get(key)
-        if d is None:
-            d = self._dist[key] = bfs_distances(self.g, source, mask)
-        return d
-
-    def clean(self, mask: Mask, test: Callable[[Graph, Mask], Optional[Hole]]) -> Optional[Hole]:
-        """``test(g, mask)``, run once per mask.
-
-        ``test`` is :func:`test_clean` as the caller looks it up in its own
-        module, so that a tracer rebinding it there counts the call; only
-        its full results are stored here.
-        """
-        if mask not in self._clean:
-            self._clean[mask] = test(self.g, mask)
-        return self._clean[mask]
 
 
 def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
@@ -122,27 +71,27 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     return None
 
 
-def _clean_through(memo: _Memo, allowed: Mask, y1: int) -> Optional[Hole]:
+def _clean_through(search: _Search, allowed: Mask, y1: int) -> Optional[Hole]:
     """The triple scan of :func:`test_clean` over the triples that contain ``y1``.
 
     ``y1`` is fixed and the pairs ``(y2, y3)`` of the other vertices that it
     reaches are scanned in increasing order; the distance lists come from
-    ``memo``.
+    the search context.
     """
-    g = memo.g
-    d1 = memo.dist(y1, allowed)
+    g = search.g
+    d1 = search.dist(y1, allowed)
     verts = [v for v in bits(allowed) if d1[v] > 0]
     k = len(verts)
     for j in range(k - 1):
         y2 = verts[j]
         d12 = d1[y2]
-        d2 = memo.dist(y2, allowed)
+        d2 = search.dist(y2, allowed)
         for l in range(j + 1, k):
             y3 = verts[l]
             total = d12 + d2[y3] + d1[y3]
             if total < 5 or total % 2 == 0:
                 continue
-            hole = _reassemble(g, allowed, d1, d2, memo.dist(y3, allowed), y1, y2, y3)
+            hole = _reassemble(g, allowed, d1, d2, search.dist(y3, allowed), y1, y2, y3)
             if hole is not None:
                 return hole
     return None
@@ -183,22 +132,22 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     clean test needs, scanning the triples through ``p2`` is enough.
     Requires a pyramid- and jewel-free input graph.
     """
-    return _sweep(_Memo(g))
+    return _sweep(_Search(g))
 
 
-def _sweep(memo: _Memo) -> Optional[Hole]:
-    g = memo.g
+def _sweep(search: _Search) -> Optional[Hole]:
+    g = search.g
     full = g.full_mask
     adj = g.adj
     seen: set[tuple[Mask, int]] = set()
-    for (p1, p2, p3, p4) in induced_four_paths(g):
+    for (p1, p2, p3, p4) in search.four_paths:
         four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
         within = full & ~((adj[p2] | adj[p3]) & ~four)
         # most masks of dense graphs keep only the four-path: skip them before any BFS
         if within.bit_count() < 5 or (within, p2) in seen:
             continue
         seen.add((within, p2))
-        hole = _clean_through(memo, within, p2)
+        hole = _clean_through(search, within, p2)
         if hole is not None:
             return hole
     return None
@@ -217,17 +166,17 @@ def classify_candidate(g: Graph) -> Optional[Hole]:
     detectors handle.  The checks run cheapest-first: jewel, pyramid, then
     the dominating-edge sweep.
     """
-    return _classify(_Memo(g))
+    return _classify(_Search(g))
 
 
-def _classify(memo: _Memo) -> Optional[Hole]:
-    g = memo.g
+def _classify(search: _Search) -> Optional[Hole]:
+    g = search.g
     if g.n < 5:
         return None
-    jewel = find_jewel(g)
+    jewel = _jewel(search)
     if jewel is not None:
         return odd_hole_from_jewel(g, jewel)
-    pyramid = find_pyramid(g)
+    pyramid = _pyramid(search)
     if pyramid is not None:
         return odd_hole_from_pyramid(g, pyramid)
-    return _sweep(memo)
+    return _sweep(search)

@@ -11,22 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import graph
 from .graph import (
     Graph,
+    _Search,
     bits,
     is_induced_path,
     is_odd_hole,
     mask_of,
-    shortest_path,
     walk_down,
 )
 
 Path = tuple[int, ...]
 # (path from the apex, mask of path[1:], neighborhoods of path[1:-1])
 Leg = tuple[Path, int, int]
-# (apex, anchor, base vertex, allowed mask) -> the candidate legs it gives
-LegMemo = dict[tuple[int, int, int, int], list[Leg]]
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,18 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
     v1-v4 path in what remains.  A shortest such path is automatically
     induced and its interior avoids the forbidden neighborhoods, so it
     completes the witness.
+
+    The path is read off a BFS from v1 inside that set.  The set depends
+    only on v1, v2, v3 and v5, so many 5-tuples share one BFS, which the
+    search context keeps for the rest of the call.
     """
+    return _jewel(_Search(g))
+
+
+def _jewel(search: _Search) -> Optional[JewelWitness]:
+    g = search.g
     adj = g.adj
-    closed = [row | 1 << v for v, row in enumerate(adj)]
+    closed = search.closed
     for v1 in range(g.n):
         for v2 in g.neighbors_of[v1]:
             for v3 in bits(adj[v2] & ~adj[v1] & ~(1 << v1)):
@@ -134,10 +140,11 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
                             continue
                         allowed = (g.full_mask & ~(closed[v2] | closed[v3] | closed[v5])
                                    | 1 << v1 | 1 << v4)
-                        path = shortest_path(g, v1, v4, allowed)
-                        if path is None:
+                        dist = search.dist(v1, allowed)
+                        if dist[v4] < 0:
                             continue
-                        w = JewelWitness((v1, v2, v3, v4, v5), path)
+                        path = walk_down(g, dist, v4, allowed)  # v4 .. v1
+                        w = JewelWitness((v1, v2, v3, v4, v5), tuple(path[::-1]))
                         if verify_jewel(g, w):
                             return w
     return None
@@ -199,18 +206,22 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     in the order of the full product.  The triple is dropped at its first
     empty leg set.
 
-    A leg set depends only on the apex, the anchor, the base vertex and the
-    allowed set, so it is built once per call, from two BFS, and kept in a
-    memo freed on return (leg sets recur across the triangles of an apex).
-    Each leg carries two masks, and one nested loop tests them pair by pair
-    in lexicographic order, the third leg against the union of the first
-    two.  Pair tables would not pay: on the graph sides of the benchmark's
+    A leg set is built from two BFS that the search context keeps for the
+    rest of the call.  Leg sets recur across the triangles of an apex, and
+    one asked for again costs no further BFS; an empty one, the common
+    case, then costs one dict lookup.  Each leg carries two masks, and one
+    nested loop tests them pair by pair in lexicographic order, the third
+    leg against the union of the first two.  Pair tables would not pay: on the graph sides of the benchmark's
     seed-1 corpora and their complements that the peeling leaves, 21,375 of
     21,636 leg sets are empty, 259 hold one leg and 2 hold two.
     """
+    return _pyramid(_Search(g))
+
+
+def _pyramid(search: _Search) -> Optional[PyramidWitness]:
+    g = search.g
     adj = g.adj
-    closed = [row | 1 << v for v, row in enumerate(adj)]
-    memo: LegMemo = {}
+    closed = search.closed
     for b1 in range(g.n):
         for b2 in g.neighbors_of[b1]:
             if b2 < b1:
@@ -227,27 +238,27 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
                     row = adj[a]
                     choices = [row & 1 << b or row & ~block for b, block in zip(base, blocks)]
                     if all(choices):
-                        w = _pyramid_at(g, a, base, blocks, choices, closed, memo)
+                        w = _pyramid_at(search, a, base, blocks, choices)
                         if w is not None:
                             return w
     return None
 
 
-def _build_legs(g: Graph, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
+def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
     """The induced legs ``a, si .. m .. bi`` over every midpoint ``m``.
 
     Each half is a shortest path inside ``allowed``, read off one of two
-    BFS: first halves off the BFS from ``si``, second halves off the BFS
-    from ``bi``; when the first does not reach ``bi`` there is no leg and the
-    second is skipped.  Both BFS are looked up in ``graph`` at call time, so
-    a tracer that rebinds it there counts them.  Each leg comes with ``body``,
-    the mask of ``path[1:]``, and ``near``, the union of the neighborhoods
-    of ``path[1:-1]``.
+    BFS from the search context: first halves off the BFS from ``si``,
+    second halves off the BFS from ``bi``; when the first does not reach
+    ``bi`` there is no leg and the second is skipped.  Each leg comes with
+    ``body``, the mask of ``path[1:]``, and ``near``, the union of the
+    neighborhoods of ``path[1:-1]``.
     """
-    dist = graph.bfs_distances(g, si, allowed)
+    g = search.g
+    dist = search.dist(si, allowed)
     if dist[bi] < 0:
         return []
-    back = graph.bfs_distances(g, bi, allowed)
+    back = search.dist(bi, allowed)
     paths: dict[Path, None] = {}
     for m in bits(allowed):
         if dist[m] < 0 or back[m] < 0:
@@ -275,9 +286,11 @@ def _apart(body_p: int, near_p: int, body_q: int, near_q: int) -> bool:
 
 
 def _pyramid_at(
-    g: Graph, a: int, base: tuple[int, int, int], blocks: tuple[int, int, int],
-    choices: list[int], closed: list[int], memo: LegMemo,
+    search: _Search, a: int, base: tuple[int, int, int], blocks: tuple[int, int, int],
+    choices: list[int],
 ) -> Optional[PyramidWitness]:
+    g = search.g
+    closed = search.closed
     c0, c1, c2 = choices
     outside = g.full_mask & ~closed[a]
     triples = ((s1, s2, s3) for s1 in bits(c0) for s2 in bits(c1 & ~closed[s1])
@@ -290,10 +303,7 @@ def _pyramid_at(
                 continue
             allowed = (outside & ~(blocks[i] | closed[s[i - 1]] | closed[s[i - 2]])
                        | 1 << si | 1 << bi)
-            key = (a, si, bi, allowed)
-            if key not in memo:
-                memo[key] = _build_legs(g, a, si, bi, allowed)
-            legs.append(memo[key])
+            legs.append(_build_legs(search, a, si, bi, allowed))
             if not legs[i]:
                 break
         if not legs[-1]:

@@ -22,17 +22,17 @@ completeness of the six-way split is exercised by the differential and
 oracle suites.  See docs/derived-types.md for how shapes 4-6 are obtained
 from their short counterparts.
 
-Two pieces are shared by all six shapes.  A :class:`_Memo`
-(``oddhole.cleaning``), created once per :func:`detect` or
-:func:`detect_fast` call and passed to every shape, answers every masked BFS
-and every clean-test fallback, so each distinct (source, mask) pair is
-searched, and each fallback mask tested, once per call; in ``detect`` the
-heavy-cleanable sweep fills the same memo first.  It holds one distance list
-per such pair and is freed when the call returns; a public ``detect_typeN``
-called alone gets a memo of its own.  :func:`_strip` is the common deletion
-step: drop the guessed neighbours of the probe and the dominating edge, plus
-the fringe of the union of the shortest paths that recover the gap
-(``graph.geodesic_mask``).
+Two pieces are shared by all six shapes.  The search context
+(``graph._Search``), created once per :func:`detect` or :func:`detect_fast`
+call and passed to every shape, answers every masked BFS and every
+clean-test fallback and holds the induced four-paths, so each distinct
+(source, mask) pair is searched, and each fallback mask tested, once per
+call; in ``detect`` the jewel, pyramid and heavy-cleanable searches fill the
+same context first.  It is freed when the call returns; a public
+``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
+the common deletion step: drop the guessed neighbours of the probe and the
+dominating edge, plus the fringe of the union of the shortest paths that
+recover the gap (``graph.geodesic_mask``).
 
 Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
 with :func:`_flank_pairs`; shapes 3-6 draw theirs from
@@ -53,14 +53,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import _Memo, _classify, test_clean
+from .cleaning import _classify, test_clean
 from .graph import (
     Graph,
     Mask,
+    _Search,
     bits,
     bfs_distances,  # not called here; perfbench's tracer rebinds and restores it
     geodesic_mask,
-    induced_four_paths,
     induced_three_paths,
     is_odd_hole,
     mask_of,
@@ -84,15 +84,15 @@ def _strip(g: Graph, drop: Mask, y: Mask, keep: Mask) -> Mask:
     return g.full_mask & ~(drop | (near & ~y & ~keep))
 
 
-def _r_paths(memo: _Memo, hub: int, core: Mask, members: Mask) -> RData:
+def _r_paths(search: _Search, hub: int, core: Mask, members: Mask) -> RData:
     """Shortest anchored paths: each member, then only core vertices, to hub.
 
     A member need not lie in the core itself; its path steps into the core
     immediately.  Minimum length makes every returned path induced.  Members
     with no route are omitted; the hub itself gets the trivial path.
     """
-    g = memo.g
-    hd = memo.dist(hub, core)
+    g = search.g
+    hd = search.dist(hub, core)
     out: RData = {}
     for v in bits(members):
         if v == hub:
@@ -118,7 +118,7 @@ def _through(g: Graph, da: list[int], db: list[int], mid: int, within: Mask) -> 
     return tuple(head) + tuple(walk_down(g, db, mid, within)[1:])
 
 
-def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, r4: RData, gap: Hole,
+def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
                  close: tuple[int, int]) -> Optional[Hole]:
     """Close the hole through one anchored path from each flank.
 
@@ -129,7 +129,7 @@ def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, r4: RData, gap: Hole,
     ``a .. gap .. b, close`` and verified, with the clean test on ``gpp``
     plus the two flank vertices as the fallback.
     """
-    g = memo.g
+    g = search.g
     adj = g.adj
     hub = 1 << gap[0] if len(gap) == 1 else 0
     sides = []
@@ -149,7 +149,7 @@ def _flank_pairs(memo: _Memo, gpp: Mask, r1: RData, r4: RData, gap: Hole,
                 cycle = pa + gap[1:] + pb[-2::-1] + close
                 if is_odd_hole(g, cycle):
                     return cycle
-                hole = memo.clean(gpp | (1 << a) | (1 << b), test_clean)
+                hole = search.clean(gpp | (1 << a) | (1 << b), test_clean)
                 if hole is not None:
                     return hole
     return None
@@ -201,23 +201,23 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
 
 def detect_type1(g: Graph) -> Optional[Hole]:
     """Shape 1: dominating edge away from the gap, gap shorter than half."""
-    return _type1(_Memo(g))
+    return _type1(_Search(g))
 
 
-def _type1(memo: _Memo) -> Optional[Hole]:
-    g = memo.g
+def _type1(search: _Search) -> Optional[Hole]:
+    g = search.g
     # Swapping c2 and c3 swaps the flank sets and reverses every cycle built
     # below, so each edge is tried in one orientation only.
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, g.edges()):
-        dd1 = memo.dist(d1, gp)
+        dd1 = search.dist(d1, gp)
         t = dd1[d2]
         if t < 0:
             continue
-        y = geodesic_mask(dd1, memo.dist(d2, gp), t, gp & ~trip)
+        y = geodesic_mask(dd1, search.dist(d2, gp), t, gp & ~trip)
         gpp = _strip(g, drop, y, trip)
         for d3 in bits(gpp & ~used):
-            hole = _flank_pairs(memo, gpp, _r_paths(memo, d3, gpp, c1set),
-                                _r_paths(memo, d3, gpp, c4set), (d3,), (c3, c2))
+            hole = _flank_pairs(search, gpp, _r_paths(search, d3, gpp, c1set),
+                                _r_paths(search, d3, gpp, c4set), (d3,), (c3, c2))
             if hole is not None:
                 return hole
     return None
@@ -225,36 +225,36 @@ def _type1(memo: _Memo) -> Optional[Hole]:
 
 def detect_type2(g: Graph) -> Optional[Hole]:
     """Shape 2: dominating edge away from the gap, gap longer than half."""
-    return _type2(_Memo(g))
+    return _type2(_Search(g))
 
 
-def _type2(memo: _Memo) -> Optional[Hole]:
-    g = memo.g
+def _type2(search: _Search) -> Optional[Hole]:
+    g = search.g
     adj = g.adj
     # Swapping both c2, c3 and d1, d2 swaps the flanks and reverses the gap
     # path and every cycle, so the three-path is tried in one orientation.
     arcs = [(c2, c3) for c2 in range(g.n) for c3 in g.neighbors_of[c2]]
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
-        dd1 = memo.dist(d1, gp)
-        dd2 = memo.dist(d2, gp)
+        dd1 = search.dist(d1, gp)
+        dd2 = search.dist(d2, gp)
         scope = gp & ~trip
         for d3 in bits(gp & ~used):
             t = dd1[d3]
             if t < 1 or dd2[d3] != t:
                 continue
-            dd3 = memo.dist(d3, gp)
+            dd3 = search.dist(d3, gp)
             y = geodesic_mask(dd1, dd3, t, scope) | geodesic_mask(dd2, dd3, t, scope)
             gpp = _strip(g, drop, y, trip)
             off_hub = ~(adj[d3] | (1 << d3))
-            hole = _flank_pairs(memo, gpp, _r_paths(memo, d1, gpp, c1set & off_hub),
-                                _r_paths(memo, d2, gpp, c4set & off_hub),
+            hole = _flank_pairs(search, gpp, _r_paths(search, d1, gpp, c1set & off_hub),
+                                _r_paths(search, d2, gpp, c4set & off_hub),
                                 _through(g, dd1, dd2, d3, gp), (c3, c2))
             if hole is not None:
                 return hole
     return None
 
 
-def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
+def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
     """The guesses of shapes 3-6: an induced path c1-d1-c3-c4, x and d2.
 
     ``d1-c3`` is the dominating edge, ``x`` a neighbour of ``d1`` off the
@@ -268,10 +268,11 @@ def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
     neither ``c3`` nor the anchor; ``spare`` is the anchor and ``d2``,
     ``used`` the four-path, ``x`` and ``d2``.
     """
+    g = search.g
     if g.n < 5:
         return
     full, adj = g.full_mask, g.adj
-    for p in induced_four_paths(g):
+    for p in search.four_paths:
         for (c1, d1, c3, c4) in (p, p[::-1]):
             cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
             anchor = c3 if anchor_on_c3 else c1
@@ -287,20 +288,20 @@ def _anchored_cuts(g: Graph, anchor_on_c3: bool) -> Iterator[tuple]:
                            full & ~(drop | (adj[x] & ~spare)))
 
 
-def _short_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
-    g = memo.g
-    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
-        da = memo.dist(anchor, gp)
+def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
+    g = search.g
+    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(search, anchor_on_c3):
+        da = search.dist(anchor, gp)
         t = da[d2]
         if t < 0:
             continue
-        y = geodesic_mask(da, memo.dist(d2, gp), t, gp & ~spare)
+        y = geodesic_mask(da, search.dist(d2, gp), t, gp & ~spare)
         gpp = _strip(g, drop, y, spare)
         need = (1 << c1) | (1 << c4)
         if (gpp & need) != need:
             continue
-        e1 = memo.dist(c1, gpp)
-        e4 = memo.dist(c4, gpp)
+        e1 = search.dist(c1, gpp)
+        e4 = search.dist(c4, gpp)
         for d3 in bits(gpp & ~used):
             ta = e1[d3]
             if ta < 1 or e4[d3] != ta:
@@ -308,27 +309,27 @@ def _short_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = (d1,) + _through(g, e1, e4, d3, gpp) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = memo.clean(gpp, test_clean)
+            hole = search.clean(gpp, test_clean)
             if hole is not None:
                 return hole
     return None
 
 
-def _long_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
-    g = memo.g
-    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(g, anchor_on_c3):
+def _long_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
+    g = search.g
+    for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(search, anchor_on_c3):
         r_end = c1 if anchor_on_c3 else c4
-        da = memo.dist(anchor, gp)
-        db = memo.dist(d2, gp)
+        da = search.dist(anchor, gp)
+        db = search.dist(d2, gp)
         scope = gp & ~spare
         for d3 in bits(gp & ~used):
             t1 = da[d3]
             if t1 < 1 or db[d3] != t1 + 1:
                 continue
-            dd3 = memo.dist(d3, gp)
+            dd3 = search.dist(d3, gp)
             y = geodesic_mask(da, dd3, t1, scope) | geodesic_mask(db, dd3, t1 + 1, scope)
             gpp = _strip(g, drop, y, spare)
-            rdata = _r_paths(memo, d2, gpp, 1 << r_end)
+            rdata = _r_paths(search, d2, gpp, 1 << r_end)
             if r_end not in rdata:
                 continue
             rpath = rdata[r_end][0]  # r_end .. d2
@@ -336,7 +337,7 @@ def _long_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = memo.clean(gpp, test_clean)
+            hole = search.clean(gpp, test_clean)
             if hole is not None:
                 return hole
     return None
@@ -344,25 +345,25 @@ def _long_anchored(memo: _Memo, anchor_on_c3: bool) -> Optional[Hole]:
 
 def detect_type3(g: Graph) -> Optional[Hole]:
     """Shape 3: dominating edge meets the gap end, hole flank outside, short gap."""
-    return _short_anchored(_Memo(g), anchor_on_c3=False)
+    return _short_anchored(_Search(g), anchor_on_c3=False)
 
 
 def detect_type4(g: Graph) -> Optional[Hole]:
     """Shape 4: like shape 3 with the gap longer than half the hole."""
-    return _long_anchored(_Memo(g), anchor_on_c3=False)
+    return _long_anchored(_Search(g), anchor_on_c3=False)
 
 
 def detect_type5(g: Graph) -> Optional[Hole]:
     """Shape 5: dominating edge meets the gap end, flank inside the gap, short gap."""
-    return _short_anchored(_Memo(g), anchor_on_c3=True)
+    return _short_anchored(_Search(g), anchor_on_c3=True)
 
 
 def detect_type6(g: Graph) -> Optional[Hole]:
     """Shape 6: like shape 5 with the gap longer than half the hole."""
-    return _long_anchored(_Memo(g), anchor_on_c3=True)
+    return _long_anchored(_Search(g), anchor_on_c3=True)
 
 
-_SHAPES: tuple[Callable[[_Memo], Optional[Hole]], ...] = (
+_SHAPES: tuple[Callable[[_Search], Optional[Hole]], ...] = (
     _type1,
     _type2,
     partial(_short_anchored, anchor_on_c3=False),
@@ -374,12 +375,12 @@ _SHAPES: tuple[Callable[[_Memo], Optional[Hole]], ...] = (
 
 def detect_fast(g: Graph) -> Optional[Hole]:
     """Run the six shape detectors in order on a candidate graph."""
-    return _staged(_Memo(g))
+    return _staged(_Search(g))
 
 
-def _staged(memo: _Memo) -> Optional[Hole]:
+def _staged(search: _Search) -> Optional[Hole]:
     for shape in _SHAPES:
-        hole = shape(memo)
+        hole = shape(search)
         if hole is not None:
             return hole
     return None
@@ -393,13 +394,13 @@ def detect(g: Graph) -> Optional[Hole]:
     hole, since its two hole neighbours would be adjacent, and a bipartite
     graph has no odd cycle.  Otherwise the original graph goes through
     ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) and then
-    the six staged shapes of :func:`detect_fast`, which share one search
-    memo with the sweep.
+    the six staged shapes of :func:`detect_fast`; all four stages share one
+    search context.
     """
     if peels_to_bipartite(g):
         return None
-    memo = _Memo(g)
-    hole = _classify(memo)
+    search = _Search(g)
+    hole = _classify(search)
     if hole is not None:
         return hole
-    return _staged(memo)
+    return _staged(search)

@@ -12,7 +12,8 @@ masked subgraph are valid vertex sequences of the original graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Vertex = int
 Mask = int
@@ -336,3 +337,63 @@ def induced_four_paths(g: Graph) -> list[tuple[int, int, int, int]]:
                     if a < d:
                         out.append((a, b, c, d))
     return out
+
+
+class _Search:
+    """The search state of one detector call on one graph.
+
+    ``detect`` creates one per call and hands it to every stage: the jewel
+    and pyramid searches, the heavy-cleanable sweep and the six staged
+    shapes; each public stage called alone creates its own.  It is passed
+    explicitly, never kept in module state, so concurrent calls share
+    nothing.
+
+    It holds every masked BFS the call runs, keyed by (source, mask), every
+    clean-test fallback result, keyed by mask, and two tables built at most
+    once: ``closed`` and ``four_paths``.  So it keeps at most one distance
+    list of ``n`` integers per BFS the call runs, until the call returns.
+    On the seed-1 benchmark corpora the largest context of a ``detect`` call
+    holds 2,707 lists (0.73 MB); on the line graph of 40 random edges of
+    K10,10 the jewel search alone keeps up to 1,948 (0.98 MB), and stage 3
+    far more (``docs/derived-types.md``).
+
+    ``bfs_distances`` is looked up in this module at call time, so rebinding
+    it here (as an outside tracer does) is honoured.  The distance lists are
+    shared by every caller of the same (source, mask) pair and must not be
+    modified.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self._dist: dict[tuple[int, Mask], list[int]] = {}
+        self._clean: dict[Mask, Optional[tuple[int, ...]]] = {}
+
+    def dist(self, source: int, mask: Mask) -> list[int]:
+        key = (source, mask)
+        d = self._dist.get(key)
+        if d is None:
+            d = self._dist[key] = bfs_distances(self.g, source, mask)
+        return d
+
+    def clean(
+        self, mask: Mask, test: Callable[[Graph, Mask], Optional[tuple[int, ...]]]
+    ) -> Optional[tuple[int, ...]]:
+        """``test(g, mask)``, run once per mask.
+
+        ``test`` is ``cleaning.test_clean`` as the caller looks it up in its
+        own module, so that a tracer rebinding it there counts the call; only
+        its full results are stored here.
+        """
+        if mask not in self._clean:
+            self._clean[mask] = test(self.g, mask)
+        return self._clean[mask]
+
+    @cached_property
+    def closed(self) -> list[Mask]:
+        """The closed neighbourhood of each vertex, as a bitmask."""
+        return [row | 1 << v for v, row in enumerate(self.g.adj)]
+
+    @cached_property
+    def four_paths(self) -> list[tuple[int, int, int, int]]:
+        """``induced_four_paths(g)``."""
+        return induced_four_paths(self.g)

@@ -14,14 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cleaning import test_clean, classify_candidate
-from .graph import (
-    Graph,
-    bits,
-    bfs_distances,
-    induced_four_paths,
-    induced_three_paths,
-)
+from .cleaning import _classify, test_clean
+from .graph import Graph, _Search, bits, bfs_distances, induced_three_paths
 
 Hole = tuple[int, ...]
 
@@ -34,14 +28,23 @@ def detect_simple(g: Graph) -> Optional[Hole]:
     that precondition is not checked here.  Reported witnesses are always
     verified regardless.
     """
+    return _simple(_Search(g))
+
+
+def _simple(search: _Search) -> Optional[Hole]:
+    """The reference search; clean-test results go to ``search``.
+
+    Its BFS are direct ``bfs_distances`` calls, not kept in the context:
+    this detector has no size cap, and keeping them would hold one distance
+    list per distinct scope until the call returns.
+    """
+    g = search.g
     if g.n < 5:
         return None
     full = g.full_mask
     adj = g.adj
-    p4s = induced_four_paths(g)
     p3s = induced_three_paths(g)
-    cache: dict[int, Optional[Hole]] = {}
-    for (c1, c2, c3, c4) in p4s:
+    for (c1, c2, c3, c4) in search.four_paths:
         cmask = (1 << c1) | (1 << c2) | (1 << c3) | (1 << c4)
         x2 = (adj[c2] | adj[c3]) & ~cmask
         for (d1, x, d2) in p3s:
@@ -63,14 +66,15 @@ def detect_simple(g: Graph) -> Optional[Hole]:
                 if t1 < 0 or dd2[d3] != t1:
                     continue
                 hole = _try_middle(
-                    g, cache, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1
+                    search, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1
                 )
                 if hole is not None:
                     return hole
     return None
 
 
-def _try_middle(g, cache, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1):
+def _try_middle(search, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1):
+    g = search.g
     dd3 = bfs_distances(g, d3, scope)
     f = 0
     ends = (1 << d1) | (1 << d2) | (1 << d3)
@@ -86,17 +90,13 @@ def _try_middle(g, cache, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, 
     for v in bits(gprime & ~f & ~ends & ~(1 << x)):
         if g.adj[v] & fringe_src:
             x3 |= 1 << v
-    within = g.full_mask & ~(x1 | x2 | x3 | (1 << x))
-    if within in cache:
-        return cache[within]
-    hole = test_clean(g, within)
-    cache[within] = hole
-    return hole
+    return search.clean(g.full_mask & ~(x1 | x2 | x3 | (1 << x)), test_clean)
 
 
 def detect_with_simple_pipeline(g: Graph) -> Optional[Hole]:
     """Full decision for arbitrary graphs via the reference detector."""
-    hole = classify_candidate(g)
+    search = _Search(g)
+    hole = _classify(search)
     if hole is not None:
         return hole
-    return detect_simple(g)
+    return _simple(search)

@@ -6,7 +6,7 @@ from oddhole import (
     test_clean,
     test_heavy_cleanable,
 )
-from oddhole.cleaning import _clean_through, _Memo
+from oddhole.cleaning import _clean_through
 from oddhole.configs import find_jewel, find_pyramid
 from oddhole.formats import parse_graph6
 from oddhole.generators import (
@@ -24,7 +24,7 @@ from oddhole.oracle import (
     shortest_odd_holes,
 )
 from oddhole.probes import is_clean, major_vertices
-from oddhole.graph import bits, induced_four_paths
+from oddhole.graph import _Search, bits, induced_four_paths
 from .conftest import random_graphs
 
 
@@ -79,9 +79,9 @@ def test_heavy_cleanable_examples():
 def test_clean_through_finds_odd_cycles_from_every_vertex():
     for k in range(5, 16, 2):
         g = cycle_graph(k)
-        memo = _Memo(g)
+        search = _Search(g)
         for y in range(k):
-            hole = _clean_through(memo, g.full_mask, y)
+            hole = _clean_through(search, g.full_mask, y)
             assert hole is not None and len(hole) == k and y in hole, (k, y)
 
 
@@ -104,8 +104,8 @@ def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
     assert test_clean(g) is None
     scans = []
 
-    def recorded(memo, allowed, y1):
-        hole = _clean_through(memo, allowed, y1)
+    def recorded(search, allowed, y1):
+        hole = _clean_through(search, allowed, y1)
         scans.append((allowed, y1, hole))
         return hole
 
@@ -118,8 +118,8 @@ def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
     # lie on no hole, and every odd hole of the mask passes through p2.
     assert within & 0b11 == 0b11
     assert oracle_find_odd_hole(_induced(g, within & ~(1 << p2))) is None
-    memo = _Memo(g)
-    assert all(_clean_through(memo, within, y) is None for y in (0, 1))
+    search = _Search(g)
+    assert all(_clean_through(search, within, y) is None for y in (0, 1))
 
 
 def _full_scan_sweep(g):

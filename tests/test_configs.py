@@ -145,14 +145,16 @@ def _line_graph(h):
                            if set(es[i]) & set(es[j])])
 
 
-def test_pyramid_builds_each_leg_set_once(monkeypatch):
+def test_pyramid_runs_each_leg_bfs_once(monkeypatch):
     # Both graphs are perfect, so the whole search runs.  A line graph is
     # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
-    # ever built.  Each leg set costs one BFS from its anchor, plus one from
-    # its base vertex when the first reaches it: the chordal graph builds 8
-    # leg sets, 6 of them with an unreachable base vertex.  Always running
-    # the second BFS made 16, a BFS per midpoint for each second half 27, and
-    # building all three leg sets of a triple before testing any for
+    # ever built.  A leg set reads one BFS from its anchor, plus one from its
+    # base vertex when the first reaches it, and the search context runs each
+    # (source, mask) BFS once: the chordal graph builds 8 distinct leg sets,
+    # 6 of them with an unreachable base vertex, and two of these reuse the
+    # anchor BFS of another apex's leg set, so it runs 8.  A memo of whole leg sets ran 10, always
+    # running the second BFS 16, a BFS per midpoint for each second half 27,
+    # and building all three leg sets of a triple before testing any for
     # emptiness 46 with those.
     bfs = oddhole.graph.bfs_distances
     calls = 0
@@ -168,7 +170,7 @@ def test_pyramid_builds_each_leg_set_once(monkeypatch):
         calls = 0
         assert find_pyramid(g) is None
         counts.append(calls)
-    assert counts == [10, 0]
+    assert counts == [8, 0]
 
 
 def _product_anchor_triples(g):
@@ -203,7 +205,7 @@ def _product_anchor_triples(g):
 
 
 def _first_leg_key(g, a, base, s):
-    # The memo key of the first leg set a triple builds: the first leg whose
+    # The arguments of the first leg set a triple builds: the first leg whose
     # anchor is not its base vertex, with its allowed set written out in full.
     i = next(i for i in range(3) if s[i] != base[i])
     block = g.adj[a] | 1 << a
@@ -215,11 +217,11 @@ def _first_leg_key(g, a, base, s):
 
 def test_pyramid_enumerates_the_same_anchor_triples(monkeypatch):
     # With every leg set empty each triple stops at its first built leg set,
-    # so the leg sets built are the distinct first keys of the triples, in the
-    # order the triples are tried.
+    # so the leg sets built are the first keys of the triples, repeats
+    # included, in the order the triples are tried.
     built = []
 
-    def no_legs(g, a, si, bi, allowed):
+    def no_legs(search, a, si, bi, allowed):
         built.append((a, si, bi, allowed))
         return []
 
@@ -233,7 +235,7 @@ def test_pyramid_enumerates_the_same_anchor_triples(monkeypatch):
         built.clear()
         assert find_pyramid(g) is None
         keys = [_first_leg_key(g, *t) for t in _product_anchor_triples(g)]
-        assert built == list(dict.fromkeys(keys))
+        assert built == keys
         triples += len(keys)
         total += len(built)
     assert triples > 600 and total > 500
@@ -245,9 +247,10 @@ def test_pyramid_legs_belong_to_their_apex(monkeypatch):
     build = oddhole.configs._build_legs
     apexes = {}
 
-    def checked(g, a, si, bi, allowed):
+    def checked(search, a, si, bi, allowed):
+        g = search.g
         apexes.setdefault((g, si, bi, allowed), set()).add(a)
-        legs = build(g, a, si, bi, allowed)
+        legs = build(search, a, si, bi, allowed)
         for path, body, near in legs:
             assert path[0] == a and path[1] == si and path[-1] == bi
             assert body == oddhole.graph.mask_of(path[1:])

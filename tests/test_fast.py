@@ -8,11 +8,13 @@ from oddhole import (
     detect,
     detect_fast,
     detect_simple,
+    detect_with_simple_pipeline,
     is_odd_hole,
 )
 import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
+import oddhole.simple
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -34,7 +36,13 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
-from oddhole.graph import bits, induced_four_paths, induced_three_paths, peels_to_bipartite
+from oddhole.graph import (
+    _Search,
+    bits,
+    induced_four_paths,
+    induced_three_paths,
+    peels_to_bipartite,
+)
 from oddhole.oracle import oracle_find_odd_hole
 from .conftest import random_graphs
 
@@ -72,23 +80,30 @@ def test_types_sound_on_decorated_instances():
     assert hits == {1: 37, 2: 12, 3: 41, 4: 36, 5: 60, 6: 5}
 
 
-def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
-    # both graphs are perfect, so every shape runs its whole enumeration; the
-    # chordal one also reaches shapes 3-6, which skip the co-bipartite one
-    graphs = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 1))
-    bfs = oddhole.cleaning.bfs_distances
+# Both graphs are perfect, so every stage runs its whole enumeration; the
+# chordal one also reaches shapes 3-6, which skip the co-bipartite one.
+SHAPE_GRAPHS = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 1))
+
+
+def _record_bfs(monkeypatch):
+    # the search context lives in ``graph`` and looks the BFS up there
+    bfs = oddhole.graph.bfs_distances
     keys = []
 
     def counted(g, source, within=None):
         keys.append((source, within))
         return bfs(g, source, within)
 
-    # the search memo lives in ``cleaning`` and looks the BFS up there
-    monkeypatch.setattr(oddhole.cleaning, "bfs_distances", counted)
-    # detect_fast runs all six shapes over one memo: none repeats another's BFS
+    monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
+    return keys
+
+
+def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
+    keys = _record_bfs(monkeypatch)
+    # detect_fast runs all six shapes over one context: none repeats another's BFS
     for det in ALL_TYPES + (detect_fast,):
         calls = 0
-        for g in graphs:
+        for g in SHAPE_GRAPHS:
             keys.clear()
             assert det(g) is None
             assert len(keys) == len(set(keys)), det.__name__
@@ -101,10 +116,10 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
 LINE_CANDIDATE = "IrKy_SFAO"
 
 
-def test_detect_builds_one_memo_per_call(monkeypatch):
+def test_detect_builds_one_search_per_call(monkeypatch):
     g = parse_graph6(LINE_CANDIDATE).graph
     assert not peels_to_bipartite(g) and classify_candidate(g) is None
-    init = oddhole.cleaning._Memo.__init__
+    init = oddhole.graph._Search.__init__
     built = 0
 
     def counted(self, graph):
@@ -112,25 +127,57 @@ def test_detect_builds_one_memo_per_call(monkeypatch):
         built += 1
         init(self, graph)
 
-    monkeypatch.setattr(oddhole.cleaning._Memo, "__init__", counted)
-    dist = oddhole.cleaning._Memo.dist
+    monkeypatch.setattr(oddhole.graph._Search, "__init__", counted)
+    dist = oddhole.graph._Search.dist
     searches = []
 
     def counted_dist(self, source, mask):
         searches[-1] += 1
         return dist(self, source, mask)
 
-    monkeypatch.setattr(oddhole.cleaning._Memo, "dist", counted_dist)
+    monkeypatch.setattr(oddhole.graph._Search, "dist", counted_dist)
     answers = []
     for det in ALL_TYPES:
         searches.append(0)
         answers.append(det(g))
     assert all(searches), searches
     answer = next((hole for hole in answers if hole is not None), None)
-    for run in (detect, detect_fast):
+    for run in (detect, detect_fast, detect_with_simple_pipeline):
         built = 0
         assert run(g) == answer
         assert built == 1, run.__name__
+
+
+def test_detect_runs_each_masked_bfs_once(monkeypatch):
+    # The jewel, pyramid, sweep and shapes of one call read every masked BFS
+    # from one context.  The chordal graph is decided by the peeling, which
+    # is turned off here so that every stage runs on it too.
+    monkeypatch.setattr(oddhole.fast, "peels_to_bipartite", lambda g: False)
+    keys = _record_bfs(monkeypatch)
+    for g in SHAPE_GRAPHS + (parse_graph6(LINE_CANDIDATE).graph,):
+        keys.clear()
+        assert detect(g) is None
+        assert keys and len(keys) == len(set(keys)), g
+
+
+def test_detect_lists_the_four_paths_once(monkeypatch):
+    # the sweep and the four anchored shapes share one list of four-paths
+    build = oddhole.graph.induced_four_paths
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return build(g)
+
+    # counted in every module of the search, whether it imports the name or not
+    for module in (oddhole.graph, oddhole.cleaning, oddhole.fast, oddhole.simple):
+        monkeypatch.setattr(module, "induced_four_paths", counted, raising=False)
+    g = parse_graph6(LINE_CANDIDATE).graph
+    for run in (detect, detect_with_simple_pipeline):
+        calls = 0
+        assert run(g) is None
+        assert calls == 1, run.__name__
 
 
 def test_detect_from_threads_matches_sequential():
@@ -261,7 +308,7 @@ def test_stage3_prefilters_drop_only_dead_guesses():
             dropped += 1
         assert nxt is None, "a kept guess is not among the unfiltered ones, in order"
         for anchor_on_c3 in (False, True):
-            assert (list(_anchored_cuts(g, anchor_on_c3))
+            assert (list(_anchored_cuts(_Search(g), anchor_on_c3))
                     == list(_checked_anchored_cuts(g, anchor_on_c3)))
     assert dropped > 0
 
