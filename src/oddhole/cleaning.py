@@ -1,21 +1,25 @@
 """Shortest-odd-hole tests for graphs whose holes are already clean.
 
 A hole is clean when no vertex outside it has neighbors spread around it
-(see :mod:`oddhole.probes`).  For a clean shortest odd hole, three roughly
-equally spaced hole vertices are pairwise joined by shortest paths that
-reassemble a shortest odd hole, so scanning all vertex triples and gluing
-their pairwise shortest paths finds one.  The sweep over induced four-paths
-then extends the test to holes that merely have one edge dominating all the
-spread-out vertices ("heavy-cleanable" holes).
+(see :mod:`oddhole.probes`).  The cleaning lemma (Chudnovsky, Cornuéjols,
+Liu, Seymour, Vušković, "Recognizing Berge graphs", as used by Chudnovsky,
+Scott, Seymour, Spirkl, "Detecting an odd hole"): if ``C`` is a clean
+shortest odd hole of a graph with no pyramid and no jewel, then any three
+vertices of ``C`` pairwise closer than ``|C| / 2``, joined by any shortest
+paths, give a shortest odd hole.  On a hole of length ``2k + 1`` a vertex
+and the edge opposite it are such a triple: their arcs are ``k``, ``k`` and
+``1``.  The shortest paths from the vertex, read off one BFS by
+``graph.walk_down``, therefore close a shortest odd hole through one of the
+edges whose ends are both at distance ``k``, and :func:`test_clean` tries
+every vertex that way.  The sweep over induced four-paths then extends the
+test to holes that merely have one edge dominating all the spread-out
+vertices ("heavy-cleanable" holes).
 
-The sweep scans only the triples through the second vertex ``p2`` of its
-four-path.  If ``p2p3`` is an edge of a shortest odd hole ``C`` whose ends
-dominate every major vertex of ``C``, then deleting ``N(p2) | N(p3)`` off the
-four-path keeps ``C`` as a clean shortest odd hole that contains ``p2``.  On
-an odd hole of length ``2k + 1`` every vertex is one of three vertices whose
-arcs are ``k``, ``k`` and ``1``, all shorter than half the hole, which is the
-condition the triple scan of :func:`test_clean` relies on; so the triples
-through ``p2`` already include one that reassembles a hole.
+The sweep scans from the second vertex ``p2`` of its four-path alone.  If
+``p2p3`` is an edge of a shortest odd hole ``C`` whose ends dominate every
+major vertex of ``C``, then deleting ``N(p2) | N(p3)`` off the four-path
+keeps ``C`` as a clean shortest odd hole that contains ``p2``; every vertex
+of ``C`` is opposite one edge of ``C``, so the scan from ``p2`` finds a hole.
 
 Both tests only ever report verified holes, so a wrong answer can only be a
 missed hole, never a bogus witness; the completeness side is covered by the
@@ -35,88 +39,58 @@ Hole = tuple[int, ...]
 def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     """Find an odd hole assuming some shortest odd hole of the mask is clean.
 
-    Every unordered vertex triple is tried: if the three pairwise distances
-    are finite with an odd sum of at least five, the three deterministic
-    shortest paths are glued and the result kept when it verifies as an odd
-    hole.  Callers must ensure the masked graph has no pyramid and no jewel;
-    a violation can only suppress detection, never corrupt a witness.
+    Every vertex ``y1`` of the mask is tried in increasing order, with one
+    BFS each, by the scan of :func:`_opposite_hole`.  That is complete by the
+    lemma in the module docstring: each vertex of a clean shortest odd hole
+    ``C`` is opposite one edge of ``C``, the vertex and the ends of that edge
+    are pairwise closer than half of ``C``, and ``graph.walk_down`` follows
+    shortest paths, so the paths read off the BFS from the vertex close a
+    shortest odd hole.  Callers must ensure the masked graph has no pyramid
+    and no jewel; a violation can only suppress detection, never corrupt a
+    witness.
     """
     allowed = g.full_mask if within is None else within
-    verts = list(bits(allowed))
-    k = len(verts)
-    if k < 5:
+    if allowed.bit_count() < 5:
         return None
-    dist = {v: bfs_distances(g, v, allowed) for v in verts}
-    for i in range(k):
-        y1 = verts[i]
-        d1 = dist[y1]
-        for j in range(i + 1, k):
-            y2 = verts[j]
-            d12 = d1[y2]
-            if d12 < 0:
-                continue
-            d2 = dist[y2]
-            for l in range(j + 1, k):
-                y3 = verts[l]
-                d13 = d1[y3]
-                d23 = d2[y3]
-                if d13 < 0 or d23 < 0:
-                    continue
-                total = d12 + d23 + d13
-                if total < 5 or total % 2 == 0:
-                    continue
-                hole = _reassemble(g, allowed, d1, d2, dist[y3], y1, y2, y3)
-                if hole is not None:
-                    return hole
+    for y1 in bits(allowed):
+        hole = _opposite_hole(g, allowed, bfs_distances(g, y1, allowed))
+        if hole is not None:
+            return hole
     return None
 
 
 def _clean_through(search: _Search, allowed: Mask, y1: int) -> Optional[Hole]:
-    """The triple scan of :func:`test_clean` over the triples that contain ``y1``.
+    """The scan of :func:`test_clean` from ``y1`` alone, on the context's BFS."""
+    return _opposite_hole(search.g, allowed, search.dist(y1, allowed))
 
-    ``y1`` is fixed and the pairs ``(y2, y3)`` of the other vertices that it
-    reaches are scanned in increasing order; the distance lists come from
-    the search context.
+
+def _opposite_hole(g: Graph, allowed: Mask, d1: list[int]) -> Optional[Hole]:
+    """An odd hole through the source ``y1`` of ``d1`` and an edge opposite it.
+
+    ``d1`` is a BFS from ``y1`` confined to ``allowed``.  Each edge ``y2y3``
+    of the mask with ``d1[y2] == d1[y3] >= 2`` is tried, in increasing
+    ``y2`` and then increasing ``y3 > y2``: the path ``y1 .. y2`` and the
+    path ``y3 .. y1`` without ``y1``, both read off ``d1`` by
+    ``graph.walk_down``, form a cycle of length ``2 * d1[y2] + 1``, returned
+    if it verifies as an odd hole.
     """
-    g = search.g
-    d1 = search.dist(y1, allowed)
-    verts = [v for v in bits(allowed) if d1[v] > 0]
-    k = len(verts)
-    for j in range(k - 1):
-        y2 = verts[j]
-        d12 = d1[y2]
-        d2 = search.dist(y2, allowed)
-        for l in range(j + 1, k):
-            y3 = verts[l]
-            total = d12 + d2[y3] + d1[y3]
-            if total < 5 or total % 2 == 0:
-                continue
-            hole = _reassemble(g, allowed, d1, d2, search.dist(y3, allowed), y1, y2, y3)
-            if hole is not None:
-                return hole
-    return None
-
-
-def _reassemble(
-    g: Graph,
-    allowed: Mask,
-    d1: list[int],
-    d2: list[int],
-    d3: list[int],
-    y1: int,
-    y2: int,
-    y3: int,
-) -> Optional[Hole]:
-    """Glue the shortest paths y1 .. y2 .. y3 .. y1 read off the BFS from each."""
-    p12 = walk_down(g, d1, y2, allowed)  # y2 .. y1
-    p12.reverse()
-    p23 = walk_down(g, d2, y3, allowed)  # y3 .. y2
-    p23.reverse()
-    p31 = walk_down(g, d3, y1, allowed)  # y1 .. y3
-    p31.reverse()
-    cycle = tuple(p12) + tuple(p23[1:]) + tuple(p31[1:-1])
-    if is_odd_hole(g, cycle):
-        return cycle
+    adj = g.adj
+    layers = [0] * (max(d1) + 1)  # the vertices at each distance, from 2 on
+    for v, k in enumerate(d1):
+        if k >= 2:
+            layers[k] |= 1 << v
+    for y2, k in enumerate(d1):
+        if k < 2:
+            continue
+        ends = adj[y2] & layers[k] >> (y2 + 1) << (y2 + 1)
+        if not ends:
+            continue
+        head = walk_down(g, d1, y2, allowed)
+        head.reverse()
+        for y3 in bits(ends):
+            cycle = tuple(head) + tuple(walk_down(g, d1, y3, allowed)[:-1])
+            if is_odd_hole(g, cycle):
+                return cycle
     return None
 
 
@@ -125,12 +99,12 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
 
     For every induced four-path p1-p2-p3-p4, delete every other vertex
     adjacent to p2 or p3 and scan what remains for an odd hole through
-    ``p2``.  If a shortest odd hole has an edge whose ends together dominate
-    all its spread-out outside vertices, the deletion made at that edge
-    leaves it clean and shortest, and it passes through ``p2``; since any
-    vertex of an odd hole can be one of the three equally spaced vertices the
-    clean test needs, scanning the triples through ``p2`` is enough.
-    Requires a pyramid- and jewel-free input graph.
+    ``p2`` and an edge opposite it.  If a shortest odd hole has an edge whose
+    ends together dominate all its spread-out outside vertices, the deletion
+    made at that edge leaves it clean and shortest, and it passes through
+    ``p2``; as every vertex of an odd hole is opposite one of its edges, the
+    one scan from ``p2`` is enough.  Requires a pyramid- and jewel-free input
+    graph.
     """
     return _sweep(_Search(g))
 

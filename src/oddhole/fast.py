@@ -43,9 +43,10 @@ each edge in one orientation and shape 2 each three-path in one.  Both
 enumerations also skip, by exact bitmask tests and before any BFS, every
 guess that cannot close a hole: shapes 1-2 those in which ``d1`` or ``d2``
 has no neighbour left off the three-path, shapes 3-6 those that delete the
-anchor or ``d2``.  The remaining guesses keep their order, and so
-the witnesses are unchanged.  Every path is read off BFS distances by
-``graph.walk_down``.
+anchor or ``d2`` or leave either with no neighbour in ``gp`` (the search
+must step out of both, and they are not adjacent).  The remaining guesses
+keep their order, and so the witnesses are unchanged.  Every path is read
+off BFS distances by ``graph.walk_down``.
 """
 
 from __future__ import annotations
@@ -267,6 +268,13 @@ def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
     neighbourhood of ``x``, that is those in which ``d2`` is adjacent to
     neither ``c3`` nor the anchor; ``spare`` is the anchor and ``d2``,
     ``used`` the four-path, ``x`` and ``d2``.
+
+    Of those, only the guesses in which both the anchor and ``d2`` have a
+    neighbour in ``gp`` are yielded: both shapes need a path of length at
+    least two inside ``gp`` from each of them, as they are not adjacent.
+    Two earlier tests drop only such dead guesses: an oriented four-path
+    with no vertex outside ``block`` has no ``d2``, and the anchor's
+    neighbours in ``gp`` lie in ``reach`` minus ``x`` and its neighbours.
     """
     g = search.g
     if g.n < 5:
@@ -276,16 +284,22 @@ def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
         for (c1, d1, c3, c4) in (p, p[::-1]):
             cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
             anchor = c3 if anchor_on_c3 else c1
-            x2 = (adj[d1] | adj[c3]) & ~cbits
             block = adj[d1] | adj[c3] | adj[anchor] | cbits
+            if not full & ~block:
+                continue
+            x2 = (adj[d1] | adj[c3]) & ~cbits
+            reach = adj[anchor] & ~x2  # where the anchor can step into gp, before N(x) goes
             for x in bits(adj[d1] & ~cbits):
                 xbit = 1 << x
+                if not reach & ~(adj[x] | xbit):
+                    continue
                 for d2 in bits(adj[x] & ~block):
                     spare = (1 << anchor) | (1 << d2)
                     drop = (adj[d1] & adj[d2] & ~xbit) | x2 | xbit
-                    yield (c1, d1, c3, c4, d2, anchor, spare,
-                           cbits | xbit | (1 << d2), drop,
-                           full & ~(drop | (adj[x] & ~spare)))
+                    gp = full & ~(drop | (adj[x] & ~spare))
+                    if adj[anchor] & gp and adj[d2] & gp:
+                        yield (c1, d1, c3, c4, d2, anchor, spare,
+                               cbits | xbit | (1 << d2), drop, gp)
 
 
 def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:

@@ -353,9 +353,10 @@ class _Search:
     once: ``closed`` and ``four_paths``.  So it keeps at most one distance
     list of ``n`` integers per BFS the call runs, until the call returns.
     On the seed-1 benchmark corpora the largest context of a ``detect`` call
-    holds 2,707 lists (0.73 MB); on the line graph of 40 random edges of
-    K10,10 the jewel search alone keeps up to 1,948 (0.98 MB), and stage 3
-    far more (``docs/derived-types.md``).
+    holds 2,179 lists (0.59 MB); on the line graph of 40 random edges of
+    K10,10 ``classify_candidate`` keeps up to 3,303 (1.8 MB), the jewel
+    search up to 1,948 of them, and stage 3 far more
+    (``docs/derived-types.md``).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding
     it here (as an outside tracer does) is honoured.  The distance lists are

@@ -1,4 +1,5 @@
 import oddhole.cleaning
+import oddhole.graph
 from oddhole import (
     Graph,
     classify_candidate,
@@ -24,7 +25,7 @@ from oddhole.oracle import (
     shortest_odd_holes,
 )
 from oddhole.probes import is_clean, major_vertices
-from oddhole.graph import _Search, bits, induced_four_paths
+from oddhole.graph import _Search, bfs_distances, bits, induced_four_paths, walk_down
 from .conftest import random_graphs
 
 
@@ -122,8 +123,64 @@ def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
     assert all(_clean_through(search, within, y) is None for y in (0, 1))
 
 
+def _triple_scan(g, within):
+    # the reference clean test: every vertex triple whose pairwise distances
+    # have an odd sum of at least five, with the three shortest paths glued
+    verts = list(bits(within))
+    dist = {v: bfs_distances(g, v, within) for v in verts}
+    for i, y1 in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            y2 = verts[j]
+            for y3 in verts[j + 1:]:
+                d = (dist[y1][y2], dist[y2][y3], dist[y3][y1])
+                if min(d) < 0 or sum(d) < 5 or sum(d) % 2 == 0:
+                    continue
+                p12 = walk_down(g, dist[y1], y2, within)[::-1]  # y1 .. y2
+                p23 = walk_down(g, dist[y2], y3, within)[::-1]  # y2 .. y3
+                p31 = walk_down(g, dist[y3], y1, within)[::-1]  # y3 .. y1
+                cycle = tuple(p12 + p23[1:] + p31[1:-1])
+                if is_odd_hole(g, cycle):
+                    return cycle
+    return None
+
+
+def test_clean_matches_the_triple_scan():
+    graphs = [g for n in range(1, 8) for g in connected_small_graphs(n)]
+    for i in range(300):
+        g = gnp(8 + i % 5, (0.2, 0.35, 0.5)[i % 3], 9100 + i)
+        graphs += [g, g.complement()]
+    tested = found = 0
+    for g in graphs:
+        if find_jewel(g) is not None or find_pyramid(g) is not None:
+            continue
+        hole = test_clean(g)
+        assert (hole is None) == (_triple_scan(g, g.full_mask) is None), g
+        tested += 1
+        if hole is not None:
+            assert is_odd_hole(g, hole)
+            found += 1
+    assert tested > 1200 and found > 50, (tested, found)
+
+
+def test_clean_through_runs_one_bfs(monkeypatch):
+    bfs = oddhole.graph.bfs_distances
+    calls = 0
+
+    def counted(g, source, within=None):
+        nonlocal calls
+        calls += 1
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
+    for g in (parse_graph6(PENDANT_C9).graph, cycle_graph(9), petersen_graph()):
+        for y in range(g.n):
+            calls = 0
+            _clean_through(_Search(g), g.full_mask, y)
+            assert calls == 1, (g, y)
+
+
 def _full_scan_sweep(g):
-    # the sweep before it fixed p2: test_clean over every triple of each mask
+    # the sweep before it fixed p2: the triple scan over every mask
     full, adj = g.full_mask, g.adj
     seen = set()
     for (p1, p2, p3, p4) in induced_four_paths(g):
@@ -132,7 +189,7 @@ def _full_scan_sweep(g):
         if within in seen:
             continue
         seen.add(within)
-        hole = test_clean(g, within)
+        hole = _triple_scan(g, within)
         if hole is not None:
             return hole
     return None

@@ -98,22 +98,23 @@ def _record_bfs(monkeypatch):
     return keys
 
 
+# The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
+# decided by the peeling, a candidate, and every shape searches it.
+LINE_CANDIDATE = "IrKy_SFAO"
+
+
 def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
     keys = _record_bfs(monkeypatch)
-    # detect_fast runs all six shapes over one context: none repeats another's BFS
+    # detect_fast runs all six shapes over one context: none repeats another's
+    # BFS.  Shape 3 drops every guess of SHAPE_GRAPHS as dead before any BFS.
     for det in ALL_TYPES + (detect_fast,):
         calls = 0
-        for g in SHAPE_GRAPHS:
+        for g in SHAPE_GRAPHS + (parse_graph6(LINE_CANDIDATE).graph,):
             keys.clear()
             assert det(g) is None
             assert len(keys) == len(set(keys)), det.__name__
             calls += len(keys)
         assert calls > 0, det.__name__
-
-
-# The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
-# decided by the peeling, a candidate, and every shape searches it.
-LINE_CANDIDATE = "IrKy_SFAO"
 
 
 def test_detect_builds_one_search_per_call(monkeypatch):
@@ -268,8 +269,8 @@ def _unfiltered_split_cuts(g, arcs):
                    trip | pairbit, drop, gp)
 
 
-def _checked_anchored_cuts(g, anchor_on_c3):
-    # every guess of shapes 3-6, kept by the survival test on the anchor and d2
+def _unfiltered_anchored_cuts(g, anchor_on_c3):
+    # every guess of shapes 3-6 in which the anchor and d2 survive the deletion
     full, adj = g.full_mask, g.adj
     for p in induced_four_paths(g):
         for (c1, d1, c3, c4) in (p, p[::-1]):
@@ -287,30 +288,41 @@ def _checked_anchored_cuts(g, anchor_on_c3):
                                cbits | xbit | (1 << d2), drop, gp)
 
 
+def _dropped(kept, every):
+    # the guesses of ``every`` missing from ``kept``; the kept ones must be
+    # the others, in the same order
+    kept = iter(kept)
+    nxt = next(kept, None)
+    for guess in every:
+        if guess == nxt:
+            nxt = next(kept, None)
+        else:
+            yield guess
+    assert nxt is None, "a kept guess is not among the unfiltered ones, in order"
+
+
 def test_stage3_prefilters_drop_only_dead_guesses():
     graphs = [g for n in range(5, 8) for g in connected_small_graphs(n)]
     for i in range(40):
         g = gnp(8 + i % 4, (0.3, 0.5, 0.7)[i % 3], 4400 + i)
         graphs += [g, g.complement()]
-    dropped = 0
+    split = anchored = 0
     for g in graphs:
         adj = g.adj
         arcs = [(u, v) for u in range(g.n) for v in g.neighbors_of[u]]
-        kept = iter(_split_cuts(g, arcs))
-        nxt = next(kept, None)
-        for guess in _unfiltered_split_cuts(g, arcs):
-            if guess == nxt:
-                nxt = next(kept, None)
-                continue
+        for guess in _dropped(_split_cuts(g, arcs), _unfiltered_split_cuts(g, arcs)):
             # a dropped guess leaves d1 or d2 no step into gp off the path
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
             assert not (adj[d1] & gp & ~trip and adj[d2] & gp & ~trip), guess
-            dropped += 1
-        assert nxt is None, "a kept guess is not among the unfiltered ones, in order"
+            split += 1
         for anchor_on_c3 in (False, True):
-            assert (list(_anchored_cuts(_Search(g), anchor_on_c3))
-                    == list(_checked_anchored_cuts(g, anchor_on_c3)))
-    assert dropped > 0
+            for guess in _dropped(_anchored_cuts(_Search(g), anchor_on_c3),
+                                  _unfiltered_anchored_cuts(g, anchor_on_c3)):
+                # a dropped guess leaves the anchor or d2 no step into gp
+                d2, anchor, gp = guess[4], guess[5], guess[9]
+                assert not (adj[anchor] & gp and adj[d2] & gp), guess
+                anchored += 1
+    assert split > 0 and anchored > 0
 
 
 def test_detect_known_families():
