@@ -166,12 +166,14 @@ def probe(input, fmt):
 def gen(spec):
     """Generate a corpus; one graph6 line per graph."""
     try:
-        docs = generate_corpus(" ".join(spec))
+        # encode every graph first, so that no line is printed for a spec
+        # that fails on a later graph
+        lines = [encode_graph6(doc.graph) for doc in generate_corpus(" ".join(spec))]
     except ValueError as exc:
         click.echo(f"spec error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    for doc in docs:
-        click.echo(encode_graph6(doc.graph))
+    for line in lines:
+        click.echo(line)
     sys.exit(EXIT_CLEAN)
 
 

@@ -18,6 +18,7 @@ from .graph import (
     is_induced_path,
     is_odd_hole,
     mask_of,
+    through,
     walk_down,
 )
 
@@ -247,12 +248,12 @@ def _pyramid(search: _Search) -> Optional[PyramidWitness]:
 def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list[Leg]:
     """The induced legs ``a, si .. m .. bi`` over every midpoint ``m``.
 
-    Each half is a shortest path inside ``allowed``, read off one of two
-    BFS from the search context: first halves off the BFS from ``si``,
-    second halves off the BFS from ``bi``; when the first does not reach
-    ``bi`` there is no leg and the second is skipped.  Each leg comes with
-    ``body``, the mask of ``path[1:]``, and ``near``, the union of the
-    neighborhoods of ``path[1:-1]``.
+    Each half is a shortest path inside ``allowed``, joined by
+    ``graph.through`` from two BFS of the search context: first halves off
+    the BFS from ``si``, second halves off the BFS from ``bi``; when the
+    first does not reach ``bi`` there is no leg and the second is skipped.
+    Each leg comes with ``body``, the mask of ``path[1:]``, and ``near``,
+    the union of the neighborhoods of ``path[1:-1]``.
     """
     g = search.g
     dist = search.dist(si, allowed)
@@ -263,8 +264,7 @@ def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list
     for m in bits(allowed):
         if dist[m] < 0 or back[m] < 0:
             continue
-        first = walk_down(g, dist, m, allowed)  # m .. si
-        joined = first[::-1] + walk_down(g, back, m, allowed)[1:]
+        joined = through(g, dist, back, m, allowed)  # si .. m .. bi
         if len(set(joined)) != len(joined):
             continue
         cand = (a, *joined)

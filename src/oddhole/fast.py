@@ -30,9 +30,12 @@ clean-test fallback and holds the induced four-paths, so each distinct
 call; in ``detect`` the jewel, pyramid and heavy-cleanable searches fill the
 same context first.  It is freed when the call returns; a public
 ``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
-the common deletion step: drop the guessed neighbours of the probe and the
-dominating edge, plus the fringe of the union of the shortest paths that
-recover the gap (``graph.geodesic_mask``).
+the common deletion step, and the only place a shape builds a union of
+shortest paths: it is given the pieces ``(a, b, t)`` that recover the gap,
+collects the vertices on their shortest paths inside ``gp`` off a small
+protected set (``graph.geodesic_mask`` on the context's BFS from both ends),
+and drops the guessed neighbours of the probe and the dominating edge plus
+the fringe of that union.
 
 Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
 with :func:`_flank_pairs`; shapes 3-6 draw theirs from
@@ -46,7 +49,8 @@ has no neighbour left off the three-path, shapes 3-6 those that delete the
 anchor or ``d2`` or leave either with no neighbour in ``gp`` (the search
 must step out of both, and they are not adjacent).  The remaining guesses
 keep their order, and so the witnesses are unchanged.  Every path is read
-off BFS distances by ``graph.walk_down``.
+off BFS distances by ``graph.walk_down``; a path from one end through a
+guessed middle vertex to the other is joined by ``graph.through``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from .graph import (
     is_odd_hole,
     mask_of,
     peels_to_bipartite,
+    through,
     walk_down,
 )
 
@@ -73,16 +78,25 @@ Hole = tuple[int, ...]
 RData = dict[int, tuple[tuple[int, ...], int, int]]  # v -> (path, mask, length)
 
 
-def _strip(g: Graph, drop: Mask, y: Mask, keep: Mask) -> Mask:
-    """All vertices but ``drop`` and the fringe of ``y``.
+def _strip(search: _Search, drop: Mask, keep: Mask, gp: Mask,
+           *pieces: tuple[int, int, int]) -> Mask:
+    """All vertices but ``drop`` and the fringe of the geodesic union ``y``.
 
-    The fringe is every vertex outside ``y | keep`` with a neighbour in ``y``.
+    Each piece ``(a, b, t)``, with ``t`` the distance of ``a`` and ``b`` in
+    ``gp``, adds to ``y`` the vertices of ``gp & ~keep`` on a shortest a-b
+    path in ``gp`` (``graph.geodesic_mask`` on the context's BFS from both
+    ends).  The fringe is every vertex outside ``y | keep`` with a neighbour
+    in ``y``.
     """
-    adj = g.adj
+    scope = gp & ~keep
+    y = 0
+    for a, b, t in pieces:
+        y |= geodesic_mask(search.dist(a, gp), search.dist(b, gp), t, scope)
+    adj = search.g.adj
     near = 0
     for w in bits(y):
         near |= adj[w]
-    return g.full_mask & ~(drop | (near & ~y & ~keep))
+    return search.g.full_mask & ~(drop | (near & ~y & ~keep))
 
 
 def _r_paths(search: _Search, hub: int, core: Mask, members: Mask) -> RData:
@@ -110,13 +124,6 @@ def _r_paths(search: _Search, hub: int, core: Mask, members: Mask) -> RData:
         path = (v,) + tuple(walk_down(g, hd, via, core))  # v, via .. hub
         out[v] = (path, mask_of(path), best + 1)
     return out
-
-
-def _through(g: Graph, da: list[int], db: list[int], mid: int, within: Mask) -> Hole:
-    """A shortest path from the source of ``da`` to ``mid``, then on to that of ``db``."""
-    head = walk_down(g, da, mid, within)
-    head.reverse()
-    return tuple(head) + tuple(walk_down(g, db, mid, within)[1:])
 
 
 def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
@@ -210,12 +217,10 @@ def _type1(search: _Search) -> Optional[Hole]:
     # Swapping c2 and c3 swaps the flank sets and reverses every cycle built
     # below, so each edge is tried in one orientation only.
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, g.edges()):
-        dd1 = search.dist(d1, gp)
-        t = dd1[d2]
+        t = search.dist(d1, gp)[d2]
         if t < 0:
             continue
-        y = geodesic_mask(dd1, search.dist(d2, gp), t, gp & ~trip)
-        gpp = _strip(g, drop, y, trip)
+        gpp = _strip(search, drop, trip, gp, (d1, d2, t))
         for d3 in bits(gpp & ~used):
             hole = _flank_pairs(search, gpp, _r_paths(search, d3, gpp, c1set),
                                 _r_paths(search, d3, gpp, c4set), (d3,), (c3, c2))
@@ -238,18 +243,15 @@ def _type2(search: _Search) -> Optional[Hole]:
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
         dd1 = search.dist(d1, gp)
         dd2 = search.dist(d2, gp)
-        scope = gp & ~trip
         for d3 in bits(gp & ~used):
             t = dd1[d3]
             if t < 1 or dd2[d3] != t:
                 continue
-            dd3 = search.dist(d3, gp)
-            y = geodesic_mask(dd1, dd3, t, scope) | geodesic_mask(dd2, dd3, t, scope)
-            gpp = _strip(g, drop, y, trip)
+            gpp = _strip(search, drop, trip, gp, (d1, d3, t), (d2, d3, t))
             off_hub = ~(adj[d3] | (1 << d3))
             hole = _flank_pairs(search, gpp, _r_paths(search, d1, gpp, c1set & off_hub),
                                 _r_paths(search, d2, gpp, c4set & off_hub),
-                                _through(g, dd1, dd2, d3, gp), (c3, c2))
+                                through(g, dd1, dd2, d3, gp), (c3, c2))
             if hole is not None:
                 return hole
     return None
@@ -305,12 +307,10 @@ def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
 def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
     g = search.g
     for c1, d1, c3, c4, d2, anchor, spare, used, drop, gp in _anchored_cuts(search, anchor_on_c3):
-        da = search.dist(anchor, gp)
-        t = da[d2]
+        t = search.dist(anchor, gp)[d2]
         if t < 0:
             continue
-        y = geodesic_mask(da, search.dist(d2, gp), t, gp & ~spare)
-        gpp = _strip(g, drop, y, spare)
+        gpp = _strip(search, drop, spare, gp, (anchor, d2, t))
         need = (1 << c1) | (1 << c4)
         if (gpp & need) != need:
             continue
@@ -320,7 +320,7 @@ def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
             ta = e1[d3]
             if ta < 1 or e4[d3] != ta:
                 continue
-            cycle = (d1,) + _through(g, e1, e4, d3, gpp) + (c3,)
+            cycle = (d1,) + through(g, e1, e4, d3, gpp) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
             hole = search.clean(gpp, test_clean)
@@ -335,19 +335,16 @@ def _long_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
         r_end = c1 if anchor_on_c3 else c4
         da = search.dist(anchor, gp)
         db = search.dist(d2, gp)
-        scope = gp & ~spare
         for d3 in bits(gp & ~used):
             t1 = da[d3]
             if t1 < 1 or db[d3] != t1 + 1:
                 continue
-            dd3 = search.dist(d3, gp)
-            y = geodesic_mask(da, dd3, t1, scope) | geodesic_mask(db, dd3, t1 + 1, scope)
-            gpp = _strip(g, drop, y, spare)
+            gpp = _strip(search, drop, spare, gp, (anchor, d3, t1), (d2, d3, t1 + 1))
             rdata = _r_paths(search, d2, gpp, 1 << r_end)
             if r_end not in rdata:
                 continue
             rpath = rdata[r_end][0]  # r_end .. d2
-            body = (d1,) + _through(g, da, db, d3, gp) + rpath[-2::-1]
+            body = (d1,) + through(g, da, db, d3, gp) + rpath[-2::-1]
             cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle

@@ -90,13 +90,12 @@ def decorated_odd_cycle(
     extras: int,
     seed: int,
     min_anchors: int = 4,
-    link_extras: bool = True,
 ) -> Graph:
     """Odd cycle plus spread-out decoration vertices.
 
     Each extra vertex gets at least ``min_anchors`` neighbors on the cycle,
     never all within three consecutive positions, so every extra is major
-    for the base cycle.  Extras may also be linked to each other.
+    for the base cycle.  Each pair of extras is linked with probability 0.4.
     """
     if k < 5 or k % 2 == 0:
         raise ValueError("need an odd cycle of length at least five")
@@ -120,10 +119,9 @@ def decorated_odd_cycle(
             if span <= k - 4:  # neighbors do not fit three consecutive spots
                 break
         edges += [(v, u) for u in anchors]
-        if link_extras:
-            for w in range(k, v):
-                if rng.random() < 0.4:
-                    edges.append((v, w))
+        for w in range(k, v):
+            if rng.random() < 0.4:
+                edges.append((v, w))
     return Graph(k + extras, edges)
 
 

@@ -128,26 +128,18 @@ def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> list[
     if not allowed & src_bit:
         raise ValueError(f"source {source} not in mask")
     dist = [UNREACHABLE] * g.n
-    dist[source] = 0
     adj = g.adj
-    seen = src_bit
-    frontier = src_bit
+    seen = frontier = src_bit
     d = 0
     while frontier:
-        d += 1
         nxt = 0
         for v in bits(frontier):
+            dist[v] = d
             nxt |= adj[v]
         frontier = nxt & allowed & ~seen
         seen |= frontier
-        for v in bits(frontier):
-            dist[v] = d
+        d += 1
     return dist
-
-
-def distance(g: Graph, u: int, v: int, within: Optional[Mask] = None) -> int:
-    """Distance between two vertices in the masked subgraph (-1 if none)."""
-    return bfs_distances(g, u, within)[v]
 
 
 def shortest_path(
@@ -191,6 +183,21 @@ def walk_down(g: Graph, dist: Sequence[int], frm: int, within: Mask) -> list[int
     return path
 
 
+def through(
+    g: Graph, da: Sequence[int], db: Sequence[int], mid: int, within: Mask
+) -> tuple[int, ...]:
+    """A shortest path from the source of ``da`` to ``mid``, then on to that of ``db``.
+
+    Both halves are read off by :func:`walk_down`, so both follow the
+    lowest-id rule; ``da`` and ``db`` must come from BFS confined to
+    ``within`` that reached ``mid``.  The halves may meet again before
+    ``mid``; callers that need a path check it.
+    """
+    head = walk_down(g, da, mid, within)
+    head.reverse()
+    return tuple(head) + tuple(walk_down(g, db, mid, within)[1:])
+
+
 def geodesic_mask(du: Sequence[int], dv: Sequence[int], total: int, scope: Mask) -> Mask:
     """The vertices ``w`` of ``scope`` with ``du[w] + dv[w] == total``.
 
@@ -205,22 +212,6 @@ def geodesic_mask(du: Sequence[int], dv: Sequence[int], total: int, scope: Mask)
         if a != UNREACHABLE and b != UNREACHABLE and a + b == total:
             out |= 1 << w
     return out
-
-
-def shortest_path_interior_union(
-    g: Graph, u: int, v: int, within: Optional[Mask] = None
-) -> Mask:
-    """Union of the interiors of all shortest u-v paths, as a bitmask.
-
-    This is exactly ``{w != u,v : dist(u,w) + dist(w,v) = dist(u,v)}``;
-    empty when u,v are adjacent, equal, or disconnected.
-    """
-    du = bfs_distances(g, u, within)
-    if du[v] == UNREACHABLE:
-        return 0
-    dv = bfs_distances(g, v, within)
-    allowed = g.full_mask if within is None else within
-    return geodesic_mask(du, dv, du[v], allowed & ~(1 << u) & ~(1 << v))
 
 
 def is_induced_path(g: Graph, seq: Sequence[int], within: Optional[Mask] = None) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from .configs import JewelWitness, PyramidWitness, verify_jewel, verify_pyramid
 from .graph import Graph, bits
 
 
@@ -105,11 +106,8 @@ def oracle_find_pyramid(g: Graph):
     """Exhaustive pyramid search; returns a PyramidWitness or None.
 
     Enumerates the apex, the base triangle and all compatible induced-path
-    triples.  The import stays local to avoid a module cycle with the
-    verified witness types.
+    triples.
     """
-    from .configs import PyramidWitness, verify_pyramid
-
     for b1 in range(g.n):
         for b2 in g.neighbors_of[b1]:
             if b2 < b1:
@@ -183,8 +181,6 @@ def oracle_find_jewel(g: Graph):
     path instead of pre-deleting neighborhoods (the polynomial detector does
     the latter, so the two routes stay independent).
     """
-    from .configs import JewelWitness, verify_jewel
-
     adj = g.adj
     for v1 in range(g.n):
         for v2 in g.neighbors_of[v1]:

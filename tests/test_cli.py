@@ -153,6 +153,11 @@ def test_gen_command():
                  ["gnp", "10", "0.3", "extra"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and "spec error" in res.output, spec
+    # one vertex more than graph6 encodes: a spec error, not exit 1 ("found");
+    # an edgeless part keeps this cheap, where "cycle 258048" builds gigabytes
+    # of adjacency rows before the check
+    res = run(["gen", "multipartite", "258048"])
+    assert res.exit_code == 2 and res.output.startswith("spec error")
 
 
 def test_gen_detect_pipeline():

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from oddhole.graph import (
     UNREACHABLE,
     bfs_distances,
     bits,
+    geodesic_mask,
     induced_four_paths,
     induced_three_paths,
     is_hole,
@@ -16,7 +19,6 @@ from oddhole.graph import (
     mask_of,
     peels_to_bipartite,
     shortest_path,
-    shortest_path_interior_union,
 )
 from oddhole.generators import (
     complete_graph,
@@ -112,6 +114,35 @@ def test_bfs_respects_mask():
         bfs_distances(c6, 5, within)
 
 
+def _queue_bfs(g, source, within):
+    """Textbook BFS with a FIFO queue, the reference for ``bfs_distances``."""
+    dist = [UNREACHABLE] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors_of[u]:
+            if within >> w & 1 and dist[w] == UNREACHABLE:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def test_bfs_distances_match_a_queue_bfs():
+    rng = random.Random(11)
+    checked = 0
+    for i in range(200):
+        n = rng.randint(1, 14)
+        g = gnp(n, rng.choice((0.15, 0.3, 0.5)), 3000 + i)
+        within = rng.getrandbits(n) if i % 4 else g.full_mask
+        for s in bits(within):
+            assert bfs_distances(g, s, within) == _queue_bfs(g, s, within), (g.adj, s, within)
+            checked += 1
+        if i % 4 == 0 and n:
+            assert bfs_distances(g, 0) == _queue_bfs(g, 0, g.full_mask)
+    assert checked > 800
+
+
 def test_shortest_path_examples():
     c7 = cycle_graph(7)
     assert shortest_path(c7, 0, 3) == (0, 1, 2, 3)
@@ -163,19 +194,27 @@ def test_shortest_path_length_matches_bfs_on_random_graphs():
     assert checked > 100
 
 
+def _interior_union(g, u, v, within=None):
+    """The interiors of all shortest u-v paths, by ``geodesic_mask``."""
+    du = bfs_distances(g, u, within)
+    scope = (g.full_mask if within is None else within) & ~(1 << u) & ~(1 << v)
+    return geodesic_mask(du, bfs_distances(g, v, within), du[v], scope)
+
+
 def test_interior_union_examples():
     c6 = cycle_graph(6)
-    assert shortest_path_interior_union(c6, 0, 3) == mask_of([1, 2, 4, 5])
+    assert _interior_union(c6, 0, 3) == mask_of([1, 2, 4, 5])
     p4 = path_graph(4)
-    assert shortest_path_interior_union(p4, 0, 3) == mask_of([1, 2])
-    assert shortest_path_interior_union(cycle_graph(4), 0, 1) == 0  # adjacent
+    assert _interior_union(p4, 0, 3) == mask_of([1, 2])
+    assert _interior_union(cycle_graph(4), 0, 1) == 0  # adjacent
+    assert _interior_union(Graph(4, [(0, 1), (2, 3)]), 0, 3) == 0  # disconnected
 
 
 def test_interior_union_matches_enumeration():
     for i in range(120):
         g = gnp(8 if i % 2 else 9, 0.35, 2000 + i)
         for (u, v) in ((0, 7), (1, 5), (2, 6)):
-            got = shortest_path_interior_union(g, u, v)
+            got = _interior_union(g, u, v)
             paths = _all_shortest_paths(g, u, v)
             want = 0
             for p in paths:
@@ -203,7 +242,8 @@ def test_masked_ops_stay_in_mask(seed):
     for v in range(9):
         if not within >> v & 1:
             assert d[v] == UNREACHABLE
-    got = shortest_path_interior_union(g, 0, 8, within)
+    # scoped to every vertex: the masked distances alone keep the union inside
+    got = geodesic_mask(d, bfs_distances(g, 8, within), d[8], g.full_mask)
     assert got & ~within == 0
 
 

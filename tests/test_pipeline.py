@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import oddhole
@@ -110,3 +113,24 @@ def test_bench_rows_schema():
     again = list(bench_rows([8, 10], 0.3, 2, "fast", seed=1))
     assert [r.rsplit(",", 2)[0] for r in rows] == [r.rsplit(",", 2)[0] for r in again]
     assert [r.rsplit(",", 1)[1] for r in rows] == [r.rsplit(",", 1)[1] for r in again]
+
+
+def _readme_library_names():
+    """The names the README's Library section documents, one bullet at a time."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for bullet in re.split(r"\n\* ", section)[1:]:
+        head = bullet.split(" — ", 1)[0]
+        for span in re.findall(r"`([^`]+)`", head):
+            m = re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span)
+            if m:
+                names.add(m.group(1))
+    return names
+
+
+def test_exports_are_the_documented_names():
+    for name in oddhole.__all__:
+        assert getattr(oddhole, name) is not None, name
+    assert len(set(oddhole.__all__)) == len(oddhole.__all__)
+    assert set(oddhole.__all__) == _readme_library_names()
