@@ -31,7 +31,16 @@ from __future__ import annotations
 from typing import Optional
 
 from .configs import _jewel, _pyramid, odd_hole_from_jewel, odd_hole_from_pyramid
-from .graph import Graph, Mask, _Search, bits, bfs_distances, is_odd_hole, walk_down
+from .graph import (
+    Distances,
+    Graph,
+    Mask,
+    _Search,
+    bits,
+    bfs_distances,
+    is_odd_hole,
+    walk_down,
+)
 
 Hole = tuple[int, ...]
 
@@ -53,7 +62,7 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     if allowed.bit_count() < 5:
         return None
     for y1 in bits(allowed):
-        hole = _opposite_hole(g, allowed, bfs_distances(g, y1, allowed))
+        hole = _opposite_hole(g, bfs_distances(g, y1, allowed))
         if hole is not None:
             return hole
     return None
@@ -61,34 +70,31 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
 
 def _clean_through(search: _Search, allowed: Mask, y1: int) -> Optional[Hole]:
     """The scan of :func:`test_clean` from ``y1`` alone, on the context's BFS."""
-    return _opposite_hole(search.g, allowed, search.dist(y1, allowed))
+    return _opposite_hole(search.g, search.dist(y1, allowed))
 
 
-def _opposite_hole(g: Graph, allowed: Mask, d1: list[int]) -> Optional[Hole]:
+def _opposite_hole(g: Graph, d1: Distances) -> Optional[Hole]:
     """An odd hole through the source ``y1`` of ``d1`` and an edge opposite it.
 
-    ``d1`` is a BFS from ``y1`` confined to ``allowed``.  Each edge ``y2y3``
-    of the mask with ``d1[y2] == d1[y3] >= 2`` is tried, in increasing
-    ``y2`` and then increasing ``y3 > y2``: the path ``y1 .. y2`` and the
-    path ``y3 .. y1`` without ``y1``, both read off ``d1`` by
-    ``graph.walk_down``, form a cycle of length ``2 * d1[y2] + 1``, returned
-    if it verifies as an odd hole.
+    ``d1`` is a BFS from ``y1``.  Each edge ``y2y3`` inside one of its layers
+    from the second on is tried, in increasing ``y2`` and then increasing
+    ``y3 > y2``: the path ``y1 .. y2`` and the path ``y3 .. y1`` without
+    ``y1``, both read off ``d1`` by ``graph.walk_down``, form a cycle of
+    length ``2 * d1[y2] + 1``, returned if it verifies as an odd hole.
     """
     adj = g.adj
-    layers = [0] * (max(d1) + 1)  # the vertices at each distance, from 2 on
-    for v, k in enumerate(d1):
-        if k >= 2:
-            layers[k] |= 1 << v
-    for y2, k in enumerate(d1):
-        if k < 2:
-            continue
-        ends = adj[y2] & layers[k] >> (y2 + 1) << (y2 + 1)
+    layers = d1.layers
+    far = 0
+    for layer in layers[2:]:
+        far |= layer
+    for y2 in bits(far):
+        ends = adj[y2] & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)
         if not ends:
             continue
-        head = walk_down(g, d1, y2, allowed)
+        head = walk_down(g, d1, y2)
         head.reverse()
         for y3 in bits(ends):
-            cycle = tuple(head) + tuple(walk_down(g, d1, y3, allowed)[:-1])
+            cycle = tuple(head) + tuple(walk_down(g, d1, y3)[:-1])
             if is_odd_hole(g, cycle):
                 return cycle
     return None

@@ -144,7 +144,7 @@ def _jewel(search: _Search) -> Optional[JewelWitness]:
                         dist = search.dist(v1, allowed)
                         if dist[v4] < 0:
                             continue
-                        path = walk_down(g, dist, v4, allowed)  # v4 .. v1
+                        path = walk_down(g, dist, v4)  # v4 .. v1
                         w = JewelWitness((v1, v2, v3, v4, v5), tuple(path[::-1]))
                         if verify_jewel(g, w):
                             return w
@@ -260,11 +260,12 @@ def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list
     if dist[bi] < 0:
         return []
     back = search.dist(bi, allowed)
+    reach = 0  # the component of si and bi
+    for layer in dist.layers:
+        reach |= layer
     paths: dict[Path, None] = {}
-    for m in bits(allowed):
-        if dist[m] < 0 or back[m] < 0:
-            continue
-        joined = through(g, dist, back, m, allowed)  # si .. m .. bi
+    for m in bits(reach):
+        joined = through(g, dist, back, m)  # si .. m .. bi
         if len(set(joined)) != len(joined):
             continue
         cand = (a, *joined)

@@ -49,7 +49,7 @@ has no neighbour left off the three-path, shapes 3-6 those that delete the
 anchor or ``d2`` or leave either with no neighbour in ``gp`` (the search
 must step out of both, and they are not adjacent).  The remaining guesses
 keep their order, and so the witnesses are unchanged.  Every path is read
-off BFS distances by ``graph.walk_down``; a path from one end through a
+off the BFS layers by ``graph.walk_down``; a path from one end through a
 guessed middle vertex to the other is joined by ``graph.through``.
 """
 
@@ -60,6 +60,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .cleaning import _classify, test_clean
 from .graph import (
+    Distances,
     Graph,
     Mask,
     _Search,
@@ -99,6 +100,16 @@ def _strip(search: _Search, drop: Mask, keep: Mask, gp: Mask,
     return search.g.full_mask & ~(drop | (near & ~y & ~keep))
 
 
+def _equidistant(da: Distances, db: Distances, shift: int) -> Mask:
+    """The vertices ``w`` with ``da[w] >= 1`` and ``db[w] == da[w] + shift``."""
+    la = da.layers
+    lb = db.layers
+    out = 0
+    for t in range(1, min(len(la), len(lb) - shift)):
+        out |= la[t] & lb[t + shift]
+    return out
+
+
 def _r_paths(search: _Search, hub: int, core: Mask, members: Mask) -> RData:
     """Shortest anchored paths: each member, then only core vertices, to hub.
 
@@ -113,16 +124,14 @@ def _r_paths(search: _Search, hub: int, core: Mask, members: Mask) -> RData:
         if v == hub:
             out[v] = ((v,), 1 << v, 0)
             continue
-        best = -1
-        via = -1
-        for u in bits(g.adj[v] & core):
-            d = hd[u]
-            if d >= 0 and (best < 0 or d < best):
-                best, via = d, u
-        if best < 0:
-            continue
-        path = (v,) + tuple(walk_down(g, hd, via, core))  # v, via .. hub
-        out[v] = (path, mask_of(path), best + 1)
+        row = g.adj[v]
+        for best, layer in enumerate(hd.layers):  # the nearest core neighbour, lowest id
+            step = row & layer
+            if step:
+                via = (step & -step).bit_length() - 1
+                path = (v,) + tuple(walk_down(g, hd, via))  # v, via .. hub
+                out[v] = (path, mask_of(path), best + 1)
+                break
     return out
 
 
@@ -243,15 +252,13 @@ def _type2(search: _Search) -> Optional[Hole]:
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
         dd1 = search.dist(d1, gp)
         dd2 = search.dist(d2, gp)
-        for d3 in bits(gp & ~used):
+        for d3 in bits(_equidistant(dd1, dd2, 0) & ~used):
             t = dd1[d3]
-            if t < 1 or dd2[d3] != t:
-                continue
             gpp = _strip(search, drop, trip, gp, (d1, d3, t), (d2, d3, t))
             off_hub = ~(adj[d3] | (1 << d3))
             hole = _flank_pairs(search, gpp, _r_paths(search, d1, gpp, c1set & off_hub),
                                 _r_paths(search, d2, gpp, c4set & off_hub),
-                                through(g, dd1, dd2, d3, gp), (c3, c2))
+                                through(g, dd1, dd2, d3), (c3, c2))
             if hole is not None:
                 return hole
     return None
@@ -316,11 +323,8 @@ def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
             continue
         e1 = search.dist(c1, gpp)
         e4 = search.dist(c4, gpp)
-        for d3 in bits(gpp & ~used):
-            ta = e1[d3]
-            if ta < 1 or e4[d3] != ta:
-                continue
-            cycle = (d1,) + through(g, e1, e4, d3, gpp) + (c3,)
+        for d3 in bits(_equidistant(e1, e4, 0) & ~used):
+            cycle = (d1,) + through(g, e1, e4, d3) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
             hole = search.clean(gpp, test_clean)
@@ -335,16 +339,14 @@ def _long_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
         r_end = c1 if anchor_on_c3 else c4
         da = search.dist(anchor, gp)
         db = search.dist(d2, gp)
-        for d3 in bits(gp & ~used):
+        for d3 in bits(_equidistant(da, db, 1) & ~used):
             t1 = da[d3]
-            if t1 < 1 or db[d3] != t1 + 1:
-                continue
             gpp = _strip(search, drop, spare, gp, (anchor, d3, t1), (d2, d3, t1 + 1))
             rdata = _r_paths(search, d2, gpp, 1 << r_end)
             if r_end not in rdata:
                 continue
             rpath = rdata[r_end][0]  # r_end .. d2
-            body = (d1,) + through(g, da, db, d3, gp) + rpath[-2::-1]
+            body = (d1,) + through(g, da, db, d3) + rpath[-2::-1]
             cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Optional
 
-from .formats import GraphDocument
+from .formats import MAX_VERTICES, GraphDocument
 from .graph import Graph, bits
 
 
@@ -232,6 +232,14 @@ def generate_corpus(spec: str) -> list[GraphDocument]:
              "gnp": 2, "decorated": 2, "bipartite": 3}.get(family)
     if arity is not None and len(pos) != arity:
         raise ValueError(f"{family} takes {arity} positional parameters, got {len(pos)}")
+    if arity is not None or family == "multipartite":
+        # refuse before building: no format can hold the graph, and its
+        # adjacency rows alone would take gigabytes
+        sizes = pos[:{"gnp": 1, "bipartite": 2}.get(family, len(pos))]
+        n = sum(max(0, int(s)) for s in sizes)
+        if n > MAX_VERTICES:
+            raise ValueError(f"{family} spec has {n} vertices, more than the "
+                             f"{MAX_VERTICES} that graph6 can encode")
 
     def doc(g: Graph, name: str) -> GraphDocument:
         return GraphDocument(g, "generated", name=name)

@@ -117,29 +117,53 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> list[int]:
+class Distances(list):
+    """A BFS distance list that also holds the BFS layers.
+
+    ``dist[v]`` is the distance of ``v`` from the source, or ``UNREACHABLE``;
+    ``dist.layers[k]`` is the bitmask of the vertices at distance ``k``, so
+    ``len(dist.layers)`` is one more than the largest distance.  Point queries
+    index the list; set queries are mask algebra on the layers.
+    """
+
+    __slots__ = ("layers",)
+
+    layers: tuple[Mask, ...]
+
+
+def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> Distances:
     """Unweighted distances from ``source`` inside the masked subgraph.
 
     Returns a list indexed by vertex; unreachable (or out-of-mask) vertices
-    get ``UNREACHABLE``.  ``source`` must belong to the mask.
+    get ``UNREACHABLE``.  Its ``layers`` attribute holds the vertices at each
+    distance as bitmasks (see :class:`Distances`).  ``source`` must belong to
+    the mask.
     """
     allowed = g.full_mask if within is None else within
     src_bit = 1 << source
     if not allowed & src_bit:
         raise ValueError(f"source {source} not in mask")
     dist = [UNREACHABLE] * g.n
+    layers = []
     adj = g.adj
     seen = frontier = src_bit
     d = 0
     while frontier:
+        layers.append(frontier)
         nxt = 0
-        for v in bits(frontier):
+        rest = frontier
+        while rest:  # bits(frontier), inlined: this loop is the hottest of the program
+            low = rest & -rest
+            v = low.bit_length() - 1
             dist[v] = d
             nxt |= adj[v]
+            rest ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
         d += 1
-    return dist
+    out = Distances(dist)
+    out.layers = tuple(layers)
+    return out
 
 
 def shortest_path(
@@ -157,61 +181,55 @@ def shortest_path(
     dist = bfs_distances(g, u, within)
     if dist[v] == UNREACHABLE:
         return None
-    path = walk_down(g, dist, v, allowed)
+    path = walk_down(g, dist, v)
     path.reverse()
     return tuple(path)
 
 
-def walk_down(g: Graph, dist: Sequence[int], frm: int, within: Mask) -> list[int]:
+def walk_down(g: Graph, dist: Distances, frm: int) -> list[int]:
     """The path from ``frm`` down to the source of the BFS that gave ``dist``.
 
-    Each step goes to the lowest-id neighbour inside ``within`` one level
-    closer, so the path is deterministic and induced.  ``dist`` must come from
-    a BFS confined to ``within`` that reached ``frm``.
+    Each step goes to the lowest-id neighbour one layer closer, so the path
+    is deterministic and induced; the layers already keep it inside the mask
+    of the BFS.  ``dist`` must have reached ``frm``.
     """
     path = [frm]
-    d = dist[frm]
-    cur = frm
+    layers = dist.layers
     adj = g.adj
-    while d > 0:
-        d -= 1
-        for w in bits(adj[cur] & within):
-            if dist[w] == d:
-                cur = w
-                break
+    cur = frm
+    for d in range(dist[frm] - 1, -1, -1):
+        step = adj[cur] & layers[d]
+        cur = (step & -step).bit_length() - 1
         path.append(cur)
     return path
 
 
-def through(
-    g: Graph, da: Sequence[int], db: Sequence[int], mid: int, within: Mask
-) -> tuple[int, ...]:
+def through(g: Graph, da: Distances, db: Distances, mid: int) -> tuple[int, ...]:
     """A shortest path from the source of ``da`` to ``mid``, then on to that of ``db``.
 
     Both halves are read off by :func:`walk_down`, so both follow the
-    lowest-id rule; ``da`` and ``db`` must come from BFS confined to
-    ``within`` that reached ``mid``.  The halves may meet again before
-    ``mid``; callers that need a path check it.
+    lowest-id rule; ``da`` and ``db`` must both have reached ``mid``.  The
+    halves may meet again before ``mid``; callers that need a path check it.
     """
-    head = walk_down(g, da, mid, within)
+    head = walk_down(g, da, mid)
     head.reverse()
-    return tuple(head) + tuple(walk_down(g, db, mid, within)[1:])
+    return tuple(head) + tuple(walk_down(g, db, mid)[1:])
 
 
-def geodesic_mask(du: Sequence[int], dv: Sequence[int], total: int, scope: Mask) -> Mask:
+def geodesic_mask(du: Distances, dv: Distances, total: int, scope: Mask) -> Mask:
     """The vertices ``w`` of ``scope`` with ``du[w] + dv[w] == total``.
 
-    Only vertices with both distances finite count.  With ``du``, ``dv`` the
+    Only vertices with both distances finite count: the union over ``k`` of
+    ``du.layers[k] & dv.layers[total - k]``.  With ``du``, ``dv`` the
     distances from ``u`` and ``v`` and ``total`` their distance, these are
     the vertices on some shortest u-v path.
     """
+    lu = du.layers
+    lv = dv.layers
     out = 0
-    for w in bits(scope):
-        a = du[w]
-        b = dv[w]
-        if a != UNREACHABLE and b != UNREACHABLE and a + b == total:
-            out |= 1 << w
-    return out
+    for k in range(max(0, total - len(lv) + 1), min(total, len(lu) - 1) + 1):
+        out |= lu[k] & lv[total - k]
+    return out & scope
 
 
 def is_induced_path(g: Graph, seq: Sequence[int], within: Optional[Mask] = None) -> bool:
@@ -341,26 +359,28 @@ class _Search:
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
     clean-test fallback result, keyed by mask, and two tables built at most
-    once: ``closed`` and ``four_paths``.  So it keeps at most one distance
-    list of ``n`` integers per BFS the call runs, until the call returns.
-    On the seed-1 benchmark corpora the largest context of a ``detect`` call
-    holds 2,179 lists (0.59 MB); on the line graph of 40 random edges of
-    K10,10 ``classify_candidate`` keeps up to 3,303 (1.8 MB), the jewel
-    search up to 1,948 of them, and stage 3 far more
+    once: ``closed`` and ``four_paths``.  So it keeps at most one
+    :class:`Distances` per BFS the call runs, until the call returns: a list
+    of ``n`` integers and the tuple of its layer masks, with its key.  At
+    n = 16 that entry is 460 bytes by ``sys.getsizeof``, of which the layers
+    are 184.  On the seed-1 benchmark corpora the largest context of a
+    ``detect`` call holds 2,179 entries (0.91 MB); on the line graph of 40
+    random edges of K10,10 ``classify_candidate`` keeps up to 3,303
+    (2.4 MB), the jewel search up to 1,948 of them, and stage 3 far more
     (``docs/derived-types.md``).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding
-    it here (as an outside tracer does) is honoured.  The distance lists are
-    shared by every caller of the same (source, mask) pair and must not be
+    it here (as an outside tracer does) is honoured.  The entries are shared
+    by every caller of the same (source, mask) pair and must not be
     modified.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self._dist: dict[tuple[int, Mask], list[int]] = {}
+        self._dist: dict[tuple[int, Mask], Distances] = {}
         self._clean: dict[Mask, Optional[tuple[int, ...]]] = {}
 
-    def dist(self, source: int, mask: Mask) -> list[int]:
+    def dist(self, source: int, mask: Mask) -> Distances:
         key = (source, mask)
         d = self._dist.get(key)
         if d is None:

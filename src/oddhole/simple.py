@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cleaning import _classify, test_clean
-from .graph import Graph, _Search, bits, bfs_distances, induced_three_paths
+from .graph import Graph, _Search, bits, bfs_distances, geodesic_mask, induced_three_paths
 
 Hole = tuple[int, ...]
 
@@ -76,15 +76,8 @@ def _simple(search: _Search) -> Optional[Hole]:
 def _try_middle(search, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1):
     g = search.g
     dd3 = bfs_distances(g, d3, scope)
-    f = 0
     ends = (1 << d1) | (1 << d2) | (1 << d3)
-    for v in bits(pool):
-        dv3 = dd3[v]
-        if dv3 < 0:
-            continue
-        if (dd1[v] >= 0 and dd1[v] + dv3 == t1) or (dd2[v] >= 0 and dd2[v] + dv3 == t1):
-            f |= 1 << v
-    f &= ~ends
+    f = (geodesic_mask(dd1, dd3, t1, pool) | geodesic_mask(dd2, dd3, t1, pool)) & ~ends
     x3 = 0
     fringe_src = f | (1 << d3)
     for v in bits(gprime & ~f & ~ends & ~(1 << x)):

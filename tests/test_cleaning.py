@@ -135,9 +135,9 @@ def _triple_scan(g, within):
                 d = (dist[y1][y2], dist[y2][y3], dist[y3][y1])
                 if min(d) < 0 or sum(d) < 5 or sum(d) % 2 == 0:
                     continue
-                p12 = walk_down(g, dist[y1], y2, within)[::-1]  # y1 .. y2
-                p23 = walk_down(g, dist[y2], y3, within)[::-1]  # y2 .. y3
-                p31 = walk_down(g, dist[y3], y1, within)[::-1]  # y3 .. y1
+                p12 = walk_down(g, dist[y1], y2)[::-1]  # y1 .. y2
+                p23 = walk_down(g, dist[y2], y3)[::-1]  # y2 .. y3
+                p31 = walk_down(g, dist[y3], y1)[::-1]  # y3 .. y1
                 cycle = tuple(p12 + p23[1:] + p31[1:-1])
                 if is_odd_hole(g, cycle):
                     return cycle

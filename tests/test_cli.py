@@ -153,11 +153,12 @@ def test_gen_command():
                  ["gnp", "10", "0.3", "extra"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and "spec error" in res.output, spec
-    # one vertex more than graph6 encodes: a spec error, not exit 1 ("found");
-    # an edgeless part keeps this cheap, where "cycle 258048" builds gigabytes
-    # of adjacency rows before the check
-    res = run(["gen", "multipartite", "258048"])
-    assert res.exit_code == 2 and res.output.startswith("spec error")
+    # one vertex more than graph6 encodes: a spec error, not exit 1 ("found"),
+    # refused before any graph is built
+    for spec in (["multipartite", "258048"], ["cycle", "258048"],
+                 ["bipartite", "200000", "58048", "0.1"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and res.output.startswith("spec error"), spec
 
 
 def test_gen_detect_pipeline():

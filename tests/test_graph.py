@@ -19,6 +19,7 @@ from oddhole.graph import (
     mask_of,
     peels_to_bipartite,
     shortest_path,
+    walk_down,
 )
 from oddhole.generators import (
     complete_graph,
@@ -141,6 +142,35 @@ def test_bfs_distances_match_a_queue_bfs():
         if i % 4 == 0 and n:
             assert bfs_distances(g, 0) == _queue_bfs(g, 0, g.full_mask)
     assert checked > 800
+
+
+def _lowest_id_walk(g, dist, frm):
+    """The reference walk over the plain distance list: from each vertex to
+    its lowest-id neighbour one level closer to the source."""
+    path = [frm]
+    while dist[path[-1]] > 0:
+        level = dist[path[-1]] - 1
+        path.append(next(w for w in g.neighbors_of[path[-1]] if dist[w] == level))
+    return path
+
+
+@given(st.integers(0, 10000), st.integers(1, 14), st.sampled_from((0.15, 0.3, 0.5)),
+       st.integers(0, (1 << 14) - 1), st.integers(0, 13))
+@settings(max_examples=150, deadline=None)
+def test_bfs_layers_partition_the_reached_vertices(seed, n, p, within, source):
+    g = gnp(n, p, seed)
+    source %= n
+    within = within & g.full_mask | 1 << source
+    d = bfs_distances(g, source, within)
+    plain = list(d)
+    # one layer per distance up to the largest: they partition the reached vertices
+    assert len(d.layers) == max(plain) + 1
+    for k, layer in enumerate(d.layers):
+        assert layer == mask_of(v for v in range(n) if plain[v] == k)
+    for v in range(n):
+        if plain[v] == UNREACHABLE:
+            continue
+        assert walk_down(g, d, v) == _lowest_id_walk(g, plain, v), (g.adj, source, within, v)
 
 
 def test_shortest_path_examples():
