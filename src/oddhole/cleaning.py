@@ -119,14 +119,12 @@ def _sweep(search: _Search) -> Optional[Hole]:
     g = search.g
     full = g.full_mask
     adj = g.adj
-    seen: set[tuple[Mask, int]] = set()
     for (p1, p2, p3, p4) in search.four_paths:
         four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
         within = full & ~((adj[p2] | adj[p3]) & ~four)
         # most masks of dense graphs keep only the four-path: skip them before any BFS
-        if within.bit_count() < 5 or (within, p2) in seen:
+        if within.bit_count() < 5:
             continue
-        seen.add((within, p2))
         hole = _clean_through(search, within, p2)
         if hole is not None:
             return hole
@@ -151,8 +149,6 @@ def classify_candidate(g: Graph) -> Optional[Hole]:
 
 def _classify(search: _Search) -> Optional[Hole]:
     g = search.g
-    if g.n < 5:
-        return None
     jewel = _jewel(search)
     if jewel is not None:
         return odd_hole_from_jewel(g, jewel)

@@ -169,8 +169,8 @@ def gen(spec):
         # encode every graph first, so that no line is printed for a spec
         # that fails on a later graph
         lines = [encode_graph6(doc.graph) for doc in generate_corpus(" ".join(spec))]
-    except ValueError as exc:
-        click.echo(f"spec error: {exc}", err=True)
+    except (ValueError, MemoryError) as exc:  # a MemoryError usually has no message
+        click.echo(f"spec error: {str(exc) or 'out of memory building the graphs'}", err=True)
         sys.exit(EXIT_INPUT)
     for line in lines:
         click.echo(line)

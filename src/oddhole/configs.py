@@ -18,6 +18,7 @@ from .graph import (
     is_induced_path,
     is_odd_hole,
     mask_of,
+    neighbourhood,
     through,
     walk_down,
 )
@@ -131,7 +132,7 @@ def _jewel(search: _Search) -> Optional[JewelWitness]:
     adj = g.adj
     closed = search.closed
     for v1 in range(g.n):
-        for v2 in g.neighbors_of[v1]:
+        for v2 in bits(adj[v1]):
             for v3 in bits(adj[v2] & ~adj[v1] & ~(1 << v1)):
                 for v4 in bits(
                     adj[v3] & ~adj[v1] & ~adj[v2] & ~(1 << v1) & ~(1 << v2)
@@ -224,12 +225,8 @@ def _pyramid(search: _Search) -> Optional[PyramidWitness]:
     adj = g.adj
     closed = search.closed
     for b1 in range(g.n):
-        for b2 in g.neighbors_of[b1]:
-            if b2 < b1:
-                continue
-            for b3 in bits(adj[b1] & adj[b2]):
-                if b3 < b2:
-                    continue
+        for b2 in bits(adj[b1] >> b1 << b1):
+            for b3 in bits(adj[b1] & adj[b2] >> b2 << b2):
                 base = (b1, b2, b3)
                 blocks = (closed[b2] | closed[b3], closed[b1] | closed[b3],
                           closed[b1] | closed[b2])
@@ -275,10 +272,8 @@ def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list
 
 
 def _leg(g: Graph, path: Path) -> Leg:
-    near = 0
-    for v in path[1:-1]:
-        near |= g.adj[v]
-    return path, mask_of(path[1:]), near
+    body = mask_of(path[1:])
+    return path, body, neighbourhood(g, body & ~(1 << path[-1]))
 
 
 def _apart(body_p: int, near_p: int, body_q: int, near_q: int) -> bool:

@@ -70,6 +70,7 @@ from .graph import (
     induced_three_paths,
     is_odd_hole,
     mask_of,
+    neighbourhood,
     peels_to_bipartite,
     through,
     walk_down,
@@ -93,10 +94,7 @@ def _strip(search: _Search, drop: Mask, keep: Mask, gp: Mask,
     y = 0
     for a, b, t in pieces:
         y |= geodesic_mask(search.dist(a, gp), search.dist(b, gp), t, scope)
-    adj = search.g.adj
-    near = 0
-    for w in bits(y):
-        near |= adj[w]
+    near = neighbourhood(search.g, y)
     return search.g.full_mask & ~(drop | (near & ~y & ~keep))
 
 
@@ -147,7 +145,6 @@ def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
     plus the two flank vertices as the fallback.
     """
     g = search.g
-    adj = g.adj
     hub = 1 << gap[0] if len(gap) == 1 else 0
     sides = []
     for rdata in (r1, r4):
@@ -157,9 +154,7 @@ def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
         sides.append(by_parity)
     for a_items, b_items in zip(*sides):
         for a, pa, ca in a_items:
-            na = 0
-            for w in bits(ca):
-                na |= adj[w]
+            na = neighbourhood(g, ca)
             for b, pb, cb in b_items:
                 if ca & cb or na & cb:
                     continue
@@ -187,8 +182,6 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     other neighbours, and ``x``) and ``gp``, the vertices left once ``drop``
     and the rest of the neighbourhood of ``x`` are gone.
     """
-    if g.n < 5:
-        return
     full, adj = g.full_mask, g.adj
     # gp & ~trip == keep & ~x2base; a1, a2 are where d1, d2 can step into it
     p3s = []
@@ -248,7 +241,7 @@ def _type2(search: _Search) -> Optional[Hole]:
     adj = g.adj
     # Swapping both c2, c3 and d1, d2 swaps the flanks and reverses the gap
     # path and every cycle, so the three-path is tried in one orientation.
-    arcs = [(c2, c3) for c2 in range(g.n) for c3 in g.neighbors_of[c2]]
+    arcs = [(c2, c3) for c2 in range(g.n) for c3 in bits(adj[c2])]
     for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
         dd1 = search.dist(d1, gp)
         dd2 = search.dist(d2, gp)
@@ -286,8 +279,6 @@ def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
     neighbours in ``gp`` lie in ``reach`` minus ``x`` and its neighbours.
     """
     g = search.g
-    if g.n < 5:
-        return
     full, adj = g.full_mask, g.adj
     for p in search.four_paths:
         for (c1, d1, c3, c4) in (p, p[::-1]):

@@ -15,7 +15,7 @@ most graph6 can encode, before allocating anything for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import Graph
@@ -44,7 +44,6 @@ class GraphDocument:
     graph: Graph
     fmt: str
     name: Optional[str] = None
-    comment: Optional[str] = None
 
 
 def encode_graph6(g: Graph) -> str:
@@ -101,14 +100,15 @@ def parse_graph6(text: str) -> GraphDocument:
         bits = (bits << 6) | value
     pad = len(body) * 6 - need
     bits >>= pad
-    edges = []
+    rows = [0] * n
     pos = need
     for j in range(1, n):
         for i in range(j):
             pos -= 1
             if bits >> pos & 1:
-                edges.append((i, j))
-    return GraphDocument(Graph(n, edges), "graph6")
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return GraphDocument(Graph.from_rows(n, rows), "graph6")
 
 
 def encode_edgelist(g: Graph) -> str:
@@ -118,12 +118,11 @@ def encode_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> GraphDocument:
-    lines = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for (no, ln) in rows if ln and not ln.startswith("#")]
-    if not rows:
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(no, ln) for (no, ln) in lines if ln and not ln.startswith("#")]
+    if not lines:
         raise ParseError("empty edge-list input")
-    no, header = rows[0]
+    no, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(f"line {no}: expected 'n m' header")
@@ -135,11 +134,10 @@ def parse_edgelist(text: str) -> GraphDocument:
         raise ParseError(f"line {no}: number too long") from None
     if n > MAX_VERTICES:
         raise ParseError(f"line {no}: more than {MAX_VERTICES} vertices")
-    if len(rows) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    seen = set()
-    for no, ln in rows[1:]:
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+    rows = [0] * n
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"line {no}: expected 'u v'")
@@ -153,12 +151,11 @@ def parse_edgelist(text: str) -> GraphDocument:
             raise ParseError(f"line {no}: vertex out of range 0..{n - 1}")
         if u == v:
             raise ParseError(f"line {no}: loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if rows[u] >> v & 1:
             raise ParseError(f"line {no}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append(key)
-    return GraphDocument(Graph(n, edges), "edgelist")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return GraphDocument(Graph.from_rows(n, rows), "edgelist")
 
 
 def parse_graph(text: str, fmt: str = "auto") -> GraphDocument:

@@ -129,7 +129,7 @@ def _refined_labels(g: Graph) -> list[int]:
     labels = [g.degree(v) for v in range(g.n)]
     for _ in range(g.n):
         sig = [
-            (labels[v], tuple(sorted(labels[u] for u in g.neighbors_of[v])))
+            (labels[v], tuple(sorted(labels[u] for u in bits(g.adj[v]))))
             for v in range(g.n)
         ]
         remap = {s: i for i, s in enumerate(sorted(set(sig)))}

@@ -5,7 +5,7 @@ as Python int bitmasks (bit ``v`` set means vertex ``v`` is in the set), which
 keeps the inner loops of the detectors cheap: unions, intersections and
 complements of vertex sets are single big-int operations.
 
-Deleting vertices never renumbers anything.  Every traversal accepts a
+Deleting vertices never renumbers anything.  The BFS accepts a
 ``within`` mask and simply refuses to leave it, so witnesses found in a
 masked subgraph are valid vertex sequences of the original graph.
 """
@@ -40,12 +40,12 @@ def mask_of(vertices: Iterable[int]) -> Mask:
 class Graph:
     """A finite simple graph: no loops, no parallel edges, no direction.
 
-    Adjacency is stored both as bitmask rows (``adj[v]`` has bit ``u`` set
-    iff ``uv`` is an edge) and as sorted neighbor tuples.  Instances are
-    immutable and hashable.
+    Adjacency is one bitmask row per vertex: ``adj[v]`` has bit ``u`` set
+    iff ``uv`` is an edge, and :func:`bits` walks a row.  Instances are
+    immutable and hashable; the hash is computed on demand.
     """
 
-    __slots__ = ("n", "adj", "neighbors_of", "full_mask", "_hash")
+    __slots__ = ("n", "adj", "full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -60,18 +60,16 @@ class Graph:
             rows[v] |= 1 << u
         self._init_from_rows(n, rows)
 
-    def _init_from_rows(self, n: int, rows: list[int]) -> None:
+    def _init_from_rows(self, n: int, rows: Sequence[int]) -> None:
         self.n = n
         self.adj = tuple(rows)
-        self.neighbors_of = tuple(tuple(bits(r)) for r in rows)
         self.full_mask = (1 << n) - 1
-        self._hash = hash((n, self.adj))
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
         """Build from adjacency bitmask rows (must already be symmetric)."""
         g = object.__new__(cls)
-        g._init_from_rows(n, list(rows))
+        g._init_from_rows(n, rows)
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -96,11 +94,8 @@ class Graph:
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         rows = [0] * self.n
-        for u in range(self.n):
-            row = 0
-            for v in self.neighbors_of[u]:
-                row |= 1 << perm[v]
-            rows[perm[u]] = row
+        for u, row in enumerate(self.adj):
+            rows[perm[u]] = mask_of(perm[v] for v in bits(row))
         return Graph.from_rows(self.n, rows)
 
     def __eq__(self, other: object) -> bool:
@@ -111,10 +106,21 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def neighbourhood(g: Graph, mask: Mask) -> Mask:
+    """Every vertex with a neighbour in ``mask``: the union of its rows."""
+    adj = g.adj
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class Distances(list):
@@ -166,19 +172,16 @@ def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> Dista
     return out
 
 
-def shortest_path(
-    g: Graph, u: int, v: int, within: Optional[Mask] = None
-) -> Optional[tuple[int, ...]]:
-    """A deterministic shortest u-v path in the masked subgraph.
+def shortest_path(g: Graph, u: int, v: int) -> Optional[tuple[int, ...]]:
+    """A deterministic shortest u-v path.
 
     Ties are broken by always stepping to the lowest-id predecessor, so the
-    result depends only on the graph, the mask and the endpoints.  Any
-    returned path is induced (a chord would yield a shorter path).
+    result depends only on the graph and the endpoints.  Any returned path
+    is induced (a chord would yield a shorter path).
     """
-    allowed = g.full_mask if within is None else within
-    if not allowed >> v & 1:
-        raise ValueError(f"target {v} not in mask")
-    dist = bfs_distances(g, u, within)
+    if not g.full_mask >> v & 1:
+        raise ValueError(f"target {v} not in the graph")
+    dist = bfs_distances(g, u)
     if dist[v] == UNREACHABLE:
         return None
     path = walk_down(g, dist, v)
@@ -232,22 +235,16 @@ def geodesic_mask(du: Distances, dv: Distances, total: int, scope: Mask) -> Mask
     return out & scope
 
 
-def is_induced_path(g: Graph, seq: Sequence[int], within: Optional[Mask] = None) -> bool:
-    """True iff ``seq`` is an induced path of the masked subgraph.
+def is_induced_path(g: Graph, seq: Sequence[int]) -> bool:
+    """True iff ``seq`` is an induced path of ``g``.
 
     Consecutive vertices must be adjacent; every non-consecutive pair must be
-    non-adjacent; repeated vertices are rejected.  A single vertex is a
-    (trivial) induced path.
+    non-adjacent; repeated vertices and vertices outside the graph are
+    rejected.  A single vertex is a (trivial) induced path.
     """
-    allowed = g.full_mask if within is None else within
     k = len(seq)
-    if k == 0:
+    if k == 0 or len(set(seq)) != k or mask_of(seq) & ~g.full_mask:
         return False
-    if len(set(seq)) != k:
-        return False
-    for v in seq:
-        if not allowed >> v & 1:
-            return False
     for i in range(k - 1):
         if not g.has_edge(seq[i], seq[i + 1]):
             return False
@@ -322,15 +319,17 @@ def peels_to_bipartite(g: Graph) -> bool:
 def induced_three_paths(g: Graph) -> list[tuple[int, int, int]]:
     """All induced paths a-x-b with a < b (each returned once)."""
     out = []
-    for x in range(g.n):
-        nbrs = g.neighbors_of[x]
-        for i in range(len(nbrs)):
-            a = nbrs[i]
-            row = g.adj[a]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
-                if not row >> b & 1:
-                    out.append((a, x, b))
+    adj = g.adj
+    for x, rest in enumerate(adj):
+        while rest:  # lowest bit first, as in bfs_distances: faster than bits() here
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            far = rest & ~adj[a]
+            while far:
+                low = far & -far
+                far ^= low
+                out.append((a, x, low.bit_length() - 1))
     return out
 
 
@@ -339,7 +338,7 @@ def induced_four_paths(g: Graph) -> list[tuple[int, int, int, int]]:
     out = []
     adj = g.adj
     for b in range(g.n):
-        for c in g.neighbors_of[b]:
+        for c in bits(adj[b]):
             for a in bits(adj[b] & ~adj[c] & ~(1 << c)):
                 block = adj[a] | adj[b] | (1 << a) | (1 << b)
                 for d in bits(adj[c] & ~block):

@@ -109,12 +109,8 @@ def oracle_find_pyramid(g: Graph):
     triples.
     """
     for b1 in range(g.n):
-        for b2 in g.neighbors_of[b1]:
-            if b2 < b1:
-                continue
-            for b3 in bits(g.adj[b1] & g.adj[b2]):
-                if b3 < b2:
-                    continue
+        for b2 in bits(g.adj[b1] >> b1 << b1):
+            for b3 in bits(g.adj[b1] & g.adj[b2] >> b2 << b2):
                 base = (b1, b2, b3)
                 basemask = (1 << b1) | (1 << b2) | (1 << b3)
                 for apex in range(g.n):
@@ -183,7 +179,7 @@ def oracle_find_jewel(g: Graph):
     """
     adj = g.adj
     for v1 in range(g.n):
-        for v2 in g.neighbors_of[v1]:
+        for v2 in bits(adj[v1]):
             for v3 in bits(adj[v2] & ~adj[v1] & ~(1 << v1)):
                 for v4 in bits(
                     adj[v3] & ~adj[v1] & ~adj[v2] & ~(1 << v1) & ~(1 << v2)

@@ -15,7 +15,15 @@ from __future__ import annotations
 from typing import Optional
 
 from .cleaning import _classify, test_clean
-from .graph import Graph, _Search, bits, bfs_distances, geodesic_mask, induced_three_paths
+from .graph import (
+    Graph,
+    _Search,
+    bits,
+    bfs_distances,
+    geodesic_mask,
+    induced_three_paths,
+    neighbourhood,
+)
 
 Hole = tuple[int, ...]
 
@@ -39,8 +47,6 @@ def _simple(search: _Search) -> Optional[Hole]:
     list per distinct scope until the call returns.
     """
     g = search.g
-    if g.n < 5:
-        return None
     full = g.full_mask
     adj = g.adj
     p3s = induced_three_paths(g)
@@ -78,11 +84,7 @@ def _try_middle(search, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1
     dd3 = bfs_distances(g, d3, scope)
     ends = (1 << d1) | (1 << d2) | (1 << d3)
     f = (geodesic_mask(dd1, dd3, t1, pool) | geodesic_mask(dd2, dd3, t1, pool)) & ~ends
-    x3 = 0
-    fringe_src = f | (1 << d3)
-    for v in bits(gprime & ~f & ~ends & ~(1 << x)):
-        if g.adj[v] & fringe_src:
-            x3 |= 1 << v
+    x3 = neighbourhood(g, f | 1 << d3) & gprime & ~f & ~ends & ~(1 << x)
     return search.clean(g.full_mask & ~(x1 | x2 | x3 | (1 << x)), test_clean)
 
 

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import oddhole
 from oddhole.cli import PROBE_MAX_VERTICES, main
 from oddhole.formats import encode_graph6
 from oddhole.generators import cycle_graph, petersen_graph
 from oddhole.graph import Graph
+from oddhole.pipeline import ResultDocument
 
 
 def run(args, input=None, env=None):
@@ -61,6 +68,9 @@ def test_stream_mode():
     assert res.output.strip().splitlines() == ["odd-hole-found", "no-odd-hole"]
     res = run(["detect", "--stdin-stream"], input=f"{C6}\n")
     assert res.exit_code == 0
+    # a malformed line refuses the whole batch before any result is printed
+    res = run(["detect", "--stdin-stream"], input=f"{C7}\n@@@garbage\n")
+    assert res.exit_code == 2 and res.stdout == "" and "input error" in res.output
 
 
 def test_perfect_command():
@@ -68,9 +78,13 @@ def test_perfect_command():
     res = run(["perfect", "-"], input=C7)
     assert res.exit_code == 1
     assert "hole:" in res.output
-    comp = encode_graph6(cycle_graph(7).complement())
+    anti = cycle_graph(7).complement()
+    comp = encode_graph6(anti)
     res = run(["perfect", "-"], input=comp)
     assert res.exit_code == 1 and "antihole:" in res.output
+    res = run(["perfect", "-", "--json"], input=comp)
+    doc = ResultDocument.from_json(res.stdout)
+    assert res.exit_code == 1 and doc.witness_kind == "antihole" and doc.verify_witness(anti)
 
 
 def test_probe_command():
@@ -159,6 +173,19 @@ def test_gen_command():
                  ["bipartite", "200000", "58048", "0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
+
+
+def test_gen_out_of_memory_is_a_spec_error():
+    # 10^10 edges: the child runs out of address space within about a second
+    pytest.importorskip("resource")
+    code = ("import resource; "
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
+            "from oddhole.cli import main; main()")
+    env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code, "gen", "multipartite", "100000", "100000"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 2 and res.stdout == "", res.stderr
+    assert res.stderr.startswith("spec error")
 
 
 def test_gen_detect_pipeline():

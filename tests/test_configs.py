@@ -180,7 +180,7 @@ def _product_anchor_triples(g):
     adj = g.adj
     out = []
     for b1 in range(g.n):
-        for b2 in g.neighbors_of[b1]:
+        for b2 in bits(g.adj[b1]):
             if b2 < b1:
                 continue
             for b3 in bits(adj[b1] & adj[b2]):
@@ -194,7 +194,7 @@ def _product_anchor_triples(g):
                     for bi in base:
                         others = [b for b in base if b != bi]
                         choices.append([bi] if g.has_edge(a, bi) else [
-                            v for v in g.neighbors_of[a]
+                            v for v in bits(g.adj[a])
                             if all(v != b and not g.has_edge(v, b) for b in others)])
                     for s in product(*choices):
                         if len(set(s)) == 3 and not any(
@@ -278,7 +278,7 @@ def _induced_paths_from(g, a):
     while stack:
         path = stack.pop()
         out.append(path)
-        for v in g.neighbors_of[path[-1]]:
+        for v in bits(g.adj[path[-1]]):
             if v not in path and not any(g.has_edge(v, u) for u in path[:-1]):
                 stack.append(path + (v,))
     return out

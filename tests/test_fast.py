@@ -78,6 +78,10 @@ def test_types_sound_on_decorated_instances():
             assert (det(flipped) is None) == (hole is None), (i, seed)
     # every staged detector's positive path fires, each as often as pinned
     assert hits == {1: 37, 2: 12, 3: 41, 4: 36, 5: 60, 6: 5}
+    # and the staged run returns the first shape's hole
+    g = decorated_odd_cycle(9, 2, 1)
+    hole = detect_fast(g)
+    assert hole is not None and is_odd_hole(g, hole)
 
 
 # Both graphs are perfect, so every stage runs its whole enumeration; the
@@ -309,7 +313,7 @@ def test_stage3_prefilters_drop_only_dead_guesses():
     split = anchored = 0
     for g in graphs:
         adj = g.adj
-        arcs = [(u, v) for u in range(g.n) for v in g.neighbors_of[u]]
+        arcs = [(u, v) for u in range(g.n) for v in bits(adj[u])]
         for guess in _dropped(_split_cuts(g, arcs), _unfiltered_split_cuts(g, arcs)):
             # a dropped guess leaves d1 or d2 no step into gp off the path
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]

@@ -55,6 +55,8 @@ def test_graph6_errors():
         parse_graph6("D~{{")  # trailing junk
     with pytest.raises(ParseError):
         parse_graph6("D\x07{")  # byte out of range
+    with pytest.raises(ParseError, match="size prefix"):
+        parse_graph6("~~")  # a long size prefix cut short
 
 
 def test_edgelist_roundtrip():
@@ -79,6 +81,8 @@ def test_edgelist_errors():
         parse_edgelist("3 1\n0 3\n")
     with pytest.raises(ParseError, match="header"):
         parse_edgelist("3\n")
+    with pytest.raises(ParseError, match="empty"):
+        parse_edgelist("# comments only\n\n# no header\n")
     with pytest.raises(ParseError, match="edge lines"):
         parse_edgelist("3 2\n0 1\n")
     with pytest.raises(ParseError, match="line 3"):

@@ -2,12 +2,14 @@ import pytest
 
 from oddhole.generators import (
     canonical_code,
+    complete_graph,
     complete_multipartite,
     connected_small_graphs,
     cycle_graph,
     decorated_odd_cycle,
     generate_corpus,
     gnp,
+    path_graph,
     petersen_graph,
     random_bipartite,
     random_chordal,
@@ -52,7 +54,7 @@ def _is_chordal(g):
     alive = set(range(g.n))
     while alive:
         for v in sorted(alive):
-            nbrs = [u for u in g.neighbors_of[v] if u in alive]
+            nbrs = [u for u in bits(g.adj[v]) if u in alive]
             if all(
                 g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
             ):
@@ -123,6 +125,11 @@ def test_corpus_specs():
     assert m.graph.n == 9
     docs = generate_corpus("decorated 9 2 seed=5 count=2")
     assert len(docs) == 2 and docs[0].graph.n == 11
+    for spec, want in (("path 5", path_graph(5)), ("complete 6", complete_graph(6)),
+                       ("bipartite 4 5 0.4 seed=2", random_bipartite(4, 5, 0.4, 2)),
+                       ("chordal 10 seed=3", random_chordal(10, 3))):
+        (doc,) = generate_corpus(spec)
+        assert doc.graph == want, spec
 
 
 def test_corpus_spec_errors():

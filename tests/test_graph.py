@@ -122,7 +122,7 @@ def _queue_bfs(g, source, within):
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors_of[u]:
+        for w in bits(g.adj[u]):
             if within >> w & 1 and dist[w] == UNREACHABLE:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -150,7 +150,7 @@ def _lowest_id_walk(g, dist, frm):
     path = [frm]
     while dist[path[-1]] > 0:
         level = dist[path[-1]] - 1
-        path.append(next(w for w in g.neighbors_of[path[-1]] if dist[w] == level))
+        path.append(next(w for w in bits(g.adj[path[-1]]) if dist[w] == level))
     return path
 
 

@@ -8,6 +8,7 @@ from oddhole.generators import (
     petersen_graph,
     random_bipartite,
 )
+from oddhole.graph import bits
 from oddhole.oracle import (
     oracle_find_jewel,
     oracle_find_odd_hole,
@@ -39,7 +40,7 @@ def _cycles_by_subsets(g):
     for r in range(4, g.n + 1):
         for sub in itertools.combinations(range(g.n), r):
             inside = set(sub)
-            degs = [sum(1 for u in g.neighbors_of[v] if u in inside) for v in sub]
+            degs = [sum(1 for u in bits(g.adj[v]) if u in inside) for v in sub]
             if any(d != 2 for d in degs):
                 continue
             # connectivity of the induced 2-regular graph: walk around
@@ -47,7 +48,7 @@ def _cycles_by_subsets(g):
             prev, cur = None, start
             steps = 0
             while steps < r:
-                nxt = [u for u in g.neighbors_of[cur] if u in inside and u != prev]
+                nxt = [u for u in bits(g.adj[cur]) if u in inside and u != prev]
                 prev, cur = cur, nxt[0]
                 steps += 1
                 if cur == start:

@@ -10,6 +10,7 @@ from oddhole.generators import (
     complete_graph,
     connected_small_graphs,
     cycle_graph,
+    decorated_odd_cycle,
     gnp,
     random_bipartite,
 )
@@ -27,6 +28,11 @@ def test_simple_pipeline_families():
     assert hole is not None and len(hole) == 5
     for i in range(10):
         assert detect_with_simple_pipeline(random_bipartite(4, 5, 0.5, i)) is None
+    # the reference detector alone finds this hole (it returns None on C7,
+    # which is no candidate: the heavy-cleanable sweep decides it)
+    g = decorated_odd_cycle(9, 1, 3)
+    hole = detect_simple(g)
+    assert hole is not None and is_odd_hole(g, hole)
 
 
 def test_simple_pipeline_matches_oracle_exhaustive():
