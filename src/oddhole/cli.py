@@ -20,11 +20,10 @@ import click
 
 from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
 from .generators import generate_corpus
-from .graph import Graph
+from .graph import Graph, bits as _bits
 from .oracle import oracle_find_odd_hole
 from .pipeline import ALGORITHMS, bench_rows, run_detection, test_perfect
 from .probes import heavy_edges, major_vertices, vertex_gaps
-from .graph import bits as _bits
 
 EXIT_CLEAN = 0
 EXIT_FOUND = 1
@@ -34,6 +33,8 @@ PROBE_MAX_VERTICES = 36
 
 _algorithm_option = click.option("--algorithm", default="fast",
                                  type=click.Choice(list(ALGORITHMS)))
+_format_option = click.option("--format", "fmt", default="auto",
+                              type=click.Choice(["auto", "graph6", "edgelist"]))
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -43,12 +44,16 @@ def _read_input(path: Optional[str]) -> str:
         return fh.read()
 
 
-def _load(path: Optional[str], fmt: str) -> Graph:
+def _load(path: Optional[str], fmt: str, algorithm: str) -> Graph:
+    """Parse the input; exit 2 if it is malformed or too large for ``algorithm``."""
     try:
-        return parse_graph(_read_input(path), fmt).graph
+        g = parse_graph(_read_input(path), fmt).graph
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
+    if _too_large(g, algorithm):
+        sys.exit(EXIT_INPUT)
+    return g
 
 
 def _too_large(g: Graph, algorithm: str) -> bool:
@@ -67,8 +72,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("input", required=False)
-@click.option("--format", "fmt", default="auto",
-              type=click.Choice(["auto", "graph6", "edgelist"]))
+@_format_option
 @_algorithm_option
 @click.option("--witness", is_flag=True, help="print the witness cycle")
 @click.option("--json", "as_json", is_flag=True, help="print the full result document")
@@ -78,9 +82,7 @@ def detect(input, fmt, algorithm, witness, as_json, stdin_stream):
     """Decide whether a graph contains an odd hole."""
     if stdin_stream:
         sys.exit(_stream_detect(algorithm, as_json))
-    g = _load(input, fmt)
-    if _too_large(g, algorithm):
-        sys.exit(EXIT_INPUT)
+    g = _load(input, fmt, algorithm)
     doc = run_detection(g, algorithm)
     _emit(doc, witness, as_json)
     sys.exit(EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN)
@@ -114,15 +116,12 @@ def _stream_detect(algorithm: str, as_json: bool) -> int:
 
 @main.command()
 @click.argument("input", required=False)
-@click.option("--format", "fmt", default="auto",
-              type=click.Choice(["auto", "graph6", "edgelist"]))
+@_format_option
 @_algorithm_option
 @click.option("--json", "as_json", is_flag=True)
 def perfect(input, fmt, algorithm, as_json):
     """Test whether a graph is perfect."""
-    g = _load(input, fmt)
-    if _too_large(g, algorithm):
-        sys.exit(EXIT_INPUT)
+    g = _load(input, fmt, algorithm)
     doc = test_perfect(g, algorithm)
     if as_json:
         click.echo(doc.to_json())
@@ -136,16 +135,13 @@ def perfect(input, fmt, algorithm, as_json):
 
 @main.command()
 @click.argument("input", required=False)
-@click.option("--format", "fmt", default="auto",
-              type=click.Choice(["auto", "graph6", "edgelist"]))
+@_format_option
 def probe(input, fmt):
     """Dump hole structure (majors, gaps, heavy edges) as JSON.
 
     Graphs with more than PROBE_MAX_VERTICES vertices are refused (exit 2).
     """
-    g = _load(input, fmt)
-    if _too_large(g, "oracle"):
-        sys.exit(EXIT_INPUT)
+    g = _load(input, fmt, "oracle")
     hole = oracle_find_odd_hole(g)
     if hole is None:
         click.echo(json.dumps({"hole": None}))
@@ -168,7 +164,7 @@ def gen(spec):
     try:
         # encode every graph first, so that no line is printed for a spec
         # that fails on a later graph
-        lines = [encode_graph6(doc.graph) for doc in generate_corpus(" ".join(spec))]
+        lines = [encode_graph6(g) for g in generate_corpus(" ".join(spec))]
     except (ValueError, MemoryError) as exc:  # a MemoryError usually has no message
         click.echo(f"spec error: {str(exc) or 'out of memory building the graphs'}", err=True)
         sys.exit(EXIT_INPUT)

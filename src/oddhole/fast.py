@@ -65,7 +65,6 @@ from .graph import (
     Mask,
     _Search,
     bits,
-    bfs_distances,  # not called here; perfbench's tracer rebinds and restores it
     geodesic_mask,
     induced_three_paths,
     is_odd_hole,

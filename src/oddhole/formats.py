@@ -16,7 +16,6 @@ most graph6 can encode, before allocating anything for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graph import Graph
 
@@ -43,7 +42,6 @@ class ParseError(ValueError):
 class GraphDocument:
     graph: Graph
     fmt: str
-    name: Optional[str] = None
 
 
 def encode_graph6(g: Graph) -> str:
@@ -95,19 +93,19 @@ def parse_graph6(text: str) -> GraphDocument:
         raise ParseError(
             f"graph6 body length {len(body)} does not match n={n}"
         )
-    bits = 0
-    for value in body:
-        bits = (bits << 6) | value
-    pad = len(body) * 6 - need
-    bits >>= pad
+    if pad := len(body) * 6 - need:
+        body[-1] &= -1 << pad  # padding bits carry no pair
+    # the bits run down each column in turn: (0, 1), (0, 2), (1, 2), (0, 3), ...
     rows = [0] * n
-    pos = need
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
+    i, j = 0, 1
+    for value in body:
+        for bit in (32, 16, 8, 4, 2, 1):
+            if value & bit:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return GraphDocument(Graph.from_rows(n, rows), "graph6")
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator, Optional
+from typing import Optional
 
-from .formats import MAX_VERTICES, GraphDocument
+from .formats import MAX_VERTICES
 from .graph import Graph, bits
 
 
@@ -202,87 +202,63 @@ def connected_small_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in small_graphs(n) if is_connected(g))
 
 
-def generate_corpus(spec: str) -> list[GraphDocument]:
-    """Produce named graphs from a one-line family spec.
+def _probability(token: str) -> float:
+    p = float(token)
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"probability {token} is not in [0, 1]")
+    return p
+
+
+# family -> (builder, positional parameter types (None: any number of ints),
+#            how many leading parameters count vertices (None: all), seeded)
+_FAMILIES = {
+    "cycle": (cycle_graph, (int,), 1, False),
+    "path": (path_graph, (int,), 1, False),
+    "complete": (complete_graph, (int,), 1, False),
+    "petersen": (petersen_graph, (), 0, False),
+    "multipartite": (lambda *sizes: complete_multipartite(list(sizes)), None, None, False),
+    "gnp": (gnp, (int, _probability), 1, True),
+    "bipartite": (random_bipartite, (int, int, _probability), 2, True),
+    "chordal": (random_chordal, (int,), 1, True),
+    "decorated": (decorated_odd_cycle, (int, int), 2, True),
+}
+
+
+def generate_corpus(spec: str) -> list[Graph]:
+    """Build the graphs of a one-line family spec.
 
     Examples: ``cycle 7``; ``gnp 10 0.3 seed=1 count=5``;
     ``bipartite 4 5 0.4 seed=2``; ``multipartite 2 3 4``; ``petersen``;
     ``chordal 10 seed=3 count=2``; ``decorated 9 2 seed=4``;
-    ``complete 6``.
+    ``complete 6``.  The seeded families (``gnp``, ``bipartite``,
+    ``chordal``, ``decorated``) build ``count`` graphs from seeds ``seed``,
+    ``seed + 1``, ...; the others build one graph and ignore both options.
+    Raises ``ValueError`` on a malformed spec, a probability outside [0, 1]
+    and a graph with more vertices than graph6 can encode.
     """
     tokens = spec.split()
     if not tokens:
         raise ValueError("empty corpus spec")
     family, rest = tokens[0], tokens[1:]
-    pos: list[str] = []
-    kw: dict[str, str] = {}
-    for tok in rest:
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-            kw[key] = val
-        else:
-            pos.append(tok)
+    pos = [tok for tok in rest if "=" not in tok]
+    kw = dict(tok.split("=", 1) for tok in rest if "=" in tok)
     seed = int(kw.pop("seed", "0"))
     count = int(kw.pop("count", "1"))
     if kw:
         raise ValueError(f"unknown options: {sorted(kw)}")
-
-    # positional parameters of each family; multipartite takes any number
-    arity = {"cycle": 1, "path": 1, "complete": 1, "petersen": 0, "chordal": 1,
-             "gnp": 2, "decorated": 2, "bipartite": 3}.get(family)
-    if arity is not None and len(pos) != arity:
-        raise ValueError(f"{family} takes {arity} positional parameters, got {len(pos)}")
-    if arity is not None or family == "multipartite":
-        # refuse before building: no format can hold the graph, and its
-        # adjacency rows alone would take gigabytes
-        sizes = pos[:{"gnp": 1, "bipartite": 2}.get(family, len(pos))]
-        n = sum(max(0, int(s)) for s in sizes)
-        if n > MAX_VERTICES:
-            raise ValueError(f"{family} spec has {n} vertices, more than the "
-                             f"{MAX_VERTICES} that graph6 can encode")
-
-    def doc(g: Graph, name: str) -> GraphDocument:
-        return GraphDocument(g, "generated", name=name)
-
-    if family == "cycle":
-        (k,) = map(int, pos)
-        return [doc(cycle_graph(k), f"cycle-{k}")]
-    if family == "path":
-        (k,) = map(int, pos)
-        return [doc(path_graph(k), f"path-{k}")]
-    if family == "complete":
-        (n,) = map(int, pos)
-        return [doc(complete_graph(n), f"complete-{n}")]
-    if family == "petersen":
-        return [doc(petersen_graph(), "petersen")]
-    if family == "multipartite":
-        sizes = list(map(int, pos))
-        name = "multipartite-" + "x".join(map(str, sizes))
-        return [doc(complete_multipartite(sizes), name)]
-    if family == "gnp":
-        n, p = int(pos[0]), float(pos[1])
-        return [
-            doc(gnp(n, p, seed + i), f"gnp-{n}-{p}-{seed + i}") for i in range(count)
-        ]
-    if family == "bipartite":
-        a, b, p = int(pos[0]), int(pos[1]), float(pos[2])
-        return [
-            doc(random_bipartite(a, b, p, seed + i), f"bipartite-{a}-{b}-{seed + i}")
-            for i in range(count)
-        ]
-    if family == "chordal":
-        (n,) = map(int, pos)
-        return [
-            doc(random_chordal(n, seed + i), f"chordal-{n}-{seed + i}")
-            for i in range(count)
-        ]
-    if family == "decorated":
-        k, extras = int(pos[0]), int(pos[1])
-        return [
-            doc(
-                decorated_odd_cycle(k, extras, seed + i),
-                f"decorated-{k}-{extras}-{seed + i}",
-            )
-            for i in range(count)
-        ]
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, types, sized, seeded = _FAMILIES[family]
+    types = (int,) * len(pos) if types is None else types
+    if len(pos) != len(types):
+        raise ValueError(f"{family} takes {len(types)} positional parameters, got {len(pos)}")
+    args = [convert(tok) for convert, tok in zip(types, pos)]
+    # refuse before building: no format can hold the graph, and its
+    # adjacency rows alone would take gigabytes
+    n = sum(max(0, size) for size in args[:sized])
+    if n > MAX_VERTICES:
+        raise ValueError(f"{family} spec has {n} vertices, more than the "
+                         f"{MAX_VERTICES} that graph6 can encode")
+    if not seeded:
+        return [build(*args)]
+    return [build(*args, seed + i) for i in range(count)]

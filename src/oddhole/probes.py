@@ -18,33 +18,17 @@ Hole = Sequence[int]
 def major_vertices(g: Graph, hole: Hole) -> Mask:
     """Vertices outside the hole whose hole-neighbors fit no three-vertex arc.
 
-    A vertex with zero, one or two hole-neighbors inside three consecutive
-    hole vertices is not major; anything with neighbors spread wider is.
+    Neighbors inside three consecutive hole vertices leave a gap of length at
+    least ``len(hole) - 2``; a vertex is major iff it has a hole-neighbor and
+    every gap between its hole-neighbors is shorter.
     """
     k = len(hole)
-    holemask = mask_of(hole)
     out = 0
-    for v in range(g.n):
-        if holemask >> v & 1:
-            continue
-        row = g.adj[v]
-        nbr_positions = [i for i, h in enumerate(hole) if row >> h & 1]
-        if not nbr_positions:
-            continue
-        if _fits_three_arc(nbr_positions, k):
-            continue
-        out |= 1 << v
+    for v in bits(g.full_mask & ~mask_of(hole)):
+        nbrs = [h for h in hole if g.adj[v] >> h & 1]
+        if nbrs and all(len(gap) - 1 < k - 2 for gap in set_gaps(hole, nbrs)):
+            out |= 1 << v
     return out
-
-
-def _fits_three_arc(positions: list[int], k: int) -> bool:
-    """Do all positions lie inside some window of three consecutive ones?"""
-    pos = set(positions)
-    for start in positions:
-        window = {start, (start + 1) % k, (start + 2) % k}
-        if pos <= window:
-            return True
-    return False
 
 
 def is_clean(g: Graph, hole: Hole) -> bool:
@@ -100,21 +84,8 @@ def vertex_gaps(g: Graph, hole: Hole, x: int) -> list[tuple[int, ...]]:
     """
     if x in hole:
         raise ValueError("gap vertex must lie outside the hole")
-    k = len(hole)
-    row = g.adj[x]
-    positions = [i for i in range(k) if row >> hole[i] & 1]
-    if len(positions) < 2:
-        return []
-    gaps = []
-    for idx, p in enumerate(positions):
-        q = positions[(idx + 1) % len(positions)]
-        length = (q - p) % k
-        if length == 0:
-            length = k
-        if length >= 2:
-            arc = tuple(hole[(p + step) % k] for step in range(length + 1))
-            gaps.append(arc)
-    return gaps
+    nbrs = [h for h in hole if g.adj[x] >> h & 1]
+    return set_gaps(hole, nbrs) if len(nbrs) >= 2 else []
 
 
 def heavy_edges(g: Graph, hole: Hole, members: Iterable[int]) -> list[tuple[int, int]]:

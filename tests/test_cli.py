@@ -173,6 +173,10 @@ def test_gen_command():
                  ["bipartite", "200000", "58048", "0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
+    # a probability outside [0, 1], or NaN; "--" lets a negative value through click
+    for spec in (["gnp", "10", "1.5"], ["gnp", "10", "nan"], ["--", "bipartite", "4", "5", "-0.1"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and res.output.startswith("spec error"), spec
 
 
 def test_gen_out_of_memory_is_a_spec_error():

@@ -228,7 +228,7 @@ def test_peeled_bipartite_inputs_skip_the_search(monkeypatch):
         return bfs(g, source, within)
 
     # every module the search reaches BFS through
-    for module in (oddhole.graph, oddhole.cleaning, oddhole.fast):
+    for module in (oddhole.graph, oddhole.cleaning):
         monkeypatch.setattr(module, "bfs_distances", counted)
     decided = (
         [_random_tree(12, seed) for seed in range(3)]

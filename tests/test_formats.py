@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oddhole.formats import (
@@ -40,10 +42,20 @@ def test_graph6_roundtrip_random():
 
 
 def test_graph6_larger_n_prefix():
-    g = gnp(70, 0.05, 3)
-    s = encode_graph6(g)
-    assert s[0] == "~"
-    assert parse_graph6(s).graph == g
+    # 62 is the largest vertex count with a one-byte size prefix
+    for n, head in ((62, "}"), (63, "~"), (70, "~")):
+        g = gnp(n, 0.05, 3)
+        s = encode_graph6(g)
+        assert s[0] == head
+        assert parse_graph6(s).graph == g
+
+
+def test_graph6_parses_a_2000_vertex_cycle_in_seconds():
+    # the CLI accepts graphs this large and larger, so parsing must scale with the body
+    text = encode_graph6(cycle_graph(2000))
+    start = time.perf_counter()
+    assert parse_graph6(text).graph == cycle_graph(2000)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_graph6_errors():

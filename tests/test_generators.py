@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from oddhole.formats import encode_graph6
 from oddhole.generators import (
     canonical_code,
     complete_graph,
@@ -112,24 +115,40 @@ def test_decorated_cycle_rejects_bad_parameters():
 
 
 def test_corpus_specs():
-    (doc,) = generate_corpus("cycle 7")
-    assert doc.graph == cycle_graph(7) and doc.name == "cycle-7"
-    docs = generate_corpus("gnp 10 0.3 seed=1 count=3")
-    assert len(docs) == 3
-    assert docs[0].graph == gnp(10, 0.3, 1)
-    again = generate_corpus("gnp 10 0.3 seed=1 count=3")
-    assert [d.graph for d in docs] == [d.graph for d in again]
-    (pet,) = generate_corpus("petersen")
-    assert pet.graph == petersen_graph()
-    (m,) = generate_corpus("multipartite 2 3 4")
-    assert m.graph.n == 9
-    docs = generate_corpus("decorated 9 2 seed=5 count=2")
-    assert len(docs) == 2 and docs[0].graph.n == 11
+    assert generate_corpus("cycle 7") == [cycle_graph(7)]
+    graphs = generate_corpus("gnp 10 0.3 seed=1 count=3")
+    assert graphs == [gnp(10, 0.3, s) for s in (1, 2, 3)]
+    assert generate_corpus("gnp 10 0.3 seed=1 count=3") == graphs
+    assert generate_corpus("petersen") == [petersen_graph()]
+    assert generate_corpus("multipartite 2 3 4") == [complete_multipartite([2, 3, 4])]
+    assert generate_corpus("decorated 9 2 seed=5 count=2") == [
+        decorated_odd_cycle(9, 2, 5), decorated_odd_cycle(9, 2, 6)]
+    # the unseeded families build one graph and ignore seed= and count=
+    assert generate_corpus("cycle 5 seed=3 count=4") == [cycle_graph(5)]
     for spec, want in (("path 5", path_graph(5)), ("complete 6", complete_graph(6)),
                        ("bipartite 4 5 0.4 seed=2", random_bipartite(4, 5, 0.4, 2)),
                        ("chordal 10 seed=3", random_chordal(10, 3))):
-        (doc,) = generate_corpus(spec)
-        assert doc.graph == want, spec
+        assert generate_corpus(spec) == [want], spec
+
+
+# specs over all nine families, with seed= and count=, and count= on an
+# unseeded family, whose graph6 lines are pinned by CORPUS_DIGEST
+CORPUS_SPECS = (
+    "cycle 7", "cycle 2", "path 5", "complete 6", "complete 4 seed=9 count=3", "petersen",
+    "multipartite 2 3 4", "multipartite 0 0", "multipartite", "gnp 8 0.5",
+    "gnp 10 0.3 seed=1 count=3", "gnp 6 1 count=2", "bipartite 4 5 0.4 seed=2 count=2",
+    "bipartite 3 3 0", "chordal 10 seed=3 count=2", "chordal 1", "decorated 9 2 seed=4 count=2",
+    "decorated 7 0",
+)
+CORPUS_DIGEST = "9af19e660e9392ece218dc157941eed97f645b30e777f0303946d8344c2dbdb0"
+
+
+def test_corpus_specs_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for spec in CORPUS_SPECS:
+        for g in generate_corpus(spec):
+            h.update(f"{spec}\t{encode_graph6(g)}\n".encode())
+    assert h.hexdigest() == CORPUS_DIGEST
 
 
 def test_corpus_spec_errors():
