@@ -23,13 +23,13 @@ oracle suites.  See docs/derived-types.md for how shapes 4-6 are obtained
 from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
-(``graph._Search``), created once per :func:`detect` or :func:`detect_fast`
-call and passed to every shape, answers every masked BFS and every
-clean-test fallback and holds the induced four-paths, so each distinct
-(source, mask) pair is searched, and each fallback mask tested, once per
-call; in ``detect`` the jewel, pyramid and heavy-cleanable searches fill the
-same context first.  It is freed when the call returns; a public
-``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
+(``graph._Search``), created once per :func:`detect_fast` call and once per
+graph or atom that :func:`detect` searches, and passed to every shape,
+answers every masked BFS and every clean-test fallback and holds the
+induced four-paths, so each distinct (source, mask) pair is searched, and
+each fallback mask tested, once per context; the jewel, pyramid and
+heavy-cleanable searches fill it first.  It is freed when the call returns;
+a public ``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
 the common deletion step, and the only place a shape builds a union of
 shortest paths: it is given the pieces ``(a, b, t)`` that recover the gap,
 collects the vertices on their shortest paths inside ``gp`` off a small
@@ -58,13 +58,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import _classify, test_clean
+from .cleaning import _classify, _sweep, test_clean
 from .graph import (
     Distances,
     Graph,
     Mask,
     _Search,
     bits,
+    clique_cutset_atoms,
     geodesic_mask,
     induced_three_paths,
     is_odd_hole,
@@ -396,9 +397,15 @@ def detect(g: Graph) -> Optional[Hole]:
     rest is bipartite, the answer is None.  A simplicial vertex lies on no
     hole, since its two hole neighbours would be adjacent, and a bipartite
     graph has no odd cycle.  Otherwise the original graph goes through
-    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) and then
-    the six staged shapes of :func:`detect_fast`; all four stages share one
-    search context.
+    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) on one
+    search context.  If that finds nothing, the six staged shapes of
+    :func:`detect_fast` run on each atom of ``graph.clique_cutset_atoms``,
+    since no hole crosses a clique cutset.  A graph that is one atom keeps
+    its context.  Otherwise each atom of five or more vertices that does not
+    peel to bipartite is swept and searched as an induced graph with a
+    context of its own, and a hole found there is mapped back to this
+    graph's ids and verified.  ``docs/derived-types.md`` shows why the
+    atoms need no jewel or pyramid search but a sweep of their own.
     """
     if peels_to_bipartite(g):
         return None
@@ -406,4 +413,21 @@ def detect(g: Graph) -> Optional[Hole]:
     hole = _classify(search)
     if hole is not None:
         return hole
-    return _staged(search)
+    atoms = clique_cutset_atoms(g)
+    if len(atoms) == 1:
+        return _staged(search)
+    for atom in atoms:
+        if atom.bit_count() < 5:
+            continue
+        sub, back = g.induced(atom)
+        if peels_to_bipartite(sub):
+            continue
+        part = _Search(sub)
+        hole = _sweep(part)
+        if hole is None:
+            hole = _staged(part)
+        if hole is not None:
+            hole = tuple(back[v] for v in hole)
+            if is_odd_hole(g, hole):
+                return hole
+    return None

@@ -209,18 +209,26 @@ def _probability(token: str) -> float:
     return p
 
 
-# family -> (builder, positional parameter types (None: any number of ints),
-#            how many leading parameters count vertices (None: all), seeded)
+def _size(token: str) -> int:
+    """A parameter that counts vertices: a non-negative int."""
+    n = int(token)
+    if n < 0:
+        raise ValueError(f"vertex count {token} is negative")
+    return n
+
+
+# family -> (builder, positional parameter types (None: any number of sizes),
+#            seeded); the ``_size`` parameters add up to the vertex count
 _FAMILIES = {
-    "cycle": (cycle_graph, (int,), 1, False),
-    "path": (path_graph, (int,), 1, False),
-    "complete": (complete_graph, (int,), 1, False),
-    "petersen": (petersen_graph, (), 0, False),
-    "multipartite": (lambda *sizes: complete_multipartite(list(sizes)), None, None, False),
-    "gnp": (gnp, (int, _probability), 1, True),
-    "bipartite": (random_bipartite, (int, int, _probability), 2, True),
-    "chordal": (random_chordal, (int,), 1, True),
-    "decorated": (decorated_odd_cycle, (int, int), 2, True),
+    "cycle": (cycle_graph, (_size,), False),
+    "path": (path_graph, (_size,), False),
+    "complete": (complete_graph, (_size,), False),
+    "petersen": (petersen_graph, (), False),
+    "multipartite": (lambda *sizes: complete_multipartite(list(sizes)), None, False),
+    "gnp": (gnp, (_size, _probability), True),
+    "bipartite": (random_bipartite, (_size, _size, _probability), True),
+    "chordal": (random_chordal, (_size,), True),
+    "decorated": (decorated_odd_cycle, (_size, _size), True),
 }
 
 
@@ -233,8 +241,9 @@ def generate_corpus(spec: str) -> list[Graph]:
     ``complete 6``.  The seeded families (``gnp``, ``bipartite``,
     ``chordal``, ``decorated``) build ``count`` graphs from seeds ``seed``,
     ``seed + 1``, ...; the others build one graph and ignore both options.
-    Raises ``ValueError`` on a malformed spec, a probability outside [0, 1]
-    and a graph with more vertices than graph6 can encode.
+    Raises ``ValueError`` on a malformed spec, a negative vertex count, a
+    probability outside [0, 1] and a graph with more vertices than graph6
+    can encode.
     """
     tokens = spec.split()
     if not tokens:
@@ -248,14 +257,14 @@ def generate_corpus(spec: str) -> list[Graph]:
         raise ValueError(f"unknown options: {sorted(kw)}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    build, types, sized, seeded = _FAMILIES[family]
-    types = (int,) * len(pos) if types is None else types
+    build, types, seeded = _FAMILIES[family]
+    types = (_size,) * len(pos) if types is None else types
     if len(pos) != len(types):
         raise ValueError(f"{family} takes {len(types)} positional parameters, got {len(pos)}")
     args = [convert(tok) for convert, tok in zip(types, pos)]
     # refuse before building: no format can hold the graph, and its
     # adjacency rows alone would take gigabytes
-    n = sum(max(0, size) for size in args[:sized])
+    n = sum(arg for convert, arg in zip(types, args) if convert is _size)
     if n > MAX_VERTICES:
         raise ValueError(f"{family} spec has {n} vertices, more than the "
                          f"{MAX_VERTICES} that graph6 can encode")

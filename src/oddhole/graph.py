@@ -7,7 +7,10 @@ complements of vertex sets are single big-int operations.
 
 Deleting vertices never renumbers anything.  The BFS accepts a
 ``within`` mask and simply refuses to leave it, so witnesses found in a
-masked subgraph are valid vertex sequences of the original graph.
+masked subgraph are valid vertex sequences of the original graph.  The one
+renumbering is :meth:`Graph.induced`, which returns the map back to the
+original ids; ``fast.detect`` takes it for the atoms of
+:func:`clique_cutset_atoms`.
 """
 
 from __future__ import annotations
@@ -97,6 +100,18 @@ class Graph:
         for u, row in enumerate(self.adj):
             rows[perm[u]] = mask_of(perm[v] for v in bits(row))
         return Graph.from_rows(self.n, rows)
+
+    def induced(self, mask: Mask) -> tuple["Graph", tuple[int, ...]]:
+        """The subgraph induced on ``mask``, and its back map.
+
+        The vertices of ``mask`` are renumbered ``0..k-1`` in increasing id
+        order, so every lowest-id tie-break keeps its order; vertex ``i`` of
+        the subgraph is vertex ``back[i]`` of this graph.
+        """
+        back = tuple(bits(mask))
+        pos = {v: i for i, v in enumerate(back)}
+        rows = [mask_of(pos[u] for u in bits(self.adj[v] & mask)) for v in back]
+        return Graph.from_rows(len(back), rows), back
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -316,6 +331,114 @@ def peels_to_bipartite(g: Graph) -> bool:
     return True
 
 
+def _is_clique(g: Graph, mask: Mask) -> bool:
+    adj = g.adj
+    for v in bits(mask):
+        if mask & ~adj[v] != 1 << v:
+            return False
+    return True
+
+
+def _component(g: Graph, v: int, within: Mask) -> Mask:
+    """The vertices that ``v`` reaches inside ``within`` (``v`` included)."""
+    comp = frontier = 1 << v
+    while frontier:
+        frontier = neighbourhood(g, frontier) & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _minimal_elimination(g: Graph) -> tuple[list[int], list[Mask]]:
+    """An MCS-M elimination ordering and each vertex's later neighbours.
+
+    MCS-M (Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
+    computing minimal triangulations", 2004) numbers the vertices from last
+    to first, each time the unnumbered vertex of largest weight (lowest id
+    on ties).  Numbering ``v`` raises the weight of every unnumbered ``u``
+    that ``v`` reaches by a path whose inner vertices are unnumbered and
+    lighter than ``u``; ``uv`` is then an edge of the minimal triangulation
+    the ordering eliminates, and ``v`` is eliminated after ``u``.  Returns
+    the elimination order and, for each vertex, the mask of its neighbours
+    in the triangulation that are eliminated after it.
+    """
+    adj = g.adj
+    later = [0] * g.n
+    level = [g.full_mask]  # level[w]: the unnumbered vertices of weight w
+    picked = []
+    for _ in range(g.n):
+        while not level[-1]:
+            level.pop()
+        v = (level[-1] & -level[-1]).bit_length() - 1
+        level[-1] ^= 1 << v
+        picked.append(v)
+        # ``near``: the neighbours of v and of ``inner``, the vertices that v
+        # reaches through vertices lighter than the current weight alone
+        near = adj[v]
+        inner = lighter = 0
+        raised = []
+        for w, members in enumerate(level):
+            frontier = near & lighter & ~inner
+            while frontier:
+                inner |= frontier
+                near |= neighbourhood(g, frontier)
+                frontier = near & lighter & ~inner
+            if near & members:
+                raised.append((w, near & members))
+            lighter |= members
+        for w, hit in raised:
+            level[w] ^= hit
+            if w + 1 == len(level):
+                level.append(0)
+            level[w + 1] |= hit
+            for u in bits(hit):
+                later[u] |= 1 << v
+    picked.reverse()
+    return picked, later
+
+
+def clique_cutset_atoms(g: Graph) -> list[Mask]:
+    """Vertex masks of the atoms of a clique-separator decomposition of ``g``.
+
+    The atoms cover the vertices, each induces a subgraph with no clique
+    cutset (disconnected pieces are split too, on the empty clique), and
+    every hole of ``g`` lies inside one of them: a clique meets a hole in at
+    most one edge, so no hole crosses a clique cutset.  It is Tarjan's step
+    ("Decomposition by clique separators", 1985) on an MCS-M ordering: for
+    each vertex ``x`` left, in elimination order, ``S`` is its later
+    neighbours in the triangulation that are still left; if ``S`` is a
+    clique of ``g`` and the component ``C`` of the rest minus ``S`` that
+    holds ``x`` leaves some vertex outside ``C | S``, then ``C | S`` is an
+    atom and ``C`` leaves the rest.  The rest is the last atom.  An atom
+    may be a clique inside an earlier atom's ``S``.
+
+    Across a clique cutset every two vertices on opposite sides are
+    non-adjacent and their common neighbours lie in the cutset, so a graph
+    in which no non-adjacent pair has a clique as its common neighbourhood
+    is one atom.  That is tested first, one clique test per non-adjacent
+    pair, and the ordering is taken only if the test passes.
+    """
+    adj = g.adj
+    full = g.full_mask
+    if not any(_is_clique(g, adj[a] & adj[b])
+               for a in range(g.n) for b in bits(full & ~adj[a] >> (a + 1) << (a + 1))):
+        return [full]
+    order, later = _minimal_elimination(g)
+    atoms = []
+    rest = full
+    for x in order:
+        if not rest >> x & 1:
+            continue
+        sep = later[x] & rest
+        if not _is_clique(g, sep):
+            continue
+        comp = _component(g, x, rest & ~sep)
+        if rest & ~(comp | sep):
+            atoms.append(comp | sep)
+            rest &= ~comp
+    atoms.append(rest)
+    return atoms
+
+
 def induced_three_paths(g: Graph) -> list[tuple[int, int, int]]:
     """All induced paths a-x-b with a < b (each returned once)."""
     out = []
@@ -351,10 +474,13 @@ class _Search:
     """The search state of one detector call on one graph.
 
     ``detect`` creates one per call and hands it to every stage: the jewel
-    and pyramid searches, the heavy-cleanable sweep and the six staged
-    shapes; each public stage called alone creates its own.  It is passed
-    explicitly, never kept in module state, so concurrent calls share
-    nothing.
+    and pyramid searches, the heavy-cleanable sweep and, on a graph with no
+    clique cutset, the six staged shapes.  On a graph with one, it creates
+    one more for each atom it searches, on the atom's induced graph, which
+    the atom's sweep and shapes share; at most one atom's context is alive
+    at a time, next to the whole graph's.  Each public stage called alone
+    creates its own.  It is passed explicitly, never kept in module state,
+    so concurrent calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
     clean-test fallback result, keyed by mask, and two tables built at most

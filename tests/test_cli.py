@@ -177,6 +177,11 @@ def test_gen_command():
     for spec in (["gnp", "10", "1.5"], ["gnp", "10", "nan"], ["--", "bipartite", "4", "5", "-0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
+    # a negative vertex count, refused by one check whatever the family
+    for spec in (["--", "multipartite", "-1", "3"], ["--", "chordal", "-2"],
+                 ["--", "decorated", "9", "-1"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and res.output.startswith("spec error: vertex count -"), spec
 
 
 def test_gen_out_of_memory_is_a_spec_error():

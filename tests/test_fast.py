@@ -39,8 +39,10 @@ from oddhole.generators import (
 from oddhole.graph import (
     _Search,
     bits,
+    clique_cutset_atoms,
     induced_four_paths,
     induced_three_paths,
+    mask_of,
     peels_to_bipartite,
 )
 from oddhole.oracle import oracle_find_odd_hole
@@ -90,12 +92,15 @@ SHAPE_GRAPHS = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 
 
 
 def _record_bfs(monkeypatch):
-    # the search context lives in ``graph`` and looks the BFS up there
+    # the search context lives in ``graph`` and looks the BFS up there.  Each
+    # key names its graph too, since detect searches each atom of a clique
+    # cutset on an induced graph with a context of its own: by id, and the
+    # graph itself keeps that id from passing to a later atom's graph.
     bfs = oddhole.graph.bfs_distances
     keys = []
 
     def counted(g, source, within=None):
-        keys.append((source, within))
+        keys.append((id(g), g, source, within))
         return bfs(g, source, within)
 
     monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
@@ -103,7 +108,9 @@ def _record_bfs(monkeypatch):
 
 
 # The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
-# decided by the peeling, a candidate, and every shape searches it.
+# decided by the peeling, a candidate, and every shape searches it.  An edge
+# is a clique cutset of it: its atoms have 3 and 9 vertices, and detect
+# searches the 9-vertex one alone (the other peels away).
 LINE_CANDIDATE = "IrKy_SFAO"
 
 
@@ -121,18 +128,29 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
         assert calls > 0, det.__name__
 
 
-def test_detect_builds_one_search_per_call(monkeypatch):
-    g = parse_graph6(LINE_CANDIDATE).graph
-    assert not peels_to_bipartite(g) and classify_candidate(g) is None
+def _count_searches(monkeypatch):
+    # the number of search contexts built, in a one-item list
     init = oddhole.graph._Search.__init__
-    built = 0
+    built = [0]
 
     def counted(self, graph):
-        nonlocal built
-        built += 1
+        built[0] += 1
         init(self, graph)
 
     monkeypatch.setattr(oddhole.graph._Search, "__init__", counted)
+    return built
+
+
+def test_detect_builds_one_search_per_call(monkeypatch):
+    # one context for the whole graph's stages 1-2, and one for the one atom
+    # that stage 3 searches; detect_fast and the simple pipeline, which do
+    # not decompose, build one
+    g = parse_graph6(LINE_CANDIDATE).graph
+    assert not peels_to_bipartite(g) and classify_candidate(g) is None
+    atoms = clique_cutset_atoms(g)
+    assert sorted(atom.bit_count() for atom in atoms) == [3, 9]
+    assert [peels_to_bipartite(g.induced(atom)[0]) for atom in atoms] == [True, False]
+    built = _count_searches(monkeypatch)
     dist = oddhole.graph._Search.dist
     searches = []
 
@@ -147,10 +165,37 @@ def test_detect_builds_one_search_per_call(monkeypatch):
         answers.append(det(g))
     assert all(searches), searches
     answer = next((hole for hole in answers if hole is not None), None)
-    for run in (detect, detect_fast, detect_with_simple_pipeline):
-        built = 0
+    for run, contexts in ((detect, 2), (detect_fast, 1), (detect_with_simple_pipeline, 1)):
+        built[0] = 0
         assert run(g) == answer
-        assert built == 1, run.__name__
+        assert built[0] == contexts, run.__name__
+
+
+def test_detect_on_one_atom_keeps_one_search(monkeypatch):
+    # a candidate with no clique cutset: stage 3 goes on with the context of
+    # stages 0-2, on the whole graph
+    g = SHAPE_GRAPHS[0]
+    assert not peels_to_bipartite(g) and classify_candidate(g) is None
+    assert clique_cutset_atoms(g) == [g.full_mask]
+    built = _count_searches(monkeypatch)
+    assert detect(g) is None
+    assert built[0] == 1
+
+
+def test_detect_maps_an_atom_hole_back(monkeypatch):
+    # A 7-hole glued along the edge 2-3 of a chordal host: that edge is a
+    # clique cutset, and the hole is an atom on its own, whose vertex 0 is
+    # vertex 2 here.  With stages 1-2 turned off on the whole graph, only
+    # the atom loop can find the hole, and only in this graph's ids.
+    host = random_chordal(8, 1)
+    assert host.has_edge(2, 3)
+    g = Graph(13, list(host.edges()) + [(2, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 3)])
+    atom = mask_of((2, 3, 8, 9, 10, 11, 12))
+    assert atom in clique_cutset_atoms(g)
+    monkeypatch.setattr(oddhole.fast, "_classify", lambda search: None)
+    hole = detect(g)
+    assert hole is not None and is_odd_hole(g, hole)
+    assert mask_of(hole) == atom
 
 
 def test_detect_runs_each_masked_bfs_once(monkeypatch):
@@ -179,10 +224,12 @@ def test_detect_lists_the_four_paths_once(monkeypatch):
     for module in (oddhole.graph, oddhole.cleaning, oddhole.fast, oddhole.simple):
         monkeypatch.setattr(module, "induced_four_paths", counted, raising=False)
     g = parse_graph6(LINE_CANDIDATE).graph
-    for run in (detect, detect_with_simple_pipeline):
+    # one list per context: detect builds one for the whole graph and one
+    # for the atom it searches (test_detect_builds_one_search_per_call)
+    for run, lists in ((detect, 2), (detect_with_simple_pipeline, 1)):
         calls = 0
         assert run(g) is None
-        assert calls == 1, run.__name__
+        assert calls == lists, run.__name__
 
 
 def test_detect_from_threads_matches_sequential():
