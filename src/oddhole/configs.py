@@ -137,9 +137,8 @@ def _jewel(search: _Search) -> Optional[JewelWitness]:
                 for v4 in bits(
                     adj[v3] & ~adj[v1] & ~adj[v2] & ~(1 << v1) & ~(1 << v2)
                 ):
+                    # v5 sees v4 and v1, so it is not v2 (misses v4) or v3 (misses v1)
                     for v5 in bits(adj[v4] & adj[v1]):
-                        if v5 in (v2, v3):
-                            continue
                         allowed = (g.full_mask & ~(closed[v2] | closed[v3] | closed[v5])
                                    | 1 << v1 | 1 << v4)
                         dist = search.dist(v1, allowed)

@@ -24,7 +24,7 @@ from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
 (``graph._Search``), created once per :func:`detect_fast` call and once per
-graph or atom that :func:`detect` searches, and passed to every shape,
+graph, leaf or atom that :func:`detect` searches, and passed to every shape,
 answers every masked BFS and every clean-test fallback and holds the
 induced four-paths, so each distinct (source, mask) pair is searched, and
 each fallback mask tested, once per context; the jewel, pyramid and
@@ -72,6 +72,7 @@ from .graph import (
     mask_of,
     neighbourhood,
     peels_to_bipartite,
+    split_leaves,
     through,
     walk_down,
 )
@@ -396,19 +397,34 @@ def detect(g: Graph) -> Optional[Hole]:
     First, simplicial vertices are deleted as long as any is left; if the
     rest is bipartite, the answer is None.  A simplicial vertex lies on no
     hole, since its two hole neighbours would be adjacent, and a bipartite
-    graph has no odd cycle.  Otherwise the original graph goes through
-    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) on one
-    search context.  If that finds nothing, the six staged shapes of
-    :func:`detect_fast` run on each atom of ``graph.clique_cutset_atoms``,
-    since no hole crosses a clique cutset.  A graph that is one atom keeps
-    its context.  Otherwise each atom of five or more vertices that does not
-    peel to bipartite is swept and searched as an induced graph with a
-    context of its own, and a hole found there is mapped back to this
-    graph's ids and verified.  ``docs/derived-types.md`` shows why the
-    atoms need no jewel or pyramid search but a sweep of their own.
+    graph has no odd cycle.  Then ``graph.split_leaves`` splits the graph on
+    components, co-components and twins.  A graph that is its own only
+    leaf is searched whole.  Otherwise each leaf, in the order the split
+    yields it, is peeled again (dropping a twin can leave new simplicial
+    vertices) and searched the same way as an induced graph, and a hole
+    found there is mapped back to this graph's ids and verified; the graph
+    has an odd hole iff some leaf has one.
+
+    The search of one graph goes through ``classify_candidate`` (jewel,
+    pyramid, heavy-cleanable sweep) on one search context.  If that finds
+    nothing, the six staged shapes of :func:`detect_fast` run on each atom
+    of ``graph.clique_cutset_atoms``, since no hole crosses a clique cutset.
+    A graph that is one atom keeps its context.  Otherwise each atom of five
+    or more vertices that does not peel to bipartite is swept and searched
+    as an induced graph with a context of its own, and mapped back the same
+    way.  ``docs/derived-types.md`` shows why the atoms need no jewel or
+    pyramid search but a sweep of their own.
     """
     if peels_to_bipartite(g):
         return None
+    leaves = split_leaves(g)
+    if leaves == [g.full_mask]:
+        return _search_graph(g)
+    return _in_parts(g, leaves, _search_graph)
+
+
+def _search_graph(g: Graph) -> Optional[Hole]:
+    """Stages 1-3 of :func:`detect` on a graph that needs no split."""
     search = _Search(g)
     hole = _classify(search)
     if hole is not None:
@@ -416,16 +432,30 @@ def detect(g: Graph) -> Optional[Hole]:
     atoms = clique_cutset_atoms(g)
     if len(atoms) == 1:
         return _staged(search)
-    for atom in atoms:
-        if atom.bit_count() < 5:
+    return _in_parts(g, atoms, _search_atom)
+
+
+def _search_atom(g: Graph) -> Optional[Hole]:
+    """An atom's own heavy-cleanable sweep, then the six shapes, on one context."""
+    part = _Search(g)
+    hole = _sweep(part)
+    return hole if hole is not None else _staged(part)
+
+
+def _in_parts(g: Graph, parts: list[Mask],
+              search_part: Callable[[Graph], Optional[Hole]]) -> Optional[Hole]:
+    """The first verified hole that ``search_part`` finds in an induced part.
+
+    Parts of fewer than five vertices and parts that peel to bipartite are
+    skipped; a hole is mapped back to ``g``'s ids and verified on ``g``.
+    """
+    for part in parts:
+        if part.bit_count() < 5:
             continue
-        sub, back = g.induced(atom)
+        sub, back = g.induced(part)
         if peels_to_bipartite(sub):
             continue
-        part = _Search(sub)
-        hole = _sweep(part)
-        if hole is None:
-            hole = _staged(part)
+        hole = search_part(sub)
         if hole is not None:
             hole = tuple(back[v] for v in hole)
             if is_odd_hole(g, hole):

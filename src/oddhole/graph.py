@@ -9,8 +9,8 @@ Deleting vertices never renumbers anything.  The BFS accepts a
 ``within`` mask and simply refuses to leave it, so witnesses found in a
 masked subgraph are valid vertex sequences of the original graph.  The one
 renumbering is :meth:`Graph.induced`, which returns the map back to the
-original ids; ``fast.detect`` takes it for the atoms of
-:func:`clique_cutset_atoms`.
+original ids; ``fast.detect`` takes it for the leaves of :func:`split_leaves`
+and the atoms of :func:`clique_cutset_atoms`.
 """
 
 from __future__ import annotations
@@ -339,13 +339,107 @@ def _is_clique(g: Graph, mask: Mask) -> bool:
     return True
 
 
-def _component(g: Graph, v: int, within: Mask) -> Mask:
-    """The vertices that ``v`` reaches inside ``within`` (``v`` included)."""
+def _component(g: Graph, v: int, within: Mask, co: bool = False) -> Mask:
+    """The vertices that ``v`` reaches inside ``within`` (``v`` included).
+
+    With ``co`` it is the component of ``v`` in the complement of ``g``:
+    each step reaches the vertices of ``within`` that miss some frontier
+    vertex, ``within & ~AND(rows)``, so the complement is never built.
+    """
+    adj = g.adj
     comp = frontier = 1 << v
     while frontier:
-        frontier = neighbourhood(g, frontier) & within & ~comp
+        if co:
+            common = within
+            rest = frontier
+            while rest:  # bits(frontier), inlined as in neighbourhood
+                low = rest & -rest
+                common &= adj[low.bit_length() - 1]
+                rest ^= low
+            frontier = within & ~common & ~comp
+        else:
+            frontier = neighbourhood(g, frontier) & within & ~comp
         comp |= frontier
     return comp
+
+
+def _pieces(g: Graph, mask: Mask, co: bool) -> list[Mask]:
+    """The components (with ``co``, the co-components) of ``mask``, by lowest id."""
+    out = []
+    rest = mask
+    while rest:
+        piece = _component(g, (rest & -rest).bit_length() - 1, rest, co)
+        out.append(piece)
+        rest ^= piece
+    return out
+
+
+def _drop_twins(g: Graph, mask: Mask) -> Mask:
+    """``mask`` less every vertex whose open or closed neighbourhood inside
+    ``mask`` repeats that of a lower-id vertex.
+
+    One set holds both rows of every kept vertex, as an open row ``N(u)``
+    never equals a closed row ``N[v]``: ``v`` would lie in ``N(u)``, so
+    ``u`` would lie in ``N[v] = N(u)``, a loop.
+    """
+    adj = g.adj
+    seen = set()
+    kept = rest = mask
+    while rest:  # bits(mask), inlined: this runs on every graph detect searches
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1] & mask
+        closed = row | low
+        if row in seen or closed in seen:
+            kept ^= low
+        else:
+            seen.add(row)
+            seen.add(closed)
+    return kept
+
+
+def split_leaves(g: Graph) -> list[Mask]:
+    """Vertex masks of the leaves of the component, co-component and twin split.
+
+    A mask that is disconnected splits into its components; otherwise, one
+    whose complement is disconnected splits into its co-components;
+    otherwise every vertex with a twin of lower id (the same open or closed
+    neighbourhood inside the mask) is dropped and the rest splits again.  A
+    mask that none of the three changes is a leaf: connected, co-connected
+    and twin-free.  Masks of fewer than five vertices are dropped.  Leaves
+    come depth first, each split's pieces in the order of their lowest ids.
+
+    ``g`` has an odd hole iff some leaf induces one.  A hole of length five
+    or more is connected and so is its complement, so it lies inside one
+    component and inside one co-component.  It holds at most one vertex of
+    a twin pair: true twins on it would close a triangle, false twins a
+    4-cycle.  So a hole through a dropped vertex ``v`` stays a hole when
+    ``v`` is replaced by its twin of lowest id, which is kept and has the
+    same neighbours off ``v`` (substitution: Lovász's replication lemma,
+    1972, and Gallai's modular decomposition, 1967).  A vertex ``v`` has
+    twins of one kind only: a true twin ``w`` and a false twin ``u`` would
+    put ``w`` in ``N(v) = N(u)`` and so ``u`` in ``N[w] = N[v]``.  So each
+    twin class keeps its lowest id.  An odd hole has at least five
+    vertices.
+    """
+    leaves = []
+    todo = [g.full_mask]
+    while todo:
+        mask = todo.pop()
+        if mask.bit_count() < 5:
+            continue
+        parts = _pieces(g, mask, False)
+        if len(parts) == 1:
+            parts = _pieces(g, mask, True)
+        if len(parts) > 1:
+            todo.extend(reversed(parts))
+            continue
+        kept = _drop_twins(g, mask)
+        if kept == mask:
+            leaves.append(mask)
+        else:
+            todo.append(kept)
+    return leaves
 
 
 def _minimal_elimination(g: Graph) -> tuple[list[int], list[Mask]]:
@@ -416,6 +510,10 @@ def clique_cutset_atoms(g: Graph) -> list[Mask]:
     in which no non-adjacent pair has a clique as its common neighbourhood
     is one atom.  That is tested first, one clique test per non-adjacent
     pair, and the ordering is taken only if the test passes.
+
+    ``fast.detect`` hands it only connected graphs (the leaves of
+    :func:`split_leaves`, or a graph that is its own leaf), so there the
+    empty clique never splits anything.
     """
     adj = g.adj
     full = g.full_mask
@@ -473,14 +571,17 @@ def induced_four_paths(g: Graph) -> list[tuple[int, int, int, int]]:
 class _Search:
     """The search state of one detector call on one graph.
 
-    ``detect`` creates one per call and hands it to every stage: the jewel
-    and pyramid searches, the heavy-cleanable sweep and, on a graph with no
-    clique cutset, the six staged shapes.  On a graph with one, it creates
-    one more for each atom it searches, on the atom's induced graph, which
-    the atom's sweep and shapes share; at most one atom's context is alive
-    at a time, next to the whole graph's.  Each public stage called alone
-    creates its own.  It is passed explicitly, never kept in module state,
-    so concurrent calls share nothing.
+    ``detect`` creates one per graph it searches and hands it to every
+    stage: the jewel and pyramid searches, the heavy-cleanable sweep and,
+    on a graph with no clique cutset, the six staged shapes.  The graph it
+    searches is the whole graph if :func:`split_leaves` leaves it whole,
+    and otherwise each leaf in turn, on the leaf's induced graph; the whole
+    graph then gets none.  On a graph with a clique cutset it creates one
+    more for each atom it searches, on the atom's induced graph, which the
+    atom's sweep and shapes share.  So at most two are alive at a time: one
+    leaf's (or the whole graph's) and one atom's.  Each public stage called
+    alone creates its own.  It is passed explicitly, never kept in module
+    state, so concurrent calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
     clean-test fallback result, keyed by mask, and two tables built at most

@@ -43,6 +43,45 @@ def random_graphs(count, nmin, nmax, seed, ps=(0.15, 0.3, 0.5)):
     return out
 
 
+def disjoint_union(a, b):
+    """``a`` and ``b`` side by side, ``b``'s vertices numbered after ``a``'s."""
+    return Graph(a.n + b.n, list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def join(a, b):
+    """The disjoint union of ``a`` and ``b`` plus every edge between them."""
+    return disjoint_union(a.complement(), b.complement()).complement()
+
+
+def with_twin(g, v, true):
+    """``g`` plus a vertex ``g.n`` with the neighbours of ``v``: a true twin
+    of ``v`` (adjacent to it) if ``true``, else a false one."""
+    edges = list(g.edges()) + [(u, g.n) for u in range(g.n) if g.has_edge(u, v)]
+    if true:
+        edges.append((v, g.n))
+    return Graph(g.n + 1, edges)
+
+
+def split_family_graphs(count, seed):
+    """Seeded disjoint unions, joins and twin blow-ups of gnp pieces, n <= 12,
+    each relabelled at random so that a kept twin may have either id."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 < 2:
+            a = gnp(rng.randint(2, 5), rng.choice((0.3, 0.5, 0.7)), rng.randrange(10**6))
+            b = gnp(rng.randint(6, 12 - a.n), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10**6))
+            g = disjoint_union(a, b) if i % 3 == 0 else join(a, b)
+        else:
+            g = gnp(rng.randint(7, 10), rng.choice((0.3, 0.4, 0.5)), rng.randrange(10**6))
+            for _ in range(rng.randint(1, 12 - g.n)):
+                g = with_twin(g, rng.randrange(g.n), rng.random() < 0.5)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
 def parity_decorated(k, seed, majors=3, links="triangle"):
     """Odd cycle plus linked majors whose gap parities avoid short odd holes.
 

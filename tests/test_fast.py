@@ -44,9 +44,10 @@ from oddhole.graph import (
     induced_three_paths,
     mask_of,
     peels_to_bipartite,
+    split_leaves,
 )
 from oddhole.oracle import oracle_find_odd_hole
-from .conftest import random_graphs
+from .conftest import disjoint_union, join, random_graphs, split_family_graphs, with_twin
 
 ALL_TYPES = (
     detect_type1,
@@ -196,6 +197,53 @@ def test_detect_maps_an_atom_hole_back(monkeypatch):
     hole = detect(g)
     assert hole is not None and is_odd_hole(g, hole)
     assert mask_of(hole) == atom
+
+
+def _split_hole(g, leaves, hole_mask):
+    # detect splits g into ``leaves`` and returns the one odd hole there is
+    assert split_leaves(g) == leaves
+    hole = detect(g)
+    assert hole is not None and is_odd_hole(g, hole)
+    assert mask_of(hole) == hole_mask
+
+
+# A 6-cycle on vertices 0-5 and a 7-hole on 6-12, joined or side by side:
+# the 6-cycle is the first leaf and has no odd hole, so the hole is found in
+# the last leaf.
+def test_detect_finds_a_hole_on_one_side_of_a_join():
+    six, seven = mask_of(range(6)), mask_of(range(6, 13))
+    _split_hole(join(cycle_graph(6), cycle_graph(7)), [six, seven], seven)
+
+
+def test_detect_finds_a_hole_in_the_last_component():
+    six, seven = mask_of(range(6)), mask_of(range(6, 13))
+    _split_hole(disjoint_union(cycle_graph(6), cycle_graph(7)), [six, seven], seven)
+
+
+# A 7-hole whose vertex 0 has a twin 7: the split keeps 0, and every odd
+# hole runs through 0 or 7, so the hole found must run through 0.
+def test_detect_finds_a_hole_through_a_kept_false_twin():
+    seven = mask_of(range(7))
+    _split_hole(with_twin(cycle_graph(7), 0, true=False), [seven], seven)
+
+
+def test_detect_finds_a_hole_through_a_kept_true_twin():
+    seven = mask_of(range(7))
+    _split_hole(with_twin(cycle_graph(7), 0, true=True), [seven], seven)
+
+
+def test_detect_matches_oracle_on_split_families():
+    split = holes = 0
+    for g in split_family_graphs(300, seed=17):
+        got = detect(g)
+        want = oracle_find_odd_hole(g)
+        assert (got is None) == (want is None), g.adj
+        if got is not None:
+            assert is_odd_hole(g, got)
+        split += split_leaves(g) != [g.full_mask]
+        holes += want is not None
+    # every one splits, and both verdicts are common
+    assert split == 300 and 40 <= holes <= 150, (split, holes)
 
 
 def test_detect_runs_each_masked_bfs_once(monkeypatch):

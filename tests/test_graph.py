@@ -20,6 +20,7 @@ from oddhole.graph import (
     mask_of,
     peels_to_bipartite,
     shortest_path,
+    split_leaves,
     walk_down,
 )
 from oddhole.generators import (
@@ -30,7 +31,8 @@ from oddhole.generators import (
     gnp,
     path_graph,
 )
-from oddhole.oracle import oracle_find_odd_hole
+from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
+from .conftest import split_family_graphs
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -399,3 +401,50 @@ def test_clique_cutset_atoms_match_brute_force_and_the_oracle():
         split_holes += has_hole and len(atoms) > 1
     # none of the three kinds of graph is rare
     assert split >= 100 and len(ATOM_GRAPHS) - split >= 30 and split_holes >= 10
+
+
+def _twin_free(g, mask):
+    # no two vertices of ``mask`` have the same open or the same closed
+    # neighbourhood inside it
+    for u, v in itertools.combinations(bits(mask), 2):
+        nu, nv = g.adj[u] & mask, g.adj[v] & mask
+        if nu == nv or nu | 1 << u == nv | 1 << v:
+            return False
+    return True
+
+
+def _hole_lengths(g):
+    return {len(hole) for hole in oracle_odd_holes(g)}
+
+
+def test_split_leaves_match_brute_force_and_the_oracle():
+    graphs = [gnp(n, p, 7300 + n * 11 + i) for n in range(3, 11) for p in (0.3, 0.5, 0.7)
+              for i in range(6)]
+    graphs += [h for g in split_family_graphs(60, seed=23) for h in (g, g.complement())]
+    split = leafless = split_holes = 0
+    for g in graphs:
+        leaves = split_leaves(g)
+        co = g.complement()
+        seen = 0
+        for leaf in leaves:
+            # each leaf has five vertices or more, is connected, co-connected
+            # and twin-free, and no two leaves meet
+            assert leaf.bit_count() >= 5 and not leaf & seen, g.adj
+            low = next(bits(leaf))
+            assert _reach(g, low, leaf) == leaf and _reach(co, low, leaf) == leaf, g.adj
+            assert _twin_free(g, leaf), g.adj
+            seen |= leaf
+        # a graph that is all three is its own leaf
+        whole = g.n >= 5 and _reach(g, 0, g.full_mask) == _reach(co, 0, g.full_mask) == g.full_mask
+        assert (leaves == [g.full_mask]) == (whole and _twin_free(g, g.full_mask)), g.adj
+        # each odd hole of g has a hole of its length in some leaf (its twins
+        # replaced by the ones kept), and each hole of a leaf is one of g
+        lengths = _hole_lengths(g)
+        in_leaves = [_hole_lengths(g.induced(leaf)[0]) for leaf in leaves]
+        assert lengths == set().union(*in_leaves), g.adj
+        split += leaves != [g.full_mask]
+        leafless += not leaves
+        split_holes += leaves != [g.full_mask] and bool(lengths)
+    # none of the four kinds of graph is rare
+    assert split >= 150 and len(graphs) - split >= 30, split
+    assert leafless >= 30 and split_holes >= 20, (leafless, split_holes)

@@ -16,7 +16,7 @@ from oddhole.generators import decorated_odd_cycle, gnp
 STAGES = ("detect", "classify_candidate", "find_jewel", "find_pyramid", "test_clean",
           "test_heavy_cleanable")
 
-DIGEST = "3b147bf1b3b9af08765ba4999ad720a3e1e1f69c324127678d9c7699f8a4de02"
+DIGEST = "8cf67a13501948d26951c002cab0011c0ebb958e051e02aae369d832e7790a73"
 
 
 def _graphs():
