@@ -590,9 +590,10 @@ class _Search:
     of ``n`` integers and the tuple of its layer masks, with its key.  At
     n = 16 that entry is 460 bytes by ``sys.getsizeof``, of which the layers
     are 184.  On the seed-1 benchmark corpora the largest context of a
-    ``detect`` call holds 2,179 entries (0.91 MB); on the line graph of 40
-    random edges of K10,10 ``classify_candidate`` keeps up to 3,303
-    (2.4 MB), the jewel search up to 1,948 of them, and stage 3 far more
+    ``detect`` call holds 1,971 entries (0.84 MB); on the line graph of 40
+    random edges of K10,10 ``classify_candidate`` keeps 1,355-1,400
+    (1.1 MB; 3,079-3,303 before the jewel's mask tests), the jewel search
+    none of them (1,710-1,948 before), and stage 3 far more
     (``docs/derived-types.md``).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
-from oddhole.graph import bits
+from oddhole.graph import _Search, bits, mask_of
 from oddhole.oracle import oracle_find_jewel, oracle_find_pyramid
 from .conftest import random_graphs
 
@@ -314,3 +314,127 @@ def test_leg_masks_decide_compatibility_like_the_vertex_loop():
                                 pairs += 1
                                 rejected += not ok
     assert (pairs, rejected) == (16164, 11090)
+
+
+def test_claw_centres_match_brute_force():
+    # a vertex is a claw centre when three of its neighbours are pairwise
+    # non-adjacent: the centre of an induced K1,3
+    def brute(g):
+        return mask_of(a for a in range(g.n) if any(
+            not (g.has_edge(x, y) or g.has_edge(x, z) or g.has_edge(y, z))
+            for x, y, z in combinations(bits(g.adj[a]), 3)))
+
+    graphs = [g for n in range(1, 8) for g in connected_small_graphs(n)]
+    graphs += random_graphs(200, 5, 14, seed=31, ps=(0.2, 0.35, 0.5, 0.7))
+    centres = 0
+    for g in graphs:
+        mask = oddhole.configs._claw_centres(_Search(g))
+        assert mask == brute(g), g
+        centres += mask != 0
+    assert 400 < centres < len(graphs)
+
+
+def test_pyramid_tries_no_apex_of_a_claw_free_graph(monkeypatch):
+    # The anchors of a pyramid are three pairwise non-adjacent neighbours of
+    # its apex, so only claw centres are tried.  Line graphs and co-bipartite
+    # graphs have none; gnp graphs do.
+    at = oddhole.configs._pyramid_at
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return at(*args)
+
+    monkeypatch.setattr(oddhole.configs, "_pyramid_at", counted)
+    for s in range(12):
+        h = random_bipartite(5, 5, 0.3 + 0.05 * (s % 6), s)
+        for g in (_line_graph(h), h.complement()):
+            assert find_pyramid(g) is None
+    assert calls == 0
+    for g in random_graphs(40, 8, 12, seed=37):
+        find_pyramid(g)
+    assert calls > 40
+
+
+def _jewel_tuples(g):
+    # every (v1, .., v5) the jewel search must try, in its order, with the
+    # allowed set of its connecting path
+    out = []
+    for v1 in range(g.n):
+        for v2, v3, v4 in product(range(g.n), repeat=3):
+            ring = (v1, v2, v3, v4)
+            if len(set(ring)) < 4 or not all(map(g.has_edge, ring, ring[1:])):
+                continue
+            if g.has_edge(v1, v3) or g.has_edge(v2, v4) or g.has_edge(v1, v4):
+                continue
+            for v5 in bits(g.adj[v4] & g.adj[v1]):
+                allowed = {v1, v4} | {u for u in range(g.n) if all(
+                    u != x and not g.has_edge(u, x) for x in (v2, v3, v5))}
+                out.append(((v1, v2, v3, v4, v5), allowed))
+    return out
+
+
+def _joined(g, u, v, allowed):
+    # whether a path runs from u to v inside allowed, by depth-first search
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for y in bits(g.adj[x]):
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return v in seen
+
+
+def test_jewel_skips_only_tuples_without_a_path(monkeypatch):
+    # A tuple whose v1 or v4 has no allowed neighbour is skipped before its
+    # BFS; every skipped tuple has no v1-v4 path, and the witness is the
+    # first tuple that has one.
+    bfs = oddhole.graph.bfs_distances
+    asked = set()
+
+    def recorded(g, source, within=None):
+        asked.add((source, within))
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.graph, "bfs_distances", recorded)
+    tried = skipped = found = 0
+    for g in random_graphs(150, 6, 10, seed=41, ps=(0.3, 0.45, 0.6)):
+        asked.clear()
+        w = find_jewel(g)
+        first = None
+        for ring, allowed in _jewel_tuples(g):
+            joined = _joined(g, ring[0], ring[3], allowed)
+            if (ring[0], mask_of(allowed)) in asked:
+                tried += 1
+            else:
+                assert not joined, (g, ring)
+                skipped += 1
+            if joined:
+                first = ring
+                break
+        assert (w and w.ring) == first, g
+        found += w is not None
+    # some tried tuples have no path either: the mask test is only necessary
+    assert (tried, skipped, found) == (58, 1422, 44)
+
+
+def test_jewel_asks_for_no_bfs_on_co_bipartite_graphs(monkeypatch):
+    # In a co-bipartite graph a neighbour of v4 outside the closed
+    # neighbourhoods of v2, v3 and v5 is on v1's side, so v1 sees it: every
+    # tuple that passes the mask test has a path of length two, and there is
+    # no jewel, so none passes.
+    calls = 0
+    bfs = oddhole.graph.bfs_distances
+
+    def counted(g, source, within=None):
+        nonlocal calls
+        calls += 1
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
+    for s in range(20):
+        g = random_bipartite(4 + s % 4, 5, (0.3, 0.5, 0.7)[s % 3], 50 + s).complement()
+        assert find_jewel(g) is None
+    assert calls == 0

@@ -249,13 +249,17 @@ def test_detect_matches_oracle_on_split_families():
 def test_detect_runs_each_masked_bfs_once(monkeypatch):
     # The jewel, pyramid, sweep and shapes of one call read every masked BFS
     # from one context.  The chordal graph is decided by the peeling, which
-    # is turned off here so that every stage runs on it too.
+    # is turned off here so that every stage runs on it too.  The co-bipartite
+    # graph asks for none: no jewel tuple passes the mask test before the BFS,
+    # and it has no claw centre for the pyramid.
     monkeypatch.setattr(oddhole.fast, "peels_to_bipartite", lambda g: False)
     keys = _record_bfs(monkeypatch)
-    for g in SHAPE_GRAPHS + (parse_graph6(LINE_CANDIDATE).graph,):
+    co_bipartite, chordal = SHAPE_GRAPHS
+    for g in (co_bipartite, chordal, parse_graph6(LINE_CANDIDATE).graph):
         keys.clear()
         assert detect(g) is None
-        assert keys and len(keys) == len(set(keys)), g
+        assert len(keys) == len(set(keys)), g
+        assert bool(keys) == (g is not co_bipartite), g
 
 
 def test_detect_lists_the_four_paths_once(monkeypatch):
