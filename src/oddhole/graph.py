@@ -292,18 +292,22 @@ def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
     return len(cycle) % 2 == 1 and is_hole(g, cycle)
 
 
-def peels_to_bipartite(g: Graph) -> bool:
+def peels_to_bipartite(g: Graph, within: Optional[Mask] = None) -> bool:
     """True if deleting simplicial vertices, as long as any is left, leaves a
-    bipartite graph; then ``g`` has no odd hole.
+    bipartite graph; then ``g`` (or the graph it induces on ``within``) has
+    no odd hole.
 
     A simplicial vertex (its neighbours form a clique) lies on no hole, since
     its two neighbours on the hole would be adjacent, so deleting it keeps
     every hole; and a bipartite graph has no odd cycle.  Chordal graphs peel
     away entirely.  Deleting vertices keeps the others simplicial, so the
-    worklist order does not change what is left.
+    worklist order does not change what is left.  The test is hereditary:
+    a vertex simplicial in a graph stays simplicial in every induced
+    subgraph that keeps it, and a subgraph of a bipartite graph is
+    bipartite, so every sub-mask of a mask that peels peels too.
     """
     adj = g.adj
-    alive = g.full_mask
+    alive = g.full_mask if within is None else within
     todo = list(range(g.n))
     while todo:
         v = todo.pop()
@@ -584,14 +588,16 @@ class _Search:
     state, so concurrent calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
-    clean-test fallback result, keyed by mask, and two tables built at most
-    once: ``closed`` and ``four_paths``.  So it keeps at most one
-    :class:`Distances` per BFS the call runs, until the call returns: a list
-    of ``n`` integers and the tuple of its layer masks, with its key.  At
-    n = 16 that entry is 460 bytes by ``sys.getsizeof``, of which the layers
-    are 184.  On the seed-1 benchmark corpora the largest context of a
-    ``detect`` call holds 1,971 entries (0.84 MB); on the line graph of 40
-    random edges of K10,10 ``classify_candidate`` keeps 1,355-1,400
+    clean-test fallback result, keyed by mask, and three tables built at
+    most once: ``closed``, ``four_paths`` and ``live_paths``, the four-paths
+    that shapes 3-6 search, built on the first call of one of them.  So it
+    keeps at most one :class:`Distances` per BFS the call runs, until the
+    call returns: a list of ``n`` integers and the tuple of its layer masks,
+    with its key.  At n = 16 that entry is 460 bytes by ``sys.getsizeof``,
+    of which the layers are 184.  On the seed-1 benchmark corpora the
+    largest context of a ``detect`` call holds 1,313 entries (0.58 MB;
+    1,971 before shapes 3-6 skipped the dead four-paths); on the line graph
+    of 40 random edges of K10,10 ``classify_candidate`` keeps 1,355-1,400
     (1.1 MB; 3,079-3,303 before the jewel's mask tests), the jewel search
     none of them (1,710-1,948 before), and stage 3 far more
     (``docs/derived-types.md``).
@@ -636,3 +642,27 @@ class _Search:
     def four_paths(self) -> list[tuple[int, int, int, int]]:
         """``induced_four_paths(g)``."""
         return induced_four_paths(self.g)
+
+    @cached_property
+    def live_paths(self) -> list[tuple[int, int, int, int]]:
+        """The four-paths ``p1-p2-p3-p4`` whose sweep mask may hold an odd hole.
+
+        The sweep mask, which ``cleaning._sweep`` scans from ``p2``, drops
+        every neighbour of ``p2`` or ``p3`` off the path.  A path is kept, in
+        the order of ``four_paths``, when the mask has five or more vertices
+        and does not peel to bipartite.  Every hole that shapes 3-6 can
+        return from a guess on the path lies in that mask, so the others
+        cannot close one (``docs/derived-types.md``).  Only those shapes read
+        it: the sweep, which decides most positives early, walks every
+        four-path and would pay for a peel on each first.
+        """
+        g = self.g
+        full, adj = g.full_mask, g.adj
+        out = []
+        for p in self.four_paths:
+            p1, p2, p3, p4 = p
+            four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
+            within = full & ~((adj[p2] | adj[p3]) & ~four)
+            if within.bit_count() >= 5 and not peels_to_bipartite(g, within):
+                out.append(p)
+        return out

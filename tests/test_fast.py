@@ -15,6 +15,7 @@ import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
 import oddhole.simple
+from oddhole.cleaning import _classify
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -87,8 +88,9 @@ def test_types_sound_on_decorated_instances():
     assert hole is not None and is_odd_hole(g, hole)
 
 
-# Both graphs are perfect, so every stage runs its whole enumeration; the
-# chordal one also reaches shapes 3-6, which skip the co-bipartite one.
+# Both graphs are perfect, so every stage runs its whole enumeration.  Shapes
+# 3-6 run no BFS on either: they skip the co-bipartite one, and every sweep
+# mask of the chordal one peels to bipartite.
 SHAPE_GRAPHS = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 1))
 
 
@@ -109,19 +111,27 @@ def _record_bfs(monkeypatch):
 
 
 # The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
-# decided by the peeling, a candidate, and every shape searches it.  An edge
-# is a clique cutset of it: its atoms have 3 and 9 vertices, and detect
-# searches the 9-vertex one alone (the other peels away).
+# decided by the peeling, and a candidate.  An edge is a clique cutset of it:
+# its atoms have 3 and 9 vertices, and detect searches the 9-vertex one alone
+# (the other peels away).  One of its four-paths is live, and shapes 5-6 run
+# no BFS on it.
 LINE_CANDIDATE = "IrKy_SFAO"
+
+# The line graph of 10 edges of K4,4 (``perfbench`` ``line_graph_of_bipartite
+# (4, 4, 10, Random(1))``): perfect, one atom, a candidate, and every shape
+# searches it.  5 of its 45 four-paths are live.
+LIVE_CANDIDATE = "ILWqKNQBo"
+LIVE_PATHS = [(8, 1, 4, 9), (3, 2, 4, 9), (2, 3, 0, 7), (0, 7, 9, 4), (1, 8, 0, 7)]
 
 
 def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
     keys = _record_bfs(monkeypatch)
     # detect_fast runs all six shapes over one context: none repeats another's
-    # BFS.  Shape 3 drops every guess of SHAPE_GRAPHS as dead before any BFS.
+    # BFS.  Shapes 3-6 drop every guess of SHAPE_GRAPHS before any BFS.
+    lines = tuple(parse_graph6(s).graph for s in (LINE_CANDIDATE, LIVE_CANDIDATE))
     for det in ALL_TYPES + (detect_fast,):
         calls = 0
-        for g in SHAPE_GRAPHS + (parse_graph6(LINE_CANDIDATE).graph,):
+        for g in SHAPE_GRAPHS + lines:
             keys.clear()
             assert det(g) is None
             assert len(keys) == len(set(keys)), det.__name__
@@ -145,8 +155,10 @@ def _count_searches(monkeypatch):
 def test_detect_builds_one_search_per_call(monkeypatch):
     # one context for the whole graph's stages 1-2, and one for the one atom
     # that stage 3 searches; detect_fast and the simple pipeline, which do
-    # not decompose, build one
+    # not decompose, build one.  Each shape called alone builds its own and
+    # searches the one-atom candidate.
     g = parse_graph6(LINE_CANDIDATE).graph
+    live = parse_graph6(LIVE_CANDIDATE).graph
     assert not peels_to_bipartite(g) and classify_candidate(g) is None
     atoms = clique_cutset_atoms(g)
     assert sorted(atom.bit_count() for atom in atoms) == [3, 9]
@@ -160,16 +172,32 @@ def test_detect_builds_one_search_per_call(monkeypatch):
         return dist(self, source, mask)
 
     monkeypatch.setattr(oddhole.graph._Search, "dist", counted_dist)
-    answers = []
     for det in ALL_TYPES:
         searches.append(0)
-        answers.append(det(g))
+        built[0] = 0
+        assert det(live) is None and built[0] == 1
     assert all(searches), searches
-    answer = next((hole for hole in answers if hole is not None), None)
     for run, contexts in ((detect, 2), (detect_fast, 1), (detect_with_simple_pipeline, 1)):
         built[0] = 0
-        assert run(g) == answer
+        assert run(g) is None
         assert built[0] == contexts, run.__name__
+
+
+def test_anchored_shapes_search_only_live_four_paths():
+    # The filter keeps 5 of the 45 four-paths, in their order, and only the
+    # anchored shapes build it: stages 1-2 (whose sweep walks every
+    # four-path) leave it unbuilt.
+    g = parse_graph6(LIVE_CANDIDATE).graph
+    search = _Search(g)
+    assert _classify(search) is None
+    assert len(search.four_paths) == 45 and "live_paths" not in search.__dict__
+    assert search.live_paths == LIVE_PATHS
+    assert [p for p in search.four_paths if p in LIVE_PATHS] == LIVE_PATHS
+    # and both anchors guess on each of them (without the filter they would
+    # guess on 41 of the 45)
+    for anchor_on_c3 in (False, True):
+        paths = {guess[:4] for guess in _anchored_cuts(search, anchor_on_c3)}
+        assert {p if p[0] < p[3] else p[::-1] for p in paths} == set(LIVE_PATHS)
 
 
 def test_detect_on_one_atom_keeps_one_search(monkeypatch):
@@ -409,23 +437,37 @@ def test_stage3_prefilters_drop_only_dead_guesses():
     for i in range(40):
         g = gnp(8 + i % 4, (0.3, 0.5, 0.7)[i % 3], 4400 + i)
         graphs += [g, g.complement()]
-    split = anchored = 0
+    split = anchored = peeled = 0
     for g in graphs:
-        adj = g.adj
+        full, adj = g.full_mask, g.adj
         arcs = [(u, v) for u in range(g.n) for v in bits(adj[u])]
         for guess in _dropped(_split_cuts(g, arcs), _unfiltered_split_cuts(g, arcs)):
             # a dropped guess leaves d1 or d2 no step into gp off the path
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
             assert not (adj[d1] & gp & ~trip and adj[d2] & gp & ~trip), guess
             split += 1
+        search = _Search(g)
+        live = set(search.live_paths)
+        no_hole = {}  # sweep mask -> whether the oracle finds no odd hole in it
         for anchor_on_c3 in (False, True):
-            for guess in _dropped(_anchored_cuts(_Search(g), anchor_on_c3),
+            for guess in _dropped(_anchored_cuts(search, anchor_on_c3),
                                   _unfiltered_anchored_cuts(g, anchor_on_c3)):
-                # a dropped guess leaves the anchor or d2 no step into gp
-                d2, anchor, gp = guess[4], guess[5], guess[9]
-                assert not (adj[anchor] & gp and adj[d2] & gp), guess
-                anchored += 1
-    assert split > 0 and anchored > 0
+                c1, d1, c3, c4, d2, anchor, gp = guess[:6] + (guess[9],)
+                path = (c1, d1, c3, c4) if c1 < c4 else (c4, c3, d1, c1)
+                if path in live:
+                    # a dropped guess leaves the anchor or d2 no step into gp
+                    assert not (adj[anchor] & gp and adj[d2] & gp), guess
+                    anchored += 1
+                    continue
+                # or its four-path's sweep mask, which holds every hole the
+                # guess can return, is too small or peels: it has no odd hole
+                w = full & ~((adj[d1] | adj[c3]) & ~mask_of(path))
+                assert w.bit_count() < 5 or peels_to_bipartite(g, w), guess
+                if w not in no_hole:
+                    no_hole[w] = oracle_find_odd_hole(g.induced(w)[0]) is None
+                assert no_hole[w], guess
+                peeled += 1
+    assert split > 0 and anchored > 0 and peeled > 0, (split, anchored, peeled)
 
 
 def test_detect_known_families():

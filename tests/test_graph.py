@@ -317,6 +317,28 @@ def test_peeled_bipartite_graphs_have_no_odd_hole():
     assert peels_to_bipartite(cycle_graph(6)) and peels_to_bipartite(complete_graph(6))
 
 
+def test_peels_to_bipartite_within_a_mask_peels_the_induced_graph():
+    # and every sub-mask of a mask that peels peels too: the anchored shapes
+    # drop a four-path whose sweep mask peels, with every guess inside it
+    rng = random.Random(23)
+    peeled = kept = 0
+    for g in (g for n in range(5, 8) for g in connected_small_graphs(n)):
+        assert peels_to_bipartite(g, g.full_mask) == peels_to_bipartite(g)
+        for _ in range(3):
+            mask = rng.getrandbits(g.n)
+            got = peels_to_bipartite(g, mask)
+            assert got == peels_to_bipartite(g.induced(mask)[0]), (g.adj, mask)
+            if not got:
+                kept += 1
+                continue
+            peeled += 1
+            sub = mask
+            while sub:
+                sub = (sub - 1) & mask
+                assert peels_to_bipartite(g, sub), (g.adj, mask, sub)
+    assert peeled > 2000 and kept > 50, (peeled, kept)
+
+
 def _reach(g, v, within):
     # the vertices v reaches inside ``within``, by a plain depth-first search
     seen = {v}
