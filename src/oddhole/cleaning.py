@@ -109,8 +109,9 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     ends together dominate all its spread-out outside vertices, the deletion
     made at that edge leaves it clean and shortest, and it passes through
     ``p2``; as every vertex of an odd hole is opposite one of its edges, the
-    one scan from ``p2`` is enough.  Requires a pyramid- and jewel-free input
-    graph.
+    one scan from ``p2`` is enough.  A four-path whose deletion leaves only
+    the path itself is not listed (``_Search.four_paths``).  Requires a
+    pyramid- and jewel-free input graph.
     """
     return _sweep(_Search(g))
 
@@ -119,12 +120,10 @@ def _sweep(search: _Search) -> Optional[Hole]:
     g = search.g
     full = g.full_mask
     adj = g.adj
+    # the context lists only the four-paths whose mask has five or more vertices
     for (p1, p2, p3, p4) in search.four_paths:
         four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
         within = full & ~((adj[p2] | adj[p3]) & ~four)
-        # most masks of dense graphs keep only the four-path: skip them before any BFS
-        if within.bit_count() < 5:
-            continue
         hole = _clean_through(search, within, p2)
         if hole is not None:
             return hole

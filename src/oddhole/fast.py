@@ -27,16 +27,17 @@ Two pieces are shared by all six shapes.  The search context
 graph, leaf or atom that :func:`detect` searches, and passed to every shape,
 answers every masked BFS and every clean-test fallback, so each distinct
 (source, mask) pair is searched, and each fallback mask tested, once per
-context; it also holds the induced four-paths and the live ones among them
-(``_Search.live_paths``, below).  The jewel, pyramid and heavy-cleanable
-searches fill it first.  It is freed when the call returns;
-a public ``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
-the common deletion step, and the only place a shape builds a union of
-shortest paths: it is given the pieces ``(a, b, t)`` that recover the gap,
-collects the vertices on their shortest paths inside ``gp`` off a small
-protected set (``graph.geodesic_mask`` on the context's BFS from both ends),
-and drops the guessed neighbours of the probe and the dominating edge plus
-the fringe of that union.
+context; it also builds, once each, the tables of paths that the shapes
+guess on (``_Search.three_paths``, ``four_paths`` and ``live_paths``,
+below).  The jewel, pyramid and heavy-cleanable searches fill it first.
+It is freed when the call returns; a public ``detect_typeN`` called alone
+gets a context of its own.  :func:`_strip` is the common deletion step,
+and the only place a shape builds a union of shortest paths: it is given
+the pieces ``(a, b, t)`` that recover the gap, collects the vertices on
+their shortest paths inside ``gp`` off a small protected set
+(``graph.geodesic_mask`` on the context's BFS from both ends), and drops
+the guessed neighbours of the probe and the dominating edge plus the
+fringe of that union.
 
 Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
 with :func:`_flank_pairs`; shapes 3-6 draw theirs from
@@ -48,20 +49,27 @@ enumerations also skip, by exact bitmask tests and before any BFS, every
 guess that cannot close a hole: shapes 1-2 those in which ``d1`` or ``d2``
 has no neighbour left off the three-path, shapes 3-6 those that delete the
 anchor or ``d2`` or leave either with no neighbour in ``gp`` (the search
-must step out of both, and they are not adjacent).  Shapes 3-6 also skip
-whole four-paths: they walk ``_Search.live_paths``, the four-paths whose
-sweep mask (every vertex but the neighbours of the middle edge off the
-path) has five or more vertices and does not peel to bipartite.  Every
-hole that a guess on a four-path can return lies in that mask, so the
-others cannot close one.  The list is built once per context, on the first
-anchored shape's call, and the four shapes share it; the heavy-cleanable
-sweep still walks every four-path.  On the seed-1 benchmark corpora it
-keeps 523 of 3,785 four-paths in stage-3 contexts on ``sparse-negative``,
-149 of 5,562 on ``perfect-mixed`` (both sides) and none of 11,497 on
-``dense-negative``.  The remaining guesses keep their order, and so the
-witnesses are unchanged.  Every path is read off the BFS layers by
-``graph.walk_down``; a path from one end through a guessed middle vertex
-to the other is joined by ``graph.through``.
+must step out of both, and they are not adjacent).  Tests that do not
+depend on the rest of the guess are made while the context lists its
+paths, so those paths are never listed.  Shapes 1-2 walk
+``_Search.three_paths``, the three-paths whose ends each have a neighbour
+outside ``N[x]`` and the other end's closed neighbourhood; on the seed-1
+``dense-negative`` corpus it keeps none of 25,367, and with none left no
+arc is walked.  The sweep walks ``_Search.four_paths``, the four-paths
+whose sweep mask (every vertex but the neighbours of the middle edge off
+the path) has five or more vertices, listed middle edge first so that an
+edge with no vertex outside ``N[p2] | N[p3]`` is skipped whole (159 of
+14,434 are kept there).  Shapes 3-6 walk ``_Search.live_paths``, those
+four-paths whose mask does not peel to bipartite either.  Every hole that
+a guess on a four-path can return lies in that mask, so the others cannot
+close one.  Each table is built once per context, on the first call that
+reads it, and shared by the stages that read it.  On the seed-1 benchmark
+corpora ``live_paths`` keeps 523 of 3,785 induced four-paths in stage-3
+contexts on ``sparse-negative``, 149 of 5,562 on ``perfect-mixed`` (both
+sides) and none of 11,497 on ``dense-negative``.  The remaining guesses
+keep their order, and so the witnesses are unchanged.  Every path is read
+off the BFS layers by ``graph.walk_down``; a path from one end through a
+guessed middle vertex to the other is joined by ``graph.through``.
 """
 
 from __future__ import annotations
@@ -78,7 +86,6 @@ from .graph import (
     bits,
     clique_cutset_atoms,
     geodesic_mask,
-    induced_three_paths,
     is_odd_hole,
     mask_of,
     neighbourhood,
@@ -179,13 +186,16 @@ def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
     return None
 
 
-def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+def _split_cuts(search: _Search, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     """The guesses of shapes 1-2: each arc c2-c3 with each induced path d1-x-d2 off it.
 
-    The three-paths come from ``graph.induced_three_paths`` (``d1 < d2``).
-    Only guesses in which both ``d1`` and ``d2`` have a neighbour in ``gp``
-    off the path are yielded: every other guess is dead, as neither shape can
-    leave ``d1`` or ``d2`` (``x`` is deleted and ``d1, d2`` are not adjacent).
+    The three-paths come from ``search.three_paths`` (``d1 < d2``), which
+    keeps those in which ``d1`` and ``d2`` each have a neighbour outside
+    ``N[x]`` and the other end's closed neighbourhood, with those neighbours
+    (``a1``, ``a2``); with none, no arc is walked.  Only guesses in which
+    both ``d1`` and ``d2`` have a neighbour in ``gp`` off the path are
+    yielded: every other guess is dead, as neither shape can leave ``d1``
+    or ``d2`` (``x`` is deleted and ``d1, d2`` are not adjacent).
 
     Yields ``(c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp)``: the two
     flank sets (neighbours of one end of the arc only, less ``x``), the path's
@@ -194,16 +204,11 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     other neighbours, and ``x``) and ``gp``, the vertices left once ``drop``
     and the rest of the neighbourhood of ``x`` are gone.
     """
+    p3s = search.three_paths
+    if not p3s:
+        return
+    g = search.g
     full, adj = g.full_mask, g.adj
-    # gp & ~trip == keep & ~x2base; a1, a2 are where d1, d2 can step into it
-    p3s = []
-    for d1, x, d2 in induced_three_paths(g):
-        trip = (1 << d1) | (1 << x) | (1 << d2)
-        keep = full & ~(trip | adj[d1] & adj[d2] | adj[x])
-        a1 = adj[d1] & keep
-        a2 = adj[d2] & keep
-        if a1 and a2:
-            p3s.append((d1, x, d2, trip, a1, a2))
     for c2, c3 in arcs:
         pairbit = (1 << c2) | (1 << c3)
         c1base = adj[c2] & ~adj[c3] & ~pairbit
@@ -212,6 +217,7 @@ def _split_cuts(g: Graph, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
             continue
         x2base = (adj[c2] | adj[c3]) & ~pairbit
         for (d1, x, d2, trip, a1, a2) in p3s:
+            # gp & ~trip is the complement of N[x] | N(d1) & N(d2) | x2base
             if trip & pairbit or not (a1 & ~x2base and a2 & ~x2base):
                 continue
             xbit = 1 << x
@@ -230,7 +236,7 @@ def _type1(search: _Search) -> Optional[Hole]:
     g = search.g
     # Swapping c2 and c3 swaps the flank sets and reverses every cycle built
     # below, so each edge is tried in one orientation only.
-    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, g.edges()):
+    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(search, g.edges()):
         t = search.dist(d1, gp)[d2]
         if t < 0:
             continue
@@ -253,8 +259,8 @@ def _type2(search: _Search) -> Optional[Hole]:
     adj = g.adj
     # Swapping both c2, c3 and d1, d2 swaps the flanks and reverses the gap
     # path and every cycle, so the three-path is tried in one orientation.
-    arcs = [(c2, c3) for c2 in range(g.n) for c3 in bits(adj[c2])]
-    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(g, arcs):
+    arcs = ((c2, c3) for c2 in range(g.n) for c3 in bits(adj[c2]))
+    for c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp in _split_cuts(search, arcs):
         dd1 = search.dist(d1, gp)
         dd2 = search.dist(d2, gp)
         for d3 in bits(_equidistant(dd1, dd2, 0) & ~used):

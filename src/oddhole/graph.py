@@ -588,9 +588,13 @@ class _Search:
     state, so concurrent calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
-    clean-test fallback result, keyed by mask, and three tables built at
-    most once: ``closed``, ``four_paths`` and ``live_paths``, the four-paths
-    that shapes 3-6 search, built on the first call of one of them.  So it
+    clean-test fallback result, keyed by mask, and four tables, each built
+    at most once, on its first read: ``closed``, which the jewel and pyramid
+    searches and the path tables read; ``four_paths``, which the sweep
+    walks; ``live_paths``, the part of it that shapes 3-6 search; and
+    ``three_paths``, which shapes 1-2 search.  ``four_paths`` and
+    ``three_paths`` make their exact mask tests while they list, so a path
+    on which no reader could find a hole is never listed.  So it
     keeps at most one :class:`Distances` per BFS the call runs, until the
     call returns: a list of ``n`` integers and the tuple of its layer masks,
     with its key.  At n = 16 that entry is 460 bytes by ``sys.getsizeof``,
@@ -640,21 +644,79 @@ class _Search:
 
     @cached_property
     def four_paths(self) -> list[tuple[int, int, int, int]]:
-        """``induced_four_paths(g)``."""
-        return induced_four_paths(self.g)
+        """The induced four-paths whose sweep mask has five or more vertices.
+
+        For a path ``p1-p2-p3-p4`` the sweep mask drops every neighbour of
+        ``p2`` or ``p3`` off the path, so it is the path plus ``V - (N[p2]
+        | N[p3])``.  The paths are listed middle edge first, as
+        ``induced_four_paths`` lists them and in its order, and a middle
+        edge that leaves no vertex outside ``N[p2] | N[p3]`` is skipped
+        whole: each path on it has a mask of four vertices, which holds no
+        odd hole.
+        """
+        g = self.g
+        full, adj, closed = g.full_mask, g.adj, self.closed
+        out = []
+        for b in range(g.n):
+            rest = full & ~closed[b]
+            for c in bits(adj[b]):
+                if not rest & ~closed[c]:
+                    continue
+                for a in bits(adj[b] & ~closed[c]):
+                    for d in bits(adj[c] & ~(closed[a] | closed[b]) >> (a + 1) << (a + 1)):
+                        out.append((a, b, c, d))
+        return out
+
+    @cached_property
+    def three_paths(self) -> list[tuple[int, int, int, Mask, Mask, Mask]]:
+        """The induced paths ``d1-x-d2`` whose ends can both step off the path.
+
+        Each entry is ``(d1, x, d2, trip, a1, a2)``: ``trip`` is the path's
+        vertex mask, ``a1`` the neighbours of ``d1`` outside ``N[x] | N[d2]``
+        and ``a2`` those of ``d2`` outside ``N[x] | N[d1]``.  A path is kept,
+        in the order of ``induced_three_paths`` (``d1 < d2``), when both are
+        non-empty; only the neighbours of ``x`` with a neighbour outside
+        ``N[x]`` are paired.  Shapes 1-2 can close no hole on the others.
+        """
+        adj, closed = self.g.adj, self.closed
+        out = []
+        for x, row in enumerate(adj):
+            cx = closed[x]
+            ends = 0
+            while row:  # lowest bit first, as in induced_three_paths: faster than bits() here
+                low = row & -row
+                row ^= low
+                if adj[low.bit_length() - 1] & ~cx:
+                    ends |= low
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                a = low.bit_length() - 1
+                step_a = adj[a] & ~cx
+                far = ends & ~adj[a]
+                while far:
+                    high = far & -far
+                    far ^= high
+                    b = high.bit_length() - 1
+                    a1 = step_a & ~closed[b]
+                    a2 = adj[b] & ~(cx | closed[a])
+                    if a1 and a2:
+                        out.append((a, x, b, low | high | 1 << x, a1, a2))
+        return out
 
     @cached_property
     def live_paths(self) -> list[tuple[int, int, int, int]]:
         """The four-paths ``p1-p2-p3-p4`` whose sweep mask may hold an odd hole.
 
         The sweep mask, which ``cleaning._sweep`` scans from ``p2``, drops
-        every neighbour of ``p2`` or ``p3`` off the path.  A path is kept, in
-        the order of ``four_paths``, when the mask has five or more vertices
-        and does not peel to bipartite.  Every hole that shapes 3-6 can
-        return from a guess on the path lies in that mask, so the others
-        cannot close one (``docs/derived-types.md``).  Only those shapes read
-        it: the sweep, which decides most positives early, walks every
-        four-path and would pay for a peel on each first.
+        every neighbour of ``p2`` or ``p3`` off the path.  A path of
+        ``four_paths`` (whose masks have five or more vertices) is kept, in
+        its order, when the mask does not peel to bipartite.  Every hole
+        that shapes 3-6 can return from a guess on the path lies in that
+        mask, so the others cannot close one (``docs/derived-types.md``).
+        Only those shapes read it: the sweep, which decides most positives
+        early, walks every path of ``four_paths`` and would pay for a peel
+        on each first.
         """
         g = self.g
         full, adj = g.full_mask, g.adj
@@ -662,7 +724,6 @@ class _Search:
         for p in self.four_paths:
             p1, p2, p3, p4 = p
             four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-            within = full & ~((adj[p2] | adj[p3]) & ~four)
-            if within.bit_count() >= 5 and not peels_to_bipartite(g, within):
+            if not peels_to_bipartite(g, full & ~((adj[p2] | adj[p3]) & ~four)):
                 out.append(p)
         return out

@@ -21,6 +21,7 @@ from .graph import (
     bits,
     bfs_distances,
     geodesic_mask,
+    induced_four_paths,
     induced_three_paths,
     neighbourhood,
 )
@@ -44,13 +45,15 @@ def _simple(search: _Search) -> Optional[Hole]:
 
     Its BFS are direct ``bfs_distances`` calls, not kept in the context:
     this detector has no size cap, and keeping them would hold one distance
-    list per distinct scope until the call returns.
+    list per distinct scope until the call returns.  It lists every induced
+    three- and four-path itself, not the context's pruned tables, so that
+    it stays an independent check of the staged shapes.
     """
     g = search.g
     full = g.full_mask
     adj = g.adj
     p3s = induced_three_paths(g)
-    for (c1, c2, c3, c4) in search.four_paths:
+    for (c1, c2, c3, c4) in induced_four_paths(g):
         cmask = (1 << c1) | (1 << c2) | (1 << c3) | (1 << c4)
         x2 = (adj[c2] | adj[c3]) & ~cmask
         for (d1, x, d2) in p3s:

@@ -19,6 +19,8 @@ from oddhole.cleaning import _classify
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
+    _type1,
+    _type2,
     detect_type1,
     detect_type2,
     detect_type3,
@@ -290,26 +292,66 @@ def test_detect_runs_each_masked_bfs_once(monkeypatch):
         assert bool(keys) == (g is not co_bipartite), g
 
 
+def _count_tables(monkeypatch):
+    # the (table, context) of every path table built; the contexts are kept,
+    # so no two of them share an id
+    builds = []
+    for name in ("four_paths", "three_paths"):
+        prop = oddhole.graph._Search.__dict__[name]
+
+        def counted(self, build=prop.func, name=name):
+            builds.append((name, self))
+            return build(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return builds
+
+
 def test_detect_lists_the_four_paths_once(monkeypatch):
-    # the sweep and the four anchored shapes share one list of four-paths
-    build = oddhole.graph.induced_four_paths
-    calls = 0
-
-    def counted(g):
-        nonlocal calls
-        calls += 1
-        return build(g)
-
-    # counted in every module of the search, whether it imports the name or not
-    for module in (oddhole.graph, oddhole.cleaning, oddhole.fast, oddhole.simple):
-        monkeypatch.setattr(module, "induced_four_paths", counted, raising=False)
+    # Each context builds each path table at most once: the sweep and the
+    # four anchored shapes share one list of four-paths, and shapes 1 and 2
+    # one list of three-paths.
+    builds = _count_tables(monkeypatch)
     g = parse_graph6(LINE_CANDIDATE).graph
-    # one list per context: detect builds one for the whole graph and one
-    # for the atom it searches (test_detect_builds_one_search_per_call)
-    for run, lists in ((detect, 2), (detect_with_simple_pipeline, 1)):
-        calls = 0
+    # detect builds one context for the whole graph and one for the atom it
+    # searches (test_detect_builds_one_search_per_call); the simple pipeline
+    # builds one and lists its own paths for the reference search
+    for run, contexts, threes in ((detect, 2, 1), (detect_with_simple_pipeline, 1, 0)):
+        builds.clear()
         assert run(g) is None
-        assert calls == lists, run.__name__
+        assert len({(name, id(search)) for name, search in builds}) == len(builds)
+        assert len({id(search) for name, search in builds if name == "four_paths"}) == contexts
+        assert [name for name, _ in builds].count("three_paths") == threes, run.__name__
+    # shape 2 reads the table that shape 1 built: emptied there, it leaves
+    # shape 2 nothing to search, where a context of its own has something
+    dist = oddhole.graph._Search.dist
+    asked = []
+    monkeypatch.setattr(oddhole.graph._Search, "dist",
+                        lambda self, source, mask: asked.append(source) or dist(self, source, mask))
+    g = parse_graph6(LIVE_CANDIDATE).graph
+    assert _type2(_Search(g)) is None and asked
+    search = _Search(g)
+    builds.clear()
+    assert _type1(search) is None and [name for name, _ in builds] == ["three_paths"]
+    search.three_paths.clear()
+    asked.clear()
+    assert _type2(search) is None and asked == [] and len(builds) == 1
+
+
+def test_shapes_1_2_ask_for_no_bfs_on_co_bipartite_graphs(monkeypatch):
+    # In a co-bipartite graph each end of a three-path d1-x-d2 lies in one
+    # clique and x in one of them, so the end in x's clique has every
+    # neighbour in N[x] or N[other end]: no three-path is kept.
+    keys = _record_bfs(monkeypatch)
+    paths = 0
+    for seed in range(12):
+        g = random_bipartite(4 + seed % 3, 5, (0.3, 0.5, 0.7)[seed % 3], seed).complement()
+        paths += len(induced_three_paths(g))
+        assert _Search(g).three_paths == []
+        keys.clear()
+        assert detect_type1(g) is None and detect_type2(g) is None
+        assert keys == []
+    assert paths > 100, paths
 
 
 def test_detect_from_threads_matches_sequential():
@@ -441,7 +483,12 @@ def test_stage3_prefilters_drop_only_dead_guesses():
     for g in graphs:
         full, adj = g.full_mask, g.adj
         arcs = [(u, v) for u in range(g.n) for v in bits(adj[u])]
-        for guess in _dropped(_split_cuts(g, arcs), _unfiltered_split_cuts(g, arcs)):
+        kept = list(_split_cuts(_Search(g), arcs))
+        for guess in kept:
+            # a kept guess leaves both d1 and d2 a step into gp off the path
+            d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
+            assert adj[d1] & gp & ~trip and adj[d2] & gp & ~trip, guess
+        for guess in _dropped(kept, _unfiltered_split_cuts(g, arcs)):
             # a dropped guess leaves d1 or d2 no step into gp off the path
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
             assert not (adj[d1] & gp & ~trip and adj[d2] & gp & ~trip), guess

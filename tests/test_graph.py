@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import deque
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oddhole import Graph
 from oddhole.graph import (
     UNREACHABLE,
+    _Search,
     bfs_distances,
     bits,
     clique_cutset_atoms,
@@ -293,6 +295,53 @@ def test_induced_path_enumerations():
     # complete graph has no induced paths on 3+ vertices
     assert induced_three_paths(complete_graph(5)) == []
     assert induced_four_paths(complete_graph(5)) == []
+
+
+@functools.lru_cache(maxsize=1)
+def _path_table_graphs():
+    # every connected graph on 4-7 vertices, and gnp graphs with their complements
+    graphs = [g for n in range(4, 8) for g in connected_small_graphs(n)]
+    for i in range(30):
+        g = gnp(8 + i % 6, (0.2, 0.4, 0.6)[i % 3], 5200 + i)
+        graphs += [g, g.complement()]
+    return tuple(graphs)
+
+
+def test_search_four_paths_are_those_with_a_sweep_mask_of_five_or_more():
+    # the context lists the four-paths middle edge first and skips an edge
+    # with no vertex outside N[p2] | N[p3]; what is left must be exactly
+    # the paths whose sweep mask has five or more vertices, in their order
+    kept = skipped = 0
+    for g in _path_table_graphs():
+        every = induced_four_paths(g)
+        want = []
+        for p in every:
+            within = g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p))
+            if within.bit_count() >= 5:
+                want.append(p)
+        assert _Search(g).four_paths == want, g.adj
+        kept += len(want)
+        skipped += len(every) - len(want)
+    assert kept > 4000 and skipped > 2500, (kept, skipped)
+
+
+def test_search_three_paths_are_those_whose_ends_can_step_off():
+    # each end of d1-x-d2 needs a neighbour off the path that is adjacent
+    # to neither x nor the other end; the table holds those neighbours
+    kept = skipped = 0
+    for g in _path_table_graphs():
+        full, adj = g.full_mask, g.adj
+        every = induced_three_paths(g)
+        want = []
+        for d1, x, d2 in every:
+            trip = mask_of((d1, x, d2))
+            keep = full & ~(trip | adj[d1] & adj[d2] | adj[x])
+            if adj[d1] & keep and adj[d2] & keep:
+                want.append((d1, x, d2, trip, adj[d1] & keep, adj[d2] & keep))
+        assert _Search(g).three_paths == want, g.adj
+        kept += len(want)
+        skipped += len(every) - len(want)
+    assert kept > 2000 and skipped > 10000, (kept, skipped)
 
 
 def test_relabel_preserves_structure():
