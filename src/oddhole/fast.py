@@ -47,29 +47,40 @@ deletion sets whose cycles are the same cycles reversed, so shape 1 takes
 each edge in one orientation and shape 2 each three-path in one.  Both
 enumerations also skip, by exact bitmask tests and before any BFS, every
 guess that cannot close a hole: shapes 1-2 those in which ``d1`` or ``d2``
-has no neighbour left off the three-path, shapes 3-6 those that delete the
-anchor or ``d2`` or leave either with no neighbour in ``gp`` (the search
-must step out of both, and they are not adjacent).  Tests that do not
-depend on the rest of the guess are made while the context lists its
-paths, so those paths are never listed.  Shapes 1-2 walk
+has no neighbour left off the three-path, or no component of the graph
+less the edge's other neighbours meets a neighbour of each (every
+``d1``-``d2`` path in ``gp`` runs inside one), shapes 3-6 those that
+delete the anchor or ``d2`` or leave either with no neighbour in ``gp``
+(the search must step out of both, and they are not adjacent).  Tests that
+do not depend on the rest of the guess are made while the context lists
+its paths, so those paths are never listed.  Shapes 1-2 walk
 ``_Search.three_paths``, the three-paths whose ends each have a neighbour
 outside ``N[x]`` and the other end's closed neighbourhood; on the seed-1
 ``dense-negative`` corpus it keeps none of 25,367, and with none left no
-arc is walked.  The sweep walks ``_Search.four_paths``, the four-paths
-whose sweep mask (every vertex but the neighbours of the middle edge off
-the path) has five or more vertices, listed middle edge first so that an
-edge with no vertex outside ``N[p2] | N[p3]`` is skipped whole (159 of
-14,434 are kept there).  Shapes 3-6 walk ``_Search.live_paths``, those
-four-paths whose mask does not peel to bipartite either.  Every hole that
-a guess on a four-path can return lies in that mask, so the others cannot
-close one.  Each table is built once per context, on the first call that
-reads it, and shared by the stages that read it.  On the seed-1 benchmark
-corpora ``live_paths`` keeps 523 of 3,785 induced four-paths in stage-3
-contexts on ``sparse-negative``, 149 of 5,562 on ``perfect-mixed`` (both
-sides) and none of 11,497 on ``dense-negative``.  The remaining guesses
-keep their order, and so the witnesses are unchanged.  Every path is read
-off the BFS layers by ``graph.walk_down``; a path from one end through a
-guessed middle vertex to the other is joined by ``graph.through``.
+arc is walked.  The guesses left on an edge depend on the unordered edge
+alone, so :func:`_edge_cuts` lists them once per context, in
+``_Search.edge_cuts``, and both shapes and both orientations read that
+list.  On seed-1 ``sparse-negative`` the component test drops 9,074 of the
+11,408 guesses on the edges of stage-3 contexts that pass the step-off
+test; 9,947 of those have no ``d1``-``d2`` path in ``gp``.  A whole
+graph's sweep walks ``_Search.four_paths``, the four-paths whose sweep
+mask (every vertex but the neighbours of the middle edge off the path) has
+five or more vertices, listed middle edge first so that an edge with no
+vertex outside ``N[p2] | N[p3]`` is skipped whole (159 of 14,434 are kept
+there).  Shapes 3-6, and the sweep of an atom, walk
+``_Search.live_paths``, those four-paths whose mask does not peel to
+bipartite either.  Every hole that a guess on a four-path, or the sweep's
+scan of it, can return lies in that mask, so the others cannot close one.
+Each table is built once per context, on the first call that reads it,
+and shared by the stages that read it.  On the seed-1 benchmark corpora
+``live_paths`` keeps 523 of 3,785 induced four-paths in stage-3 contexts
+on ``sparse-negative``, 149 of 5,562 on ``perfect-mixed`` (both sides) and
+none of 11,497 on ``dense-negative``.  The clean-test fallbacks of every
+shape skip, inside :func:`cleaning.test_clean`, a mask that peels.  The
+remaining guesses keep their order, and so the witnesses are unchanged.
+Every path is read off the BFS layers by ``graph.walk_down``; a path from
+one end through a guessed middle vertex to the other is joined by
+``graph.through``.
 """
 
 from __future__ import annotations
@@ -82,6 +93,7 @@ from .graph import (
     Distances,
     Graph,
     Mask,
+    _pieces,
     _Search,
     bits,
     clique_cutset_atoms,
@@ -189,13 +201,10 @@ def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
 def _split_cuts(search: _Search, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
     """The guesses of shapes 1-2: each arc c2-c3 with each induced path d1-x-d2 off it.
 
-    The three-paths come from ``search.three_paths`` (``d1 < d2``), which
-    keeps those in which ``d1`` and ``d2`` each have a neighbour outside
-    ``N[x]`` and the other end's closed neighbourhood, with those neighbours
-    (``a1``, ``a2``); with none, no arc is walked.  Only guesses in which
-    both ``d1`` and ``d2`` have a neighbour in ``gp`` off the path are
-    yielded: every other guess is dead, as neither shape can leave ``d1``
-    or ``d2`` (``x`` is deleted and ``d1, d2`` are not adjacent).
+    The guesses of an arc come from :func:`_edge_cuts`, one list per edge
+    that both orientations and both shapes read; only the flank sets are
+    made per arc.  With no three-path in ``search.three_paths``, no arc is
+    walked.
 
     Yields ``(c2, c3, c1set, c4set, d1, d2, trip, used, drop, gp)``: the two
     flank sets (neighbours of one end of the arc only, less ``x``), the path's
@@ -204,27 +213,66 @@ def _split_cuts(search: _Search, arcs: Iterable[tuple[int, int]]) -> Iterator[tu
     other neighbours, and ``x``) and ``gp``, the vertices left once ``drop``
     and the rest of the neighbourhood of ``x`` are gone.
     """
-    p3s = search.three_paths
-    if not p3s:
+    if not search.three_paths:
         return
-    g = search.g
-    full, adj = g.full_mask, g.adj
+    adj = search.g.adj
     for c2, c3 in arcs:
         pairbit = (1 << c2) | (1 << c3)
         c1base = adj[c2] & ~adj[c3] & ~pairbit
         c4base = adj[c3] & ~adj[c2] & ~pairbit
         if not c1base or not c4base:
             continue
-        x2base = (adj[c2] | adj[c3]) & ~pairbit
-        for (d1, x, d2, trip, a1, a2) in p3s:
-            # gp & ~trip is the complement of N[x] | N(d1) & N(d2) | x2base
-            if trip & pairbit or not (a1 & ~x2base and a2 & ~x2base):
-                continue
-            xbit = 1 << x
-            drop = (adj[d1] & adj[d2] & ~xbit) | (x2base & ~trip) | xbit
-            gp = full & ~(drop | (adj[x] & ~trip))
+        for d1, d2, xbit, trip, drop, gp in _edge_cuts(search, pairbit):
             yield (c2, c3, c1base & ~xbit, c4base & ~xbit, d1, d2, trip,
                    trip | pairbit, drop, gp)
+
+
+def _edge_cuts(search: _Search, pairbit: Mask) -> list[tuple[int, int, Mask, Mask, Mask, Mask]]:
+    """The live guesses ``(d1, d2, xbit, trip, drop, gp)`` on the edge ``pairbit``.
+
+    The list is built on the edge's first use and kept in
+    ``search.edge_cuts``, since the tests, ``drop`` and ``gp`` of a guess
+    depend on the unordered edge alone.  Its three-paths are those of
+    ``search.three_paths`` off the edge, in that order.  Shape 1 needs a
+    ``d1``-``d2`` path in ``gp``, and shape 2 a ``d3`` that both ends reach
+    in ``gp``; either way some ``d1``-``d2`` path lies in ``gp``.  Its
+    interior lies in ``gp - trip`` (``x`` is deleted and ``d1, d2`` are not
+    adjacent), which is the complement of ``N[x] | N(d1) & N(d2) | x2base |
+    trip``, with ``x2base`` the other neighbours of the edge's ends.  So a
+    guess is dead, and left out, unless two tests pass:
+
+    - it can step off both ends: ``s1 = a1 - x2base`` and ``s2 = a2 -
+      x2base`` are the neighbours of ``d1`` and ``d2`` in ``gp - trip``,
+      and both must be non-empty;
+    - the interior, which is connected and misses ``x2base``, lies in one
+      component of ``G[V - x2base]``, so one component must meet both
+      ``s1`` and ``s2``.  The components depend on the edge alone; they
+      are listed once, when a three-path first passes the first test.
+    """
+    cuts = search.edge_cuts.get(pairbit)
+    if cuts is not None:
+        return cuts
+    g = search.g
+    full, adj = g.full_mask, g.adj
+    x2base = neighbourhood(g, pairbit) & ~pairbit
+    parts: Optional[list[Mask]] = None
+    cuts = search.edge_cuts[pairbit] = []
+    for (d1, x, d2, trip, a1, a2) in search.three_paths:
+        s1 = a1 & ~x2base
+        s2 = a2 & ~x2base
+        if trip & pairbit or not (s1 and s2):
+            continue
+        if parts is None:
+            parts = _pieces(g, full & ~x2base, co=False)
+        for part in parts:
+            if part & s1 and part & s2:
+                break
+        else:
+            continue
+        xbit = 1 << x
+        drop = (adj[d1] & adj[d2] & ~xbit) | (x2base & ~trip) | xbit
+        cuts.append((d1, d2, xbit, trip, drop, full & ~(drop | (adj[x] & ~trip))))
+    return cuts
 
 
 def detect_type1(g: Graph) -> Optional[Hole]:
@@ -457,7 +505,8 @@ def _search_graph(g: Graph) -> Optional[Hole]:
 def _search_atom(g: Graph) -> Optional[Hole]:
     """An atom's own heavy-cleanable sweep, then the six shapes, on one context."""
     part = _Search(g)
-    hole = _sweep(part)
+    # shapes 3-6 read live_paths next anyway, and a scan finds only a hole of its mask
+    hole = _sweep(part, part.live_paths)
     return hole if hole is not None else _staged(part)
 
 

@@ -590,16 +590,24 @@ class _Search:
     It holds every masked BFS the call runs, keyed by (source, mask), every
     clean-test fallback result, keyed by mask, and four tables, each built
     at most once, on its first read: ``closed``, which the jewel and pyramid
-    searches and the path tables read; ``four_paths``, which the sweep
-    walks; ``live_paths``, the part of it that shapes 3-6 search; and
-    ``three_paths``, which shapes 1-2 search.  ``four_paths`` and
-    ``three_paths`` make their exact mask tests while they list, so a path
-    on which no reader could find a hole is never listed.  So it
+    searches and the path tables read; ``four_paths``, which the sweep of a
+    whole graph walks; ``live_paths``, the part of it that an atom's sweep
+    and shapes 3-6 search; and ``three_paths``, which shapes 1-2 search.
+    ``four_paths`` and ``three_paths`` make their exact mask tests while
+    they list, so a path on which no reader could find a hole is never
+    listed.  ``edge_cuts`` holds, per edge, keyed by the mask of its two
+    ends, the list of shape 1-2 guesses left on it, which
+    ``fast._edge_cuts`` fills on the edge's first use and both shapes read
+    in both orientations.  On the line graph of 24 random edges of K6,6
+    (``perfbench.corpora.line_graph_of_bipartite(6, 6, 24,
+    random.Random(0))``) it ends with 7,751 guesses over 76 edges, next to
+    239,556 BFS entries (247,835 before the lists' component test).  So it
     keeps at most one :class:`Distances` per BFS the call runs, until the
     call returns: a list of ``n`` integers and the tuple of its layer masks,
     with its key.  At n = 16 that entry is 460 bytes by ``sys.getsizeof``,
     of which the layers are 184.  On the seed-1 benchmark corpora the
-    largest context of a ``detect`` call holds 1,313 entries (0.58 MB;
+    largest context of a ``detect`` call holds 1,027 entries (0.51 MB;
+    1,313 before shapes 1-2 dropped the guesses with no ``d1``-``d2`` path,
     1,971 before shapes 3-6 skipped the dead four-paths); on the line graph
     of 40 random edges of K10,10 ``classify_candidate`` keeps 1,355-1,400
     (1.1 MB; 3,079-3,303 before the jewel's mask tests), the jewel search
@@ -616,6 +624,7 @@ class _Search:
         self.g = g
         self._dist: dict[tuple[int, Mask], Distances] = {}
         self._clean: dict[Mask, Optional[tuple[int, ...]]] = {}
+        self.edge_cuts: dict[Mask, list[tuple[int, int, Mask, Mask, Mask, Mask]]] = {}
 
     def dist(self, source: int, mask: Mask) -> Distances:
         key = (source, mask)
@@ -714,9 +723,10 @@ class _Search:
         its order, when the mask does not peel to bipartite.  Every hole
         that shapes 3-6 can return from a guess on the path lies in that
         mask, so the others cannot close one (``docs/derived-types.md``).
-        Only those shapes read it: the sweep, which decides most positives
-        early, walks every path of ``four_paths`` and would pay for a peel
-        on each first.
+        Those shapes read it, and so does the sweep of an atom, whose shapes
+        read it right after; the sweep of a whole graph, which decides most
+        positives early, walks every path of ``four_paths`` and would pay
+        for a peel on each first.
         """
         g = self.g
         full, adj = g.full_mask, g.adj

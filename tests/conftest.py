@@ -53,6 +53,13 @@ def join(a, b):
     return disjoint_union(a.complement(), b.complement()).complement()
 
 
+def line_graph(h):
+    """One vertex per edge of ``h``, adjacent when the edges share an end."""
+    es = list(h.edges())
+    return Graph(len(es), [(i, j) for i in range(len(es)) for j in range(i + 1, len(es))
+                           if set(es[i]) & set(es[j])])
+
+
 def with_twin(g, v, true):
     """``g`` plus a vertex ``g.n`` with the neighbours of ``v``: a true twin
     of ``v`` (adjacent to it) if ``true``, else a false one."""

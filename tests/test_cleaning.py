@@ -1,3 +1,5 @@
+import random
+
 import oddhole.cleaning
 import oddhole.graph
 from oddhole import (
@@ -7,7 +9,7 @@ from oddhole import (
     test_clean,
     test_heavy_cleanable,
 )
-from oddhole.cleaning import _clean_through
+from oddhole.cleaning import _clean_through, _opposite_hole
 from oddhole.configs import find_jewel, find_pyramid
 from oddhole.formats import parse_graph6
 from oddhole.generators import (
@@ -25,7 +27,14 @@ from oddhole.oracle import (
     shortest_odd_holes,
 )
 from oddhole.probes import is_clean, major_vertices
-from oddhole.graph import _Search, bfs_distances, bits, induced_four_paths, walk_down
+from oddhole.graph import (
+    _Search,
+    bfs_distances,
+    bits,
+    induced_four_paths,
+    peels_to_bipartite,
+    walk_down,
+)
 from .conftest import random_graphs
 
 
@@ -160,6 +169,48 @@ def test_clean_matches_the_triple_scan():
             assert is_odd_hole(g, hole)
             found += 1
     assert tested > 1200 and found > 50, (tested, found)
+
+
+def _ungated_clean(g, within):
+    # test_clean without its peel test: the scan from every vertex of the mask
+    for y1 in bits(within):
+        hole = _opposite_hole(g, bfs_distances(g, y1, within))
+        if hole is not None:
+            return hole
+    return None
+
+
+def test_clean_runs_no_bfs_on_a_mask_that_peels(monkeypatch):
+    # A mask that peels to bipartite holds no odd hole, and test_clean
+    # answers None for it without a BFS; on every mask it gives what the
+    # scan from each vertex gives.
+    bfs = oddhole.cleaning.bfs_distances
+    calls = 0
+
+    def counted(g, source, within=None):
+        nonlocal calls
+        calls += 1
+        return bfs(g, source, within)
+
+    monkeypatch.setattr(oddhole.cleaning, "bfs_distances", counted)
+    rng = random.Random(4700)
+    peeled = searched = found = 0
+    for i in range(150):
+        g = gnp(8 + i % 6, (0.2, 0.35, 0.5)[i % 3], 4700 + i)
+        for h in (g, g.complement()):
+            for _ in range(4):
+                within = sum(1 << v for v in range(h.n) if rng.random() < 0.75)
+                calls = 0
+                hole = test_clean(h, within)
+                asked = calls
+                assert hole == (_ungated_clean(h, within) if within.bit_count() >= 5 else None)
+                if peels_to_bipartite(h, within):
+                    assert asked == 0 and hole is None
+                    peeled += 1
+                else:
+                    searched += 1
+                    found += hole is not None
+    assert peeled > 100 and searched > found > 50, (peeled, searched, found)
 
 
 def test_clean_through_runs_one_bfs(monkeypatch):

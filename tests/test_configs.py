@@ -25,7 +25,7 @@ from oddhole.generators import (
 )
 from oddhole.graph import _Search, bits, mask_of
 from oddhole.oracle import oracle_find_jewel, oracle_find_pyramid
-from .conftest import random_graphs
+from .conftest import line_graph, random_graphs
 
 
 def _pyramid6():
@@ -139,12 +139,6 @@ def test_fuzz_witnesses_always_verify():
     assert pyramids >= 20 and jewels >= 20
 
 
-def _line_graph(h):
-    es = list(h.edges())
-    return Graph(len(es), [(i, j) for i in range(len(es)) for j in range(i + 1, len(es))
-                           if set(es[i]) & set(es[j])])
-
-
 def test_pyramid_runs_each_leg_bfs_once(monkeypatch):
     # Both graphs are perfect, so the whole search runs.  A line graph is
     # claw-free: no apex has three pairwise non-adjacent anchors, so no leg is
@@ -166,7 +160,7 @@ def test_pyramid_runs_each_leg_bfs_once(monkeypatch):
 
     monkeypatch.setattr(oddhole.graph, "bfs_distances", counted)
     counts = []
-    for g in (random_chordal(10, 5), _line_graph(random_bipartite(5, 5, 0.5, 0))):
+    for g in (random_chordal(10, 5), line_graph(random_bipartite(5, 5, 0.5, 0))):
         calls = 0
         assert find_pyramid(g) is None
         counts.append(calls)
@@ -349,7 +343,7 @@ def test_pyramid_tries_no_apex_of_a_claw_free_graph(monkeypatch):
     monkeypatch.setattr(oddhole.configs, "_pyramid_at", counted)
     for s in range(12):
         h = random_bipartite(5, 5, 0.3 + 0.05 * (s % 6), s)
-        for g in (_line_graph(h), h.complement()):
+        for g in (line_graph(h), h.complement()):
             assert find_pyramid(g) is None
     assert calls == 0
     for g in random_graphs(40, 8, 12, seed=37):

@@ -15,7 +15,7 @@ import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
 import oddhole.simple
-from oddhole.cleaning import _classify
+from oddhole.cleaning import _classify, _sweep
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -41,6 +41,7 @@ from oddhole.generators import (
 )
 from oddhole.graph import (
     _Search,
+    bfs_distances,
     bits,
     clique_cutset_atoms,
     induced_four_paths,
@@ -50,7 +51,14 @@ from oddhole.graph import (
     split_leaves,
 )
 from oddhole.oracle import oracle_find_odd_hole
-from .conftest import disjoint_union, join, random_graphs, split_family_graphs, with_twin
+from .conftest import (
+    disjoint_union,
+    join,
+    line_graph,
+    random_graphs,
+    split_family_graphs,
+    with_twin,
+)
 
 ALL_TYPES = (
     detect_type1,
@@ -120,10 +128,16 @@ def _record_bfs(monkeypatch):
 LINE_CANDIDATE = "IrKy_SFAO"
 
 # The line graph of 10 edges of K4,4 (``perfbench`` ``line_graph_of_bipartite
-# (4, 4, 10, Random(1))``): perfect, one atom, a candidate, and every shape
-# searches it.  5 of its 45 four-paths are live.
+# (4, 4, 10, Random(1))``): perfect, one atom, a candidate, and shapes 3-6
+# search it.  5 of its 45 four-paths are live.  Shapes 1-2 ask for no BFS on
+# it: the component test drops every guess that can step off both ends.
 LIVE_CANDIDATE = "ILWqKNQBo"
 LIVE_PATHS = [(8, 1, 4, 9), (3, 2, 4, 9), (2, 3, 0, 7), (0, 7, 9, 4), (1, 8, 0, 7)]
+
+# A clique-cutset atom of a seed-1 ``perfbench`` ``sparse-negative`` graph:
+# perfect, one atom, no split, a candidate, and each of the six shapes asks
+# for a BFS on it.
+SPARSE_ATOM = "IW@KSeo[O"
 
 
 def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
@@ -160,7 +174,8 @@ def test_detect_builds_one_search_per_call(monkeypatch):
     # not decompose, build one.  Each shape called alone builds its own and
     # searches the one-atom candidate.
     g = parse_graph6(LINE_CANDIDATE).graph
-    live = parse_graph6(LIVE_CANDIDATE).graph
+    live = parse_graph6(SPARSE_ATOM).graph
+    assert clique_cutset_atoms(live) == [live.full_mask] and classify_candidate(live) is None
     assert not peels_to_bipartite(g) and classify_candidate(g) is None
     atoms = clique_cutset_atoms(g)
     assert sorted(atom.bit_count() for atom in atoms) == [3, 9]
@@ -227,6 +242,33 @@ def test_detect_maps_an_atom_hole_back(monkeypatch):
     hole = detect(g)
     assert hole is not None and is_odd_hole(g, hole)
     assert mask_of(hole) == atom
+
+
+def test_atom_sweep_over_live_paths_matches_the_full_sweep():
+    # An atom's sweep walks only the live four-paths: the scan of any other
+    # finds no hole, as its mask peels, so the sweep returns the same hole.
+    found = atoms = 0
+    graphs = [gnp(9 + i % 5, (0.2, 0.3, 0.4)[i % 3], 6600 + i) for i in range(80)]
+    graphs += [g.complement() for g in graphs]
+    graphs += [random_chordal(10, i).complement() for i in range(20)]
+    # a 7-hole glued along an edge of a chordal host: the edge is a clique
+    # cutset, and the hole is an atom
+    for i in range(10):
+        host = random_chordal(8, i)
+        u, v = next(host.edges())
+        hole_edges = [(u, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, v)]
+        graphs.append(Graph(13, list(host.edges()) + hole_edges))
+    for g in graphs:
+        for atom in clique_cutset_atoms(g):
+            sub = g.induced(atom)[0]
+            if atom.bit_count() < 5 or peels_to_bipartite(sub):
+                continue
+            atoms += 1
+            everything, live = _Search(sub), _Search(sub)
+            hole = _sweep(live, live.live_paths)
+            assert hole == _sweep(everything, everything.four_paths), (g.adj, atom)
+            found += hole is not None
+    assert (atoms, found) == (165, 112)
 
 
 def _split_hole(g, leaves, hole_mask):
@@ -296,7 +338,7 @@ def _count_tables(monkeypatch):
     # the (table, context) of every path table built; the contexts are kept,
     # so no two of them share an id
     builds = []
-    for name in ("four_paths", "three_paths"):
+    for name in ("four_paths", "live_paths", "three_paths"):
         prop = oddhole.graph._Search.__dict__[name]
 
         def counted(self, build=prop.func, name=name):
@@ -308,27 +350,32 @@ def _count_tables(monkeypatch):
 
 
 def test_detect_lists_the_four_paths_once(monkeypatch):
-    # Each context builds each path table at most once: the sweep and the
-    # four anchored shapes share one list of four-paths, and shapes 1 and 2
-    # one list of three-paths.
+    # Each context builds each path table at most once: the whole graph's
+    # sweep lists the four-paths, an atom's sweep and its four anchored
+    # shapes share one list of live four-paths (built on the four-paths),
+    # and shapes 1 and 2 one list of three-paths.
     builds = _count_tables(monkeypatch)
     g = parse_graph6(LINE_CANDIDATE).graph
     # detect builds one context for the whole graph and one for the atom it
     # searches (test_detect_builds_one_search_per_call); the simple pipeline
     # builds one and lists its own paths for the reference search
-    for run, contexts, threes in ((detect, 2, 1), (detect_with_simple_pipeline, 1, 0)):
+    for run, contexts, names in (
+        (detect, 2, ["four_paths", "live_paths", "four_paths", "three_paths"]),
+        (detect_with_simple_pipeline, 1, ["four_paths"]),
+    ):
         builds.clear()
         assert run(g) is None
         assert len({(name, id(search)) for name, search in builds}) == len(builds)
         assert len({id(search) for name, search in builds if name == "four_paths"}) == contexts
-        assert [name for name, _ in builds].count("three_paths") == threes, run.__name__
+        # the atom's sweep asks for the live four-paths first
+        assert [name for name, _ in builds] == names, run.__name__
     # shape 2 reads the table that shape 1 built: emptied there, it leaves
     # shape 2 nothing to search, where a context of its own has something
     dist = oddhole.graph._Search.dist
     asked = []
     monkeypatch.setattr(oddhole.graph._Search, "dist",
                         lambda self, source, mask: asked.append(source) or dist(self, source, mask))
-    g = parse_graph6(LIVE_CANDIDATE).graph
+    g = parse_graph6(SPARSE_ATOM).graph
     assert _type2(_Search(g)) is None and asked
     search = _Search(g)
     builds.clear()
@@ -479,7 +526,7 @@ def test_stage3_prefilters_drop_only_dead_guesses():
     for i in range(40):
         g = gnp(8 + i % 4, (0.3, 0.5, 0.7)[i % 3], 4400 + i)
         graphs += [g, g.complement()]
-    split = anchored = peeled = 0
+    split = unlinked = anchored = peeled = 0
     for g in graphs:
         full, adj = g.full_mask, g.adj
         arcs = [(u, v) for u in range(g.n) for v in bits(adj[u])]
@@ -489,9 +536,12 @@ def test_stage3_prefilters_drop_only_dead_guesses():
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
             assert adj[d1] & gp & ~trip and adj[d2] & gp & ~trip, guess
         for guess in _dropped(kept, _unfiltered_split_cuts(g, arcs)):
-            # a dropped guess leaves d1 or d2 no step into gp off the path
+            # a dropped guess leaves d1 or d2 no step into gp off the path,
+            # or gp has no d1-d2 path at all
             d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
-            assert not (adj[d1] & gp & ~trip and adj[d2] & gp & ~trip), guess
+            if adj[d1] & gp & ~trip and adj[d2] & gp & ~trip:
+                assert bfs_distances(g, d1, gp)[d2] == -1, guess
+                unlinked += 1
             split += 1
         search = _Search(g)
         live = set(search.live_paths)
@@ -514,7 +564,65 @@ def test_stage3_prefilters_drop_only_dead_guesses():
                     no_hole[w] = oracle_find_odd_hole(g.induced(w)[0]) is None
                 assert no_hole[w], guess
                 peeled += 1
-    assert split > 0 and anchored > 0 and peeled > 0, (split, anchored, peeled)
+    assert split > unlinked > 0 and anchored > 0 and peeled > 0, (split, unlinked, anchored, peeled)
+
+
+def _step_off_split_cuts(g, arcs):
+    # the guesses of shapes 1-2 that can step off both d1 and d2 into gp:
+    # the enumeration without the component test
+    adj = g.adj
+    for guess in _unfiltered_split_cuts(g, arcs):
+        d1, d2, trip, gp = guess[4], guess[5], guess[6], guess[9]
+        if adj[d1] & gp & ~trip and adj[d2] & gp & ~trip:
+            yield guess
+
+
+def test_split_cuts_drop_only_guesses_with_no_path():
+    # The component test on each edge drops a guess only when gp has no
+    # d1-d2 path, which both shapes need; the kept guesses keep their order.
+    graphs = [g for n in range(5, 8) for g in connected_small_graphs(n)]
+    for i in range(36):
+        g = gnp(8 + i % 6, (0.3, 0.5, 0.7)[i % 3], 5500 + i)
+        graphs += [g, g.complement()]
+    lines = [line_graph(random_bipartite(4 + i % 3, 4 + i % 2, 0.5, i)) for i in range(20)]
+    kept = dropped = line_drops = 0
+    for g in graphs + lines:
+        arcs = [(u, v) for u in range(g.n) for v in bits(g.adj[u])]
+        guesses = list(_split_cuts(_Search(g), arcs))
+        kept += len(guesses)
+        for guess in _dropped(guesses, _step_off_split_cuts(g, arcs)):
+            d1, d2, gp = guess[4], guess[5], guess[9]
+            assert bfs_distances(g, d1, gp)[d2] == -1, guess
+            dropped += 1
+            line_drops += g in lines
+    # of the 28,854 guesses that can step off both ends, about half go
+    assert (kept, dropped, line_drops) == (14094, 14760, 9468)
+
+
+def test_shapes_1_2_share_one_list_per_edge():
+    # The guesses of an edge are listed once per context: shape 1 fills the
+    # lists, and shape 2, which walks both orientations of each arc, reads
+    # the same lists and adds none.
+    g = parse_graph6(SPARSE_ATOM).graph
+    search = _Search(g)
+    assert _type1(search) is None
+    lists = dict(search.edge_cuts)  # holds each list, so that no id is reused
+
+    def same_lists():
+        return search.edge_cuts.keys() == lists.keys() and all(
+            search.edge_cuts[edge] is cuts for edge, cuts in lists.items())
+
+    assert any(lists.values())
+    assert _type2(search) is None and same_lists()
+    # a context of shape 2's own lists the same edges
+    own = _Search(g)
+    assert _type2(own) is None and own.edge_cuts == search.edge_cuts
+    # the two orientations of an arc give the same guesses, flanks swapped
+    for u, v in g.edges():
+        forward = _split_cuts(search, [(u, v)])
+        mirrored = [(c3, c2, c4set, c1set, *rest) for c2, c3, c1set, c4set, *rest in forward]
+        assert mirrored == list(_split_cuts(search, [(v, u)]))
+    assert same_lists()
 
 
 def test_detect_known_families():
