@@ -81,6 +81,13 @@ def main() -> None:
 def detect(input, fmt, algorithm, witness, as_json, stdin_stream):
     """Decide whether a graph contains an odd hole."""
     if stdin_stream:
+        dropped = [name for name, given in (("FILE", input not in (None, "-")),
+                                            ("--format edgelist", fmt == "edgelist"),
+                                            ("--witness", witness)) if given]
+        if dropped:
+            click.echo(f"bad --stdin-stream: it reads graph6 lines from stdin and takes "
+                       f"no {', '.join(dropped)}", err=True)
+            sys.exit(EXIT_INPUT)
         sys.exit(_stream_detect(algorithm, as_json))
     g = _load(input, fmt, algorithm)
     doc = run_detection(g, algorithm)

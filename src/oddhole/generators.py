@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional
 
-from .formats import MAX_VERTICES
+from .formats import MAX_VERTICES, _numbers
 from .graph import Graph, bits
 
 
@@ -209,9 +209,18 @@ def _probability(token: str) -> float:
     return p
 
 
+def _integer(token: str, what: str) -> int:
+    """ASCII digits with an optional leading ``-``, as the edge-list reader
+    takes them (``int`` alone would also take other scripts' digits and
+    underscores)."""
+    if not _numbers([token.removeprefix("-")]):
+        raise ValueError(f"{what} {token!r} is not an integer")
+    return int(token)
+
+
 def _size(token: str) -> int:
     """A parameter that counts vertices: a non-negative int."""
-    n = int(token)
+    n = _integer(token, "vertex count")
     if n < 0:
         raise ValueError(f"vertex count {token} is negative")
     return n
@@ -241,9 +250,10 @@ def generate_corpus(spec: str) -> list[Graph]:
     ``complete 6``.  The seeded families (``gnp``, ``bipartite``,
     ``chordal``, ``decorated``) build ``count`` graphs from seeds ``seed``,
     ``seed + 1``, ...; the others build one graph and ignore both options.
-    Raises ``ValueError`` on a malformed spec, a negative vertex count, a
-    probability outside [0, 1] and a graph with more vertices than graph6
-    can encode.
+    Sizes, ``seed`` and ``count`` are ASCII digits, with a leading ``-``
+    allowed.  Raises ``ValueError`` on a malformed spec, a negative vertex
+    count or ``count``, a probability outside [0, 1] and a graph with more
+    vertices than graph6 can encode.
     """
     tokens = spec.split()
     if not tokens:
@@ -251,8 +261,10 @@ def generate_corpus(spec: str) -> list[Graph]:
     family, rest = tokens[0], tokens[1:]
     pos = [tok for tok in rest if "=" not in tok]
     kw = dict(tok.split("=", 1) for tok in rest if "=" in tok)
-    seed = int(kw.pop("seed", "0"))
-    count = int(kw.pop("count", "1"))
+    seed = _integer(kw.pop("seed", "0"), "seed")
+    count = _integer(kw.pop("count", "1"), "count")
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
     if kw:
         raise ValueError(f"unknown options: {sorted(kw)}")
     if family not in _FAMILIES:

@@ -601,18 +601,14 @@ class _Search:
     in both orientations.  On the line graph of 24 random edges of K6,6
     (``perfbench.corpora.line_graph_of_bipartite(6, 6, 24,
     random.Random(0))``) it ends with 7,751 guesses over 76 edges, next to
-    239,556 BFS entries (247,835 before the lists' component test).  So it
-    keeps at most one :class:`Distances` per BFS the call runs, until the
-    call returns: a list of ``n`` integers and the tuple of its layer masks,
-    with its key.  At n = 16 that entry is 460 bytes by ``sys.getsizeof``,
-    of which the layers are 184.  On the seed-1 benchmark corpora the
-    largest context of a ``detect`` call holds 1,027 entries (0.51 MB;
-    1,313 before shapes 1-2 dropped the guesses with no ``d1``-``d2`` path,
-    1,971 before shapes 3-6 skipped the dead four-paths); on the line graph
-    of 40 random edges of K10,10 ``classify_candidate`` keeps 1,355-1,400
-    (1.1 MB; 3,079-3,303 before the jewel's mask tests), the jewel search
-    none of them (1,710-1,948 before), and stage 3 far more
-    (``docs/derived-types.md``).
+    239,556 BFS entries.  So it keeps at most one :class:`Distances` per
+    BFS the call runs, until the call returns: a list of ``n`` integers and
+    the tuple of its layer masks, with its key.  At n = 16 that entry is 460
+    bytes by ``sys.getsizeof``, of which the layers are 184.  On the seed-1
+    benchmark corpora the largest context of a ``detect`` call holds 1,027
+    entries (0.51 MB); on the line graph of 40 random edges of K10,10
+    ``classify_candidate`` keeps 1,355-1,400 (1.1 MB), the jewel search
+    none of them, and stage 3 far more (``docs/derived-types.md``).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding
     it here (as an outside tracer does) is honoured.  The entries are shared

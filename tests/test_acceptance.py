@@ -11,16 +11,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from oddhole import (
-    Graph,
-    classify_candidate,
-    detect,
-    detect_fast,
-    detect_simple,
-    find_jewel,
-    find_pyramid,
-    is_odd_hole,
-)
+from oddhole import Graph, detect, is_odd_hole
+from oddhole.cleaning import classify_candidate
+from oddhole.configs import find_jewel, find_pyramid
+from oddhole.fast import detect_fast
 from oddhole.generators import (
     complete_graph,
     connected_small_graphs,
@@ -40,6 +34,7 @@ from oddhole.oracle import (
 )
 from oddhole.pipeline import bench_rows, test_perfect
 from oddhole.probes import heavy_edges, is_clean, is_normal_set, major_vertices
+from oddhole.simple import detect_simple
 from .conftest import parity_decorated
 
 

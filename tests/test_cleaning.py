@@ -2,15 +2,15 @@ import random
 
 import oddhole.cleaning
 import oddhole.graph
-from oddhole import (
-    Graph,
+from oddhole import Graph, detect, is_odd_hole
+from oddhole.cleaning import (
+    _clean_through,
+    _opposite_hole,
     classify_candidate,
-    is_odd_hole,
     test_clean,
     test_heavy_cleanable,
 )
-from oddhole.cleaning import _clean_through, _opposite_hole
-from oddhole.configs import find_jewel, find_pyramid
+from oddhole.configs import find_jewel, find_pyramid, odd_hole_from_pyramid
 from oddhole.formats import parse_graph6
 from oddhole.generators import (
     complete_graph,
@@ -298,6 +298,18 @@ def test_classify_examples():
     assert classify_candidate(cycle_graph(6)) is None
     hole = classify_candidate(petersen_graph())
     assert hole is not None and is_odd_hole(petersen_graph(), hole)
+
+
+# an apex joined to a triangle by three paths of length two: a pyramid, with
+# no jewel, whose shortest odd holes are the 5-cycles through two paths
+PYRAMID = Graph(7, [(1, 2), (2, 3), (1, 3), (0, 4), (4, 1), (0, 5), (5, 2), (0, 6), (6, 3)])
+
+
+def test_detect_finds_the_pyramid_hole_through_the_pyramid_stage():
+    assert find_jewel(PYRAMID) is None
+    hole = odd_hole_from_pyramid(PYRAMID, find_pyramid(PYRAMID))
+    assert is_odd_hole(PYRAMID, hole)
+    assert detect(PYRAMID) == classify_candidate(PYRAMID) == hole
 
 
 def test_classify_candidate_implies_no_configurations():

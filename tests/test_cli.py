@@ -73,6 +73,21 @@ def test_stream_mode():
     assert res.exit_code == 2 and res.stdout == "" and "input error" in res.output
 
 
+def test_stream_mode_refuses_other_inputs_and_options(tmp_path):
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(encode_graph6(cycle_graph(5)) + "\n")
+    for args, dropped in (([str(c5)], "FILE"), (["--format", "edgelist"], "--format edgelist"),
+                          (["--witness"], "--witness")):
+        # refused before stdin is read: the bad line would be an input error
+        res = run(["detect", "--stdin-stream", *args], input="@@@garbage\n")
+        assert res.exit_code == 2, args
+        assert res.output.startswith("bad --stdin-stream") and dropped in res.output, args
+    # "-" names stdin itself, and graph6 is what the stream reads anyway
+    res = run(["detect", "-", "--stdin-stream", "--format", "graph6", "--json"], input=f"{C7}\n")
+    assert res.exit_code == 1
+    assert ResultDocument.from_json(res.output).verdict == "odd-hole-found"
+
+
 def test_perfect_command():
     assert run(["perfect", "-"], input=C6).exit_code == 0
     res = run(["perfect", "-"], input=C7)
@@ -182,6 +197,10 @@ def test_gen_command():
                  ["--", "decorated", "9", "-1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error: vertex count -"), spec
+    # sizes and count= are ASCII digits, and a negative count is an error, not an empty corpus
+    for spec in (["gnp", "5", "0.5", "count=-3"], ["cycle", "５"], ["gnp", "5", "0.5", "count=1_0"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and res.output.startswith("spec error"), spec
 
 
 def test_gen_out_of_memory_is_a_spec_error():

@@ -2,13 +2,12 @@ from itertools import combinations, product
 
 import pytest
 
-from oddhole import (
-    Graph,
+from oddhole import Graph, is_odd_hole
+from oddhole.configs import (
     JewelWitness,
     PyramidWitness,
     find_jewel,
     find_pyramid,
-    is_odd_hole,
     odd_hole_from_jewel,
     odd_hole_from_pyramid,
     verify_jewel,

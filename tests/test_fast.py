@@ -2,25 +2,18 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from oddhole import (
-    Graph,
-    classify_candidate,
-    detect,
-    detect_fast,
-    detect_simple,
-    detect_with_simple_pipeline,
-    is_odd_hole,
-)
+from oddhole import Graph, detect, is_odd_hole
 import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
 import oddhole.simple
-from oddhole.cleaning import _classify, _sweep
+from oddhole.cleaning import _classify, _sweep, classify_candidate
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
     _type1,
     _type2,
+    detect_fast,
     detect_type1,
     detect_type2,
     detect_type3,
@@ -51,6 +44,7 @@ from oddhole.graph import (
     split_leaves,
 )
 from oddhole.oracle import oracle_find_odd_hole
+from oddhole.simple import detect_simple, detect_with_simple_pipeline
 from .conftest import (
     disjoint_union,
     join,

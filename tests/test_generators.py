@@ -158,3 +158,16 @@ def test_corpus_spec_errors():
         generate_corpus("whatever 3")
     with pytest.raises(ValueError):
         generate_corpus("cycle 7 bogus=1")
+
+
+def test_corpus_spec_integers_are_ascii_digits():
+    # int() alone would take other scripts' digits and underscores
+    for spec in ("cycle ５", "cycle 1_0", "cycle +5", "cycle -", "gnp 5 0.5 count=1_0",
+                 "gnp 5 0.5 count=٣", "gnp 5 0.5 seed=1_0", "multipartite 2 ３"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            generate_corpus(spec)
+    with pytest.raises(ValueError, match="count -3 is negative"):
+        generate_corpus("gnp 5 0.5 count=-3")
+    # a leading minus stays allowed on seed, and a count of zero builds nothing
+    assert generate_corpus("gnp 5 0.5 seed=-2 count=2") == [gnp(5, 0.5, s) for s in (-2, -1)]
+    assert generate_corpus("gnp 5 0.5 count=0") == []

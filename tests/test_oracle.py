@@ -1,6 +1,7 @@
 import itertools
 
-from oddhole import Graph, is_odd_hole, verify_jewel, verify_pyramid
+from oddhole import Graph, is_odd_hole
+from oddhole.configs import verify_jewel, verify_pyramid
 from oddhole.generators import (
     complete_graph,
     cycle_graph,

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,16 @@ def test_exports_are_the_documented_names():
         assert getattr(oddhole, name) is not None, name
     assert len(set(oddhole.__all__)) == len(oddhole.__all__)
     assert set(oddhole.__all__) == _readme_library_names()
+
+
+def test_import_oddhole_stays_light():
+    # test_perfect imports oddhole.pipeline on its first call, so that a
+    # plain import loads only the detector's own modules
+    code = "import sys, oddhole; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60)
+    loaded = set(res.stdout.split())
+    assert "oddhole.fast" in loaded, res.stderr
+    for name in ("pipeline", "simple", "probes", "oracle", "formats", "generators"):
+        assert f"oddhole.{name}" not in loaded, name

@@ -1,6 +1,7 @@
 import pytest
 
-from oddhole import Graph, find_jewel, find_pyramid
+from oddhole import Graph
+from oddhole.configs import find_jewel, find_pyramid
 from oddhole.generators import cycle_graph, gnp
 from oddhole.graph import bits, mask_of
 from oddhole.oracle import oracle_odd_holes

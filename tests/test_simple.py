@@ -1,11 +1,7 @@
 import random
 
-from oddhole import (
-    classify_candidate,
-    detect_simple,
-    detect_with_simple_pipeline,
-    is_odd_hole,
-)
+from oddhole import is_odd_hole
+from oddhole.cleaning import classify_candidate
 from oddhole.generators import (
     complete_graph,
     connected_small_graphs,
@@ -15,6 +11,7 @@ from oddhole.generators import (
     random_bipartite,
 )
 from oddhole.oracle import oracle_find_odd_hole
+from oddhole.simple import detect_simple, detect_with_simple_pipeline
 from .conftest import random_graphs
 
 
