@@ -62,8 +62,9 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     A mask of fewer than five vertices, or one that peels to bipartite
     (``graph.peels_to_bipartite``), holds no odd hole, and every hole the
     scan returns lies inside the mask, so the answer is None without a
-    BFS.  The stage-3 fallbacks hand it many such masks: on seed-1
-    ``sparse-negative`` 1,316 of the 1,407 masks that reach the scan peel.
+    BFS.  The stage-3 fallbacks hand it many such masks: run whole by
+    ``fast.detect_fast``, the 120 line graphs of seed-1 ``sparse-negative``
+    hand it 1,864 masks, and 1,764 of them peel.
     """
     allowed = g.full_mask if within is None else within
     if allowed.bit_count() < 5 or peels_to_bipartite(g, allowed):
@@ -120,22 +121,21 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     the path itself is not listed (``_Search.four_paths``).  Requires a
     pyramid- and jewel-free input graph.
     """
-    search = _Search(g)
-    return _sweep(search, search.four_paths)
+    return _sweep(_Search(g))
 
 
-def _sweep(search: _Search, paths: list[tuple[int, int, int, int]]) -> Optional[Hole]:
-    """The sweep over ``paths``, a path table of ``search``.
+def _sweep(search: _Search) -> Optional[Hole]:
+    """The sweep over ``search.four_paths``.
 
-    The scan of a four-path returns only a hole inside its mask, so a table
-    may leave out the four-paths whose mask cannot hold one: ``four_paths``
-    leaves out those whose mask is the path alone, and ``live_paths`` also
-    those whose mask peels to bipartite.
+    The scan of a four-path returns only a hole inside its mask, so the
+    table leaves out the four-paths whose mask is the path alone.  It does
+    not read ``live_paths``, as shapes 3-6 do: the sweep decides most
+    positives early, and would pay for a peel per four-path first.
     """
     g = search.g
     full = g.full_mask
     adj = g.adj
-    for (p1, p2, p3, p4) in paths:
+    for (p1, p2, p3, p4) in search.four_paths:
         four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
         within = full & ~((adj[p2] | adj[p3]) & ~four)
         hole = _clean_through(search, within, p2)
@@ -168,5 +168,4 @@ def _classify(search: _Search) -> Optional[Hole]:
     pyramid = _pyramid(search)
     if pyramid is not None:
         return odd_hole_from_pyramid(g, pyramid)
-    # the sweep decides most positives early, so it pays no peel per four-path
-    return _sweep(search, search.four_paths)
+    return _sweep(search)

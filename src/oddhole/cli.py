@@ -19,7 +19,7 @@ from typing import Optional
 import click
 
 from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
-from .generators import generate_corpus
+from .generators import _size, generate_corpus
 from .graph import Graph, bits as _bits
 from .oracle import oracle_find_odd_hole
 from .pipeline import ALGORITHMS, bench_rows, run_detection, test_perfect
@@ -189,11 +189,12 @@ def gen(spec):
 def bench(sizes, p, per, algorithm, seed):
     """Wall-time report over random graphs; CSV on stdout."""
     try:
-        size_list = [int(s) for s in sizes.split(",") if s]
-        if any(n < 0 for n in size_list):
-            raise ValueError
+        size_list = [_size(s) for s in sizes.split(",") if s]
     except ValueError:
         click.echo("bad --sizes: want non-negative integers", err=True)
+        sys.exit(EXIT_INPUT)
+    if per < 0:
+        click.echo("bad --per: want a non-negative integer", err=True)
         sys.exit(EXIT_INPUT)
     if algorithm == "oracle" and any(n > PROBE_MAX_VERTICES for n in size_list):
         click.echo(f"bad --sizes: the brute-force search takes at most {PROBE_MAX_VERTICES} "

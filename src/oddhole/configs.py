@@ -232,14 +232,14 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     empty leg set.
 
     So an apex must be a claw centre: three of its neighbours are pairwise
-    non-adjacent.  The mask of claw centres is built once per call, and
-    each triangle's apexes are cut down to it; a claw-free graph, such as a
-    line graph or a co-bipartite graph, returns at once.  Only apexes with
-    no anchor triple are dropped, so the leg sets built and the witness stay
-    the same.  On the seed-1 benchmark corpora, in the pyramid searches of
-    ``detect``, the apexes tried fall from 14,253 to 0 on ``dense-negative``,
-    7,065 to 0 on ``sparse-negative`` and 4,012 to 776 on ``perfect-mixed``
-    (both sides).
+    non-adjacent.  The mask of claw centres (``_Search.claw_centres``) is
+    built once per search context, and each triangle's apexes are cut down
+    to it; a claw-free graph, such as a line graph or a co-bipartite graph,
+    returns at once.  Only apexes with no anchor triple are dropped, so the
+    leg sets built and the witness stay the same.  On the seed-1 benchmark
+    corpora, in the pyramid searches of ``detect``, the apexes tried fall
+    from 14,253 to 0 on ``dense-negative``, 7,065 to 0 on
+    ``sparse-negative`` and 4,012 to 776 on ``perfect-mixed`` (both sides).
 
     A leg set is built from two BFS that the search context keeps for the
     rest of the call.  Leg sets recur across the triangles of an apex, and
@@ -255,33 +255,11 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     return _pyramid(_Search(g))
 
 
-def _claw_centres(search: _Search) -> int:
-    """The mask of the vertices whose neighbourhood holds a stable triple."""
-    closed = search.closed
-    return mask_of(a for a, row in enumerate(search.g.adj) if _has_stable_triple(row, closed))
-
-
-def _has_stable_triple(mask: int, closed: list[int]) -> bool:
-    # bits() inlined twice, which made the claw-centre mask four times faster:
-    # over each u in mask, then each w above u that misses u, for an x above w
-    # that misses both
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        rest = mask & ~closed[low.bit_length() - 1]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest & ~closed[low.bit_length() - 1]:
-                return True
-    return False
-
-
 def _pyramid(search: _Search) -> Optional[PyramidWitness]:
     g = search.g
     adj = g.adj
     closed = search.closed
-    centres = _claw_centres(search)
+    centres = search.claw_centres
     if not centres:
         return None
     for b1 in range(g.n):

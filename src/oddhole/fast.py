@@ -24,7 +24,7 @@ from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
 (``graph._Search``), created once per :func:`detect_fast` call and once per
-graph, leaf or atom that :func:`detect` searches, and passed to every shape,
+graph or leaf that :func:`detect` searches, and passed to every shape,
 answers every masked BFS and every clean-test fallback, so each distinct
 (source, mask) pair is searched, and each fallback mask tested, once per
 context; it also builds, once each, the tables of paths that the shapes
@@ -55,32 +55,37 @@ delete the anchor or ``d2`` or leave either with no neighbour in ``gp``
 do not depend on the rest of the guess are made while the context lists
 its paths, so those paths are never listed.  Shapes 1-2 walk
 ``_Search.three_paths``, the three-paths whose ends each have a neighbour
-outside ``N[x]`` and the other end's closed neighbourhood; on the seed-1
-``dense-negative`` corpus it keeps none of 25,367, and with none left no
-arc is walked.  The guesses left on an edge depend on the unordered edge
-alone, so :func:`_edge_cuts` lists them once per context, in
-``_Search.edge_cuts``, and both shapes and both orientations read that
-list.  On seed-1 ``sparse-negative`` the component test drops 9,074 of the
-11,408 guesses on the edges of stage-3 contexts that pass the step-off
-test; 9,947 of those have no ``d1``-``d2`` path in ``gp``.  A whole
-graph's sweep walks ``_Search.four_paths``, the four-paths whose sweep
-mask (every vertex but the neighbours of the middle edge off the path) has
-five or more vertices, listed middle edge first so that an edge with no
-vertex outside ``N[p2] | N[p3]`` is skipped whole (159 of 14,434 are kept
-there).  Shapes 3-6, and the sweep of an atom, walk
+outside ``N[x]`` and the other end's closed neighbourhood; in the stage-3
+contexts of ``detect`` on the seed-1 ``dense-negative`` corpus it keeps
+none of 10,928, and with none left no arc is walked.  The guesses left on
+an edge depend on the unordered edge alone, so :func:`_edge_cuts` lists
+them once per context, in ``_Search.edge_cuts``, and both shapes and both
+orientations read that list.  On the 120 line graphs of seed-1
+``sparse-negative``, searched whole by :func:`detect_fast`, the component
+test drops 12,792 of the 17,044 guesses that pass the step-off test;
+15,425 of those have no ``d1``-``d2`` path in ``gp``.  The sweep walks
+``_Search.four_paths``, the four-paths whose sweep mask (every vertex but
+the neighbours of the middle edge off the path) has five or more
+vertices, listed middle edge first so that an edge with no vertex outside
+``N[p2] | N[p3]`` is skipped whole (158 of 13,256 are kept in the contexts
+of ``detect`` on seed-1 ``dense-negative``).  Shapes 3-6 walk
 ``_Search.live_paths``, those four-paths whose mask does not peel to
-bipartite either.  Every hole that a guess on a four-path, or the sweep's
-scan of it, can return lies in that mask, so the others cannot close one.
-Each table is built once per context, on the first call that reads it,
-and shared by the stages that read it.  On the seed-1 benchmark corpora
-``live_paths`` keeps 523 of 3,785 induced four-paths in stage-3 contexts
-on ``sparse-negative``, 149 of 5,562 on ``perfect-mixed`` (both sides) and
-none of 11,497 on ``dense-negative``.  The clean-test fallbacks of every
-shape skip, inside :func:`cleaning.test_clean`, a mask that peels.  The
-remaining guesses keep their order, and so the witnesses are unchanged.
+bipartite either.  Every hole that a guess on a four-path can return lies
+in that mask, so the others cannot close one.  Each table is built once
+per context, on the first call that reads it, and shared by the stages
+that read it.  ``live_paths`` keeps 561 of the 5,544 four-paths of those
+line graphs, and none in the stage-3 contexts of ``detect`` on the seed-1
+corpora.  The clean-test fallbacks of every shape skip, inside
+:func:`cleaning.test_clean`, a mask that peels.  The remaining guesses
+keep their order, and so the witnesses are unchanged.
 Every path is read off the BFS layers by ``graph.walk_down``; a path from
 one end through a guessed middle vertex to the other is joined by
 ``graph.through``.
+
+:func:`detect` runs the six shapes only on a graph with a claw: on a
+claw-free graph the jewel, pyramid and heavy-cleanable searches already
+find an odd hole if there is one (``docs/derived-types.md``, "Claw-free
+graphs need no stage 3").
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import _classify, _sweep, test_clean
+from .cleaning import _classify, test_clean
 from .graph import (
     Distances,
     Graph,
@@ -96,7 +101,6 @@ from .graph import (
     _pieces,
     _Search,
     bits,
-    clique_cutset_atoms,
     geodesic_mask,
     is_odd_hole,
     mask_of,
@@ -474,56 +478,41 @@ def detect(g: Graph) -> Optional[Hole]:
 
     The search of one graph goes through ``classify_candidate`` (jewel,
     pyramid, heavy-cleanable sweep) on one search context.  If that finds
-    nothing, the six staged shapes of :func:`detect_fast` run on each atom
-    of ``graph.clique_cutset_atoms``, since no hole crosses a clique cutset.
-    A graph that is one atom keeps its context.  Otherwise each atom of five
-    or more vertices that does not peel to bipartite is swept and searched
-    as an induced graph with a context of its own, and mapped back the same
-    way.  ``docs/derived-types.md`` shows why the atoms need no jewel or
-    pyramid search but a sweep of their own.
+    nothing and the graph has no claw (``_Search.claw_centres`` is empty),
+    the answer is None: in a claw-free graph every shortest odd hole has an
+    edge whose ends see all of its major vertices, so the sweep would have
+    found one (``docs/derived-types.md``, "Claw-free graphs need no stage
+    3").  Otherwise the six staged shapes of :func:`detect_fast` run on the
+    same context.
     """
     if peels_to_bipartite(g):
         return None
     leaves = split_leaves(g)
     if leaves == [g.full_mask]:
         return _search_graph(g)
-    return _in_parts(g, leaves, _search_graph)
+    return _in_parts(g, leaves)
 
 
 def _search_graph(g: Graph) -> Optional[Hole]:
     """Stages 1-3 of :func:`detect` on a graph that needs no split."""
     search = _Search(g)
     hole = _classify(search)
-    if hole is not None:
+    if hole is not None or not search.claw_centres:
         return hole
-    atoms = clique_cutset_atoms(g)
-    if len(atoms) == 1:
-        return _staged(search)
-    return _in_parts(g, atoms, _search_atom)
+    return _staged(search)
 
 
-def _search_atom(g: Graph) -> Optional[Hole]:
-    """An atom's own heavy-cleanable sweep, then the six shapes, on one context."""
-    part = _Search(g)
-    # shapes 3-6 read live_paths next anyway, and a scan finds only a hole of its mask
-    hole = _sweep(part, part.live_paths)
-    return hole if hole is not None else _staged(part)
+def _in_parts(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
+    """The first verified hole that :func:`_search_graph` finds in a leaf.
 
-
-def _in_parts(g: Graph, parts: list[Mask],
-              search_part: Callable[[Graph], Optional[Hole]]) -> Optional[Hole]:
-    """The first verified hole that ``search_part`` finds in an induced part.
-
-    Parts of fewer than five vertices and parts that peel to bipartite are
-    skipped; a hole is mapped back to ``g``'s ids and verified on ``g``.
+    Leaves that peel to bipartite are skipped; a hole is mapped back to
+    ``g``'s ids and verified on ``g``.
     """
-    for part in parts:
-        if part.bit_count() < 5:
-            continue
-        sub, back = g.induced(part)
+    for leaf in leaves:
+        sub, back = g.induced(leaf)
         if peels_to_bipartite(sub):
             continue
-        hole = search_part(sub)
+        hole = _search_graph(sub)
         if hole is not None:
             hole = tuple(back[v] for v in hole)
             if is_odd_hole(g, hole):

@@ -9,8 +9,7 @@ Deleting vertices never renumbers anything.  The BFS accepts a
 ``within`` mask and simply refuses to leave it, so witnesses found in a
 masked subgraph are valid vertex sequences of the original graph.  The one
 renumbering is :meth:`Graph.induced`, which returns the map back to the
-original ids; ``fast.detect`` takes it for the leaves of :func:`split_leaves`
-and the atoms of :func:`clique_cutset_atoms`.
+original ids; ``fast.detect`` takes it for the leaves of :func:`split_leaves`.
 """
 
 from __future__ import annotations
@@ -250,6 +249,11 @@ def geodesic_mask(du: Distances, dv: Distances, total: int, scope: Mask) -> Mask
     return out & scope
 
 
+def _in_graph(g: Graph, seq: Sequence[int]) -> bool:
+    """Every vertex id of ``seq`` is one of ``0..n-1``."""
+    return all(0 <= v < g.n for v in seq)
+
+
 def is_induced_path(g: Graph, seq: Sequence[int]) -> bool:
     """True iff ``seq`` is an induced path of ``g``.
 
@@ -258,7 +262,7 @@ def is_induced_path(g: Graph, seq: Sequence[int]) -> bool:
     rejected.  A single vertex is a (trivial) induced path.
     """
     k = len(seq)
-    if k == 0 or len(set(seq)) != k or mask_of(seq) & ~g.full_mask:
+    if k == 0 or len(set(seq)) != k or not _in_graph(g, seq):
         return False
     for i in range(k - 1):
         if not g.has_edge(seq[i], seq[i + 1]):
@@ -271,9 +275,12 @@ def is_induced_path(g: Graph, seq: Sequence[int]) -> bool:
 
 
 def is_hole(g: Graph, cycle: Sequence[int]) -> bool:
-    """True iff ``cycle`` is a chordless cycle of length at least four."""
+    """True iff ``cycle`` is a chordless cycle of length at least four.
+
+    Repeated vertices and vertices outside the graph are rejected.
+    """
     k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+    if k < 4 or len(set(cycle)) != k or not _in_graph(g, cycle):
         return False
     for i in range(k):
         if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
@@ -332,14 +339,6 @@ def peels_to_bipartite(g: Graph, within: Optional[Mask] = None) -> bool:
                     return False
                 nxt |= adj[v]
             layer = nxt & alive
-    return True
-
-
-def _is_clique(g: Graph, mask: Mask) -> bool:
-    adj = g.adj
-    for v in bits(mask):
-        if mask & ~adj[v] != 1 << v:
-            return False
     return True
 
 
@@ -446,101 +445,6 @@ def split_leaves(g: Graph) -> list[Mask]:
     return leaves
 
 
-def _minimal_elimination(g: Graph) -> tuple[list[int], list[Mask]]:
-    """An MCS-M elimination ordering and each vertex's later neighbours.
-
-    MCS-M (Berry, Blair, Heggernes, Peyton, "Maximum cardinality search for
-    computing minimal triangulations", 2004) numbers the vertices from last
-    to first, each time the unnumbered vertex of largest weight (lowest id
-    on ties).  Numbering ``v`` raises the weight of every unnumbered ``u``
-    that ``v`` reaches by a path whose inner vertices are unnumbered and
-    lighter than ``u``; ``uv`` is then an edge of the minimal triangulation
-    the ordering eliminates, and ``v`` is eliminated after ``u``.  Returns
-    the elimination order and, for each vertex, the mask of its neighbours
-    in the triangulation that are eliminated after it.
-    """
-    adj = g.adj
-    later = [0] * g.n
-    level = [g.full_mask]  # level[w]: the unnumbered vertices of weight w
-    picked = []
-    for _ in range(g.n):
-        while not level[-1]:
-            level.pop()
-        v = (level[-1] & -level[-1]).bit_length() - 1
-        level[-1] ^= 1 << v
-        picked.append(v)
-        # ``near``: the neighbours of v and of ``inner``, the vertices that v
-        # reaches through vertices lighter than the current weight alone
-        near = adj[v]
-        inner = lighter = 0
-        raised = []
-        for w, members in enumerate(level):
-            frontier = near & lighter & ~inner
-            while frontier:
-                inner |= frontier
-                near |= neighbourhood(g, frontier)
-                frontier = near & lighter & ~inner
-            if near & members:
-                raised.append((w, near & members))
-            lighter |= members
-        for w, hit in raised:
-            level[w] ^= hit
-            if w + 1 == len(level):
-                level.append(0)
-            level[w + 1] |= hit
-            for u in bits(hit):
-                later[u] |= 1 << v
-    picked.reverse()
-    return picked, later
-
-
-def clique_cutset_atoms(g: Graph) -> list[Mask]:
-    """Vertex masks of the atoms of a clique-separator decomposition of ``g``.
-
-    The atoms cover the vertices, each induces a subgraph with no clique
-    cutset (disconnected pieces are split too, on the empty clique), and
-    every hole of ``g`` lies inside one of them: a clique meets a hole in at
-    most one edge, so no hole crosses a clique cutset.  It is Tarjan's step
-    ("Decomposition by clique separators", 1985) on an MCS-M ordering: for
-    each vertex ``x`` left, in elimination order, ``S`` is its later
-    neighbours in the triangulation that are still left; if ``S`` is a
-    clique of ``g`` and the component ``C`` of the rest minus ``S`` that
-    holds ``x`` leaves some vertex outside ``C | S``, then ``C | S`` is an
-    atom and ``C`` leaves the rest.  The rest is the last atom.  An atom
-    may be a clique inside an earlier atom's ``S``.
-
-    Across a clique cutset every two vertices on opposite sides are
-    non-adjacent and their common neighbours lie in the cutset, so a graph
-    in which no non-adjacent pair has a clique as its common neighbourhood
-    is one atom.  That is tested first, one clique test per non-adjacent
-    pair, and the ordering is taken only if the test passes.
-
-    ``fast.detect`` hands it only connected graphs (the leaves of
-    :func:`split_leaves`, or a graph that is its own leaf), so there the
-    empty clique never splits anything.
-    """
-    adj = g.adj
-    full = g.full_mask
-    if not any(_is_clique(g, adj[a] & adj[b])
-               for a in range(g.n) for b in bits(full & ~adj[a] >> (a + 1) << (a + 1))):
-        return [full]
-    order, later = _minimal_elimination(g)
-    atoms = []
-    rest = full
-    for x in order:
-        if not rest >> x & 1:
-            continue
-        sep = later[x] & rest
-        if not _is_clique(g, sep):
-            continue
-        comp = _component(g, x, rest & ~sep)
-        if rest & ~(comp | sep):
-            atoms.append(comp | sep)
-            rest &= ~comp
-    atoms.append(rest)
-    return atoms
-
-
 def induced_three_paths(g: Graph) -> list[tuple[int, int, int]]:
     """All induced paths a-x-b with a < b (each returned once)."""
     out = []
@@ -572,43 +476,63 @@ def induced_four_paths(g: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _has_stable_triple(mask: Mask, closed: list[Mask]) -> bool:
+    """True if three vertices of ``mask`` are pairwise non-adjacent.
+
+    ``closed`` holds each vertex's closed neighbourhood.  With ``mask`` a
+    vertex's row, the answer says whether that vertex is a claw centre.
+    """
+    # bits() inlined twice, which made the claw-centre mask four times faster:
+    # over each u in mask, then each w above u that misses u, for an x above w
+    # that misses both
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        rest = mask & ~closed[low.bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest & ~closed[low.bit_length() - 1]:
+                return True
+    return False
+
+
 class _Search:
     """The search state of one detector call on one graph.
 
     ``detect`` creates one per graph it searches and hands it to every
     stage: the jewel and pyramid searches, the heavy-cleanable sweep and,
-    on a graph with no clique cutset, the six staged shapes.  The graph it
-    searches is the whole graph if :func:`split_leaves` leaves it whole,
-    and otherwise each leaf in turn, on the leaf's induced graph; the whole
-    graph then gets none.  On a graph with a clique cutset it creates one
-    more for each atom it searches, on the atom's induced graph, which the
-    atom's sweep and shapes share.  So at most two are alive at a time: one
-    leaf's (or the whole graph's) and one atom's.  Each public stage called
-    alone creates its own.  It is passed explicitly, never kept in module
-    state, so concurrent calls share nothing.
+    on a graph with a claw, the six staged shapes.  The graph it searches is
+    the whole graph if :func:`split_leaves` leaves it whole, and otherwise
+    each leaf in turn, on the leaf's induced graph; the whole graph then
+    gets none.  So one is alive at a time.  Each public stage called alone
+    creates its own.  It is passed explicitly, never kept in module state,
+    so concurrent calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
-    clean-test fallback result, keyed by mask, and four tables, each built
+    clean-test fallback result, keyed by mask, and five tables, each built
     at most once, on its first read: ``closed``, which the jewel and pyramid
-    searches and the path tables read; ``four_paths``, which the sweep of a
-    whole graph walks; ``live_paths``, the part of it that an atom's sweep
-    and shapes 3-6 search; and ``three_paths``, which shapes 1-2 search.
-    ``four_paths`` and ``three_paths`` make their exact mask tests while
-    they list, so a path on which no reader could find a hole is never
-    listed.  ``edge_cuts`` holds, per edge, keyed by the mask of its two
-    ends, the list of shape 1-2 guesses left on it, which
-    ``fast._edge_cuts`` fills on the edge's first use and both shapes read
-    in both orientations.  On the line graph of 24 random edges of K6,6
-    (``perfbench.corpora.line_graph_of_bipartite(6, 6, 24,
-    random.Random(0))``) it ends with 7,751 guesses over 76 edges, next to
-    239,556 BFS entries.  So it keeps at most one :class:`Distances` per
-    BFS the call runs, until the call returns: a list of ``n`` integers and
-    the tuple of its layer masks, with its key.  At n = 16 that entry is 460
-    bytes by ``sys.getsizeof``, of which the layers are 184.  On the seed-1
-    benchmark corpora the largest context of a ``detect`` call holds 1,027
-    entries (0.51 MB); on the line graph of 40 random edges of K10,10
-    ``classify_candidate`` keeps 1,355-1,400 (1.1 MB), the jewel search
-    none of them, and stage 3 far more (``docs/derived-types.md``).
+    searches and the path tables read; ``claw_centres``, which the pyramid
+    search and ``fast.detect``'s claw-free exit read; ``four_paths``, which
+    the sweep walks; ``live_paths``, the part of it that shapes 3-6 search;
+    and ``three_paths``, which shapes 1-2 search.  ``four_paths`` and
+    ``three_paths`` make their exact mask tests while they list, so a path
+    on which no reader could find a hole is never listed.  ``edge_cuts``
+    holds, per edge, keyed by the mask of its two ends, the list of shape
+    1-2 guesses left on it, which ``fast._edge_cuts`` fills on the edge's
+    first use and both shapes read in both orientations.
+
+    It keeps at most one :class:`Distances` per BFS the call runs, until
+    the call returns: a list of ``n`` integers and the tuple of its layer
+    masks, with its key.  At n = 16 that entry is 460 bytes by
+    ``sys.getsizeof``, of which the layers are 184.  On the seed-1 benchmark
+    corpora the largest context of a ``detect`` call holds 81 entries
+    (0.04 MB).  Stage 3 is where a context grows: on the line graph of 24
+    random edges of K6,6 (``perfbench.corpora.line_graph_of_bipartite(6, 6,
+    24, random.Random(0))``) ``detect`` stops after stage 2 with 596
+    entries (0.4 MB), as the graph is claw-free, while ``fast.detect_fast``
+    ends with 238,995 entries and 7,751 guesses over 76 edges (139 MB;
+    ``docs/derived-types.md``).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding
     it here (as an outside tracer does) is honoured.  The entries are shared
@@ -646,6 +570,17 @@ class _Search:
     def closed(self) -> list[Mask]:
         """The closed neighbourhood of each vertex, as a bitmask."""
         return [row | 1 << v for v, row in enumerate(self.g.adj)]
+
+    @cached_property
+    def claw_centres(self) -> Mask:
+        """The vertices with three pairwise non-adjacent neighbours.
+
+        Each is the centre of an induced K1,3.  A pyramid's apex is one, so
+        the pyramid search tries no other apex; and on a graph with none,
+        ``fast.detect`` stops after stage 2 (``docs/derived-types.md``).
+        """
+        closed = self.closed
+        return mask_of(a for a, row in enumerate(self.g.adj) if _has_stable_triple(row, closed))
 
     @cached_property
     def four_paths(self) -> list[tuple[int, int, int, int]]:
@@ -719,10 +654,9 @@ class _Search:
         its order, when the mask does not peel to bipartite.  Every hole
         that shapes 3-6 can return from a guess on the path lies in that
         mask, so the others cannot close one (``docs/derived-types.md``).
-        Those shapes read it, and so does the sweep of an atom, whose shapes
-        read it right after; the sweep of a whole graph, which decides most
-        positives early, walks every path of ``four_paths`` and would pay
-        for a peel on each first.
+        Only those shapes read it; the sweep, which decides most positives
+        early, walks every path of ``four_paths`` and would pay for a peel
+        on each first.
         """
         g = self.g
         full, adj = g.full_mask, g.adj

@@ -229,7 +229,9 @@ def test_bench_command():
     lines = res.output.strip().splitlines()
     assert lines[0] == "n,p,algorithm,seed,millis,verdict"
     assert len(lines) == 3
+    # sizes are ASCII digits, as gen reads them: no other script's digits, no underscores
     for args in (["--sizes", "x"], ["--sizes", "-5"], ["--sizes", "8,-1"], ["--sizes", "1.5"],
+                 ["--sizes", "\uff18"], ["--sizes", "8,1_0"], ["--sizes", "+8"], ["--per", "-1"],
                  ["--p", "-0.1"], ["--p", "1.5"], ["--p", "nan"]):
         res = run(["bench", "--per", "1", *args])
         assert res.exit_code == 2 and "bad --" in res.output, args

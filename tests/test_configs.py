@@ -321,7 +321,7 @@ def test_claw_centres_match_brute_force():
     graphs += random_graphs(200, 5, 14, seed=31, ps=(0.2, 0.35, 0.5, 0.7))
     centres = 0
     for g in graphs:
-        mask = oddhole.configs._claw_centres(_Search(g))
+        mask = _Search(g).claw_centres
         assert mask == brute(g), g
         centres += mask != 0
     assert 400 < centres < len(graphs)

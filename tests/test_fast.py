@@ -7,7 +7,7 @@ import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
 import oddhole.simple
-from oddhole.cleaning import _classify, _sweep, classify_candidate
+from oddhole.cleaning import _classify, classify_candidate
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -36,7 +36,6 @@ from oddhole.graph import (
     _Search,
     bfs_distances,
     bits,
-    clique_cutset_atoms,
     induced_four_paths,
     induced_three_paths,
     mask_of,
@@ -100,9 +99,9 @@ SHAPE_GRAPHS = (random_bipartite(5, 5, 0.5, 3).complement(), random_chordal(10, 
 
 def _record_bfs(monkeypatch):
     # the search context lives in ``graph`` and looks the BFS up there.  Each
-    # key names its graph too, since detect searches each atom of a clique
-    # cutset on an induced graph with a context of its own: by id, and the
-    # graph itself keeps that id from passing to a later atom's graph.
+    # key names its graph too, since detect searches each leaf of a split on
+    # an induced graph with a context of its own: by id, and the graph itself
+    # keeps that id from passing to a later leaf's graph.
     bfs = oddhole.graph.bfs_distances
     keys = []
 
@@ -115,23 +114,27 @@ def _record_bfs(monkeypatch):
 
 
 # The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
-# decided by the peeling, and a candidate.  An edge is a clique cutset of it:
-# its atoms have 3 and 9 vertices, and detect searches the 9-vertex one alone
-# (the other peels away).  One of its four-paths is live, and shapes 5-6 run
-# no BFS on it.
+# decided by the peeling, a candidate and claw-free, so detect stops after
+# stage 2 on it.  One of its four-paths is live, and shapes 5-6 run no BFS on
+# it.
 LINE_CANDIDATE = "IrKy_SFAO"
 
 # The line graph of 10 edges of K4,4 (``perfbench`` ``line_graph_of_bipartite
-# (4, 4, 10, Random(1))``): perfect, one atom, a candidate, and shapes 3-6
-# search it.  5 of its 45 four-paths are live.  Shapes 1-2 ask for no BFS on
-# it: the component test drops every guess that can step off both ends.
+# (4, 4, 10, Random(1))``): perfect, a candidate, and shapes 3-6 search it.
+# 5 of its 45 four-paths are live.  Shapes 1-2 ask for no BFS on it: the
+# component test drops every guess that can step off both ends.
 LIVE_CANDIDATE = "ILWqKNQBo"
 LIVE_PATHS = [(8, 1, 4, 9), (3, 2, 4, 9), (2, 3, 0, 7), (0, 7, 9, 4), (1, 8, 0, 7)]
 
 # A clique-cutset atom of a seed-1 ``perfbench`` ``sparse-negative`` graph:
-# perfect, one atom, no split, a candidate, and each of the six shapes asks
-# for a BFS on it.
+# perfect, no split, a candidate, and each of the six shapes asks for a BFS
+# on it.
 SPARSE_ATOM = "IW@KSeo[O"
+
+# ``gnp(10, 0.5, 71406)``: perfect, not decided by the peeling, no split, a
+# candidate with four claw centres, so detect runs stage 3 on it; each of
+# the six shapes asks for a BFS, and 2 of its 36 four-paths are live.
+CLAW_CANDIDATE = "I@wgNbIiO"
 
 
 def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
@@ -163,17 +166,12 @@ def _count_searches(monkeypatch):
 
 
 def test_detect_builds_one_search_per_call(monkeypatch):
-    # one context for the whole graph's stages 1-2, and one for the one atom
-    # that stage 3 searches; detect_fast and the simple pipeline, which do
-    # not decompose, build one.  Each shape called alone builds its own and
-    # searches the one-atom candidate.
-    g = parse_graph6(LINE_CANDIDATE).graph
-    live = parse_graph6(SPARSE_ATOM).graph
-    assert clique_cutset_atoms(live) == [live.full_mask] and classify_candidate(live) is None
-    assert not peels_to_bipartite(g) and classify_candidate(g) is None
-    atoms = clique_cutset_atoms(g)
-    assert sorted(atom.bit_count() for atom in atoms) == [3, 9]
-    assert [peels_to_bipartite(g.induced(atom)[0]) for atom in atoms] == [True, False]
+    # one context for stages 1-3 of a candidate with a claw, as for
+    # detect_fast and the simple pipeline.  Each shape called alone builds
+    # its own and asks it for a BFS.
+    g = parse_graph6(CLAW_CANDIDATE).graph
+    assert not peels_to_bipartite(g) and split_leaves(g) == [g.full_mask]
+    assert classify_candidate(g) is None and _Search(g).claw_centres
     built = _count_searches(monkeypatch)
     dist = oddhole.graph._Search.dist
     searches = []
@@ -186,12 +184,12 @@ def test_detect_builds_one_search_per_call(monkeypatch):
     for det in ALL_TYPES:
         searches.append(0)
         built[0] = 0
-        assert det(live) is None and built[0] == 1
+        assert det(g) is None and built[0] == 1
     assert all(searches), searches
-    for run, contexts in ((detect, 2), (detect_fast, 1), (detect_with_simple_pipeline, 1)):
+    for run in (detect, detect_fast, detect_with_simple_pipeline):
         built[0] = 0
         assert run(g) is None
-        assert built[0] == contexts, run.__name__
+        assert built[0] == 1, run.__name__
 
 
 def test_anchored_shapes_search_only_live_four_paths():
@@ -209,60 +207,6 @@ def test_anchored_shapes_search_only_live_four_paths():
     for anchor_on_c3 in (False, True):
         paths = {guess[:4] for guess in _anchored_cuts(search, anchor_on_c3)}
         assert {p if p[0] < p[3] else p[::-1] for p in paths} == set(LIVE_PATHS)
-
-
-def test_detect_on_one_atom_keeps_one_search(monkeypatch):
-    # a candidate with no clique cutset: stage 3 goes on with the context of
-    # stages 0-2, on the whole graph
-    g = SHAPE_GRAPHS[0]
-    assert not peels_to_bipartite(g) and classify_candidate(g) is None
-    assert clique_cutset_atoms(g) == [g.full_mask]
-    built = _count_searches(monkeypatch)
-    assert detect(g) is None
-    assert built[0] == 1
-
-
-def test_detect_maps_an_atom_hole_back(monkeypatch):
-    # A 7-hole glued along the edge 2-3 of a chordal host: that edge is a
-    # clique cutset, and the hole is an atom on its own, whose vertex 0 is
-    # vertex 2 here.  With stages 1-2 turned off on the whole graph, only
-    # the atom loop can find the hole, and only in this graph's ids.
-    host = random_chordal(8, 1)
-    assert host.has_edge(2, 3)
-    g = Graph(13, list(host.edges()) + [(2, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 3)])
-    atom = mask_of((2, 3, 8, 9, 10, 11, 12))
-    assert atom in clique_cutset_atoms(g)
-    monkeypatch.setattr(oddhole.fast, "_classify", lambda search: None)
-    hole = detect(g)
-    assert hole is not None and is_odd_hole(g, hole)
-    assert mask_of(hole) == atom
-
-
-def test_atom_sweep_over_live_paths_matches_the_full_sweep():
-    # An atom's sweep walks only the live four-paths: the scan of any other
-    # finds no hole, as its mask peels, so the sweep returns the same hole.
-    found = atoms = 0
-    graphs = [gnp(9 + i % 5, (0.2, 0.3, 0.4)[i % 3], 6600 + i) for i in range(80)]
-    graphs += [g.complement() for g in graphs]
-    graphs += [random_chordal(10, i).complement() for i in range(20)]
-    # a 7-hole glued along an edge of a chordal host: the edge is a clique
-    # cutset, and the hole is an atom
-    for i in range(10):
-        host = random_chordal(8, i)
-        u, v = next(host.edges())
-        hole_edges = [(u, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, v)]
-        graphs.append(Graph(13, list(host.edges()) + hole_edges))
-    for g in graphs:
-        for atom in clique_cutset_atoms(g):
-            sub = g.induced(atom)[0]
-            if atom.bit_count() < 5 or peels_to_bipartite(sub):
-                continue
-            atoms += 1
-            everything, live = _Search(sub), _Search(sub)
-            hole = _sweep(live, live.live_paths)
-            assert hole == _sweep(everything, everything.four_paths), (g.adj, atom)
-            found += hole is not None
-    assert (atoms, found) == (165, 112)
 
 
 def _split_hole(g, leaves, hole_mask):
@@ -321,7 +265,8 @@ def test_detect_runs_each_masked_bfs_once(monkeypatch):
     monkeypatch.setattr(oddhole.fast, "peels_to_bipartite", lambda g: False)
     keys = _record_bfs(monkeypatch)
     co_bipartite, chordal = SHAPE_GRAPHS
-    for g in (co_bipartite, chordal, parse_graph6(LINE_CANDIDATE).graph):
+    for g in (co_bipartite, chordal, parse_graph6(LINE_CANDIDATE).graph,
+              parse_graph6(CLAW_CANDIDATE).graph):
         keys.clear()
         assert detect(g) is None
         assert len(keys) == len(set(keys)), g
@@ -344,24 +289,21 @@ def _count_tables(monkeypatch):
 
 
 def test_detect_lists_the_four_paths_once(monkeypatch):
-    # Each context builds each path table at most once: the whole graph's
-    # sweep lists the four-paths, an atom's sweep and its four anchored
-    # shapes share one list of live four-paths (built on the four-paths),
-    # and shapes 1 and 2 one list of three-paths.
+    # Each context builds each path table at most once: the sweep lists the
+    # four-paths, shapes 1 and 2 share one list of three-paths, and the four
+    # anchored shapes one list of live four-paths (built on the four-paths).
     builds = _count_tables(monkeypatch)
-    g = parse_graph6(LINE_CANDIDATE).graph
-    # detect builds one context for the whole graph and one for the atom it
-    # searches (test_detect_builds_one_search_per_call); the simple pipeline
-    # builds one and lists its own paths for the reference search
-    for run, contexts, names in (
-        (detect, 2, ["four_paths", "live_paths", "four_paths", "three_paths"]),
-        (detect_with_simple_pipeline, 1, ["four_paths"]),
+    g = parse_graph6(CLAW_CANDIDATE).graph
+    # detect builds one context for a candidate with a claw
+    # (test_detect_builds_one_search_per_call); the simple pipeline builds
+    # one and lists its own paths for the reference search
+    for run, names in (
+        (detect, ["four_paths", "three_paths", "live_paths"]),
+        (detect_with_simple_pipeline, ["four_paths"]),
     ):
         builds.clear()
         assert run(g) is None
-        assert len({(name, id(search)) for name, search in builds}) == len(builds)
-        assert len({id(search) for name, search in builds if name == "four_paths"}) == contexts
-        # the atom's sweep asks for the live four-paths first
+        assert len({id(search) for _, search in builds}) == 1
         assert [name for name, _ in builds] == names, run.__name__
     # shape 2 reads the table that shape 1 built: emptied there, it leaves
     # shape 2 nothing to search, where a context of its own has something
@@ -377,6 +319,90 @@ def test_detect_lists_the_four_paths_once(monkeypatch):
     search.three_paths.clear()
     asked.clear()
     assert _type2(search) is None and asked == [] and len(builds) == 1
+
+
+def _count_staged(monkeypatch):
+    # the graph of every context that stage 3 runs on
+    staged = oddhole.fast._staged
+    graphs = []
+    monkeypatch.setattr(oddhole.fast, "_staged",
+                        lambda search: graphs.append(search.g) or staged(search))
+    return graphs
+
+
+def test_claw_free_candidates_stop_after_stage_2(monkeypatch):
+    """A claw-free candidate builds no stage-3 table; one with a claw reaches stage 3.
+
+    No verdict test can catch an exit that fires too widely: stage 3 has
+    decided no graph of the suites or of the benchmark corpora, so a detect
+    that never ran it would pass them all.  This test pins where the exit
+    fires.  That it loses no hole rests on the proof in
+    ``docs/derived-types.md`` ("Claw-free graphs need no stage 3") and on
+    ``tools/check_clawfree_lemma.py``.
+    """
+    builds = _count_tables(monkeypatch)
+    staged = _count_staged(monkeypatch)
+    for text in (LINE_CANDIDATE, LIVE_CANDIDATE, SPARSE_ATOM):
+        g = parse_graph6(text).graph
+        assert not peels_to_bipartite(g) and classify_candidate(g) is None
+        assert not _Search(g).claw_centres
+        builds.clear()
+        staged.clear()
+        assert detect(g) is None
+        assert {name for name, _ in builds} == {"four_paths"} and staged == [], text
+        # stage 3 called on its own still searches it
+        assert detect_fast(g) is None and "live_paths" in {name for name, _ in builds}
+    g = parse_graph6(CLAW_CANDIDATE).graph
+    builds.clear()
+    staged.clear()
+    assert detect(g) is None and staged == [g]
+    assert [name for name, _ in builds] == ["four_paths", "three_paths", "live_paths"]
+
+
+def _bipartite(h):
+    # a graph is bipartite iff no BFS puts the two ends of an edge in one layer
+    return not any(d[a] == d[b] >= 0 for d in (bfs_distances(h, v) for v in range(h.n))
+                   for a, b in h.edges())
+
+
+def _circular_interval(n, arcs, longest, seed):
+    # points 0..n-1 on a circle, adjacent when one of ``arcs`` random arcs of
+    # at most ``longest`` steps holds both: a claw-free graph
+    rng = random.Random(seed)
+    edges = set()
+    for _ in range(arcs):
+        start = rng.randrange(n)
+        points = [(start + i) % n for i in range(rng.randint(1, longest) + 1)]
+        edges.update((min(a, b), max(a, b)) for i, a in enumerate(points) for b in points[i + 1:])
+    return Graph(n, sorted(edges))
+
+
+def test_detect_matches_oracle_on_claw_free_families(monkeypatch):
+    # Line graphs of non-bipartite graphs and circular-interval graphs, which
+    # the benchmark corpora lack: claw-free, with and without odd holes.
+    # detect stops after stage 2 on every one, and agrees with the oracle.
+    decided = []
+    classify = oddhole.fast._classify
+    monkeypatch.setattr(oddhole.fast, "_classify",
+                        lambda search: decided.append(classify(search)) or decided[-1])
+    staged = _count_staged(monkeypatch)
+    roots = [gnp(6 + i % 3, (0.3, 0.4)[i % 2], 9100 + i) for i in range(240)]
+    graphs = [line_graph(h) for h in roots if not _bipartite(h)]
+    for i in range(240):
+        n = 7 + i % 9
+        graphs.append(_circular_interval(n, 3 * n // 2, 4, 9300 + i))
+    holes = 0
+    for g in graphs:
+        assert not _Search(g).claw_centres, g.adj
+        got = detect(g)
+        want = oracle_find_odd_hole(g)
+        assert (got is None) == (want is None), g.adj
+        if got is not None:
+            assert is_odd_hole(g, got)
+        holes += want is not None
+    # both verdicts are common, and many searches reach the exit
+    exits = decided.count(None)
+    assert staged == [] and (len(graphs), holes, exits) == (398, 198, 65), (len(graphs), holes, exits)
 
 
 def test_shapes_1_2_ask_for_no_bfs_on_co_bipartite_graphs(monkeypatch):

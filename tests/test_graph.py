@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from collections import deque
 
@@ -12,7 +13,6 @@ from oddhole.graph import (
     _Search,
     bfs_distances,
     bits,
-    clique_cutset_atoms,
     geodesic_mask,
     induced_four_paths,
     induced_three_paths,
@@ -29,11 +29,11 @@ from oddhole.generators import (
     complete_graph,
     connected_small_graphs,
     cycle_graph,
-    generate_corpus,
     gnp,
     path_graph,
 )
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
+from oddhole.pipeline import ResultDocument, run_detection
 from .conftest import split_family_graphs
 
 
@@ -99,6 +99,19 @@ def test_is_odd_hole_examples():
     assert is_hole(c6, (0, 1, 2, 3, 4, 5))
     chord = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     assert not is_odd_hole(chord, (0, 1, 2, 3, 4))
+
+
+def test_vertex_ids_outside_the_graph_are_no_path_and_no_hole():
+    # an id past n - 1 or below 0 is refused, not looked up
+    c5 = cycle_graph(5)
+    for seq in ((9, 1, 2, 3, 4), (0, 1, 2, 3, -1), (0, 1, 2, 3, 5)):
+        assert not is_hole(c5, seq) and not is_odd_hole(c5, seq), seq
+    assert not is_induced_path(c5, (3, 4, 5)) and not is_induced_path(c5, (-1, 0, 1))
+    # so a result document whose witness names such a vertex fails its check
+    data = json.loads(run_detection(c5).to_json())
+    for witness in ([9, 1, 2, 3, 4], [0, 1, 2, 3, -1]):
+        data["witness"] = witness
+        assert not ResultDocument.from_json(json.dumps(data)).verify_witness(c5), witness
 
 
 def test_bfs_distances_examples():
@@ -401,35 +414,6 @@ def _reach(g, v, within):
     return mask_of(seen)
 
 
-def _clique(g, mask):
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(bits(mask), 2))
-
-
-def _has_clique_cutset(g):
-    # some clique S (the empty one too) whose removal leaves a disconnected rest
-    full = g.full_mask
-    for sep in range(full + 1):
-        rest = full & ~sep
-        if sep & ~full or not rest or not _clique(g, sep):
-            continue
-        if _reach(g, next(bits(rest)), rest) != rest:
-            return True
-    return False
-
-
-# small random graphs; the generator families, with clique cutsets (paths,
-# chordal graphs) and without (cycles, the Petersen graph); and a 7-hole glued
-# along the edge 1-2 of a random graph, which that edge cuts off
-ATOM_GRAPHS = (
-    [gnp(n, p, 5200 + n * 7 + i) for n in range(3, 10) for p in (0.3, 0.5, 0.7) for i in range(8)]
-    + [g for spec in ("cycle 7", "path 6", "complete 5", "petersen", "multipartite 2 3 1",
-                      "bipartite 4 5 0.4 seed=2 count=3", "chordal 9 seed=3 count=4",
-                      "decorated 7 2 seed=4 count=2")
-       for g in generate_corpus(spec)]
-    + [Graph(11, list(gnp(6, 0.5, 3).edges()) + [(1, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 2)])]
-)
-
-
 def test_induced_renumbers_in_id_order():
     g = gnp(9, 0.4, 12)
     assert g.induced(g.full_mask) == (g, tuple(range(9)))
@@ -439,39 +423,6 @@ def test_induced_renumbers_in_id_order():
     for i, j in itertools.combinations(range(4), 2):
         assert sub.has_edge(i, j) == g.has_edge(back[i], back[j])
     assert g.induced(0) == (Graph(0), ())
-
-
-def test_clique_cutset_atoms_match_brute_force_and_the_oracle():
-    split = split_holes = 0
-    for g in ATOM_GRAPHS:
-        atoms = clique_cutset_atoms(g)
-        # the atoms cover the vertices
-        cover = 0
-        for atom in atoms:
-            cover |= atom
-        assert cover == g.full_mask, g.adj
-        split += len(atoms) > 1
-        # each atom but the last is a piece C cut off by a clique S: S is the
-        # part that the later atoms share, C the part they do not, and S
-        # separates C from the later atoms
-        later = 0
-        for atom in reversed(atoms):
-            if later:
-                sep = atom & later
-                comp = atom & ~later
-                assert _clique(g, sep) and comp and later & ~sep, g.adj
-                assert _reach(g, next(bits(comp)), g.full_mask & ~sep) & later == 0, g.adj
-            later |= atom
-        # no atom has a clique cutset, and a graph with one has two atoms or more
-        subs = [g.induced(atom)[0] for atom in atoms]
-        assert not any(_has_clique_cutset(sub) for sub in subs), g.adj
-        assert (len(atoms) > 1) == _has_clique_cutset(g), g.adj
-        # the graph has an odd hole iff one of its atoms has
-        has_hole = oracle_find_odd_hole(g) is not None
-        assert has_hole == any(oracle_find_odd_hole(sub) is not None for sub in subs), g.adj
-        split_holes += has_hole and len(atoms) > 1
-    # none of the three kinds of graph is rare
-    assert split >= 100 and len(ATOM_GRAPHS) - split >= 30 and split_holes >= 10
 
 
 def _twin_free(g, mask):
