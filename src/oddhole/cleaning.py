@@ -15,11 +15,21 @@ every vertex that way.  The sweep over induced four-paths then extends the
 test to holes that merely have one edge dominating all the spread-out
 vertices ("heavy-cleanable" holes).
 
+The scan decides each edge ``y2y3`` by bitmasks before it walks a path:
+one pass over the BFS layers gives each vertex the mask of its walk and the
+union of the rows along it, and three mask tests say exactly whether the
+two walks close an odd hole (the proof is in :func:`_opposite_hole`).  So
+it builds and verifies only the cycle it returns.
+
 The sweep scans from the second vertex ``p2`` of its four-path alone.  If
 ``p2p3`` is an edge of a shortest odd hole ``C`` whose ends dominate every
 major vertex of ``C``, then deleting ``N(p2) | N(p3)`` off the four-path
 keeps ``C`` as a clean shortest odd hole that contains ``p2``; every vertex
 of ``C`` is opposite one edge of ``C``, so the scan from ``p2`` finds a hole.
+In that mask ``p2`` and ``p3`` keep only their path neighbours, so a hole
+through ``p2`` holds the whole path and leaves both of its ends into
+``V - (N[p2] | N[p3])``; a four-path with an end that has no neighbour
+there is skipped before its BFS (:func:`_sweep`).
 
 Both tests only ever report verified holes, so a wrong answer can only be a
 missed hole, never a bogus witness; the completeness side is covered by the
@@ -55,9 +65,11 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     ``C`` is opposite one edge of ``C``, the vertex and the ends of that edge
     are pairwise closer than half of ``C``, and ``graph.walk_down`` follows
     shortest paths, so the paths read off the BFS from the vertex close a
-    shortest odd hole.  Callers must ensure the masked graph has no pyramid
-    and no jewel; a violation can only suppress detection, never corrupt a
-    witness.
+    shortest odd hole.  The scan's mask tests pass exactly the edges whose
+    two walks close an odd hole, so it misses none of them (the proof is in
+    :func:`_opposite_hole`).  Callers must ensure the masked graph has no
+    pyramid and no jewel; a violation can only suppress detection, never
+    corrupt a witness.
 
     A mask of fewer than five vertices, or one that peels to bipartite
     (``graph.peels_to_bipartite``), holds no odd hole, and every hole the
@@ -89,19 +101,56 @@ def _opposite_hole(g: Graph, d1: Distances) -> Optional[Hole]:
     ``y3 > y2``: the path ``y1 .. y2`` and the path ``y3 .. y1`` without
     ``y1``, both read off ``d1`` by ``graph.walk_down``, form a cycle of
     length ``2 * d1[y2] + 1``, returned if it verifies as an odd hole.
+
+    Each pair is decided by masks before any walk.  One pass over the
+    layers gives each vertex ``v`` the mask ``pm[v]`` of its walk without
+    ``y1`` (its own bit and its parent's: the parent is the lowest-id
+    neighbour one layer closer, the step ``walk_down`` takes) and the
+    union ``above[v]`` of the rows of that walk without ``v``'s own.  The
+    cycle is an odd hole iff ``pm[y2] & pm[y3] == 0``, ``adj[y2] & pm[y3]
+    == 1 << y3`` and ``above[y2] & pm[y3] == 0``.  Proof: its consecutive
+    vertices are adjacent, and it has ``2 * d1[y2] + 1 >= 5`` places, so it
+    is an odd hole iff its vertices are distinct and it has no chord.  The
+    walks meet at ``y1``, so the vertices are distinct iff the first test
+    holds.  Each walk is a shortest path in the masked graph, so it has no
+    chord of its own.  BFS edges join only equal or adjacent layers, so
+    ``y1`` sees only the first layer, which holds one vertex of each walk:
+    its neighbour on the cycle.  So every other chord joins the walk of
+    ``y2`` to that of ``y3`` off the edge ``y2y3``; the second test finds
+    those at ``y2`` and the third those at the rest of its walk.  A cycle
+    that passes is still checked by ``is_odd_hole`` before it is returned.
     """
-    adj = g.adj
     layers = d1.layers
-    far = 0
-    for layer in layers[2:]:
-        far |= layer
-    for y2 in bits(far):
-        ends = adj[y2] & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)
-        if not ends:
-            continue
-        head = walk_down(g, d1, y2)
-        head.reverse()
-        for y3 in bits(ends):
+    if len(layers) < 3:
+        return None
+    adj = g.adj
+    pm = [0] * g.n
+    above = [0] * g.n
+    for v in bits(layers[1]):
+        pm[v] = 1 << v
+    starts = 0
+    for d in range(2, len(layers)):
+        prev = layers[d - 1]
+        rest = layers[d]
+        while rest:  # bits(layers[d]), inlined: one step per vertex of every scan
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            step = adj[v] & prev
+            p = (step & -step).bit_length() - 1
+            pm[v] = pm[p] | low
+            above[v] = above[p] | adj[p]
+            if adj[v] & rest:
+                starts |= low
+    for y2 in bits(starts):
+        row = adj[y2]
+        block = pm[y2] | above[y2]
+        for y3 in bits(row & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)):
+            p3 = pm[y3]
+            if block & p3 or row & p3 != 1 << y3:
+                continue
+            head = walk_down(g, d1, y2)
+            head.reverse()
             cycle = tuple(head) + tuple(walk_down(g, d1, y3)[:-1])
             if is_odd_hole(g, cycle):
                 return cycle
@@ -118,7 +167,8 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
     made at that edge leaves it clean and shortest, and it passes through
     ``p2``; as every vertex of an odd hole is opposite one of its edges, the
     one scan from ``p2`` is enough.  A four-path whose deletion leaves only
-    the path itself is not listed (``_Search.four_paths``).  Requires a
+    the path itself is not listed (``_Search.four_paths``), and one with an
+    end that cannot step off it is not scanned (:func:`_sweep`).  Requires a
     pyramid- and jewel-free input graph.
     """
     return _sweep(_Search(g))
@@ -131,13 +181,27 @@ def _sweep(search: _Search) -> Optional[Hole]:
     table leaves out the four-paths whose mask is the path alone.  It does
     not read ``live_paths``, as shapes 3-6 do: the sweep decides most
     positives early, and would pay for a peel per four-path first.
+
+    A four-path ``p1-p2-p3-p4`` is scanned only if both its ends can step
+    off it, into ``R = V - (N[p2] | N[p3])``.  Proof that the skip loses
+    nothing: the mask ``W`` is the path and ``R``, so in it ``p2`` sees only
+    ``p1`` and ``p3``, and ``p3`` only ``p2`` and ``p4``.  A hole of ``W``
+    through ``p2`` therefore holds the whole path, and leaves ``p1`` and
+    ``p4`` for neighbours off it; as the path is induced, those lie in
+    ``R``.  The scan from ``p2`` returns only holes through ``p2``, so on a
+    skipped path it would return None.  The test is made here and not in
+    ``four_paths``: ``live_paths`` is built from that table, and a stage-3
+    fallback can return a hole of the mask that misses the path.
     """
     g = search.g
     full = g.full_mask
     adj = g.adj
+    closed = search.closed
     for (p1, p2, p3, p4) in search.four_paths:
-        four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-        within = full & ~((adj[p2] | adj[p3]) & ~four)
+        rest = full & ~(closed[p2] | closed[p3])
+        if not (adj[p1] & rest and adj[p4] & rest):
+            continue
+        within = rest | (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
         hole = _clean_through(search, within, p2)
         if hole is not None:
             return hole

@@ -526,7 +526,7 @@ class _Search:
     the call returns: a list of ``n`` integers and the tuple of its layer
     masks, with its key.  At n = 16 that entry is 460 bytes by
     ``sys.getsizeof``, of which the layers are 184.  On the seed-1 benchmark
-    corpora the largest context of a ``detect`` call holds 81 entries
+    corpora the largest context of a ``detect`` call holds 69 entries
     (0.04 MB).  Stage 3 is where a context grows: on the line graph of 24
     random edges of K6,6 (``perfbench.corpora.line_graph_of_bipartite(6, 6,
     24, random.Random(0))``) ``detect`` stops after stage 2 with 596
@@ -656,14 +656,19 @@ class _Search:
         mask, so the others cannot close one (``docs/derived-types.md``).
         Only those shapes read it; the sweep, which decides most positives
         early, walks every path of ``four_paths`` and would pay for a peel
-        on each first.
+        on each first.  Four-paths on one middle edge often share a mask,
+        so each distinct mask is peeled once.
         """
         g = self.g
         full, adj = g.full_mask, g.adj
+        peels: dict[Mask, bool] = {}
         out = []
         for p in self.four_paths:
             p1, p2, p3, p4 = p
             four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-            if not peels_to_bipartite(g, full & ~((adj[p2] | adj[p3]) & ~four)):
+            within = full & ~((adj[p2] | adj[p3]) & ~four)
+            if within not in peels:
+                peels[within] = peels_to_bipartite(g, within)
+            if not peels[within]:
                 out.append(p)
         return out

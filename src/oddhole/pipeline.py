@@ -56,9 +56,17 @@ class ResultDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
+        """Read a document back; a witness must be a list of vertex ids.
+
+        Each id must be a JSON integer: ``0.0``, ``"0"`` and ``true`` are
+        refused with ``ValueError`` (Python reads ``true`` as the int 1).
+        """
         data = json.loads(text)
-        if data.get("witness") is not None:
-            data["witness"] = tuple(data["witness"])
+        witness = data.get("witness")
+        if witness is not None:
+            if not isinstance(witness, list) or any(type(v) is not int for v in witness):
+                raise ValueError(f"witness must be a list of vertex ids, got {witness!r}")
+            data["witness"] = tuple(witness)
         return cls(**data)
 
     def verify_witness(self, g: Graph) -> bool:

@@ -6,6 +6,7 @@ from oddhole import Graph, detect, is_odd_hole
 from oddhole.cleaning import (
     _clean_through,
     _opposite_hole,
+    _sweep,
     classify_candidate,
     test_clean,
     test_heavy_cleanable,
@@ -32,6 +33,7 @@ from oddhole.graph import (
     bfs_distances,
     bits,
     induced_four_paths,
+    mask_of,
     peels_to_bipartite,
     walk_down,
 )
@@ -180,6 +182,49 @@ def _ungated_clean(g, within):
     return None
 
 
+def _walk_and_verify_scan(g, d1):
+    # the clean scan before its mask test: walk every edge y2y3 inside a
+    # layer from the second on, and keep the first cycle that verifies
+    adj, layers = g.adj, d1.layers
+    far = 0
+    for layer in layers[2:]:
+        far |= layer
+    for y2 in bits(far):
+        head = walk_down(g, d1, y2)[::-1]
+        for y3 in bits(adj[y2] & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)):
+            cycle = tuple(head) + tuple(walk_down(g, d1, y3)[:-1])
+            if is_odd_hole(g, cycle):
+                return cycle
+    return None
+
+
+def test_opposite_hole_matches_the_walk_and_verify_scan(monkeypatch):
+    # The mask test is exact both ways: the scan returns the cycle that
+    # walking and verifying every pair returns, and the one cycle it builds
+    # and verifies is that one, so no pair whose cycle fails gets past it.
+    verify = oddhole.cleaning.is_odd_hole
+    verdicts = []
+    monkeypatch.setattr(oddhole.cleaning, "is_odd_hole",
+                        lambda g, cycle: verdicts.append(verify(g, cycle)) or verdicts[-1])
+    rng = random.Random(2300)
+    scans = found = 0
+    for i in range(160):
+        g = gnp(7 + i % 8, (0.15, 0.25, 0.4, 0.6)[i % 4], 2300 + i)
+        for h in (g, g.complement()):
+            within = h.full_mask
+            if i % 2:
+                within = sum(1 << v for v in range(h.n) if rng.random() < 0.8)
+            for y1 in bits(within):
+                d1 = bfs_distances(h, y1, within)
+                verdicts.clear()
+                hole = _opposite_hole(h, d1)
+                assert hole == _walk_and_verify_scan(h, d1), (h.adj, within, y1)
+                assert verdicts == ([] if hole is None else [True]), (h.adj, within, y1)
+                scans += 1
+                found += hole is not None
+    assert scans > 2500 and found > 450, (scans, found)
+
+
 def test_clean_runs_no_bfs_on_a_mask_that_peels(monkeypatch):
     # A mask that peels to bipartite holds no odd hole, and test_clean
     # answers None for it without a BFS; on every mask it gives what the
@@ -260,6 +305,55 @@ def test_heavy_sweep_through_p2_matches_the_full_scan():
             assert is_odd_hole(g, hole)
             found += 1
     assert found > 150
+
+
+def _steps_off(g, path):
+    # both ends of p1-p2-p3-p4 have a neighbour outside N[p2] | N[p3]
+    p1, p2, p3, p4 = path
+    rest = g.full_mask & ~(g.adj[p2] | g.adj[p3] | 1 << p2 | 1 << p3)
+    return bool(g.adj[p1] & rest) and bool(g.adj[p4] & rest)
+
+
+def _unskipped_sweep(search):
+    # the sweep without its step-off test: the scan from p2 on every
+    # four-path of the table, each (mask, p2) with its answer
+    g = search.g
+    out = []
+    for p in search.four_paths:
+        within = g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p))
+        out.append((p, within, _clean_through(search, within, p[1])))
+    return out
+
+
+def test_heavy_sweep_scans_only_four_paths_whose_ends_step_off(monkeypatch):
+    # The sweep returns what the scan of every four-path returns, and scans
+    # exactly the four-paths up to its hole whose two ends can step off
+    # them; on every other four-path the scan finds no hole.
+    scanned = []
+    monkeypatch.setattr(oddhole.cleaning, "_clean_through",
+                        lambda search, allowed, y1: scanned.append((allowed, y1))
+                        or _clean_through(search, allowed, y1))
+    skipped = kept = found = 0
+    for i in range(120):
+        g = gnp(8 + i % 6, (0.2, 0.3, 0.45)[i % 3], 6100 + i)
+        for h in (g, g.complement()):
+            scanned.clear()
+            hole = _sweep(_Search(h))
+            want = None
+            expected = []
+            for p, within, got in _unskipped_sweep(_Search(h)):
+                if not _steps_off(h, p):
+                    assert got is None, (h.adj, p)
+                    skipped += 1
+                    continue
+                kept += 1
+                if want is None:
+                    expected.append((within, p[1]))
+                    want = got
+            assert hole == want, h.adj
+            assert scanned == expected, h.adj
+            found += hole is not None
+    assert skipped > 3000 and kept > 4000 and found > 100, (skipped, kept, found)
 
 
 def _has_dominating_edge(g, h):

@@ -52,6 +52,7 @@ from .conftest import (
     split_family_graphs,
     with_twin,
 )
+from .test_cleaning import _steps_off
 
 ALL_TYPES = (
     detect_type1,
@@ -259,18 +260,23 @@ def test_detect_matches_oracle_on_split_families():
 def test_detect_runs_each_masked_bfs_once(monkeypatch):
     # The jewel, pyramid, sweep and shapes of one call read every masked BFS
     # from one context.  The chordal graph is decided by the peeling, which
-    # is turned off here so that every stage runs on it too.  The co-bipartite
-    # graph asks for none: no jewel tuple passes the mask test before the BFS,
-    # and it has no claw centre for the pyramid.
+    # is turned off here so that every stage runs on it too.  Neither graph
+    # of SHAPE_GRAPHS asks for a BFS.  On the co-bipartite graph no jewel
+    # tuple passes the mask test before the BFS, and it has no claw centre
+    # for the pyramid.  On the chordal graph no four-path has two ends with
+    # a neighbour outside N[p2] | N[p3], so the sweep scans none of them
+    # (cleaning._sweep), and the other stages drop every guess by masks.
     monkeypatch.setattr(oddhole.fast, "peels_to_bipartite", lambda g: False)
     keys = _record_bfs(monkeypatch)
     co_bipartite, chordal = SHAPE_GRAPHS
+    paths = _Search(chordal).four_paths
+    assert len(paths) == 14 and not any(_steps_off(chordal, p) for p in paths)
     for g in (co_bipartite, chordal, parse_graph6(LINE_CANDIDATE).graph,
               parse_graph6(CLAW_CANDIDATE).graph):
         keys.clear()
         assert detect(g) is None
         assert len(keys) == len(set(keys)), g
-        assert bool(keys) == (g is not co_bipartite), g
+        assert bool(keys) == (g not in SHAPE_GRAPHS), g
 
 
 def _count_tables(monkeypatch):

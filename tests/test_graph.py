@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oddhole.graph
 from oddhole import Graph
 from oddhole.graph import (
     UNREACHABLE,
@@ -355,6 +356,27 @@ def test_search_three_paths_are_those_whose_ends_can_step_off():
         kept += len(want)
         skipped += len(every) - len(want)
     assert kept > 2000 and skipped > 10000, (kept, skipped)
+
+
+def test_search_live_paths_peel_each_distinct_mask_once(monkeypatch):
+    # the table is the four-paths whose sweep mask does not peel, in their
+    # order, as a peel per path gives it; paths that share a mask share one
+    # peel
+    peel = oddhole.graph.peels_to_bipartite
+    peeled = []
+    monkeypatch.setattr(oddhole.graph, "peels_to_bipartite",
+                        lambda g, within=None: peeled.append(within) or peel(g, within))
+    live = shared = 0
+    for g in _path_table_graphs():
+        search = _Search(g)
+        want = [p for p in search.four_paths
+                if not peel(g, g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p)))]
+        peeled.clear()
+        assert search.live_paths == want, g.adj
+        assert len(peeled) == len(set(peeled)), g.adj
+        live += len(want)
+        shared += len(search.four_paths) - len(peeled)
+    assert live > 1500 and shared > 1000, (live, shared)
 
 
 def test_relabel_preserves_structure():

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -65,6 +66,18 @@ def test_json_roundtrip_and_reverify():
         back = ResultDocument.from_json(doc.to_json())
         assert back == doc
         assert back.verify_witness(g)
+
+
+def test_from_json_refuses_a_witness_of_other_than_ints():
+    # 0.0 and "0" would make verify_witness raise TypeError, and JSON true
+    # would be read as the vertex 1 and verify
+    data = json.loads(run_detection(cycle_graph(5)).to_json())
+    for witness in ([0.0, 1, 2, 3, 4], ["0", 1, 2, 3, 4], [True, 2, 3, 4, 0], "01234"):
+        data["witness"] = witness
+        with pytest.raises(ValueError, match="witness must be a list of vertex ids"):
+            ResultDocument.from_json(json.dumps(data))
+    data["witness"] = [1, 2, 3, 4, 0]
+    assert ResultDocument.from_json(json.dumps(data)).verify_witness(cycle_graph(5))
 
 
 def test_perfect_families():
