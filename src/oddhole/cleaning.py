@@ -48,8 +48,8 @@ from .graph import (
     _Search,
     bits,
     bfs_distances,
+    certifies_berge,
     is_odd_hole,
-    peels_to_bipartite,
     walk_down,
 )
 
@@ -71,15 +71,15 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     pyramid and no jewel; a violation can only suppress detection, never
     corrupt a witness.
 
-    A mask of fewer than five vertices, or one that peels to bipartite
-    (``graph.peels_to_bipartite``), holds no odd hole, and every hole the
-    scan returns lies inside the mask, so the answer is None without a
-    BFS.  The stage-3 fallbacks hand it many such masks: run whole by
-    ``fast.detect_fast``, the 120 line graphs of seed-1 ``sparse-negative``
-    hand it 1,864 masks, and 1,764 of them peel.
+    A mask of fewer than five vertices, or one that ``graph.certifies_berge``
+    certifies, holds no odd hole, and every hole the scan returns lies
+    inside the mask, so the answer is None without a BFS.  The stage-3
+    fallbacks hand it many such masks: run whole by ``fast.detect_fast``,
+    the 120 line graphs of seed-1 ``sparse-negative`` hand it 1,816 masks,
+    and 1,717 of them are certified.
     """
     allowed = g.full_mask if within is None else within
-    if allowed.bit_count() < 5 or peels_to_bipartite(g, allowed):
+    if allowed.bit_count() < 5 or certifies_berge(g, allowed):
         return None
     for y1 in bits(allowed):
         hole = _opposite_hole(g, bfs_distances(g, y1, allowed))
@@ -180,7 +180,8 @@ def _sweep(search: _Search) -> Optional[Hole]:
     The scan of a four-path returns only a hole inside its mask, so the
     table leaves out the four-paths whose mask is the path alone.  It does
     not read ``live_paths``, as shapes 3-6 do: the sweep decides most
-    positives early, and would pay for a peel per four-path first.
+    positives early, and would pay for a ``certifies_berge`` test per
+    four-path first.
 
     A four-path ``p1-p2-p3-p4`` is scanned only if both its ends can step
     off it, into ``R = V - (N[p2] | N[p3])``.  Proof that the skip loses

@@ -56,8 +56,9 @@ do not depend on the rest of the guess are made while the context lists
 its paths, so those paths are never listed.  Shapes 1-2 walk
 ``_Search.three_paths``, the three-paths whose ends each have a neighbour
 outside ``N[x]`` and the other end's closed neighbourhood; in the stage-3
-contexts of ``detect`` on the seed-1 ``dense-negative`` corpus it keeps
-none of 10,928, and with none left no arc is walked.  The guesses left on
+contexts of ``detect`` on seed-1 ``perfect-mixed`` (both sides of
+``test_perfect``) it keeps 837 of 2,960, and on an edge with none left no
+arc is walked.  The guesses left on
 an edge depend on the unordered edge alone, so :func:`_edge_cuts` lists
 them once per context, in ``_Search.edge_cuts``, and both shapes and both
 orientations read that list.  On the 120 line graphs of seed-1
@@ -67,16 +68,16 @@ test drops 12,792 of the 17,044 guesses that pass the step-off test;
 ``_Search.four_paths``, the four-paths whose sweep mask (every vertex but
 the neighbours of the middle edge off the path) has five or more
 vertices, listed middle edge first so that an edge with no vertex outside
-``N[p2] | N[p3]`` is skipped whole (158 of 13,256 are kept in the contexts
-of ``detect`` on seed-1 ``dense-negative``).  Shapes 3-6 walk
-``_Search.live_paths``, those four-paths whose mask does not peel to
-bipartite either.  Every hole that a guess on a four-path can return lies
+``N[p2] | N[p3]`` is skipped whole (5,753 of 11,019 are kept in the
+contexts of ``detect`` on seed-1 ``perfect-mixed``, both sides).  Shapes
+3-6 walk ``_Search.live_paths``, those four-paths whose mask
+``graph.certifies_berge`` does not certify either.  Every hole that a guess on a four-path can return lies
 in that mask, so the others cannot close one.  Each table is built once
 per context, on the first call that reads it, and shared by the stages
-that read it.  ``live_paths`` keeps 561 of the 5,544 four-paths of those
-line graphs, and none in the stage-3 contexts of ``detect`` on the seed-1
-corpora.  The clean-test fallbacks of every shape skip, inside
-:func:`cleaning.test_clean`, a mask that peels.  The remaining guesses
+that read it.  ``live_paths`` keeps 524 of the 5,544 four-paths of those
+line graphs, and none of the 1,248 in the stage-3 contexts of ``detect``
+on seed-1 ``perfect-mixed``.  The clean-test fallbacks of every shape
+skip, inside :func:`cleaning.test_clean`, a certified mask.  The remaining guesses
 keep their order, and so the witnesses are unchanged.
 Every path is read off the BFS layers by ``graph.walk_down``; a path from
 one end through a guessed middle vertex to the other is joined by
@@ -101,11 +102,11 @@ from .graph import (
     _pieces,
     _Search,
     bits,
+    certifies_berge,
     geodesic_mask,
     is_odd_hole,
     mask_of,
     neighbourhood,
-    peels_to_bipartite,
     split_leaves,
     through,
     walk_down,
@@ -465,13 +466,17 @@ def _staged(search: _Search) -> Optional[Hole]:
 def detect(g: Graph) -> Optional[Hole]:
     """Decide whether the graph has an odd hole; return a verified one if so.
 
-    First, simplicial vertices are deleted as long as any is left; if the
-    rest is bipartite, the answer is None.  A simplicial vertex lies on no
-    hole, since its two hole neighbours would be adjacent, and a bipartite
-    graph has no odd cycle.  Then ``graph.split_leaves`` splits the graph on
-    components, co-components and twins.  A graph that is its own only
-    leaf is searched whole.  Otherwise each leaf, in the order the split
-    yields it, is peeled again (dropping a twin can leave new simplicial
+    First, ``graph.certifies_berge`` deletes simplicial vertices as long as
+    any is left, and then simplicial and co-simplicial ones; if the rest is
+    bipartite or co-bipartite, the answer is None.  Neither kind of vertex
+    lies on a hole of length five or more, and neither kind of rest holds
+    one (the proofs are in its docstring).  Bipartite, chordal,
+    co-bipartite and co-chordal graphs end there, and so, as the test gives
+    a graph and its complement the same answer, does either side of
+    ``pipeline.test_perfect`` on any of them.  Then ``graph.split_leaves``
+    splits the graph on components, co-components and twins.  A graph that
+    is its own only leaf is searched whole.  Otherwise each leaf, in the order the split
+    yields it, is tested again (dropping a twin can leave new simplicial
     vertices) and searched the same way as an induced graph, and a hole
     found there is mapped back to this graph's ids and verified; the graph
     has an odd hole iff some leaf has one.
@@ -485,7 +490,7 @@ def detect(g: Graph) -> Optional[Hole]:
     3").  Otherwise the six staged shapes of :func:`detect_fast` run on the
     same context.
     """
-    if peels_to_bipartite(g):
+    if certifies_berge(g):
         return None
     leaves = split_leaves(g)
     if leaves == [g.full_mask]:
@@ -505,12 +510,12 @@ def _search_graph(g: Graph) -> Optional[Hole]:
 def _in_parts(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
     """The first verified hole that :func:`_search_graph` finds in a leaf.
 
-    Leaves that peel to bipartite are skipped; a hole is mapped back to
-    ``g``'s ids and verified on ``g``.
+    Leaves that ``certifies_berge`` certifies are skipped; a hole is mapped
+    back to ``g``'s ids and verified on ``g``.
     """
     for leaf in leaves:
         sub, back = g.induced(leaf)
-        if peels_to_bipartite(sub):
+        if certifies_berge(sub):
             continue
         hole = _search_graph(sub)
         if hole is not None:

@@ -299,45 +299,109 @@ def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
     return len(cycle) % 2 == 1 and is_hole(g, cycle)
 
 
-def peels_to_bipartite(g: Graph, within: Optional[Mask] = None) -> bool:
-    """True if deleting simplicial vertices, as long as any is left, leaves a
-    bipartite graph; then ``g`` (or the graph it induces on ``within``) has
-    no odd hole.
+def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
+    """True if peeling ``g`` (or the graph it induces on ``within``) leaves a
+    bipartite or a co-bipartite graph; then it has no odd hole and no odd
+    antihole.
 
-    A simplicial vertex (its neighbours form a clique) lies on no hole, since
-    its two neighbours on the hole would be adjacent, so deleting it keeps
-    every hole; and a bipartite graph has no odd cycle.  Chordal graphs peel
-    away entirely.  Deleting vertices keeps the others simplicial, so the
-    worklist order does not change what is left.  The test is hereditary:
-    a vertex simplicial in a graph stays simplicial in every induced
-    subgraph that keeps it, and a subgraph of a bipartite graph is
-    bipartite, so every sub-mask of a mask that peels peels too.
+    First simplicial vertices (their neighbours form a clique) are deleted
+    as long as any is left, and a bipartite rest is certified.  Chordal
+    graphs peel away entirely.  Otherwise simplicial and co-simplicial
+    vertices (their non-neighbours are pairwise non-adjacent) are deleted
+    as long as any is left, and a rest that is bipartite or co-bipartite
+    (two cliques cover it) is certified.  So bipartite and chordal inputs
+    pay nothing for the second pass, and co-chordal inputs peel away in it.
+
+    Each step is exact.  A simplicial vertex lies on no hole, since its two
+    neighbours on the hole would be adjacent.  A co-simplicial vertex ``v``
+    lies on no hole ``v c1 c2 c3 ...`` of length five or more, since its
+    non-neighbours ``c2`` and ``c3`` are adjacent.  So deleting either kind
+    keeps every odd hole.  A bipartite graph has no odd cycle, and two
+    cliques meet a hole of length five or more in at most two vertices each,
+    so a co-bipartite graph has no such hole either.  The two kinds of
+    vertex, and the two kinds of rest, swap under complementation, so the
+    answer for ``g`` is the answer for its complement, and a certified graph
+    has no odd antihole either: it is Berge.
+
+    Every property the test uses is hereditary: a vertex simplicial or
+    co-simplicial in a graph stays so in every induced subgraph that keeps
+    it, and an induced subgraph of a bipartite or co-bipartite graph is one
+    too.  So deleting vertices keeps the others deletable, the worklist
+    order does not change what is left, and every sub-mask of a certified
+    mask is certified.
     """
     adj = g.adj
     alive = g.full_mask if within is None else within
-    todo = list(range(g.n))
-    while todo:
-        v = todo.pop()
-        if not alive >> v & 1:
-            continue
-        nbrs = adj[v] & alive
-        for u in bits(nbrs):
-            if nbrs & ~adj[u] != 1 << u:
+    todo = alive
+    while todo:  # bits() inlined in this function: stage 0 runs it on every graph
+        low = todo & -todo
+        todo ^= low
+        nbrs = adj[low.bit_length() - 1] & alive
+        rest = nbrs
+        while rest:  # is nbrs a clique? each vertex against the later ones
+            high = rest & -rest
+            rest ^= high
+            if rest & ~adj[high.bit_length() - 1]:
                 break
         else:
-            alive ^= 1 << v
-            todo.extend(bits(nbrs))
-    # Two-colour the rest by BFS layers: a breadth-first search puts no edge
-    # between layers two apart, so an odd cycle shows as an edge inside a layer.
+            alive ^= low
+            todo |= nbrs
+    if _two_colours(adj, alive, 0):
+        return True
+    # The second pass.  No vertex left is simplicial, so each is tested for
+    # a stable non-neighbourhood only; deleting ``v`` can make a neighbour
+    # of ``v`` simplicial or a non-neighbour co-simplicial, so those are
+    # queued.  ``flip`` turns the clique test into the stable-set test.
+    peeled = alive
+    co_todo, todo = alive, 0
+    while co_todo or todo:
+        if co_todo:
+            low = co_todo & -co_todo
+            co_todo ^= low
+            side = alive & ~adj[low.bit_length() - 1] ^ low
+            flip = 0
+        else:
+            low = todo & -todo
+            todo ^= low
+            side = adj[low.bit_length() - 1] & alive
+            flip = -1
+        rest = side
+        while rest:
+            high = rest & -rest
+            rest ^= high
+            if rest & (adj[high.bit_length() - 1] ^ flip):
+                break
+        else:
+            alive ^= low
+            nbrs = adj[low.bit_length() - 1] & alive
+            todo = (todo | nbrs) & alive
+            co_todo = (co_todo | alive & ~nbrs) & alive
+    if alive != peeled and _two_colours(adj, alive, 0):
+        return True
+    return _two_colours(adj, alive, -1)
+
+
+def _two_colours(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
+    """True if the graph on ``alive`` is bipartite; with ``flip`` -1, if its
+    complement is (rows are read as ``adj[v] ^ flip``, so the complement is
+    never built).
+
+    A breadth-first search puts no edge between layers two apart, so an odd
+    cycle shows as an edge inside a layer.
+    """
     while alive:
         layer = alive & -alive
         while layer:
             alive &= ~layer
             nxt = 0
-            for v in bits(layer):
-                if adj[v] & layer:
+            rest = layer
+            while rest:  # each vertex of the layer against the later ones
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1] ^ flip
+                if row & rest:
                     return False
-                nxt |= adj[v]
+                nxt |= row
             layer = nxt & alive
     return True
 
@@ -651,24 +715,25 @@ class _Search:
         The sweep mask, which ``cleaning._sweep`` scans from ``p2``, drops
         every neighbour of ``p2`` or ``p3`` off the path.  A path of
         ``four_paths`` (whose masks have five or more vertices) is kept, in
-        its order, when the mask does not peel to bipartite.  Every hole
-        that shapes 3-6 can return from a guess on the path lies in that
-        mask, so the others cannot close one (``docs/derived-types.md``).
-        Only those shapes read it; the sweep, which decides most positives
-        early, walks every path of ``four_paths`` and would pay for a peel
-        on each first.  Four-paths on one middle edge often share a mask,
-        so each distinct mask is peeled once.
+        its order, when :func:`certifies_berge` does not certify the mask.
+        Every hole that shapes 3-6 can return from a guess on the path lies
+        in that mask, so the others cannot close one
+        (``docs/derived-types.md``).  Only those shapes read it; the sweep,
+        which decides most positives early, walks every path of
+        ``four_paths`` and would pay for a test on each first.  Four-paths
+        on one middle edge often share a mask, so each distinct mask is
+        tested once.
         """
         g = self.g
         full, adj = g.full_mask, g.adj
-        peels: dict[Mask, bool] = {}
+        certified: dict[Mask, bool] = {}
         out = []
         for p in self.four_paths:
             p1, p2, p3, p4 = p
             four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
             within = full & ~((adj[p2] | adj[p3]) & ~four)
-            if within not in peels:
-                peels[within] = peels_to_bipartite(g, within)
-            if not peels[within]:
+            if within not in certified:
+                certified[within] = certifies_berge(g, within)
+            if not certified[within]:
                 out.append(p)
         return out

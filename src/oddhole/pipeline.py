@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Iterator, Optional
 
 from .fast import detect
@@ -58,10 +58,20 @@ class ResultDocument:
     def from_json(cls, text: str) -> "ResultDocument":
         """Read a document back; a witness must be a list of vertex ids.
 
-        Each id must be a JSON integer: ``0.0``, ``"0"`` and ``true`` are
-        refused with ``ValueError`` (Python reads ``true`` as the int 1).
+        A document that is not a JSON object, or that lacks a field or has
+        one the class does not know, is refused with ``ValueError``.  Each
+        id must be a JSON integer: ``0.0``, ``"0"`` and ``true`` are refused
+        too (Python reads ``true`` as the int 1).
         """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a result document must be a JSON object, got {data!r}")
+        known = {f.name for f in fields(cls)}
+        needed = {f.name for f in fields(cls) if f.default is MISSING}
+        if data.keys() - known:
+            raise ValueError(f"unknown fields {sorted(data.keys() - known)}")
+        if needed - data.keys():
+            raise ValueError(f"missing fields {sorted(needed - data.keys())}")
         witness = data.get("witness")
         if witness is not None:
             if not isinstance(witness, list) or any(type(v) is not int for v in witness):

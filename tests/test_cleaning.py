@@ -32,9 +32,9 @@ from oddhole.graph import (
     _Search,
     bfs_distances,
     bits,
+    certifies_berge,
     induced_four_paths,
     mask_of,
-    peels_to_bipartite,
     walk_down,
 )
 from .conftest import random_graphs
@@ -249,7 +249,7 @@ def test_clean_runs_no_bfs_on_a_mask_that_peels(monkeypatch):
                 hole = test_clean(h, within)
                 asked = calls
                 assert hole == (_ungated_clean(h, within) if within.bit_count() >= 5 else None)
-                if peels_to_bipartite(h, within):
+                if certifies_berge(h, within):
                     assert asked == 0 and hole is None
                     peeled += 1
                 else:

@@ -36,10 +36,10 @@ from oddhole.graph import (
     _Search,
     bfs_distances,
     bits,
+    certifies_berge,
     induced_four_paths,
     induced_three_paths,
     mask_of,
-    peels_to_bipartite,
     split_leaves,
 )
 from oddhole.oracle import oracle_find_odd_hole
@@ -171,7 +171,7 @@ def test_detect_builds_one_search_per_call(monkeypatch):
     # detect_fast and the simple pipeline.  Each shape called alone builds
     # its own and asks it for a BFS.
     g = parse_graph6(CLAW_CANDIDATE).graph
-    assert not peels_to_bipartite(g) and split_leaves(g) == [g.full_mask]
+    assert not certifies_berge(g) and split_leaves(g) == [g.full_mask]
     assert classify_candidate(g) is None and _Search(g).claw_centres
     built = _count_searches(monkeypatch)
     dist = oddhole.graph._Search.dist
@@ -266,7 +266,7 @@ def test_detect_runs_each_masked_bfs_once(monkeypatch):
     # for the pyramid.  On the chordal graph no four-path has two ends with
     # a neighbour outside N[p2] | N[p3], so the sweep scans none of them
     # (cleaning._sweep), and the other stages drop every guess by masks.
-    monkeypatch.setattr(oddhole.fast, "peels_to_bipartite", lambda g: False)
+    monkeypatch.setattr(oddhole.fast, "certifies_berge", lambda g: False)
     keys = _record_bfs(monkeypatch)
     co_bipartite, chordal = SHAPE_GRAPHS
     paths = _Search(chordal).four_paths
@@ -350,7 +350,7 @@ def test_claw_free_candidates_stop_after_stage_2(monkeypatch):
     staged = _count_staged(monkeypatch)
     for text in (LINE_CANDIDATE, LIVE_CANDIDATE, SPARSE_ATOM):
         g = parse_graph6(text).graph
-        assert not peels_to_bipartite(g) and classify_candidate(g) is None
+        assert not certifies_berge(g) and classify_candidate(g) is None
         assert not _Search(g).claw_centres
         builds.clear()
         staged.clear()
@@ -387,6 +387,9 @@ def test_detect_matches_oracle_on_claw_free_families(monkeypatch):
     # Line graphs of non-bipartite graphs and circular-interval graphs, which
     # the benchmark corpora lack: claw-free, with and without odd holes.
     # detect stops after stage 2 on every one, and agrees with the oracle.
+    # Stage 0 decides all but 4 of the hole-free ones before any search, so
+    # the exit is counted on stages 1-3 run on each whole graph: stages 1-2
+    # find every hole, and the exit fires on every hole-free graph.
     decided = []
     classify = oddhole.fast._classify
     monkeypatch.setattr(oddhole.fast, "_classify",
@@ -397,7 +400,7 @@ def test_detect_matches_oracle_on_claw_free_families(monkeypatch):
     for i in range(240):
         n = 7 + i % 9
         graphs.append(_circular_interval(n, 3 * n // 2, 4, 9300 + i))
-    holes = 0
+    holes = exits = 0
     for g in graphs:
         assert not _Search(g).claw_centres, g.adj
         got = detect(g)
@@ -406,9 +409,12 @@ def test_detect_matches_oracle_on_claw_free_families(monkeypatch):
         if got is not None:
             assert is_odd_hole(g, got)
         holes += want is not None
+        decided.clear()
+        whole = oddhole.fast._search_graph(g)
+        assert (whole is None) == (want is None) and decided == [whole], g.adj
+        exits += whole is None
     # both verdicts are common, and many searches reach the exit
-    exits = decided.count(None)
-    assert staged == [] and (len(graphs), holes, exits) == (398, 198, 65), (len(graphs), holes, exits)
+    assert staged == [] and (len(graphs), holes, exits) == (398, 198, 200), (len(graphs), holes, exits)
 
 
 def test_shapes_1_2_ask_for_no_bfs_on_co_bipartite_graphs(monkeypatch):
@@ -485,13 +491,39 @@ def test_peeled_bipartite_inputs_skip_the_search(monkeypatch):
         # the search alone would have paid for BFS on the same graph
         assert classify_candidate(g) is None and detect_fast(g) is None
         assert calls
-    # an odd hole survives the peeling: simplicial vertices are not on it
-    c5_triangle = _with_pendant_cliques(cycle_graph(5), 2, (0,))
-    undecided = [c5_triangle] + [decorated_odd_cycle(7 + 2 * (s % 2), 1 + s % 3, s) for s in range(10)]
+    # an odd hole survives the peeling: no simplicial or co-simplicial
+    # vertex is on it, however many vertices hang off it, and an odd
+    # antihole survives it in the complement
+    undecided = [_with_pendant_cliques(cycle_graph(5), size, at)
+                 for size in (1, 2, 3) for at in ((0,), (0, 1), (0, 2), (0, 1, 2, 3, 4))]
+    undecided += [decorated_odd_cycle(k, extras, seed)
+                  for k in (7, 9, 11) for extras in range(5) for seed in range(4)]
     for g in undecided:
-        assert not peels_to_bipartite(g)
+        assert not certifies_berge(g) and not certifies_berge(g.complement()), g.adj
         hole = detect(g)
         assert hole is not None and is_odd_hole(g, hole)
+
+
+def test_co_chordal_and_co_bipartite_inputs_skip_the_search(monkeypatch):
+    # Stage 0 decides the complements of what the simplicial peel decides:
+    # a co-chordal graph peels away through co-simplicial vertices, and a
+    # co-bipartite rest is covered by two cliques.  detect builds no search
+    # context on them and asks for no BFS.
+    keys = _record_bfs(monkeypatch)
+    built = _count_searches(monkeypatch)
+    decided = (
+        [random_chordal(12, seed).complement() for seed in range(4)]
+        + [random_bipartite(6, 7, (0.3, 0.5, 0.7)[seed % 3], seed).complement() for seed in range(6)]
+        + [_with_pendant_cliques(random_bipartite(5, 5, 0.5, 2), 3, (0, 5, 9)).complement()]
+        + [_random_tree(12, seed).complement() for seed in range(2)]
+    )
+    for g in decided:
+        keys.clear()
+        built[0] = 0
+        assert certifies_berge(g), g.adj
+        assert detect(g) is None and keys == [] and built == [0], g.adj
+        # the search alone would have built one
+        assert oddhole.fast._search_graph(g) is None and built == [1], g.adj
 
 
 def _unfiltered_split_cuts(g, arcs):
@@ -583,9 +615,9 @@ def test_stage3_prefilters_drop_only_dead_guesses():
                     anchored += 1
                     continue
                 # or its four-path's sweep mask, which holds every hole the
-                # guess can return, is too small or peels: it has no odd hole
+                # guess can return, is too small or certified: it has no odd hole
                 w = full & ~((adj[d1] | adj[c3]) & ~mask_of(path))
-                assert w.bit_count() < 5 or peels_to_bipartite(g, w), guess
+                assert w.bit_count() < 5 or certifies_berge(g, w), guess
                 if w not in no_hole:
                     no_hole[w] = oracle_find_odd_hole(g.induced(w)[0]) is None
                 assert no_hole[w], guess

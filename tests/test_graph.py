@@ -14,6 +14,7 @@ from oddhole.graph import (
     _Search,
     bfs_distances,
     bits,
+    certifies_berge,
     geodesic_mask,
     induced_four_paths,
     induced_three_paths,
@@ -21,7 +22,6 @@ from oddhole.graph import (
     is_induced_path,
     is_odd_hole,
     mask_of,
-    peels_to_bipartite,
     shortest_path,
     split_leaves,
     walk_down,
@@ -32,10 +32,11 @@ from oddhole.generators import (
     cycle_graph,
     gnp,
     path_graph,
+    random_bipartite,
 )
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
 from oddhole.pipeline import ResultDocument, run_detection
-from .conftest import split_family_graphs
+from .conftest import line_graph, split_family_graphs
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -362,9 +363,9 @@ def test_search_live_paths_peel_each_distinct_mask_once(monkeypatch):
     # the table is the four-paths whose sweep mask does not peel, in their
     # order, as a peel per path gives it; paths that share a mask share one
     # peel
-    peel = oddhole.graph.peels_to_bipartite
+    peel = oddhole.graph.certifies_berge
     peeled = []
-    monkeypatch.setattr(oddhole.graph, "peels_to_bipartite",
+    monkeypatch.setattr(oddhole.graph, "certifies_berge",
                         lambda g, within=None: peeled.append(within) or peel(g, within))
     live = shared = 0
     for g in _path_table_graphs():
@@ -388,39 +389,105 @@ def test_relabel_preserves_structure():
             assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
 
 
-def test_peeled_bipartite_graphs_have_no_odd_hole():
-    graphs = [g for n in range(1, 7) for g in connected_small_graphs(n)]
+def _certified_by_definition(g, mask, co_simplicial=True):
+    # certifies_berge as its definition states it, one vertex and one pair at
+    # a time: delete simplicial and co-simplicial vertices while any is left,
+    # then two-colour the rest or its complement.  Without ``co_simplicial``
+    # it is the simplicial peel and the bipartite test alone.
+    def edge(u, w):
+        return bool(g.adj[u] >> w & 1)
+
+    def pairs(vs):
+        return itertools.combinations(vs, 2)
+
+    alive = set(bits(mask))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            near = [u for u in alive if edge(u, v)]
+            far = [u for u in alive if u != v and not edge(u, v)]
+            if all(edge(a, b) for a, b in pairs(near)) or (
+                    co_simplicial and not any(edge(a, b) for a, b in pairs(far))):
+                alive.discard(v)
+                changed = True
+
+    def two_colours(co):
+        colour = {}
+        for s in sorted(alive):
+            if s in colour:
+                continue
+            colour[s] = 0
+            todo = [s]
+            while todo:
+                u = todo.pop()
+                for w in alive - {u}:
+                    if edge(u, w) != co:
+                        if w not in colour:
+                            colour[w] = 1 - colour[u]
+                            todo.append(w)
+                        elif colour[w] == colour[u]:
+                            return False
+        return True
+
+    return two_colours(False) or (co_simplicial and two_colours(True))
+
+
+def test_certified_graphs_are_berge():
+    # every certified graph and its complement have no odd hole; the test
+    # agrees with its definition and gives its complement the same answer
+    graphs = [g for n in range(1, 8) for g in connected_small_graphs(n)]
     sampled = [gnp(8 + i % 3, (0.15, 0.3, 0.5)[i % 3], 4100 + i) for i in range(120)]
+    # line graphs of bipartite graphs are Berge, and many are not certified
+    sampled += [line_graph(random_bipartite(4, 4, 0.5, 4400 + i)) for i in range(40)]
     graphs += sampled + [g.complement() for g in sampled]
-    certified = [g for g in graphs if peels_to_bipartite(g)]
-    for g in certified:
-        assert oracle_find_odd_hole(g) is None, g.adj
-    # the check is not vacuous: it decides about half of them
-    assert 150 <= len(certified) <= len(graphs) - 150
-    assert not peels_to_bipartite(cycle_graph(5))
-    assert peels_to_bipartite(cycle_graph(6)) and peels_to_bipartite(complete_graph(6))
+    certified = berge_left = 0
+    for g in graphs:
+        got = certifies_berge(g)
+        assert got == certifies_berge(g.complement()) == _certified_by_definition(g, g.full_mask), g.adj
+        berge = oracle_find_odd_hole(g) is None and oracle_find_odd_hole(g.complement()) is None
+        assert berge or not got, g.adj
+        certified += got
+        berge_left += berge and not got
+    # the check is not vacuous: both answers are common, and some Berge
+    # graphs are left to the search
+    assert certified >= 300 and len(graphs) - certified >= 250 and berge_left >= 20, (
+        len(graphs), certified, berge_left)
+    assert not certifies_berge(cycle_graph(5)) and not certifies_berge(cycle_graph(7).complement())
+    assert certifies_berge(cycle_graph(6)) and certifies_berge(complete_graph(6))
+    assert certifies_berge(cycle_graph(6).complement())
 
 
-def test_peels_to_bipartite_within_a_mask_peels_the_induced_graph():
-    # and every sub-mask of a mask that peels peels too: the anchored shapes
-    # drop a four-path whose sweep mask peels, with every guess inside it
+def test_certifies_berge_within_a_mask_tests_the_induced_graph():
+    # and every sub-mask of a certified mask is certified: the anchored
+    # shapes drop a four-path whose sweep mask is certified, with every guess
+    # inside it.  Many masks are certified only through co-simplicial
+    # deletions or a co-bipartite rest.
     rng = random.Random(23)
-    peeled = kept = 0
-    for g in (g for n in range(5, 8) for g in connected_small_graphs(n)):
-        assert peels_to_bipartite(g, g.full_mask) == peels_to_bipartite(g)
+    graphs = [gnp(10 + i % 4, (0.2, 0.35, 0.5, 0.65)[i % 4], 4500 + i) for i in range(120)]
+    graphs += [g.complement() for g in graphs]
+    certified = kept = co_only = 0
+    for g in graphs:
+        assert certifies_berge(g, g.full_mask) == certifies_berge(g)
         for _ in range(3):
-            mask = rng.getrandbits(g.n)
-            got = peels_to_bipartite(g, mask)
-            assert got == peels_to_bipartite(g.induced(mask)[0]), (g.adj, mask)
+            # each vertex kept with probability 3/4
+            mask = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            got = certifies_berge(g, mask)
+            assert got == certifies_berge(g.induced(mask)[0]) == _certified_by_definition(g, mask), (
+                g.adj, mask)
             if not got:
                 kept += 1
                 continue
-            peeled += 1
-            sub = mask
-            while sub:
-                sub = (sub - 1) & mask
-                assert peels_to_bipartite(g, sub), (g.adj, mask, sub)
-    assert peeled > 2000 and kept > 50, (peeled, kept)
+            certified += 1
+            co_only += not _certified_by_definition(g, mask, co_simplicial=False)
+            # every sub-mask of a small mask, and 200 random ones of a larger one
+            if mask.bit_count() <= 8:
+                subs = [sub for sub in range(mask + 1) if sub & mask == sub]
+            else:
+                subs = [rng.getrandbits(g.n) & mask for _ in range(200)]
+            for sub in subs:
+                assert certifies_berge(g, sub), (g.adj, mask, sub)
+    assert certified > 300 and kept > 200 and co_only > 150, (certified, kept, co_only)
 
 
 def _reach(g, v, within):

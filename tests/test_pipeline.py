@@ -80,6 +80,20 @@ def test_from_json_refuses_a_witness_of_other_than_ints():
     assert ResultDocument.from_json(json.dumps(data)).verify_witness(cycle_graph(5))
 
 
+def test_from_json_refuses_a_document_of_the_wrong_shape():
+    # a non-object, a missing field and an unknown field: each is a bad
+    # document, not an AttributeError or a TypeError from the constructor
+    data = json.loads(run_detection(cycle_graph(5)).to_json())
+    missing = {k: v for k, v in data.items() if k != "n"}
+    for text in ("[]", "3", "null", '"doc"', json.dumps(missing), json.dumps({**data, "extra": 1})):
+        with pytest.raises(ValueError):
+            ResultDocument.from_json(text)
+    # the two fields with defaults may be left out
+    doc = run_detection(cycle_graph(6))
+    short = {k: v for k, v in json.loads(doc.to_json()).items() if k not in ("witness", "witness_kind")}
+    assert ResultDocument.from_json(json.dumps(short)) == doc
+
+
 def test_perfect_families():
     assert test_perfect(cycle_graph(6)).verdict == "perfect"
     doc = test_perfect(cycle_graph(5))
