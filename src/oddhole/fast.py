@@ -102,7 +102,6 @@ from .graph import (
     _pieces,
     _Search,
     bits,
-    certifies_berge,
     geodesic_mask,
     is_odd_hole,
     mask_of,
@@ -466,20 +465,21 @@ def _staged(search: _Search) -> Optional[Hole]:
 def detect(g: Graph) -> Optional[Hole]:
     """Decide whether the graph has an odd hole; return a verified one if so.
 
-    First, ``graph.certifies_berge`` deletes simplicial vertices as long as
-    any is left, and then simplicial and co-simplicial ones; if the rest is
-    bipartite or co-bipartite, the answer is None.  Neither kind of vertex
-    lies on a hole of length five or more, and neither kind of rest holds
-    one (the proofs are in its docstring).  Bipartite, chordal,
-    co-bipartite and co-chordal graphs end there, and so, as the test gives
-    a graph and its complement the same answer, does either side of
-    ``pipeline.test_perfect`` on any of them.  Then ``graph.split_leaves``
-    splits the graph on components, co-components and twins.  A graph that
-    is its own only leaf is searched whole.  Otherwise each leaf, in the order the split
-    yields it, is tested again (dropping a twin can leave new simplicial
-    vertices) and searched the same way as an induced graph, and a hole
-    found there is mapped back to this graph's ids and verified; the graph
-    has an odd hole iff some leaf has one.
+    Stage 0 is ``graph.split_leaves``.  It peels the graph: simplicial
+    vertices are deleted as long as any is left, and then simplicial and
+    co-simplicial ones; if the rest is bipartite or co-bipartite, the
+    answer is None (``graph._peeled_rest`` has the proofs).  Bipartite,
+    chordal, co-bipartite and co-chordal graphs end there, and so, as the
+    test gives a graph and its complement the same answer, does either side
+    of ``pipeline.test_perfect`` on any of them.  Otherwise only the rest of
+    the simplicial pass goes on, and is split on components, co-components
+    and twins, each piece peeled the same way.  With no leaf left the answer
+    is None.  A graph that is its own only leaf is searched whole;
+    otherwise each leaf, in the order the split yields it, is searched the
+    same way as an induced graph, and a hole found there is mapped back to
+    this graph's ids and verified; the graph has an odd hole iff some leaf
+    has one.  Stages 1-2 return the same witness on the simplicial rest as
+    on the graph (the proof is in ``split_leaves``).
 
     The search of one graph goes through ``classify_candidate`` (jewel,
     pyramid, heavy-cleanable sweep) on one search context.  If that finds
@@ -490,9 +490,9 @@ def detect(g: Graph) -> Optional[Hole]:
     3").  Otherwise the six staged shapes of :func:`detect_fast` run on the
     same context.
     """
-    if certifies_berge(g):
-        return None
     leaves = split_leaves(g)
+    if not leaves:
+        return None
     if leaves == [g.full_mask]:
         return _search_graph(g)
     return _in_parts(g, leaves)
@@ -510,13 +510,10 @@ def _search_graph(g: Graph) -> Optional[Hole]:
 def _in_parts(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
     """The first verified hole that :func:`_search_graph` finds in a leaf.
 
-    Leaves that ``certifies_berge`` certifies are skipped; a hole is mapped
-    back to ``g``'s ids and verified on ``g``.
+    A hole is mapped back to ``g``'s ids and verified on ``g``.
     """
     for leaf in leaves:
         sub, back = g.induced(leaf)
-        if certifies_berge(sub):
-            continue
         hole = _search_graph(sub)
         if hole is not None:
             hole = tuple(back[v] for v in hole)

@@ -302,7 +302,14 @@ def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
 def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
     """True if peeling ``g`` (or the graph it induces on ``within``) leaves a
     bipartite or a co-bipartite graph; then it has no odd hole and no odd
-    antihole.
+    antihole.  The test is :func:`_peeled_rest`.
+    """
+    return not _peeled_rest(g, within)
+
+
+def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
+    """0 if :func:`certifies_berge` certifies the mask; else what the
+    simplicial pass leaves of it, which is not empty.
 
     First simplicial vertices (their neighbours form a clique) are deleted
     as long as any is left, and a bipartite rest is certified.  Chordal
@@ -329,6 +336,10 @@ def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
     too.  So deleting vertices keeps the others deletable, the worklist
     order does not change what is left, and every sub-mask of a certified
     mask is certified.
+
+    The rest of the simplicial pass has no simplicial vertex, and has five
+    vertices or more, as a graph on four or fewer is chordal or a 4-cycle.
+    :func:`split_leaves` splits it, and ``fast.detect`` searches it.
     """
     adj = g.adj
     alive = g.full_mask if within is None else within
@@ -347,7 +358,7 @@ def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
             alive ^= low
             todo |= nbrs
     if _two_colours(adj, alive, 0):
-        return True
+        return 0
     # The second pass.  No vertex left is simplicial, so each is tested for
     # a stable non-neighbourhood only; deleting ``v`` can make a neighbour
     # of ``v`` simplicial or a non-neighbour co-simplicial, so those are
@@ -376,9 +387,9 @@ def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
             nbrs = adj[low.bit_length() - 1] & alive
             todo = (todo | nbrs) & alive
             co_todo = (co_todo | alive & ~nbrs) & alive
-    if alive != peeled and _two_colours(adj, alive, 0):
-        return True
-    return _two_colours(adj, alive, -1)
+    if alive != peeled and _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
+        return 0
+    return peeled
 
 
 def _two_colours(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
@@ -466,46 +477,86 @@ def _drop_twins(g: Graph, mask: Mask) -> Mask:
 
 
 def split_leaves(g: Graph) -> list[Mask]:
-    """Vertex masks of the leaves of the component, co-component and twin split.
+    """Vertex masks of the leaves of the peel, component, co-component and
+    twin split; ``[]`` if ``g`` has no odd hole on these grounds alone.
 
-    A mask that is disconnected splits into its components; otherwise, one
+    Each mask taken (the whole graph first, then each piece that a split
+    makes) is peeled by :func:`_peeled_rest`: a certified mask is dropped,
+    and otherwise only what its simplicial pass leaves goes on.  A peeled
+    mask that is disconnected splits into its components; otherwise, one
     whose complement is disconnected splits into its co-components;
     otherwise every vertex with a twin of lower id (the same open or closed
     neighbourhood inside the mask) is dropped and the rest splits again.  A
-    mask that none of the three changes is a leaf: connected, co-connected
-    and twin-free.  Masks of fewer than five vertices are dropped.  Leaves
-    come depth first, each split's pieces in the order of their lowest ids.
+    mask that none of the three changes is a leaf: uncertified, with no
+    simplicial vertex, connected, co-connected and twin-free, and so of
+    five vertices or more.  Leaves come depth first, each split's pieces in
+    the order of their lowest ids.  A certified graph costs one peel and
+    no list but the empty answer.
 
-    ``g`` has an odd hole iff some leaf induces one.  A hole of length five
-    or more is connected and so is its complement, so it lies inside one
-    component and inside one co-component.  It holds at most one vertex of
-    a twin pair: true twins on it would close a triangle, false twins a
-    4-cycle.  So a hole through a dropped vertex ``v`` stays a hole when
-    ``v`` is replaced by its twin of lowest id, which is kept and has the
-    same neighbours off ``v`` (substitution: Lovász's replication lemma,
-    1972, and Gallai's modular decomposition, 1967).  A vertex ``v`` has
-    twins of one kind only: a true twin ``w`` and a false twin ``u`` would
-    put ``w`` in ``N(v) = N(u)`` and so ``u`` in ``N[w] = N[v]``.  So each
-    twin class keeps its lowest id.  An odd hole has at least five
-    vertices.
+    ``g`` has an odd hole iff some leaf induces one.  A certified mask and
+    the vertices that a peel deletes lie on no odd hole (``_peeled_rest``).
+    A hole of length five or more is connected and so is its complement,
+    so it lies inside one component and inside one co-component.  It holds
+    at most one vertex of a twin pair: true twins on it would close a
+    triangle, false twins a 4-cycle.  So a hole through a dropped vertex
+    ``v`` stays a hole when ``v`` is replaced by its twin of lowest id,
+    which is kept and has the same neighbours off ``v`` (substitution:
+    Lovász's replication lemma, 1972, and Gallai's modular decomposition,
+    1967).  A vertex ``v`` has twins of one kind only: a true twin ``w`` and
+    a false twin ``u`` would put ``w`` in ``N(v) = N(u)`` and so ``u`` in
+    ``N[w] = N[v]``.  So each twin class keeps its lowest id.
+
+    Only the simplicial pass shrinks what is searched, because stages 1-2
+    then return the same witness on the rest as on the mask.  A vertex
+    ``s`` simplicial in the mask (its neighbours pairwise adjacent) lies on
+    none of these, as each would give it two non-adjacent neighbours:
+
+    - the interior of an induced path, or of a path that
+      ``walk_down`` reads off a BFS (a shortest path), so every distance
+      between other vertices, and every walk, is the same without ``s``;
+    - a hole;
+    - an end of a four-path that can step off it, as the sweep asks of both
+      ends (``cleaning._sweep``);
+    - a pyramid: the apex sees three pairwise non-adjacent vertices, a base
+      vertex sees another base vertex and the next vertex up its leg, and
+      the rest lie inside legs;
+    - a jewel ring ``v1..v5`` that passes the loop tests of
+      ``configs._jewel``: ``v1`` sees ``v2`` and a neighbour outside
+      ``N[v2]``, ``v2`` sees ``v1`` and ``v3``, ``v3`` sees ``v2`` and
+      ``v4``, ``v4`` sees ``v3`` and a neighbour outside ``N[v3]``, and
+      ``v5`` sees ``v4`` and ``v1``.
+
+    A guess whose prune passes only because of ``s`` (say ``s`` is the one
+    neighbour that lets ``v1`` step off) is followed by a BFS that finds no
+    path, since every path it could find runs through ``s``.  So a guess
+    that meets ``s`` returns nothing, every other guess meets the same
+    masks less ``s``, and :meth:`Graph.induced` keeps the id order, so
+    every lowest-id tie-break, and the first hit, is unchanged.  Deleting
+    the simplicial pass's vertices one at a time, each simplicial in what
+    is left, gives the rest.  A co-simplicial vertex, by contrast, can lie
+    inside a shortest path of length four or less, and searching the rest
+    of both passes changes witnesses, so those deletions only certify.
     """
+    rest = _peeled_rest(g)
+    if not rest:
+        return []
     leaves = []
-    todo = [g.full_mask]
+    todo = [rest]
     while todo:
         mask = todo.pop()
-        if mask.bit_count() < 5:
-            continue
         parts = _pieces(g, mask, False)
         if len(parts) == 1:
             parts = _pieces(g, mask, True)
-        if len(parts) > 1:
-            todo.extend(reversed(parts))
-            continue
-        kept = _drop_twins(g, mask)
-        if kept == mask:
-            leaves.append(mask)
-        else:
-            todo.append(kept)
+        if len(parts) == 1:
+            kept = _drop_twins(g, mask)
+            if kept == mask:
+                leaves.append(mask)
+                continue
+            parts = [kept]
+        for part in reversed(parts):
+            peeled = _peeled_rest(g, part)
+            if peeled:
+                todo.append(peeled)
     return leaves
 
 
@@ -590,8 +641,8 @@ class _Search:
     the call returns: a list of ``n`` integers and the tuple of its layer
     masks, with its key.  At n = 16 that entry is 460 bytes by
     ``sys.getsizeof``, of which the layers are 184.  On the seed-1 benchmark
-    corpora the largest context of a ``detect`` call holds 69 entries
-    (0.04 MB).  Stage 3 is where a context grows: on the line graph of 24
+    corpora the largest context of a ``detect`` call holds 57 entries
+    (0.03 MB).  Stage 3 is where a context grows: on the line graph of 24
     random edges of K6,6 (``perfbench.corpora.line_graph_of_bipartite(6, 6,
     24, random.Random(0))``) ``detect`` stops after stage 2 with 596
     entries (0.4 MB), as the graph is claw-free, while ``fast.detect_fast``

@@ -8,6 +8,7 @@ import oddhole.fast
 import oddhole.graph
 import oddhole.simple
 from oddhole.cleaning import _classify, classify_candidate
+from oddhole.configs import JewelWitness, PyramidWitness, find_jewel, find_pyramid
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
@@ -33,6 +34,7 @@ from oddhole.generators import (
     random_chordal,
 )
 from oddhole.graph import (
+    _peeled_rest,
     _Search,
     bfs_distances,
     bits,
@@ -132,9 +134,10 @@ LIVE_PATHS = [(8, 1, 4, 9), (3, 2, 4, 9), (2, 3, 0, 7), (0, 7, 9, 4), (1, 8, 0, 
 # on it.
 SPARSE_ATOM = "IW@KSeo[O"
 
-# ``gnp(10, 0.5, 71406)``: perfect, not decided by the peeling, no split, a
-# candidate with four claw centres, so detect runs stage 3 on it; each of
-# the six shapes asks for a BFS, and 2 of its 36 four-paths are live.
+# ``gnp(10, 0.5, 71406)``: perfect, not decided by the peeling, a candidate
+# with four claw centres, so detect runs stage 3 on it; each of the six
+# shapes asks for a BFS, and 2 of its 36 four-paths are live.  Stage 0
+# leaves one leaf: the graph less its one simplicial vertex.
 CLAW_CANDIDATE = "I@wgNbIiO"
 
 
@@ -168,10 +171,11 @@ def _count_searches(monkeypatch):
 
 def test_detect_builds_one_search_per_call(monkeypatch):
     # one context for stages 1-3 of a candidate with a claw, as for
-    # detect_fast and the simple pipeline.  Each shape called alone builds
-    # its own and asks it for a BFS.
+    # detect_fast and the simple pipeline: detect searches the one leaf that
+    # stage 0 leaves of it.  Each shape called alone builds its own and asks
+    # it for a BFS.
     g = parse_graph6(CLAW_CANDIDATE).graph
-    assert not certifies_berge(g) and split_leaves(g) == [g.full_mask]
+    assert not certifies_berge(g) and len(split_leaves(g)) == 1
     assert classify_candidate(g) is None and _Search(g).claw_centres
     built = _count_searches(monkeypatch)
     dist = oddhole.graph._Search.dist
@@ -218,17 +222,19 @@ def _split_hole(g, leaves, hole_mask):
     assert mask_of(hole) == hole_mask
 
 
-# A 6-cycle on vertices 0-5 and a 7-hole on 6-12, joined or side by side:
-# the 6-cycle is the first leaf and has no odd hole, so the hole is found in
-# the last leaf.
+# LINE_CANDIDATE on vertices 0-9 and a 7-hole on 10-16, joined or side by
+# side: the line graph, less its simplicial vertex 9, is the first leaf and
+# has no odd hole, so the hole is found in the last leaf.  (A 6-cycle in its
+# place would be certified and dropped.)
 def test_detect_finds_a_hole_on_one_side_of_a_join():
-    six, seven = mask_of(range(6)), mask_of(range(6, 13))
-    _split_hole(join(cycle_graph(6), cycle_graph(7)), [six, seven], seven)
+    line, seven = mask_of(range(9)), mask_of(range(10, 17))
+    _split_hole(join(parse_graph6(LINE_CANDIDATE).graph, cycle_graph(7)), [line, seven], seven)
 
 
 def test_detect_finds_a_hole_in_the_last_component():
-    six, seven = mask_of(range(6)), mask_of(range(6, 13))
-    _split_hole(disjoint_union(cycle_graph(6), cycle_graph(7)), [six, seven], seven)
+    line, seven = mask_of(range(9)), mask_of(range(10, 17))
+    _split_hole(disjoint_union(parse_graph6(LINE_CANDIDATE).graph, cycle_graph(7)),
+                [line, seven], seven)
 
 
 # A 7-hole whose vertex 0 has a twin 7: the split keeps 0, and every odd
@@ -241,6 +247,41 @@ def test_detect_finds_a_hole_through_a_kept_false_twin():
 def test_detect_finds_a_hole_through_a_kept_true_twin():
     seven = mask_of(range(7))
     _split_hole(with_twin(cycle_graph(7), 0, true=True), [seven], seven)
+
+
+def _mapped(w, back):
+    # a stage's answer on an induced graph, in the ids of the whole graph
+    if isinstance(w, JewelWitness):
+        return JewelWitness(_mapped(w.ring, back), _mapped(w.path, back))
+    if isinstance(w, PyramidWitness):
+        return PyramidWitness(back[w.apex], _mapped(w.base, back),
+                              tuple(_mapped(p, back) for p in w.paths))
+    return None if w is None else tuple(back[v] for v in w)
+
+
+def test_stages_1_2_return_the_same_witness_on_the_simplicial_rest():
+    # detect searches what the simplicial pass of stage 0 leaves, and must
+    # find there what it would find on the whole graph: a simplicial vertex
+    # lies on no hole, pyramid, jewel that the search tries, or shortest
+    # path (graph.split_leaves).  Checked where the pass deletes something
+    # and the rest is not certified.  The rest of both passes fails this.
+    base = [gnp(6 + i % 8, (0.2, 0.3, 0.45, 0.6)[i % 4], 5200 + i) for i in range(600)]
+    base += [decorated_odd_cycle(7 + 2 * (i % 3), 1 + i % 3, 5600 + i) for i in range(60)]
+    searched = 0
+    hits = {stage: 0 for stage in (classify_candidate, find_jewel, find_pyramid)}
+    for g in (h for g in base for h in (g, g.complement())):
+        rest = _peeled_rest(g)
+        if rest in (0, g.full_mask):
+            continue
+        sub, back = g.induced(rest)
+        for stage in hits:
+            got = stage(sub)
+            assert _mapped(got, back) == stage(g), (stage.__name__, g.adj)
+            hits[stage] += got is not None
+        searched += 1
+    # many graphs lose vertices to the pass, and each stage finds something
+    # on many of them
+    assert searched > 200 and min(hits.values()) > 100, (searched, hits)
 
 
 def test_detect_matches_oracle_on_split_families():
@@ -259,22 +300,25 @@ def test_detect_matches_oracle_on_split_families():
 
 def test_detect_runs_each_masked_bfs_once(monkeypatch):
     # The jewel, pyramid, sweep and shapes of one call read every masked BFS
-    # from one context.  The chordal graph is decided by the peeling, which
-    # is turned off here so that every stage runs on it too.  Neither graph
-    # of SHAPE_GRAPHS asks for a BFS.  On the co-bipartite graph no jewel
-    # tuple passes the mask test before the BFS, and it has no claw centre
-    # for the pyramid.  On the chordal graph no four-path has two ends with
-    # a neighbour outside N[p2] | N[p3], so the sweep scans none of them
-    # (cleaning._sweep), and the other stages drop every guess by masks.
-    monkeypatch.setattr(oddhole.fast, "certifies_berge", lambda g: False)
+    # from one context.  Stage 0 decides both graphs of SHAPE_GRAPHS, so
+    # they are searched whole by _search_graph, stages 1-3 without stage 0,
+    # and so are the two candidates, which detect searches on their peeled
+    # rest.  Neither graph of SHAPE_GRAPHS asks for a BFS.  On the
+    # co-bipartite graph no jewel tuple passes the mask test before the BFS,
+    # and it has no claw centre for the pyramid.  On the chordal graph no
+    # four-path has two ends with a neighbour outside N[p2] | N[p3], so the
+    # sweep scans none of them (cleaning._sweep), and the other stages drop
+    # every guess by masks.
     keys = _record_bfs(monkeypatch)
     co_bipartite, chordal = SHAPE_GRAPHS
     paths = _Search(chordal).four_paths
     assert len(paths) == 14 and not any(_steps_off(chordal, p) for p in paths)
-    for g in (co_bipartite, chordal, parse_graph6(LINE_CANDIDATE).graph,
-              parse_graph6(CLAW_CANDIDATE).graph):
+    candidates = tuple(parse_graph6(text).graph for text in (LINE_CANDIDATE, CLAW_CANDIDATE))
+    runs = [(oddhole.fast._search_graph, g) for g in SHAPE_GRAPHS + candidates]
+    runs += [(detect, g) for g in candidates]
+    for run, g in runs:
         keys.clear()
-        assert detect(g) is None
+        assert run(g) is None
         assert len(keys) == len(set(keys)), g
         assert bool(keys) == (g not in SHAPE_GRAPHS), g
 
@@ -358,10 +402,15 @@ def test_claw_free_candidates_stop_after_stage_2(monkeypatch):
         assert {name for name, _ in builds} == {"four_paths"} and staged == [], text
         # stage 3 called on its own still searches it
         assert detect_fast(g) is None and "live_paths" in {name for name, _ in builds}
+    # stage 3 runs on the leaf that stage 0 leaves of it: all but its one
+    # simplicial vertex, 3, and still with a claw
     g = parse_graph6(CLAW_CANDIDATE).graph
+    rest = g.full_mask & ~(1 << 3)
+    leaf = g.induced(rest)[0]
+    assert split_leaves(g) == [rest] and _Search(leaf).claw_centres
     builds.clear()
     staged.clear()
-    assert detect(g) is None and staged == [g]
+    assert detect(g) is None and staged == [leaf]
     assert [name for name, _ in builds] == ["four_paths", "three_paths", "live_paths"]
 
 

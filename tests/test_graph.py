@@ -524,6 +524,12 @@ def _twin_free(g, mask):
     return True
 
 
+def _has_simplicial(g, mask):
+    # some vertex of ``mask`` has its neighbours inside it pairwise adjacent
+    return any(all(g.has_edge(a, b) for a, b in itertools.combinations(bits(g.adj[v] & mask), 2))
+               for v in bits(mask))
+
+
 def _hole_lengths(g):
     return {len(hole) for hole in oracle_odd_holes(g)}
 
@@ -532,21 +538,26 @@ def test_split_leaves_match_brute_force_and_the_oracle():
     graphs = [gnp(n, p, 7300 + n * 11 + i) for n in range(3, 11) for p in (0.3, 0.5, 0.7)
               for i in range(6)]
     graphs += [h for g in split_family_graphs(60, seed=23) for h in (g, g.complement())]
+    # denser graphs, which the peel leaves whole more often
+    graphs += [gnp(n, p, 7600 + n * 11 + i) for n in (11, 12) for p in (0.5, 0.6) for i in range(16)]
     split = leafless = split_holes = 0
     for g in graphs:
         leaves = split_leaves(g)
         co = g.complement()
         seen = 0
         for leaf in leaves:
-            # each leaf has five vertices or more, is connected, co-connected
-            # and twin-free, and no two leaves meet
+            # each leaf has five vertices or more, is connected, co-connected,
+            # twin-free, uncertified and has no simplicial vertex, and no two
+            # leaves meet
             assert leaf.bit_count() >= 5 and not leaf & seen, g.adj
             low = next(bits(leaf))
             assert _reach(g, low, leaf) == leaf and _reach(co, low, leaf) == leaf, g.adj
             assert _twin_free(g, leaf), g.adj
+            assert not certifies_berge(g, leaf) and not _has_simplicial(g, leaf), g.adj
             seen |= leaf
-        # a graph that is all three is its own leaf
+        # a graph that is all of these is its own leaf
         whole = g.n >= 5 and _reach(g, 0, g.full_mask) == _reach(co, 0, g.full_mask) == g.full_mask
+        whole = whole and not certifies_berge(g) and not _has_simplicial(g, g.full_mask)
         assert (leaves == [g.full_mask]) == (whole and _twin_free(g, g.full_mask)), g.adj
         # each odd hole of g has a hole of its length in some leaf (its twins
         # replaced by the ones kept), and each hole of a leaf is one of g

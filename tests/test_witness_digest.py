@@ -17,7 +17,7 @@ from oddhole.generators import decorated_odd_cycle, gnp
 
 STAGES = (detect, classify_candidate, find_jewel, find_pyramid, test_clean, test_heavy_cleanable)
 
-DIGEST = "8cf67a13501948d26951c002cab0011c0ebb958e051e02aae369d832e7790a73"
+DIGEST = "f7befd9374490fd30255faac08bbebc9bdaf11ea84dd56ab1712b8a2defab2a2"
 
 
 def _graphs():
