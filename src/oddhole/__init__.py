@@ -19,8 +19,8 @@ def test_perfect(g: Graph, algorithm: str = "fast"):
     """Deferred import wrapper; see :mod:`oddhole.pipeline`.
 
     The import is deferred because ``oddhole.pipeline`` pulls in the
-    reference detectors, the oracle, the formats and the generators, which
-    ``import oddhole`` does not otherwise need.
+    oracle and the formats, which ``import oddhole`` does not otherwise
+    need.
     """
     from .pipeline import test_perfect as _tp
 

@@ -19,10 +19,10 @@ from typing import Optional
 import click
 
 from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
-from .generators import _size, generate_corpus
+from .generators import generate_corpus
 from .graph import Graph, bits as _bits
 from .oracle import oracle_find_odd_hole
-from .pipeline import ALGORITHMS, bench_rows, run_detection, test_perfect
+from .pipeline import ALGORITHMS, run_detection, test_perfect
 from .probes import heavy_edges, major_vertices, vertex_gaps
 
 EXIT_CLEAN = 0
@@ -135,8 +135,7 @@ def perfect(input, fmt, algorithm, as_json):
     else:
         click.echo(doc.verdict)
         if doc.witness is not None:
-            kind = doc.witness_kind or "hole"
-            click.echo(f"{kind}: " + " ".join(map(str, doc.witness)))
+            click.echo(f"{doc.witness_kind}: " + " ".join(map(str, doc.witness)))
     sys.exit(EXIT_FOUND if doc.verdict == "imperfect" else EXIT_CLEAN)
 
 
@@ -177,34 +176,6 @@ def gen(spec):
         sys.exit(EXIT_INPUT)
     for line in lines:
         click.echo(line)
-    sys.exit(EXIT_CLEAN)
-
-
-@main.command()
-@click.option("--sizes", default="10,15,20,25,30")
-@click.option("--p", default=0.3, type=float)
-@click.option("--per", default=3, type=int, help="graphs per size")
-@_algorithm_option
-@click.option("--seed", default=0, type=int)
-def bench(sizes, p, per, algorithm, seed):
-    """Wall-time report over random graphs; CSV on stdout."""
-    try:
-        size_list = [_size(s) for s in sizes.split(",") if s]
-    except ValueError:
-        click.echo("bad --sizes: want non-negative integers", err=True)
-        sys.exit(EXIT_INPUT)
-    if per < 0:
-        click.echo("bad --per: want a non-negative integer", err=True)
-        sys.exit(EXIT_INPUT)
-    if algorithm == "oracle" and any(n > PROBE_MAX_VERTICES for n in size_list):
-        click.echo(f"bad --sizes: the brute-force search takes at most {PROBE_MAX_VERTICES} "
-                   "vertices", err=True)
-        sys.exit(EXIT_INPUT)
-    if not 0.0 <= p <= 1.0:  # NaN fails too
-        click.echo("bad --p: want a probability in [0, 1]", err=True)
-        sys.exit(EXIT_INPUT)
-    for row in bench_rows(size_list, p, per, algorithm, seed):
-        click.echo(row)
     sys.exit(EXIT_CLEAN)
 
 

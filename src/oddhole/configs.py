@@ -132,14 +132,13 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
     neighbour outside N[v2] | N[v3], a v4 likewise, and a tuple unless both
     v1 and v4 have one outside N[v5] too.  On the seed-1 benchmark corpora,
     in the jewel searches of ``detect`` that find nothing, this leaves 0 of
-    111,618 tuples for a BFS on ``dense-negative`` (35,432 of its 52,948
-    prefixes are dropped whole), 0 of 8,248 on ``sparse-negative``, 2 of
-    38,674 on ``perfect-mixed`` (both sides) and 6 of 3,396 on
-    ``stream-batch``.  Stage 0 of ``detect`` now decides every
-    ``dense-negative`` graph, the ``stream-batch`` negatives and 93 more
-    ``perfect-mixed`` sides before any jewel search.  On a co-bipartite graph no tuple is left: a neighbour
-    of v4 outside N[v3] is on v1's side, so v1 sees it and a tuple that
-    passed would have a path of length two, a jewel in a perfect graph.
+    8,248 tuples for a BFS on ``sparse-negative``, 2 of 38,674 on
+    ``perfect-mixed`` (both sides) and 6 of 3,396 on ``stream-batch``.
+    Stage 0 of ``detect`` now decides the ``stream-batch`` negatives and 93
+    ``perfect-mixed`` sides before any jewel search.  On a co-bipartite
+    graph no tuple is left: a neighbour of v4 outside N[v3] is on v1's
+    side, so v1 sees it and a tuple that passed would have a path of length
+    two, a jewel in a perfect graph.
     """
     return _jewel(_Search(g))
 
@@ -240,9 +239,8 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     returns at once.  Only apexes with no anchor triple are dropped, so the
     leg sets built and the witness stay the same.  On the seed-1 benchmark
     corpora, in the pyramid searches of ``detect``, the apexes tried fall
-    from 14,253 to 0 on ``dense-negative``, 7,065 to 0 on
-    ``sparse-negative`` and 4,012 to 776 on ``perfect-mixed`` (both sides),
-    counted before stage 0 decided the ``dense-negative`` graphs whole.
+    from 7,065 to 0 on ``sparse-negative`` and 4,012 to 776 on
+    ``perfect-mixed`` (both sides).
 
     A leg set is built from two BFS that the search context keeps for the
     rest of the call.  Leg sets recur across the triangles of an apex, and

@@ -157,15 +157,20 @@ def parse_edgelist(text: str) -> GraphDocument:
 
 
 def parse_graph(text: str, fmt: str = "auto") -> GraphDocument:
-    """Parse either supported format; ``auto`` sniffs the first line."""
+    """Parse either supported format.
+
+    ``auto`` sniffs the first line that is neither blank nor a ``#``
+    comment, the first line ``parse_edgelist`` reads: an ``n m`` header of
+    two numbers is an edge list, anything else graph6.
+    """
     if fmt == "graph6":
         return parse_graph6(text)
     if fmt == "edgelist":
         return parse_edgelist(text)
     if fmt == "auto":
-        first = text.strip().splitlines()[0] if text.strip() else ""
-        stripped = first.strip()
-        parts = stripped.split()
+        first = next((ln for ln in map(str.strip, text.splitlines())
+                      if ln and not ln.startswith("#")), "")
+        parts = first.split()
         if len(parts) == 2 and _numbers(parts):
             return parse_edgelist(text)
         return parse_graph6(text)

@@ -1,9 +1,11 @@
-"""Result documents, the perfection test, and benchmark rows.
+"""Result documents and the perfection test.
 
 A graph is perfect exactly when neither it nor its complement contains an
 odd hole, so the perfection test is two detector runs; an imperfection
 witness is either a hole of the graph or a hole of the complement
-(reported as an antihole of the graph).
+(reported as an antihole of the graph).  The detectors are ``detect`` and
+the brute-force oracle; the reference detectors of ``oddhole.simple`` back
+the tests only.
 """
 
 from __future__ import annotations
@@ -12,19 +14,24 @@ import hashlib
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .fast import detect
 from .formats import encode_graph6
-from .generators import gnp
 from .graph import Graph, is_odd_hole
 from .oracle import oracle_find_odd_hole
-from .simple import detect_with_simple_pipeline
 
 ALGORITHMS: dict[str, Callable[[Graph], Optional[tuple[int, ...]]]] = {
     "fast": detect,
-    "simple": detect_with_simple_pipeline,
     "oracle": oracle_find_odd_hole,
+}
+
+# the witness kinds each verdict may carry; None means no witness
+WITNESS_KINDS: dict[str, tuple[Optional[str], ...]] = {
+    "odd-hole-found": ("hole",),
+    "no-odd-hole": (None,),
+    "perfect": (None,),
+    "imperfect": ("hole", "antihole"),
 }
 
 
@@ -37,8 +44,9 @@ class ResultDocument:
     """Outcome of a detection or perfection run, JSON-serializable.
 
     ``witness`` is present exactly for the odd-hole-found and imperfect
-    verdicts; for imperfect graphs ``witness_kind`` says whether it is a
-    hole of the graph or of its complement (an antihole of the graph).
+    verdicts, and ``witness_kind`` with it (``WITNESS_KINDS``): ``hole``
+    for a hole of the graph, ``antihole`` for a hole of its complement (an
+    antihole of the graph), which only an imperfect verdict carries.
     """
 
     verdict: str  # odd-hole-found | no-odd-hole | perfect | imperfect
@@ -58,10 +66,11 @@ class ResultDocument:
     def from_json(cls, text: str) -> "ResultDocument":
         """Read a document back; a witness must be a list of vertex ids.
 
-        A document that is not a JSON object, or that lacks a field or has
-        one the class does not know, is refused with ``ValueError``.  Each
-        id must be a JSON integer: ``0.0``, ``"0"`` and ``true`` are refused
-        too (Python reads ``true`` as the int 1).
+        A document that is not a JSON object, that lacks a field or has one
+        the class does not know, or whose verdict or witness kind is not one
+        of the documented ones, is refused with ``ValueError``.  Each id must
+        be a JSON integer: ``0.0``, ``"0"`` and ``true`` are refused too
+        (Python reads ``true`` as the int 1).
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -72,6 +81,10 @@ class ResultDocument:
             raise ValueError(f"unknown fields {sorted(data.keys() - known)}")
         if needed - data.keys():
             raise ValueError(f"missing fields {sorted(needed - data.keys())}")
+        if not isinstance(data["verdict"], str) or data["verdict"] not in WITNESS_KINDS:
+            raise ValueError(f"unknown verdict {data['verdict']!r}")
+        if data.get("witness_kind") not in ("hole", "antihole", None):
+            raise ValueError(f"unknown witness kind {data['witness_kind']!r}")
         witness = data.get("witness")
         if witness is not None:
             if not isinstance(witness, list) or any(type(v) is not int for v in witness):
@@ -80,12 +93,18 @@ class ResultDocument:
         return cls(**data)
 
     def verify_witness(self, g: Graph) -> bool:
-        """Re-check the stored witness against the graph it came from."""
+        """Re-check the stored witness against the graph it came from.
+
+        A document whose witness or witness kind does not fit its verdict
+        (``WITNESS_KINDS``) is refused, whatever its witness.
+        """
+        if (self.witness_kind not in WITNESS_KINDS.get(self.verdict, ())
+                or (self.witness is None) != (self.witness_kind is None)):
+            return False
         if self.witness is None:
-            return self.verdict in ("no-odd-hole", "perfect")
-        if self.witness_kind == "antihole":
-            return is_odd_hole(g.complement(), self.witness)
-        return is_odd_hole(g, self.witness)
+            return True
+        host = g.complement() if self.witness_kind == "antihole" else g
+        return is_odd_hole(host, self.witness)
 
 
 def _detector(algorithm: str) -> Callable[[Graph], Optional[tuple[int, ...]]]:
@@ -112,39 +131,14 @@ def test_perfect(g: Graph, algorithm: str = "fast") -> ResultDocument:
     """Perfection via the strong characterization: check g and its complement."""
     fn = _detector(algorithm)
     t0 = time.perf_counter()
-    hole = fn(g)
-    if hole is not None:
-        ms = (time.perf_counter() - t0) * 1000.0
-        return ResultDocument(
-            "imperfect", g.n, algorithm, ms, graph_digest(g),
-            witness=tuple(hole), witness_kind="hole",
-        )
-    antihole = fn(g.complement())
+    hole, kind = fn(g), "hole"
+    if hole is None:
+        hole, kind = fn(g.complement()), "antihole"
     ms = (time.perf_counter() - t0) * 1000.0
-    if antihole is not None:
-        return ResultDocument(
-            "imperfect", g.n, algorithm, ms, graph_digest(g),
-            witness=tuple(antihole), witness_kind="antihole",
-        )
-    return ResultDocument("perfect", g.n, algorithm, ms, graph_digest(g))
+    if hole is None:
+        return ResultDocument("perfect", g.n, algorithm, ms, graph_digest(g))
+    return ResultDocument("imperfect", g.n, algorithm, ms, graph_digest(g),
+                          witness=tuple(hole), witness_kind=kind)
 
 
 test_perfect.__test__ = False  # a library entry point, not a pytest case  # type: ignore[attr-defined]
-
-BENCH_HEADER = "n,p,algorithm,seed,millis,verdict"
-
-
-def bench_rows(
-    sizes: list[int],
-    p: float,
-    per_size: int,
-    algorithm: str = "fast",
-    seed: int = 0,
-) -> Iterator[str]:
-    """Timed detection runs over seeded random graphs, one CSV row each."""
-    yield BENCH_HEADER
-    for n in sizes:
-        for i in range(per_size):
-            g = gnp(n, p, seed + i)
-            doc = run_detection(g, algorithm)
-            yield f"{n},{p},{algorithm},{seed + i},{doc.millis:.3f},{doc.verdict}"

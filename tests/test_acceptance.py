@@ -32,7 +32,7 @@ from oddhole.oracle import (
     oracle_find_pyramid,
     shortest_odd_holes,
 )
-from oddhole.pipeline import bench_rows, test_perfect
+from oddhole.pipeline import test_perfect
 from oddhole.probes import heavy_edges, is_clean, is_normal_set, major_vertices
 from oddhole.simple import detect_simple
 from .conftest import parity_decorated
@@ -320,11 +320,3 @@ def test_criterion_8_perfection_smoke():
             assert doc.verdict == "imperfect"
             assert doc.verify_witness(g)
 
-
-def test_criterion_9_scaling_report():
-    with criterion(9, "scaling report emitted (soft, non-gating)"):
-        rows = list(bench_rows([10, 15, 20, 25, 30], 0.3, 3, "fast", seed=2))
-        assert len(rows) == 1 + 5 * 3
-        print()
-        for row in rows:
-            print(f"  scaling: {row}")

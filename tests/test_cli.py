@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -58,6 +60,9 @@ def test_detect_trivial_graphs():
 def test_detect_edgelist_format():
     text = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
     assert run(["detect", "-", "--format", "edgelist"], input=text).exit_code == 1
+    # --format auto reads past a leading comment, as the edge-list reader does
+    for fmt in ("auto", "edgelist"):
+        assert run(["detect", "-", "--format", fmt], input="# c5\n" + text).exit_code == 1, fmt
     assert run(["detect", "-"], input=text).exit_code == 1  # auto-sniffed
 
 
@@ -133,14 +138,8 @@ def test_oracle_refuses_large_graphs():
     # the stream refuses the batch before it prints a result for any line
     res = run(["detect", "--stdin-stream", "--algorithm", "oracle"], input=f"{C7}\n{over}\n")
     assert res.exit_code == 2 and "odd-hole-found" not in res.output
-    # the other algorithms take the same graph
+    # the other algorithm takes the same graph
     assert run(["detect", "-"], input=over).exit_code == 0
-    res = run(["bench", "--algorithm", "oracle", "--per", "1",
-               "--sizes", f"8,{PROBE_MAX_VERTICES + 1}"])
-    assert res.exit_code == 2 and "bad --sizes" in res.output
-    res = run(["bench", "--algorithm", "oracle", "--per", "1", "--p", "0",
-               "--sizes", str(PROBE_MAX_VERTICES)])
-    assert res.exit_code == 0
 
 
 def test_non_ascii_input_is_an_input_error(tmp_path):
@@ -223,16 +222,37 @@ def test_gen_detect_pipeline():
     assert res.exit_code == 1
 
 
-def test_bench_command():
-    res = run(["bench", "--sizes", "8,9", "--per", "1", "--seed", "3"])
-    assert res.exit_code == 0
-    lines = res.output.strip().splitlines()
-    assert lines[0] == "n,p,algorithm,seed,millis,verdict"
-    assert len(lines) == 3
-    # sizes are ASCII digits, as gen reads them: no other script's digits, no underscores
-    for args in (["--sizes", "x"], ["--sizes", "-5"], ["--sizes", "8,-1"], ["--sizes", "1.5"],
-                 ["--sizes", "\uff18"], ["--sizes", "8,1_0"], ["--sizes", "+8"], ["--per", "-1"],
-                 ["--p", "-0.1"], ["--p", "1.5"], ["--p", "nan"]):
-        res = run(["bench", "--per", "1", *args])
-        assert res.exit_code == 2 and "bad --" in res.output, args
-    assert run(["bench", "--sizes", "6", "--per", "1", "--p", "1"]).exit_code == 0
+def test_retired_command_and_algorithm_are_usage_errors():
+    # gen | detect --stdin-stream --json replaces bench, and the reference
+    # detectors of oddhole.simple back the tests only
+    assert run(["bench"]).exit_code == 2
+    for args in (["detect", "-"], ["perfect", "-"], ["detect", "--stdin-stream"]):
+        res = run([*args, "--algorithm", "simple"], input=C7)
+        assert res.exit_code == 2 and "odd-hole-found" not in res.output, args
+
+
+def _readme_cli_synopsis():
+    """The commands of the README's CLI synopsis, each with its options, and
+    the choices listed for an option (``--algorithm fast|oracle``)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands, choices = {}, {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("oddhole "):
+            options = commands.setdefault(line.split()[1], set())
+        for option, listed in re.findall(r"(--[\w-]+)(?: ([\w|]+))?", line):
+            options.add(option)
+            if "|" in listed:
+                choices[option] = listed.split("|")
+    return commands, choices
+
+
+def test_readme_synopsis_is_the_cli():
+    commands, choices = {}, {}
+    for name, command in main.commands.items():
+        options = [param for param in command.params if isinstance(param, click.Option)]
+        commands[name] = {opt for param in options for opt in param.opts}
+        choices.update({opt: list(param.type.choices) for param in options
+                        if isinstance(param.type, click.Choice) for opt in param.opts})
+    assert _readme_cli_synopsis() == (commands, choices)

@@ -130,5 +130,9 @@ def test_auto_sniff_wants_ascii_digits():
 def test_auto_format_sniffing():
     assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", "auto").fmt == "edgelist"
     assert parse_graph("D~{", "auto").fmt == "graph6"
+    # the sniff skips the blank and comment lines that parse_edgelist skips
+    text = "# c5\n\n  # drawn by hand\n5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+    assert parse_graph(text, "auto") == parse_edgelist(text)
+    assert parse_graph("\n\n  D~{\n", "auto").fmt == "graph6"
     with pytest.raises(ParseError):
         parse_graph("D~{", "nope")

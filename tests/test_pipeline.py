@@ -17,9 +17,7 @@ from oddhole.generators import (
 )
 from oddhole.oracle import oracle_find_odd_hole
 from oddhole.pipeline import (
-    BENCH_HEADER,
     ResultDocument,
-    bench_rows,
     graph_digest,
     run_detection,
     test_perfect,
@@ -40,7 +38,7 @@ def test_run_detection_document_fields():
 
 
 def test_algorithm_dispatch():
-    for algo in ("fast", "simple", "oracle"):
+    for algo in ("fast", "oracle"):
         doc = run_detection(cycle_graph(9), algo)
         assert doc.verdict == "odd-hole-found"
         assert doc.algorithm == algo
@@ -53,10 +51,12 @@ def test_algorithm_dispatch():
 
 
 def test_unknown_algorithm_is_a_value_error():
-    # the top-level wrapper forwards the algorithm too
+    # the top-level wrapper forwards the algorithm too; the reference
+    # detectors of oddhole.simple back the tests and are no algorithm
     for call in (run_detection, test_perfect, oddhole.test_perfect):
-        with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
-            call(cycle_graph(5), "nope")
+        for algorithm in ("nope", "simple"):
+            with pytest.raises(ValueError, match=f"unknown algorithm '{algorithm}'"):
+                call(cycle_graph(5), algorithm)
     assert oddhole.test_perfect(cycle_graph(5), "oracle").algorithm == "oracle"
 
 
@@ -92,6 +92,42 @@ def test_from_json_refuses_a_document_of_the_wrong_shape():
     doc = run_detection(cycle_graph(6))
     short = {k: v for k, v in json.loads(doc.to_json()).items() if k not in ("witness", "witness_kind")}
     assert ResultDocument.from_json(json.dumps(short)) == doc
+
+
+def test_verify_witness_refuses_a_witness_that_contradicts_the_verdict():
+    # a negative verdict carries no witness, and a hole of the complement
+    # shows imperfection, not an odd hole of the graph
+    c5, hole = cycle_graph(5), (0, 1, 2, 3, 4)
+
+    def doc(verdict, witness, kind):
+        return ResultDocument(verdict, 5, "fast", 0.0, graph_digest(c5), witness, kind)
+
+    assert doc("imperfect", hole, "hole").verify_witness(c5)
+    for verdict, witness, kind in (("no-odd-hole", hole, "hole"), ("perfect", hole, "hole"),
+                                   ("no-odd-hole", hole, None), ("perfect", None, "hole"),
+                                   ("odd-hole-found", hole, "antihole"),
+                                   ("odd-hole-found", hole, None), ("imperfect", None, "hole"),
+                                   ("odd-hole-found", None, None)):
+        bad = doc(verdict, witness, kind)
+        assert not bad.verify_witness(c5), (verdict, witness, kind)
+        assert not ResultDocument.from_json(bad.to_json()).verify_witness(c5)
+
+
+def test_verify_witness_refuses_an_unknown_witness_kind():
+    # "banana" used to be read as a hole of the graph
+    c5 = cycle_graph(5)
+    doc = ResultDocument("odd-hole-found", 5, "fast", 0.0, graph_digest(c5),
+                         (0, 1, 2, 3, 4), "banana")
+    assert not doc.verify_witness(c5)
+    with pytest.raises(ValueError, match="unknown witness kind 'banana'"):
+        ResultDocument.from_json(doc.to_json())
+
+
+def test_from_json_refuses_an_unknown_verdict():
+    data = json.loads(run_detection(cycle_graph(6)).to_json())
+    for verdict in (5, None, "maybe", ["perfect"]):
+        with pytest.raises(ValueError, match="unknown verdict"):
+            ResultDocument.from_json(json.dumps({**data, "verdict": verdict}))
 
 
 def test_perfect_families():
@@ -131,20 +167,6 @@ def test_digest_stable():
     assert graph_digest(cycle_graph(5)) != graph_digest(cycle_graph(6))
 
 
-def test_bench_rows_schema():
-    rows = list(bench_rows([8, 10], 0.3, 2, "fast", seed=1))
-    assert rows[0] == BENCH_HEADER
-    assert len(rows) == 1 + 2 * 2
-    for row in rows[1:]:
-        n, p, algo, seed, millis, verdict = row.split(",")
-        assert algo == "fast"
-        assert verdict in ("odd-hole-found", "no-odd-hole")
-        float(millis)
-    again = list(bench_rows([8, 10], 0.3, 2, "fast", seed=1))
-    assert [r.rsplit(",", 2)[0] for r in rows] == [r.rsplit(",", 2)[0] for r in again]
-    assert [r.rsplit(",", 1)[1] for r in rows] == [r.rsplit(",", 1)[1] for r in again]
-
-
 def _readme_library_names():
     """The names the README's Library section documents, one bullet at a time."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -168,12 +190,17 @@ def test_exports_are_the_documented_names():
 
 def test_import_oddhole_stays_light():
     # test_perfect imports oddhole.pipeline on its first call, so that a
-    # plain import loads only the detector's own modules
-    code = "import sys, oddhole; print(' '.join(sorted(sys.modules)))"
+    # plain import loads only the detector's own modules; the pipeline
+    # itself loads neither the reference detectors nor the generators
+    code = ("import sys, oddhole; print(' '.join(sorted(sys.modules)))\n"
+            "import oddhole.pipeline; print(' '.join(sorted(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=60)
-    loaded = set(res.stdout.split())
+    loaded, with_pipeline = (set(line.split()) for line in res.stdout.splitlines())
     assert "oddhole.fast" in loaded, res.stderr
     for name in ("pipeline", "simple", "probes", "oracle", "formats", "generators"):
         assert f"oddhole.{name}" not in loaded, name
+    assert "oddhole.pipeline" in with_pipeline
+    for name in ("simple", "probes", "generators"):
+        assert f"oddhole.{name}" not in with_pipeline, name
