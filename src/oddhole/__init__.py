@@ -15,16 +15,16 @@ __version__ = "0.1.0"
 __all__ = ["Graph", "detect", "is_odd_hole", "test_perfect"]
 
 
-def test_perfect(g: Graph, algorithm: str = "fast"):
+def test_perfect(g: Graph):
     """Deferred import wrapper; see :mod:`oddhole.pipeline`.
 
     The import is deferred because ``oddhole.pipeline`` pulls in the
-    oracle and the formats, which ``import oddhole`` does not otherwise
-    need.
+    formats and the result documents, which ``import oddhole`` does not
+    otherwise need.
     """
     from .pipeline import test_perfect as _tp
 
-    return _tp(g, algorithm)
+    return _tp(g)
 
 
 test_perfect.__test__ = False  # type: ignore[attr-defined]

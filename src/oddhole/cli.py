@@ -4,10 +4,12 @@ Exit codes are a stable contract for scripting: 0 means no odd hole (or
 perfect), 1 means an odd hole was found (or the graph is imperfect), and 2
 means the input could not be parsed or is too large for the command.
 
-``probe`` and ``--algorithm oracle`` run the exponential brute-force search,
-so they refuse graphs with more than ``PROBE_MAX_VERTICES`` (36) vertices with
-exit code 2; on grid graphs that search takes a fraction of a second at 36
-vertices and about 25 times as long at 49 (see README.md).
+The input's format is read from the input itself (``formats.parse_graph``),
+and ``detect`` and ``perfect`` run ``oddhole.detect``.  ``probe`` runs the
+exponential brute-force search, so it refuses graphs with more than
+``PROBE_MAX_VERTICES`` (36) vertices with exit code 2; on grid graphs that
+search takes a fraction of a second at 36 vertices and about 25 times as
+long at 49 (see README.md).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
 from .generators import generate_corpus
 from .graph import Graph, bits as _bits
 from .oracle import oracle_find_odd_hole
-from .pipeline import ALGORITHMS, run_detection, test_perfect
+from .pipeline import run_detection, test_perfect
 from .probes import heavy_edges, major_vertices, vertex_gaps
 
 EXIT_CLEAN = 0
@@ -30,11 +32,6 @@ EXIT_FOUND = 1
 EXIT_INPUT = 2
 
 PROBE_MAX_VERTICES = 36
-
-_algorithm_option = click.option("--algorithm", default="fast",
-                                 type=click.Choice(list(ALGORITHMS)))
-_format_option = click.option("--format", "fmt", default="auto",
-                              type=click.Choice(["auto", "graph6", "edgelist"]))
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -44,25 +41,13 @@ def _read_input(path: Optional[str]) -> str:
         return fh.read()
 
 
-def _load(path: Optional[str], fmt: str, algorithm: str) -> Graph:
-    """Parse the input; exit 2 if it is malformed or too large for ``algorithm``."""
+def _load(path: Optional[str]) -> Graph:
+    """Parse the input; exit 2 if it is malformed."""
     try:
-        g = parse_graph(_read_input(path), fmt).graph
+        return parse_graph(_read_input(path)).graph
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    if _too_large(g, algorithm):
-        sys.exit(EXIT_INPUT)
-    return g
-
-
-def _too_large(g: Graph, algorithm: str) -> bool:
-    """Say so on stderr if ``g`` is too large for the brute-force search."""
-    if algorithm != "oracle" or g.n <= PROBE_MAX_VERTICES:
-        return False
-    click.echo(f"input error: the brute-force search takes at most {PROBE_MAX_VERTICES} "
-               f"vertices, got {g.n}", err=True)
-    return True
 
 
 @click.group()
@@ -72,25 +57,21 @@ def main() -> None:
 
 @main.command()
 @click.argument("input", required=False)
-@_format_option
-@_algorithm_option
 @click.option("--witness", is_flag=True, help="print the witness cycle")
 @click.option("--json", "as_json", is_flag=True, help="print the full result document")
 @click.option("--stdin-stream", is_flag=True,
               help="treat stdin as one graph6 value per line")
-def detect(input, fmt, algorithm, witness, as_json, stdin_stream):
+def detect(input, witness, as_json, stdin_stream):
     """Decide whether a graph contains an odd hole."""
     if stdin_stream:
         dropped = [name for name, given in (("FILE", input not in (None, "-")),
-                                            ("--format edgelist", fmt == "edgelist"),
                                             ("--witness", witness)) if given]
         if dropped:
             click.echo(f"bad --stdin-stream: it reads graph6 lines from stdin and takes "
                        f"no {', '.join(dropped)}", err=True)
             sys.exit(EXIT_INPUT)
-        sys.exit(_stream_detect(algorithm, as_json))
-    g = _load(input, fmt, algorithm)
-    doc = run_detection(g, algorithm)
+        sys.exit(_stream_detect(as_json))
+    doc = run_detection(_load(input))
     _emit(doc, witness, as_json)
     sys.exit(EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN)
 
@@ -104,18 +85,16 @@ def _emit(doc, witness: bool, as_json: bool) -> None:
         click.echo(" ".join(map(str, doc.witness)))
 
 
-def _stream_detect(algorithm: str, as_json: bool) -> int:
+def _stream_detect(as_json: bool) -> int:
     try:
         lines = [ln.strip() for ln in sys.stdin if ln.strip()]
         graphs = [parse_graph6(ln).graph for ln in lines]
     except (ParseError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
-    if any(_too_large(g, algorithm) for g in graphs):
-        return EXIT_INPUT
     any_found = False
     for g in graphs:
-        doc = run_detection(g, algorithm)
+        doc = run_detection(g)
         _emit(doc, False, as_json)
         any_found |= doc.verdict == "odd-hole-found"
     return EXIT_FOUND if any_found else EXIT_CLEAN
@@ -123,13 +102,10 @@ def _stream_detect(algorithm: str, as_json: bool) -> int:
 
 @main.command()
 @click.argument("input", required=False)
-@_format_option
-@_algorithm_option
 @click.option("--json", "as_json", is_flag=True)
-def perfect(input, fmt, algorithm, as_json):
+def perfect(input, as_json):
     """Test whether a graph is perfect."""
-    g = _load(input, fmt, algorithm)
-    doc = test_perfect(g, algorithm)
+    doc = test_perfect(_load(input))
     if as_json:
         click.echo(doc.to_json())
     else:
@@ -141,13 +117,16 @@ def perfect(input, fmt, algorithm, as_json):
 
 @main.command()
 @click.argument("input", required=False)
-@_format_option
-def probe(input, fmt):
+def probe(input):
     """Dump hole structure (majors, gaps, heavy edges) as JSON.
 
     Graphs with more than PROBE_MAX_VERTICES vertices are refused (exit 2).
     """
-    g = _load(input, fmt, "oracle")
+    g = _load(input)
+    if g.n > PROBE_MAX_VERTICES:
+        click.echo(f"input error: the brute-force search takes at most {PROBE_MAX_VERTICES} "
+                   f"vertices, got {g.n}", err=True)
+        sys.exit(EXIT_INPUT)
     hole = oracle_find_odd_hole(g)
     if hole is None:
         click.echo(json.dumps({"hole": None}))

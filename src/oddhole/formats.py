@@ -156,22 +156,17 @@ def parse_edgelist(text: str) -> GraphDocument:
     return GraphDocument(Graph.from_rows(n, rows), "edgelist")
 
 
-def parse_graph(text: str, fmt: str = "auto") -> GraphDocument:
-    """Parse either supported format.
+def parse_graph(text: str) -> GraphDocument:
+    """Parse either supported format, read from the text itself.
 
-    ``auto`` sniffs the first line that is neither blank nor a ``#``
-    comment, the first line ``parse_edgelist`` reads: an ``n m`` header of
-    two numbers is an edge list, anything else graph6.
+    The first line that is neither blank nor a ``#`` comment, the first
+    line ``parse_edgelist`` reads, decides: an ``n m`` header of two
+    numbers is an edge list, anything else graph6.  A graph6 value holds no
+    space, so no text that one parser accepts is sent to the other.
     """
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
+    first = next((ln for ln in map(str.strip, text.splitlines())
+                  if ln and not ln.startswith("#")), "")
+    parts = first.split()
+    if len(parts) == 2 and _numbers(parts):
         return parse_edgelist(text)
-    if fmt == "auto":
-        first = next((ln for ln in map(str.strip, text.splitlines())
-                      if ln and not ln.startswith("#")), "")
-        parts = first.split()
-        if len(parts) == 2 and _numbers(parts):
-            return parse_edgelist(text)
-        return parse_graph6(text)
-    raise ParseError(f"unknown format {fmt!r}")
+    return parse_graph6(text)

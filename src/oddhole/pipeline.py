@@ -3,8 +3,8 @@
 A graph is perfect exactly when neither it nor its complement contains an
 odd hole, so the perfection test is two detector runs; an imperfection
 witness is either a hole of the graph or a hole of the complement
-(reported as an antihole of the graph).  The detectors are ``detect`` and
-the brute-force oracle; the reference detectors of ``oddhole.simple`` back
+(reported as an antihole of the graph).  Both runs are ``detect``; the
+brute-force oracle and the reference detectors of ``oddhole.simple`` back
 the tests only.
 """
 
@@ -14,17 +14,11 @@ import hashlib
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 from .fast import detect
 from .formats import encode_graph6
 from .graph import Graph, is_odd_hole
-from .oracle import oracle_find_odd_hole
-
-ALGORITHMS: dict[str, Callable[[Graph], Optional[tuple[int, ...]]]] = {
-    "fast": detect,
-    "oracle": oracle_find_odd_hole,
-}
 
 # the witness kinds each verdict may carry; None means no witness
 WITNESS_KINDS: dict[str, tuple[Optional[str], ...]] = {
@@ -51,7 +45,7 @@ class ResultDocument:
 
     verdict: str  # odd-hole-found | no-odd-hole | perfect | imperfect
     n: int
-    algorithm: str
+    algorithm: str  # "fast"; older documents may name another detector
     millis: float
     digest: str
     witness: Optional[tuple[int, ...]] = None
@@ -68,7 +62,9 @@ class ResultDocument:
 
         A document that is not a JSON object, that lacks a field or has one
         the class does not know, or whose verdict or witness kind is not one
-        of the documented ones, is refused with ``ValueError``.  Each id must
+        of the documented ones, is refused with ``ValueError``; so is one
+        whose ``n`` is not a JSON integer, whose ``millis`` is not a number,
+        or whose ``digest`` or ``algorithm`` is not a string.  Each id must
         be a JSON integer: ``0.0``, ``"0"`` and ``true`` are refused too
         (Python reads ``true`` as the int 1).
         """
@@ -81,6 +77,10 @@ class ResultDocument:
             raise ValueError(f"unknown fields {sorted(data.keys() - known)}")
         if needed - data.keys():
             raise ValueError(f"missing fields {sorted(needed - data.keys())}")
+        for name, kind in (("n", int), ("millis", (int, float)), ("digest", str),
+                           ("algorithm", str)):
+            if not isinstance(data[name], kind) or isinstance(data[name], bool):
+                raise ValueError(f"bad {name} {data[name]!r}")
         if not isinstance(data["verdict"], str) or data["verdict"] not in WITNESS_KINDS:
             raise ValueError(f"unknown verdict {data['verdict']!r}")
         if data.get("witness_kind") not in ("hole", "antihole", None):
@@ -95,10 +95,12 @@ class ResultDocument:
     def verify_witness(self, g: Graph) -> bool:
         """Re-check the stored witness against the graph it came from.
 
-        A document whose witness or witness kind does not fit its verdict
-        (``WITNESS_KINDS``) is refused, whatever its witness.
+        A document whose vertex count or digest is not ``g``'s, or whose
+        witness or witness kind does not fit its verdict (``WITNESS_KINDS``),
+        is refused, whatever its witness.
         """
-        if (self.witness_kind not in WITNESS_KINDS.get(self.verdict, ())
+        if (self.n != g.n or self.digest != graph_digest(g)
+                or self.witness_kind not in WITNESS_KINDS.get(self.verdict, ())
                 or (self.witness is None) != (self.witness_kind is None)):
             return False
         if self.witness is None:
@@ -107,37 +109,28 @@ class ResultDocument:
         return is_odd_hole(host, self.witness)
 
 
-def _detector(algorithm: str) -> Callable[[Graph], Optional[tuple[int, ...]]]:
-    try:
-        return ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}") from None
-
-
-def run_detection(g: Graph, algorithm: str = "fast") -> ResultDocument:
-    fn = _detector(algorithm)
+def run_detection(g: Graph) -> ResultDocument:
     t0 = time.perf_counter()
-    witness = fn(g)
+    witness = detect(g)
     ms = (time.perf_counter() - t0) * 1000.0
     if witness is None:
-        return ResultDocument("no-odd-hole", g.n, algorithm, ms, graph_digest(g))
+        return ResultDocument("no-odd-hole", g.n, "fast", ms, graph_digest(g))
     return ResultDocument(
-        "odd-hole-found", g.n, algorithm, ms, graph_digest(g),
+        "odd-hole-found", g.n, "fast", ms, graph_digest(g),
         witness=tuple(witness), witness_kind="hole",
     )
 
 
-def test_perfect(g: Graph, algorithm: str = "fast") -> ResultDocument:
+def test_perfect(g: Graph) -> ResultDocument:
     """Perfection via the strong characterization: check g and its complement."""
-    fn = _detector(algorithm)
     t0 = time.perf_counter()
-    hole, kind = fn(g), "hole"
+    hole, kind = detect(g), "hole"
     if hole is None:
-        hole, kind = fn(g.complement()), "antihole"
+        hole, kind = detect(g.complement()), "antihole"
     ms = (time.perf_counter() - t0) * 1000.0
     if hole is None:
-        return ResultDocument("perfect", g.n, algorithm, ms, graph_digest(g))
-    return ResultDocument("imperfect", g.n, algorithm, ms, graph_digest(g),
+        return ResultDocument("perfect", g.n, "fast", ms, graph_digest(g))
+    return ResultDocument("imperfect", g.n, "fast", ms, graph_digest(g),
                           witness=tuple(hole), witness_kind=kind)
 
 

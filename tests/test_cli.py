@@ -39,10 +39,10 @@ def test_detect_witness_output():
 
 
 def test_detect_json_output():
-    res = run(["detect", "-", "--json", "--algorithm", "oracle"], input=C7)
+    res = run(["detect", "-", "--json"], input=C7)
     doc = json.loads(res.output)
     assert doc["verdict"] == "odd-hole-found"
-    assert doc["algorithm"] == "oracle"
+    assert doc["algorithm"] == "fast"
     assert len(doc["witness"]) == 7
 
 
@@ -58,12 +58,14 @@ def test_detect_trivial_graphs():
 
 
 def test_detect_edgelist_format():
+    # the format is read from the input: an "n m" header is an edge list
     text = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
-    assert run(["detect", "-", "--format", "edgelist"], input=text).exit_code == 1
-    # --format auto reads past a leading comment, as the edge-list reader does
-    for fmt in ("auto", "edgelist"):
-        assert run(["detect", "-", "--format", fmt], input="# c5\n" + text).exit_code == 1, fmt
-    assert run(["detect", "-"], input=text).exit_code == 1  # auto-sniffed
+    for command, found in (("detect", "odd-hole-found"), ("perfect", "imperfect"),
+                           ("probe", '"hole": [')):
+        res = run([command, "-"], input=text)
+        assert res.exit_code == 1 and found in res.output, command
+    # the sniff reads past a leading comment, as the edge-list reader does
+    assert run(["detect", "-"], input="# c5\n" + text).exit_code == 1
 
 
 def test_stream_mode():
@@ -81,14 +83,13 @@ def test_stream_mode():
 def test_stream_mode_refuses_other_inputs_and_options(tmp_path):
     c5 = tmp_path / "c5.g6"
     c5.write_text(encode_graph6(cycle_graph(5)) + "\n")
-    for args, dropped in (([str(c5)], "FILE"), (["--format", "edgelist"], "--format edgelist"),
-                          (["--witness"], "--witness")):
+    for args, dropped in (([str(c5)], "FILE"), (["--witness"], "--witness")):
         # refused before stdin is read: the bad line would be an input error
         res = run(["detect", "--stdin-stream", *args], input="@@@garbage\n")
         assert res.exit_code == 2, args
         assert res.output.startswith("bad --stdin-stream") and dropped in res.output, args
-    # "-" names stdin itself, and graph6 is what the stream reads anyway
-    res = run(["detect", "-", "--stdin-stream", "--format", "graph6", "--json"], input=f"{C7}\n")
+    # "-" names stdin itself
+    res = run(["detect", "-", "--stdin-stream", "--json"], input=f"{C7}\n")
     assert res.exit_code == 1
     assert ResultDocument.from_json(res.output).verdict == "odd-hole-found"
 
@@ -122,24 +123,13 @@ def test_probe_refuses_large_graphs():
     # the bound keeps the exponential search away from large inputs
     at_bound = encode_graph6(Graph(PROBE_MAX_VERTICES))
     assert run(["probe", "-"], input=at_bound).exit_code == 0
-    res = run(["probe", "-"], input=encode_graph6(Graph(PROBE_MAX_VERTICES + 1)))
+    over = encode_graph6(Graph(PROBE_MAX_VERTICES + 1))
+    res = run(["probe", "-"], input=over)
     assert res.exit_code == 2
     assert "input error" in res.output
-
-
-def test_oracle_refuses_large_graphs():
-    # the same bound guards every command that can run the brute-force search
-    over = encode_graph6(Graph(PROBE_MAX_VERTICES + 1))
-    at_bound = encode_graph6(Graph(PROBE_MAX_VERTICES))
+    # probe is the only command that runs the brute-force search
     for args in (["detect", "-"], ["perfect", "-"], ["detect", "--stdin-stream"]):
-        res = run([*args, "--algorithm", "oracle"], input=over)
-        assert res.exit_code == 2 and "input error" in res.output, args
-        assert run([*args, "--algorithm", "oracle"], input=at_bound).exit_code == 0, args
-    # the stream refuses the batch before it prints a result for any line
-    res = run(["detect", "--stdin-stream", "--algorithm", "oracle"], input=f"{C7}\n{over}\n")
-    assert res.exit_code == 2 and "odd-hole-found" not in res.output
-    # the other algorithm takes the same graph
-    assert run(["detect", "-"], input=over).exit_code == 0
+        assert run(args, input=over).exit_code == 0, args
 
 
 def test_non_ascii_input_is_an_input_error(tmp_path):
@@ -154,7 +144,7 @@ def test_non_ascii_input_is_an_input_error(tmp_path):
 def test_edgelist_digits_are_ascii_on_stdin():
     # the last endpoint is ARABIC-INDIC DIGIT ZERO; as a file it fails to decode
     text = "5 5\n0 1\n1 2\n2 3\n3 4\n4 \u0660\n"
-    res = run(["detect", "-", "--format", "edgelist"], input=text)
+    res = run(["detect", "-"], input=text)
     assert res.exit_code == 2
     assert "input error" in res.output
 
@@ -223,17 +213,23 @@ def test_gen_detect_pipeline():
 
 
 def test_retired_command_and_algorithm_are_usage_errors():
-    # gen | detect --stdin-stream --json replaces bench, and the reference
-    # detectors of oddhole.simple back the tests only
+    # gen | detect --stdin-stream --json replaces bench, the format is read
+    # from the input, and detect is the one detector
     assert run(["bench"]).exit_code == 2
+    retired = [["--format", fmt] for fmt in ("auto", "graph6", "edgelist")]
+    retired += [["--algorithm", name] for name in ("fast", "oracle", "simple")]
     for args in (["detect", "-"], ["perfect", "-"], ["detect", "--stdin-stream"]):
-        res = run([*args, "--algorithm", "simple"], input=C7)
-        assert res.exit_code == 2 and "odd-hole-found" not in res.output, args
+        for option in retired:
+            res = run([*args, *option], input=f"{C7}\n")
+            assert res.exit_code == 2 and res.stdout == "", (args, option)
+    for fmt in ("auto", "graph6", "edgelist"):
+        res = run(["probe", "-", "--format", fmt], input=C7)
+        assert res.exit_code == 2 and res.stdout == "", fmt
 
 
 def _readme_cli_synopsis():
     """The commands of the README's CLI synopsis, each with its options, and
-    the choices listed for an option (``--algorithm fast|oracle``)."""
+    the choices listed for an option (``--option a|b``)."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     commands, choices = {}, {}

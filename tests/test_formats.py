@@ -1,6 +1,8 @@
+import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddhole.formats import (
     GRAPH6_HEADER,
@@ -123,16 +125,57 @@ def test_edgelist_numbers_are_ascii_digits():
 def test_auto_sniff_wants_ascii_digits():
     # a first line of other digits is not an edge-list header
     with pytest.raises(ParseError, match="graph6"):
-        parse_graph("\u0663 \u0661\n\u0660 \u0661\n", "auto")
-    assert parse_graph("3 1\n0 2\n", "auto").fmt == "edgelist"
+        parse_graph("\u0663 \u0661\n\u0660 \u0661\n")
+    assert parse_graph("3 1\n0 2\n").fmt == "edgelist"
 
 
 def test_auto_format_sniffing():
-    assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", "auto").fmt == "edgelist"
-    assert parse_graph("D~{", "auto").fmt == "graph6"
+    assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n").fmt == "edgelist"
+    assert parse_graph("D~{").fmt == "graph6"
     # the sniff skips the blank and comment lines that parse_edgelist skips
     text = "# c5\n\n  # drawn by hand\n5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
-    assert parse_graph(text, "auto") == parse_edgelist(text)
-    assert parse_graph("\n\n  D~{\n", "auto").fmt == "graph6"
-    with pytest.raises(ParseError):
-        parse_graph("D~{", "nope")
+    assert parse_graph(text) == parse_edgelist(text)
+    assert parse_graph("\n\n  D~{\n").fmt == "graph6"
+    # the format is no parameter: it is always read from the text
+    with pytest.raises(TypeError):
+        parse_graph("D~{", "graph6")
+
+
+def _graph_or_none(parse, text):
+    try:
+        return parse(text).graph
+    except ParseError:
+        return None
+
+
+@st.composite
+def _graph_texts(draw):
+    """Texts near both formats: a graph's graph6 value or edge list, with
+    blank lines, comments and spaces put in, and maybe one byte changed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = gnp(rng.randint(0, 9), rng.random(), rng.randint(0, 1000))
+    if draw(st.booleans()):
+        lines = [rng.choice(["", GRAPH6_HEADER]) + encode_graph6(g)]
+        fillers = ["", "  ", "\t"]  # graph6 takes blanks around its value only
+    else:
+        lines = encode_edgelist(g).splitlines()
+        fillers = ["", "  ", "\t", "# c", " # 5 5"]
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(fillers))
+    lines = [rng.choice(["", " ", "\t"]) + ln + rng.choice(["", " ", "\r"]) for ln in lines]
+    text = "\n".join(lines) + rng.choice(["", "\n"])
+    if text and draw(st.booleans()):
+        i = rng.randrange(len(text))
+        text = text[:i] + rng.choice("0123456789 #\n~?@D_+-\u0660") + text[i + 1:]
+    return text
+
+
+@given(st.one_of(_graph_texts(), st.text(alphabet="0123456789 #\n~?@D", max_size=12)))
+@settings(max_examples=400, deadline=None)
+def test_sniffing_picks_the_parser_that_accepts(text):
+    # no text is read by both parsers, and parse_graph gives the graph of
+    # the one that accepts it, or refuses what neither accepts
+    accepted = [g for g in (_graph_or_none(parse_graph6, text), _graph_or_none(parse_edgelist, text))
+                if g is not None]
+    assert len(accepted) <= 1, text
+    assert _graph_or_none(parse_graph, text) == (accepted[0] if accepted else None), text

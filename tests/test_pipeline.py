@@ -37,27 +37,14 @@ def test_run_detection_document_fields():
     assert doc.verdict == "no-odd-hole" and doc.witness is None
 
 
-def test_algorithm_dispatch():
-    for algo in ("fast", "oracle"):
-        doc = run_detection(cycle_graph(9), algo)
-        assert doc.verdict == "odd-hole-found"
-        assert doc.algorithm == algo
-    try:
-        run_detection(cycle_graph(5), "bogus")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unknown algorithm accepted")
-
-
-def test_unknown_algorithm_is_a_value_error():
-    # the top-level wrapper forwards the algorithm too; the reference
-    # detectors of oddhole.simple back the tests and are no algorithm
+def test_entry_points_take_no_algorithm():
+    # detect is the one detector; the oracle and the reference detectors of
+    # oddhole.simple back the tests only
     for call in (run_detection, test_perfect, oddhole.test_perfect):
-        for algorithm in ("nope", "simple"):
-            with pytest.raises(ValueError, match=f"unknown algorithm '{algorithm}'"):
+        assert call(cycle_graph(5)).algorithm == "fast"
+        for algorithm in ("fast", "oracle", "simple"):
+            with pytest.raises(TypeError):
                 call(cycle_graph(5), algorithm)
-    assert oddhole.test_perfect(cycle_graph(5), "oracle").algorithm == "oracle"
 
 
 def test_json_roundtrip_and_reverify():
@@ -121,6 +108,32 @@ def test_verify_witness_refuses_an_unknown_witness_kind():
     assert not doc.verify_witness(c5)
     with pytest.raises(ValueError, match="unknown witness kind 'banana'"):
         ResultDocument.from_json(doc.to_json())
+
+
+def test_verify_witness_refuses_a_document_of_another_graph():
+    # the C7 is a hole of the bigger graph too, but the document is not its
+    doc = run_detection(cycle_graph(7))
+    bigger = Graph(9, [(i, (i + 1) % 7) for i in range(7)] + [(7, 8)])
+    assert is_odd_hole(bigger, doc.witness)
+    assert doc.verify_witness(cycle_graph(7)) and not doc.verify_witness(bigger)
+    # a document naming the right vertex count but another digest
+    moved = Graph(7, [(i, (i + 2) % 7) for i in range(7)])
+    assert is_odd_hole(moved, (0, 2, 4, 6, 1, 3, 5))
+    doc = ResultDocument("odd-hole-found", 7, "fast", 0.0, graph_digest(cycle_graph(7)),
+                         (0, 2, 4, 6, 1, 3, 5), "hole")
+    assert not doc.verify_witness(moved)
+
+
+def test_from_json_refuses_badly_typed_fields():
+    data = json.loads(run_detection(cycle_graph(7)).to_json())
+    for name, value in (("n", "7"), ("n", True), ("n", 7.0), ("n", None), ("millis", "x"),
+                        ("millis", False), ("millis", None), ("digest", 5), ("digest", None),
+                        ("algorithm", None), ("algorithm", 1)):
+        with pytest.raises(ValueError, match=f"bad {name}"):
+            ResultDocument.from_json(json.dumps({**data, name: value}))
+    # an integer time is a number, and an older document may name another detector
+    doc = ResultDocument.from_json(json.dumps({**data, "millis": 3, "algorithm": "oracle"}))
+    assert doc.millis == 3 and doc.algorithm == "oracle" and doc.verify_witness(cycle_graph(7))
 
 
 def test_from_json_refuses_an_unknown_verdict():
@@ -191,7 +204,8 @@ def test_exports_are_the_documented_names():
 def test_import_oddhole_stays_light():
     # test_perfect imports oddhole.pipeline on its first call, so that a
     # plain import loads only the detector's own modules; the pipeline
-    # itself loads neither the reference detectors nor the generators
+    # itself loads neither the reference detectors, the oracle nor the
+    # generators
     code = ("import sys, oddhole; print(' '.join(sorted(sys.modules)))\n"
             "import oddhole.pipeline; print(' '.join(sorted(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
@@ -202,5 +216,5 @@ def test_import_oddhole_stays_light():
     for name in ("pipeline", "simple", "probes", "oracle", "formats", "generators"):
         assert f"oddhole.{name}" not in loaded, name
     assert "oddhole.pipeline" in with_pipeline
-    for name in ("simple", "probes", "generators"):
+    for name in ("simple", "probes", "oracle", "generators"):
         assert f"oddhole.{name}" not in with_pipeline, name
