@@ -24,8 +24,8 @@ from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
 (``graph._Search``), created once per :func:`detect_fast` call and once per
-graph or leaf that :func:`detect` searches, and passed to every shape,
-answers every masked BFS and every clean-test fallback, so each distinct
+leaf that :func:`detect` searches, and passed to every shape, answers
+every masked BFS and every clean-test fallback, so each distinct
 (source, mask) pair is searched, and each fallback mask tested, once per
 context; it also builds, once each, the tables of paths that the shapes
 guess on (``_Search.three_paths``, ``four_paths`` and ``live_paths``,
@@ -474,14 +474,14 @@ def detect(g: Graph) -> Optional[Hole]:
     of ``pipeline.test_perfect`` on any of them.  Otherwise only the rest of
     the simplicial pass goes on, and is split on components, co-components
     and twins, each piece peeled the same way.  With no leaf left the answer
-    is None.  A graph that is its own only leaf is searched whole;
-    otherwise each leaf, in the order the split yields it, is searched the
-    same way as an induced graph, and a hole found there is mapped back to
-    this graph's ids and verified; the graph has an odd hole iff some leaf
-    has one.  Stages 1-2 return the same witness on the simplicial rest as
-    on the graph (the proof is in ``split_leaves``).
+    is None.  Each leaf, in the order the split yields it, is searched as
+    an induced graph (``Graph.induced``, which is this graph itself when it
+    is its own only leaf), and a hole found there is mapped back to this
+    graph's ids and verified; the graph has an odd hole iff some leaf has
+    one.  Stages 1-2 return the same witness on the simplicial rest as on
+    the graph (the proof is in ``split_leaves``).
 
-    The search of one graph goes through ``classify_candidate`` (jewel,
+    The search of one leaf goes through ``classify_candidate`` (jewel,
     pyramid, heavy-cleanable sweep) on one search context.  If that finds
     nothing and the graph has no claw (``_Search.claw_centres`` is empty),
     the answer is None: in a claw-free graph every shortest odd hole has an
@@ -490,29 +490,7 @@ def detect(g: Graph) -> Optional[Hole]:
     3").  Otherwise the six staged shapes of :func:`detect_fast` run on the
     same context.
     """
-    leaves = split_leaves(g)
-    if not leaves:
-        return None
-    if leaves == [g.full_mask]:
-        return _search_graph(g)
-    return _in_parts(g, leaves)
-
-
-def _search_graph(g: Graph) -> Optional[Hole]:
-    """Stages 1-3 of :func:`detect` on a graph that needs no split."""
-    search = _Search(g)
-    hole = _classify(search)
-    if hole is not None or not search.claw_centres:
-        return hole
-    return _staged(search)
-
-
-def _in_parts(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
-    """The first verified hole that :func:`_search_graph` finds in a leaf.
-
-    A hole is mapped back to ``g``'s ids and verified on ``g``.
-    """
-    for leaf in leaves:
+    for leaf in split_leaves(g):
         sub, back = g.induced(leaf)
         hole = _search_graph(sub)
         if hole is not None:
@@ -520,3 +498,12 @@ def _in_parts(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
             if is_odd_hole(g, hole):
                 return hole
     return None
+
+
+def _search_graph(g: Graph) -> Optional[Hole]:
+    """Stages 1-3 of :func:`detect`, with no stage 0, on one context."""
+    search = _Search(g)
+    hole = _classify(search)
+    if hole is not None or not search.claw_centres:
+        return hole
+    return _staged(search)

@@ -40,8 +40,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GraphDocument:
+    """What the parsers return; callers read its ``graph``."""
+
     graph: Graph
-    fmt: str
 
 
 def encode_graph6(g: Graph) -> str:
@@ -106,7 +107,7 @@ def parse_graph6(text: str) -> GraphDocument:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return GraphDocument(Graph.from_rows(n, rows), "graph6")
+    return GraphDocument(Graph.from_rows(n, rows))
 
 
 def encode_edgelist(g: Graph) -> str:
@@ -153,7 +154,7 @@ def parse_edgelist(text: str) -> GraphDocument:
             raise ParseError(f"line {no}: duplicate edge {u} {v}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return GraphDocument(Graph.from_rows(n, rows), "edgelist")
+    return GraphDocument(Graph.from_rows(n, rows))
 
 
 def parse_graph(text: str) -> GraphDocument:

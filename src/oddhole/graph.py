@@ -9,7 +9,9 @@ Deleting vertices never renumbers anything.  The BFS accepts a
 ``within`` mask and simply refuses to leave it, so witnesses found in a
 masked subgraph are valid vertex sequences of the original graph.  The one
 renumbering is :meth:`Graph.induced`, which returns the map back to the
-original ids; ``fast.detect`` takes it for the leaves of :func:`split_leaves`.
+original ids; ``fast.detect`` searches every leaf of :func:`split_leaves`
+as the graph it induces, which is the graph itself when it is its own only
+leaf.
 """
 
 from __future__ import annotations
@@ -105,8 +107,11 @@ class Graph:
 
         The vertices of ``mask`` are renumbered ``0..k-1`` in increasing id
         order, so every lowest-id tie-break keeps its order; vertex ``i`` of
-        the subgraph is vertex ``back[i]`` of this graph.
+        the subgraph is vertex ``back[i]`` of this graph.  On the full mask
+        the subgraph is this graph itself, as graphs are immutable.
         """
+        if mask == self.full_mask:
+            return self, tuple(range(self.n))
         back = tuple(bits(mask))
         pos = {v: i for i, v in enumerate(back)}
         rows = [mask_of(pos[u] for u in bits(self.adj[v] & mask)) for v in back]
@@ -615,14 +620,14 @@ def _has_stable_triple(mask: Mask, closed: list[Mask]) -> bool:
 class _Search:
     """The search state of one detector call on one graph.
 
-    ``detect`` creates one per graph it searches and hands it to every
-    stage: the jewel and pyramid searches, the heavy-cleanable sweep and,
-    on a graph with a claw, the six staged shapes.  The graph it searches is
-    the whole graph if :func:`split_leaves` leaves it whole, and otherwise
-    each leaf in turn, on the leaf's induced graph; the whole graph then
-    gets none.  So one is alive at a time.  Each public stage called alone
-    creates its own.  It is passed explicitly, never kept in module state,
-    so concurrent calls share nothing.
+    ``detect`` creates one per leaf of :func:`split_leaves` and hands it to
+    every stage: the jewel and pyramid searches, the heavy-cleanable sweep
+    and, on a graph with a claw, the six staged shapes.  The graph it
+    searches is the leaf's induced graph, which is the input graph itself
+    when that is its own only leaf.  The leaves are searched in turn, so one
+    is alive at a time.  Each public stage called alone creates its own.
+    It is passed explicitly, never kept in module state, so concurrent
+    calls share nothing.
 
     It holds every masked BFS the call runs, keyed by (source, mask), every
     clean-test fallback result, keyed by mask, and five tables, each built
@@ -728,35 +733,17 @@ class _Search:
 
         Each entry is ``(d1, x, d2, trip, a1, a2)``: ``trip`` is the path's
         vertex mask, ``a1`` the neighbours of ``d1`` outside ``N[x] | N[d2]``
-        and ``a2`` those of ``d2`` outside ``N[x] | N[d1]``.  A path is kept,
-        in the order of ``induced_three_paths`` (``d1 < d2``), when both are
-        non-empty; only the neighbours of ``x`` with a neighbour outside
-        ``N[x]`` are paired.  Shapes 1-2 can close no hole on the others.
+        and ``a2`` those of ``d2`` outside ``N[x] | N[d1]``.  The list is
+        ``induced_three_paths`` (``d1 < d2``), in its order, less the paths
+        on which either is empty.  Shapes 1-2 can close no hole on those.
         """
         adj, closed = self.g.adj, self.closed
         out = []
-        for x, row in enumerate(adj):
-            cx = closed[x]
-            ends = 0
-            while row:  # lowest bit first, as in induced_three_paths: faster than bits() here
-                low = row & -row
-                row ^= low
-                if adj[low.bit_length() - 1] & ~cx:
-                    ends |= low
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                a = low.bit_length() - 1
-                step_a = adj[a] & ~cx
-                far = ends & ~adj[a]
-                while far:
-                    high = far & -far
-                    far ^= high
-                    b = high.bit_length() - 1
-                    a1 = step_a & ~closed[b]
-                    a2 = adj[b] & ~(cx | closed[a])
-                    if a1 and a2:
-                        out.append((a, x, b, low | high | 1 << x, a1, a2))
+        for a, x, b in induced_three_paths(self.g):
+            a1 = adj[a] & ~(closed[x] | closed[b])
+            a2 = adj[b] & ~(closed[x] | closed[a])
+            if a1 and a2:
+                out.append((a, x, b, 1 << a | 1 << x | 1 << b, a1, a2))
         return out
 
     @cached_property

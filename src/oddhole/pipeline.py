@@ -63,10 +63,10 @@ class ResultDocument:
         A document that is not a JSON object, that lacks a field or has one
         the class does not know, or whose verdict or witness kind is not one
         of the documented ones, is refused with ``ValueError``; so is one
-        whose ``n`` is not a JSON integer, whose ``millis`` is not a number,
-        or whose ``digest`` or ``algorithm`` is not a string.  Each id must
-        be a JSON integer: ``0.0``, ``"0"`` and ``true`` are refused too
-        (Python reads ``true`` as the int 1).
+        whose ``n`` is not a non-negative JSON integer, whose ``millis`` is
+        not a number, or whose ``digest`` or ``algorithm`` is not a string.
+        Each id must be a JSON integer: ``0.0``, ``"0"`` and ``true`` are
+        refused too (Python reads ``true`` as the int 1).
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -81,6 +81,8 @@ class ResultDocument:
                            ("algorithm", str)):
             if not isinstance(data[name], kind) or isinstance(data[name], bool):
                 raise ValueError(f"bad {name} {data[name]!r}")
+        if data["n"] < 0:
+            raise ValueError(f"bad n {data['n']!r}")
         if not isinstance(data["verdict"], str) or data["verdict"] not in WITNESS_KINDS:
             raise ValueError(f"unknown verdict {data['verdict']!r}")
         if data.get("witness_kind") not in ("hole", "antihole", None):
@@ -109,16 +111,22 @@ class ResultDocument:
         return is_odd_hole(host, self.witness)
 
 
+def _document(g: Graph, t0: float, hole: Optional[tuple[int, ...]], kind: str,
+              found: str, clean: str) -> ResultDocument:
+    """The document of a run that began at ``t0`` and gave ``hole`` of ``kind``.
+
+    ``millis`` stops here, before the digest is taken.
+    """
+    ms = (time.perf_counter() - t0) * 1000.0
+    if hole is None:
+        return ResultDocument(clean, g.n, "fast", ms, graph_digest(g))
+    return ResultDocument(found, g.n, "fast", ms, graph_digest(g),
+                          witness=tuple(hole), witness_kind=kind)
+
+
 def run_detection(g: Graph) -> ResultDocument:
     t0 = time.perf_counter()
-    witness = detect(g)
-    ms = (time.perf_counter() - t0) * 1000.0
-    if witness is None:
-        return ResultDocument("no-odd-hole", g.n, "fast", ms, graph_digest(g))
-    return ResultDocument(
-        "odd-hole-found", g.n, "fast", ms, graph_digest(g),
-        witness=tuple(witness), witness_kind="hole",
-    )
+    return _document(g, t0, detect(g), "hole", "odd-hole-found", "no-odd-hole")
 
 
 def test_perfect(g: Graph) -> ResultDocument:
@@ -127,11 +135,7 @@ def test_perfect(g: Graph) -> ResultDocument:
     hole, kind = detect(g), "hole"
     if hole is None:
         hole, kind = detect(g.complement()), "antihole"
-    ms = (time.perf_counter() - t0) * 1000.0
-    if hole is None:
-        return ResultDocument("perfect", g.n, "fast", ms, graph_digest(g))
-    return ResultDocument("imperfect", g.n, "fast", ms, graph_digest(g),
-                          witness=tuple(hole), witness_kind=kind)
+    return _document(g, t0, hole, kind, "imperfect", "perfect")
 
 
 test_perfect.__test__ = False  # a library entry point, not a pytest case  # type: ignore[attr-defined]

@@ -197,6 +197,28 @@ def test_detect_builds_one_search_per_call(monkeypatch):
         assert built[0] == 1, run.__name__
 
 
+def test_detect_builds_one_search_per_leaf(monkeypatch):
+    # detect searches each leaf of stage 0 on a context of its own, built on
+    # the leaf's induced graph, up to the leaf that holds a hole; a graph
+    # that is its own only leaf is searched as itself, not as a copy
+    init = oddhole.graph._Search.__init__
+    graphs = []
+    monkeypatch.setattr(oddhole.graph._Search, "__init__",
+                        lambda self, graph: graphs.append(graph) or init(self, graph))
+    live, atom, claw = (parse_graph6(text).graph
+                        for text in (LIVE_CANDIDATE, SPARSE_ATOM, CLAW_CANDIDATE))
+    c7 = cycle_graph(7)
+    for g, count, found in ((live, 1, False), (c7, 1, True), (claw, 1, False),
+                            (disjoint_union(live, atom), 2, False),
+                            (disjoint_union(live, c7), 2, True),
+                            (disjoint_union(c7, live), 1, True)):
+        graphs.clear()
+        leaves = split_leaves(g)
+        assert (detect(g) is not None) == found and len(graphs) == count, g.adj
+        assert graphs == [g.induced(leaf)[0] for leaf in leaves[:count]], g.adj
+        assert (graphs[0] is g) == (leaves == [g.full_mask]), g.adj
+
+
 def test_anchored_shapes_search_only_live_four_paths():
     # The filter keeps 5 of the 45 four-paths, in their order, and only the
     # anchored shapes build it: stages 1-2 (whose sweep walks every

@@ -19,13 +19,14 @@ from oddhole.generators import (
     gnp,
     petersen_graph,
 )
+from oddhole.graph import Graph
 
 
 def test_graph6_known_value_roundtrip():
     k5 = complete_graph(5)
     assert encode_graph6(k5) == "D~{"
     doc = parse_graph6("D~{")
-    assert doc.graph == k5 and doc.fmt == "graph6"
+    assert doc.graph == k5
     assert encode_graph6(parse_graph6("D~{").graph) == "D~{"
 
 
@@ -77,7 +78,7 @@ def test_edgelist_roundtrip():
     c5 = cycle_graph(5)
     text = encode_edgelist(c5)
     doc = parse_edgelist(text)
-    assert doc.graph == c5 and doc.fmt == "edgelist"
+    assert doc.graph == c5
     assert encode_edgelist(doc.graph) == text
 
 
@@ -126,16 +127,17 @@ def test_auto_sniff_wants_ascii_digits():
     # a first line of other digits is not an edge-list header
     with pytest.raises(ParseError, match="graph6"):
         parse_graph("\u0663 \u0661\n\u0660 \u0661\n")
-    assert parse_graph("3 1\n0 2\n").fmt == "edgelist"
+    assert parse_graph("3 1\n0 2\n").graph == Graph(3, [(0, 2)])
 
 
 def test_auto_format_sniffing():
-    assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n").fmt == "edgelist"
-    assert parse_graph("D~{").fmt == "graph6"
+    # each text parses only in the format the sniff picks for it
+    assert parse_graph("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n").graph == cycle_graph(5)
+    assert parse_graph("D~{").graph == complete_graph(5)
     # the sniff skips the blank and comment lines that parse_edgelist skips
     text = "# c5\n\n  # drawn by hand\n5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
     assert parse_graph(text) == parse_edgelist(text)
-    assert parse_graph("\n\n  D~{\n").fmt == "graph6"
+    assert parse_graph("\n\n  D~{\n").graph == complete_graph(5)
     # the format is no parameter: it is always read from the text
     with pytest.raises(TypeError):
         parse_graph("D~{", "graph6")

@@ -506,6 +506,8 @@ def _reach(g, v, within):
 def test_induced_renumbers_in_id_order():
     g = gnp(9, 0.4, 12)
     assert g.induced(g.full_mask) == (g, tuple(range(9)))
+    # graphs are immutable, so the full mask gives the graph itself
+    assert g.induced(g.full_mask)[0] is g
     mask = mask_of((1, 4, 5, 8))
     sub, back = g.induced(mask)
     assert back == (1, 4, 5, 8) and sub.n == 4

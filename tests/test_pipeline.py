@@ -136,6 +136,15 @@ def test_from_json_refuses_badly_typed_fields():
     assert doc.millis == 3 and doc.algorithm == "oracle" and doc.verify_witness(cycle_graph(7))
 
 
+def test_from_json_refuses_a_negative_vertex_count():
+    # such a document names no graph at all; the empty graph's loads
+    data = json.loads(run_detection(Graph(0)).to_json())
+    for n in (-3, -1):
+        with pytest.raises(ValueError, match="bad n"):
+            ResultDocument.from_json(json.dumps({**data, "n": n}))
+    assert ResultDocument.from_json(json.dumps(data)).verify_witness(Graph(0))
+
+
 def test_from_json_refuses_an_unknown_verdict():
     data = json.loads(run_detection(cycle_graph(6)).to_json())
     for verdict in (5, None, "maybe", ["perfect"]):
