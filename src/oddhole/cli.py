@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract for scripting: 0 means no odd hole (or
 perfect), 1 means an odd hole was found (or the graph is imperfect), and 2
-means the input could not be parsed or is too large for the command.
+means the input could not be parsed or is too large for the command, or
+the command line names an option or command that does not exist.
 
 The input's format is read from the input itself (``formats.parse_graph``),
 and ``detect`` and ``perfect`` run ``oddhole.detect``.  ``probe`` runs the
@@ -10,28 +11,42 @@ exponential brute-force search, so it refuses graphs with more than
 ``PROBE_MAX_VERTICES`` (36) vertices with exit code 2; on grid graphs that
 search takes a fraction of a second at 36 vertices and about 25 times as
 long at 49 (see README.md).
+
+The parser is the standard library's ``argparse``; an option is never
+abbreviated, and ``--help`` is the only help flag.  Start-up imports only
+what ``detect`` and ``perfect`` run: ``probe`` imports the brute-force
+search and ``gen`` the generators in their own bodies.  Every line is
+flushed as it is printed, so a stream's results arrive as they are decided;
+a reader that closes the pipe early ends the run with exit code 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from typing import Optional
 
-import click
-
 from .formats import ParseError, encode_graph6, parse_graph, parse_graph6
-from .generators import generate_corpus
 from .graph import Graph, bits as _bits
-from .oracle import oracle_find_odd_hole
 from .pipeline import run_detection, test_perfect
-from .probes import heavy_edges, major_vertices, vertex_gaps
 
 EXIT_CLEAN = 0
 EXIT_FOUND = 1
 EXIT_INPUT = 2
 
 PROBE_MAX_VERTICES = 36
+
+
+def _echo(line: str) -> None:
+    print(line, flush=True)
+
+
+def _refuse(message: str) -> int:
+    print(message, file=sys.stderr, flush=True)
+    return EXIT_INPUT
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -46,43 +61,29 @@ def _load(path: Optional[str]) -> Graph:
     try:
         return parse_graph(_read_input(path)).graph
     except (ParseError, OSError, UnicodeDecodeError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        sys.exit(_refuse(f"input error: {exc}"))
 
 
-@click.group()
-def main() -> None:
-    """Detect odd holes and test graph perfection."""
-
-
-@main.command()
-@click.argument("input", required=False)
-@click.option("--witness", is_flag=True, help="print the witness cycle")
-@click.option("--json", "as_json", is_flag=True, help="print the full result document")
-@click.option("--stdin-stream", is_flag=True,
-              help="treat stdin as one graph6 value per line")
-def detect(input, witness, as_json, stdin_stream):
-    """Decide whether a graph contains an odd hole."""
-    if stdin_stream:
-        dropped = [name for name, given in (("FILE", input not in (None, "-")),
-                                            ("--witness", witness)) if given]
+def _detect(args: argparse.Namespace) -> int:
+    if args.stdin_stream:
+        dropped = [name for name, given in (("FILE", args.input not in (None, "-")),
+                                            ("--witness", args.witness)) if given]
         if dropped:
-            click.echo(f"bad --stdin-stream: it reads graph6 lines from stdin and takes "
-                       f"no {', '.join(dropped)}", err=True)
-            sys.exit(EXIT_INPUT)
-        sys.exit(_stream_detect(as_json))
-    doc = run_detection(_load(input))
-    _emit(doc, witness, as_json)
-    sys.exit(EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN)
+            return _refuse(f"bad --stdin-stream: it reads graph6 lines from stdin and takes "
+                           f"no {', '.join(dropped)}")
+        return _stream_detect(args.json)
+    doc = run_detection(_load(args.input))
+    _emit(doc, args.witness, args.json)
+    return EXIT_FOUND if doc.verdict == "odd-hole-found" else EXIT_CLEAN
 
 
 def _emit(doc, witness: bool, as_json: bool) -> None:
     if as_json:
-        click.echo(doc.to_json())
+        _echo(doc.to_json())
         return
-    click.echo(doc.verdict)
+    _echo(doc.verdict)
     if witness and doc.witness is not None:
-        click.echo(" ".join(map(str, doc.witness)))
+        _echo(" ".join(map(str, doc.witness)))
 
 
 def _stream_detect(as_json: bool) -> int:
@@ -90,8 +91,7 @@ def _stream_detect(as_json: bool) -> int:
         lines = [ln.strip() for ln in sys.stdin if ln.strip()]
         graphs = [parse_graph6(ln).graph for ln in lines]
     except (ParseError, UnicodeDecodeError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        return EXIT_INPUT
+        return _refuse(f"input error: {exc}")
     any_found = False
     for g in graphs:
         doc = run_detection(g)
@@ -100,37 +100,29 @@ def _stream_detect(as_json: bool) -> int:
     return EXIT_FOUND if any_found else EXIT_CLEAN
 
 
-@main.command()
-@click.argument("input", required=False)
-@click.option("--json", "as_json", is_flag=True)
-def perfect(input, as_json):
-    """Test whether a graph is perfect."""
-    doc = test_perfect(_load(input))
-    if as_json:
-        click.echo(doc.to_json())
+def _perfect(args: argparse.Namespace) -> int:
+    doc = test_perfect(_load(args.input))
+    if args.json:
+        _echo(doc.to_json())
     else:
-        click.echo(doc.verdict)
+        _echo(doc.verdict)
         if doc.witness is not None:
-            click.echo(f"{doc.witness_kind}: " + " ".join(map(str, doc.witness)))
-    sys.exit(EXIT_FOUND if doc.verdict == "imperfect" else EXIT_CLEAN)
+            _echo(f"{doc.witness_kind}: " + " ".join(map(str, doc.witness)))
+    return EXIT_FOUND if doc.verdict == "imperfect" else EXIT_CLEAN
 
 
-@main.command()
-@click.argument("input", required=False)
-def probe(input):
-    """Dump hole structure (majors, gaps, heavy edges) as JSON.
+def _probe(args: argparse.Namespace) -> int:
+    from .oracle import oracle_find_odd_hole
+    from .probes import heavy_edges, major_vertices, vertex_gaps
 
-    Graphs with more than PROBE_MAX_VERTICES vertices are refused (exit 2).
-    """
-    g = _load(input)
+    g = _load(args.input)
     if g.n > PROBE_MAX_VERTICES:
-        click.echo(f"input error: the brute-force search takes at most {PROBE_MAX_VERTICES} "
-                   f"vertices, got {g.n}", err=True)
-        sys.exit(EXIT_INPUT)
+        return _refuse(f"input error: the brute-force search takes at most "
+                       f"{PROBE_MAX_VERTICES} vertices, got {g.n}")
     hole = oracle_find_odd_hole(g)
     if hole is None:
-        click.echo(json.dumps({"hole": None}))
-        sys.exit(EXIT_CLEAN)
+        _echo(json.dumps({"hole": None}))
+        return EXIT_CLEAN
     majors = sorted(_bits(major_vertices(g, hole)))
     report = {
         "hole": list(hole),
@@ -138,24 +130,73 @@ def probe(input):
         "gaps": {str(v): [list(arc) for arc in vertex_gaps(g, hole, v)] for v in majors},
         "heavy_edges": [list(e) for e in heavy_edges(g, hole, majors)],
     }
-    click.echo(json.dumps(report, sort_keys=True))
-    sys.exit(EXIT_FOUND)
+    _echo(json.dumps(report, sort_keys=True))
+    return EXIT_FOUND
 
 
-@main.command()
-@click.argument("spec", nargs=-1, required=True)
-def gen(spec):
-    """Generate a corpus; one graph6 line per graph."""
+def _gen(args: argparse.Namespace) -> int:
+    from .generators import generate_corpus
+
     try:
         # encode every graph first, so that no line is printed for a spec
         # that fails on a later graph
-        lines = [encode_graph6(g) for g in generate_corpus(" ".join(spec))]
+        lines = [encode_graph6(g) for g in generate_corpus(" ".join(args.spec))]
     except (ValueError, MemoryError) as exc:  # a MemoryError usually has no message
-        click.echo(f"spec error: {str(exc) or 'out of memory building the graphs'}", err=True)
-        sys.exit(EXIT_INPUT)
+        return _refuse(f"spec error: {str(exc) or 'out of memory building the graphs'}")
     for line in lines:
-        click.echo(line)
-    sys.exit(EXIT_CLEAN)
+        _echo(line)
+    return EXIT_CLEAN
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``oddhole`` command line: four commands, each with its options."""
+
+    def parser(**kwargs) -> argparse.ArgumentParser:
+        # no prefix of an option is taken for it, and no -h
+        p = argparse.ArgumentParser(allow_abbrev=False, add_help=False, **kwargs)
+        p.add_argument("--help", action="help", help="show this message and exit")
+        return p
+
+    top = parser(prog="oddhole", description="Detect odd holes and test graph perfection.")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True,
+                                  parser_class=parser)
+
+    def command(name: str, run, summary: str, description: str = "") -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary, description=description or summary)
+        sub.set_defaults(run=run, command=sub)
+        return sub
+
+    detect = command("detect", _detect, "Decide whether a graph contains an odd hole.")
+    detect.add_argument("input", nargs="?", metavar="FILE")
+    detect.add_argument("--witness", action="store_true", help="print the witness cycle")
+    detect.add_argument("--json", action="store_true", help="print the full result document")
+    detect.add_argument("--stdin-stream", action="store_true",
+                        help="treat stdin as one graph6 value per line")
+    perfect = command("perfect", _perfect, "Test whether a graph is perfect.")
+    perfect.add_argument("input", nargs="?", metavar="FILE")
+    perfect.add_argument("--json", action="store_true")
+    probe = command("probe", _probe, "Dump hole structure (majors, gaps, heavy edges) as JSON.",
+                    "Dump hole structure (majors, gaps, heavy edges) as JSON.  Graphs with "
+                    f"more than {PROBE_MAX_VERTICES} vertices are refused (exit 2).")
+    probe.add_argument("input", nargs="?", metavar="FILE")
+    gen = command("gen", _gen, "Generate a corpus; one graph6 line per graph.")
+    gen.add_argument("spec", nargs="+", metavar="SPEC")
+    return top
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """Run one command and exit with its code; ``argv`` defaults to ``sys.argv[1:]``."""
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:  # the command's own usage line, not the top level's
+        args.command.error(f"unrecognized arguments: {' '.join(unknown)}")
+    try:
+        code = args.run(args)
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 with no traceback, and point
+        # stdout at the null device so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

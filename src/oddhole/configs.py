@@ -8,8 +8,7 @@ the oracle module by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import (
     Graph,
@@ -28,8 +27,7 @@ Path = tuple[int, ...]
 Leg = tuple[Path, int, int]
 
 
-@dataclass(frozen=True)
-class PyramidWitness:
+class PyramidWitness(NamedTuple):
     """Apex joined to a triangle by three internally disjoint induced paths.
 
     ``paths[i]`` runs from the apex to ``base[i]``.  At least two paths must
@@ -42,8 +40,7 @@ class PyramidWitness:
     paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class JewelWitness:
+class JewelWitness(NamedTuple):
     """Five vertices in a cyclic pattern plus a connecting path.
 
     ``ring`` lists v1..v5 with edges v1v2, v2v3, v3v4, v4v5, v5v1 and

@@ -15,7 +15,7 @@ most graph6 can encode, before allocating anything for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -38,8 +38,7 @@ class ParseError(ValueError):
     """Malformed graph input; carries a human-readable location."""
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """What the parsers return; callers read its ``graph``."""
 
     graph: Graph

@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fast import detect
 from .formats import encode_graph6
@@ -33,8 +32,7 @@ def graph_digest(g: Graph) -> str:
     return "sha256:" + hashlib.sha256(encode_graph6(g).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ResultDocument:
+class ResultDocument(NamedTuple):
     """Outcome of a detection or perfection run, JSON-serializable.
 
     ``witness`` is present exactly for the odd-hole-found and imperfect
@@ -52,7 +50,7 @@ class ResultDocument:
     witness_kind: Optional[str] = None  # hole | antihole
 
     def to_json(self) -> str:
-        data = asdict(self)
+        data = self._asdict()
         data["witness"] = list(self.witness) if self.witness is not None else None
         return json.dumps(data, sort_keys=True)
 
@@ -71,8 +69,8 @@ class ResultDocument:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a result document must be a JSON object, got {data!r}")
-        known = {f.name for f in fields(cls)}
-        needed = {f.name for f in fields(cls) if f.default is MISSING}
+        known = set(cls._fields)
+        needed = known - cls._field_defaults.keys()
         if data.keys() - known:
             raise ValueError(f"unknown fields {sorted(data.keys() - known)}")
         if needed - data.keys():

@@ -1,24 +1,46 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import oddhole
-from oddhole.cli import PROBE_MAX_VERTICES, main
+from oddhole.cli import PROBE_MAX_VERTICES, _parser, main
 from oddhole.formats import encode_graph6
 from oddhole.generators import cycle_graph, petersen_graph
 from oddhole.graph import Graph
 from oddhole.pipeline import ResultDocument
 
 
-def run(args, input=None, env=None):
-    return CliRunner().invoke(main, args, input=input, env=env)
+class Run(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run(args, input=None):
+    """``main(args)`` in this process, on ``input`` as stdin (empty if None)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(input or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(args)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if exc.code is not None else 0
+    finally:
+        sys.stdin = stdin
+    return Run(code, out.getvalue(), err.getvalue())
 
 
 C7 = encode_graph6(cycle_graph(7))
@@ -46,10 +68,26 @@ def test_detect_json_output():
     assert len(doc["witness"]) == 7
 
 
+def test_detect_json_line_is_pinned():
+    # the whole line, byte for byte but the timing: keys sorted, the default
+    # separators, the witness as a list
+    res = run(["detect", "-", "--json"], input=C7)
+    assert res.exit_code == 1
+    assert re.sub(r'"millis": [0-9.e+-]+,', '"millis": M,', res.stdout) == (
+        '{"algorithm": "fast", "digest": "sha256:17824ffab01ffa97", "millis": M, "n": 7, '
+        '"verdict": "odd-hole-found", "witness": [0, 1, 2, 3, 4, 5, 6], "witness_kind": "hole"}\n')
+
+
 def test_detect_types_flag():
-    # the shape-subset knob is gone; click rejects it as a usage error
+    # the shape-subset knob is gone; it is refused as a usage error
     res = run(["detect", "-", "--types", "1"], input=C6)
     assert res.exit_code == 2
+
+
+def test_options_are_not_abbreviated():
+    for args in (["detect", "-", "--wit"], ["detect", "-", "--js"], ["detect", "--stdin"]):
+        res = run(args, input=f"{C7}\n")
+        assert res.exit_code == 2 and res.stdout == "", args
 
 
 def test_detect_trivial_graphs():
@@ -78,6 +116,29 @@ def test_stream_mode():
     # a malformed line refuses the whole batch before any result is printed
     res = run(["detect", "--stdin-stream"], input=f"{C7}\n@@@garbage\n")
     assert res.exit_code == 2 and res.stdout == "" and "input error" in res.output
+
+
+def test_closed_stdout_stays_quiet():
+    # the reader takes one line and closes the pipe while the stream has far
+    # more than a pipe buffer still to write: exit 1, nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "oddhole.cli", "detect", "--stdin-stream", "--json"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        proc.stdin.write(f"{C7}\n".encode() * 1000)  # read whole before any output
+        proc.stdin.close()
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        rc = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert ResultDocument.from_json(first).verdict == "odd-hole-found"
+    assert rc == 1 and err == b"", err
 
 
 def test_stream_mode_refuses_other_inputs_and_options(tmp_path):
@@ -177,7 +238,8 @@ def test_gen_command():
                  ["bipartite", "200000", "58048", "0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
-    # a probability outside [0, 1], or NaN; "--" lets a negative value through click
+    # a probability outside [0, 1], or NaN; "--" ends the options, so a
+    # negative value is a SPEC word
     for spec in (["gnp", "10", "1.5"], ["gnp", "10", "nan"], ["--", "bipartite", "4", "5", "-0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
@@ -246,9 +308,11 @@ def _readme_cli_synopsis():
 
 def test_readme_synopsis_is_the_cli():
     commands, choices = {}, {}
-    for name, command in main.commands.items():
-        options = [param for param in command.params if isinstance(param, click.Option)]
-        commands[name] = {opt for param in options for opt in param.opts}
-        choices.update({opt: list(param.type.choices) for param in options
-                        if isinstance(param.type, click.Choice) for opt in param.opts})
+    subparsers, = (action for action in _parser()._actions if action.choices)
+    for name, command in subparsers.choices.items():
+        options = [action for action in command._actions
+                   if action.option_strings and action.dest != "help"]
+        commands[name] = {opt for action in options for opt in action.option_strings}
+        choices.update({opt: list(action.choices) for action in options if action.choices
+                        for opt in action.option_strings})
     assert _readme_cli_synopsis() == (commands, choices)

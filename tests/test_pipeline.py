@@ -224,6 +224,22 @@ def test_import_oddhole_stays_light():
     assert "oddhole.fast" in loaded, res.stderr
     for name in ("pipeline", "simple", "probes", "oracle", "formats", "generators"):
         assert f"oddhole.{name}" not in loaded, name
+    assert "dataclasses" not in loaded
     assert "oddhole.pipeline" in with_pipeline
     for name in ("simple", "probes", "oracle", "generators"):
         assert f"oddhole.{name}" not in with_pipeline, name
+
+
+def test_cli_imports_only_what_the_stream_runs():
+    # every start of `oddhole detect --stdin-stream` pays for what the CLI
+    # module imports; probe and gen import the oracle, the probes and the
+    # generators themselves
+    code = "import sys, oddhole.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60)
+    loaded = set(res.stdout.split())
+    assert "oddhole.pipeline" in loaded, res.stderr
+    for name in ("click", "dataclasses", "inspect", "oddhole.oracle", "oddhole.generators",
+                 "oddhole.probes", "oddhole.simple"):
+        assert name not in loaded, name
