@@ -74,9 +74,9 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     A mask of fewer than five vertices, or one that ``graph.certifies_berge``
     certifies, holds no odd hole, and every hole the scan returns lies
     inside the mask, so the answer is None without a BFS.  The stage-3
-    fallbacks hand it many such masks: run whole by ``fast.detect_fast``,
-    the 120 line graphs of seed-1 ``sparse-negative`` hand it 1,816 masks,
-    and 1,717 of them are certified.
+    fallbacks hand it many such masks: on the glued graph named in
+    :func:`_clean`, ``detect`` hands it 10,080 masks, and 7,505 of them
+    are certified or smaller than five.
     """
     allowed = g.full_mask if within is None else within
     if allowed.bit_count() < 5 or certifies_berge(g, allowed):
@@ -88,9 +88,25 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     return None
 
 
-def _clean_through(search: _Search, allowed: Mask, y1: int) -> Optional[Hole]:
-    """The scan of :func:`test_clean` from ``y1`` alone, on the context's BFS."""
-    return _opposite_hole(search.g, search.dist(y1, allowed))
+def _clean(search: _Search, mask: Mask) -> Optional[Hole]:
+    """``test_clean(search.g, mask)``, run once per mask of the context.
+
+    This is the clean-test fallback of the staged shapes and of the
+    reference search; the results are kept in ``search.cleaned``.
+    ``test_clean`` is looked up in this module at call time, so rebinding
+    it here (as an outside tracer does) counts every fallback.  Its BFS
+    stay out of the context's BFS table: routing them through
+    ``search.dist`` on the line graph of 20 random edges of K6,6
+    (``perfbench.corpora.line_graph_of_bipartite(6, 6, 20,
+    random.Random(0))``) with a 6-cycle glued at vertex 0 (n = 25) took a
+    ``detect`` context from 80,188 to 121,754 entries and peak RSS from 67
+    to 92 MB, and saved 161 of the 111,463 BFS calls of traced seed-1
+    ``sparse-negative``.
+    """
+    cleaned = search.cleaned
+    if mask not in cleaned:
+        cleaned[mask] = test_clean(search.g, mask)
+    return cleaned[mask]
 
 
 def _opposite_hole(g: Graph, d1: Distances) -> Optional[Hole]:
@@ -195,15 +211,12 @@ def _sweep(search: _Search) -> Optional[Hole]:
     fallback can return a hole of the mask that misses the path.
     """
     g = search.g
-    full = g.full_mask
     adj = g.adj
-    closed = search.closed
-    for (p1, p2, p3, p4) in search.four_paths:
-        rest = full & ~(closed[p2] | closed[p3])
+    for (p1, p2, p3, p4, rest) in search.four_paths:
         if not (adj[p1] & rest and adj[p4] & rest):
             continue
         within = rest | (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-        hole = _clean_through(search, within, p2)
+        hole = _opposite_hole(g, search.dist(p2, within))
         if hole is not None:
             return hole
     return None

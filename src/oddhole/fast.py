@@ -24,20 +24,20 @@ from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
 (``graph._Search``), created once per :func:`detect_fast` call and once per
-leaf that :func:`detect` searches, and passed to every shape, answers
-every masked BFS and every clean-test fallback, so each distinct
-(source, mask) pair is searched, and each fallback mask tested, once per
-context; it also builds, once each, the tables of paths that the shapes
-guess on (``_Search.three_paths``, ``four_paths`` and ``live_paths``,
-below).  The jewel, pyramid and heavy-cleanable searches fill it first.
-It is freed when the call returns; a public ``detect_typeN`` called alone
-gets a context of its own.  :func:`_strip` is the common deletion step,
-and the only place a shape builds a union of shortest paths: it is given
-the pieces ``(a, b, t)`` that recover the gap, collects the vertices on
-their shortest paths inside ``gp`` off a small protected set
-(``graph.geodesic_mask`` on the context's BFS from both ends), and drops
-the guessed neighbours of the probe and the dominating edge plus the
-fringe of that union.
+leaf that :func:`detect` searches, and passed to every shape, answers every
+masked BFS and, through ``cleaning._clean``, every clean-test fallback, so
+each distinct (source, mask) pair is searched, and each fallback mask
+tested, once per context; it also builds, once each, the tables of paths
+that the shapes guess on (``_Search.three_paths``, ``four_paths`` and
+``live_paths``, below).  The jewel, pyramid and heavy-cleanable searches
+fill it first.  It is freed when the call returns; a public
+``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
+the common deletion step, and the only place a shape builds a union of
+shortest paths: it is given the pieces ``(a, b, t)`` that recover the gap,
+collects the vertices on their shortest paths inside ``gp`` off a small
+protected set (``graph.geodesic_mask`` on the context's BFS from both
+ends), and drops the guessed neighbours of the probe and the dominating
+edge plus the fringe of that union.
 
 Shapes 1-2 draw their guesses from :func:`_split_cuts` and close the hole
 with :func:`_flank_pairs`; shapes 3-6 draw theirs from
@@ -61,21 +61,24 @@ contexts of ``detect`` on seed-1 ``perfect-mixed`` (both sides of
 arc is walked.  The guesses left on
 an edge depend on the unordered edge alone, so :func:`_edge_cuts` lists
 them once per context, in ``_Search.edge_cuts``, and both shapes and both
-orientations read that list.  On the 120 line graphs of seed-1
-``sparse-negative``, searched whole by :func:`detect_fast`, the component
-test drops 12,792 of the 17,044 guesses that pass the step-off test;
-15,425 of those have no ``d1``-``d2`` path in ``gp``.  The sweep walks
-``_Search.four_paths``, the four-paths whose sweep mask (every vertex but
-the neighbours of the middle edge off the path) has five or more
-vertices, listed middle edge first so that an edge with no vertex outside
-``N[p2] | N[p3]`` is skipped whole (5,753 of 11,019 are kept in the
-contexts of ``detect`` on seed-1 ``perfect-mixed``, both sides).  Shapes
-3-6 walk ``_Search.live_paths``, those four-paths whose mask
-``graph.certifies_berge`` does not certify either.  Every hole that a guess on a four-path can return lies
-in that mask, so the others cannot close one.  Each table is built once
+orientations read that list.  In the stage-3 context of :func:`detect`
+on the line graph of 20 random edges of K6,6 with a 6-cycle glued at one
+vertex (the graph named in ``cleaning._clean``), the component test drops
+1,994 of the 5,234 guesses that pass the step-off test, and 2,500 of those
+have no ``d1``-``d2`` path in ``gp``; in the 33 stage-3 contexts of
+``detect`` on seed-1 ``perfect-mixed`` (both sides) it drops all 1,798.
+The sweep walks ``_Search.four_paths``, the four-paths whose sweep mask
+(the path and, listed with it, its ``rest``: every vertex outside
+``N[p2] | N[p3]``) has five or more vertices, listed middle edge first so
+that an edge with an empty ``rest`` is skipped whole (5,753 of 11,019 are
+kept in the contexts of ``detect`` on seed-1 ``perfect-mixed``, both
+sides).  Shapes 3-6 walk ``_Search.live_paths``, those four-paths whose
+mask ``graph.certifies_berge`` does not certify either.  Every hole that
+a guess on a four-path can return lies in that mask, so the others cannot
+close one.  Each table is built once
 per context, on the first call that reads it, and shared by the stages
-that read it.  ``live_paths`` keeps 524 of the 5,544 four-paths of those
-line graphs, and none of the 1,248 in the stage-3 contexts of ``detect``
+that read it.  ``live_paths`` keeps 275 of the 326 four-paths of that
+glued graph, and none of the 1,248 in the stage-3 contexts of ``detect``
 on seed-1 ``perfect-mixed``.  The clean-test fallbacks of every shape
 skip, inside :func:`cleaning.test_clean`, a certified mask.  The remaining guesses
 keep their order, and so the witnesses are unchanged.
@@ -94,7 +97,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
-from .cleaning import _classify, test_clean
+from .cleaning import _classify, _clean
 from .graph import (
     Distances,
     Graph,
@@ -196,7 +199,7 @@ def _flank_pairs(search: _Search, gpp: Mask, r1: RData, r4: RData, gap: Hole,
                 cycle = pa + gap[1:] + pb[-2::-1] + close
                 if is_odd_hole(g, cycle):
                     return cycle
-                hole = search.clean(gpp | (1 << a) | (1 << b), test_clean)
+                hole = _clean(search, gpp | (1 << a) | (1 << b))
                 if hole is not None:
                     return hole
     return None
@@ -344,28 +347,29 @@ def _anchored_cuts(search: _Search, anchor_on_c3: bool) -> Iterator[tuple]:
     Of those, only the guesses in which both the anchor and ``d2`` have a
     neighbour in ``gp`` are yielded: both shapes need a path of length at
     least two inside ``gp`` from each of them, as they are not adjacent.
-    Two earlier tests drop only such dead guesses: an oriented four-path
-    with no vertex outside ``block`` has no ``d2``, and the anchor's
-    neighbours in ``gp`` lie in ``reach`` minus ``x`` and its neighbours.
-    Only the four-paths of ``search.live_paths`` are taken: on the others
-    no guess can return a hole.
+    Two earlier tests drop only such dead guesses: ``d2`` lies in ``pool``,
+    the four-path's ``rest`` (``V - (N[d1] | N[c3])``) less the anchor's
+    neighbours, so an oriented four-path with an empty ``pool`` has no
+    ``d2``; and the anchor's neighbours in ``gp`` lie in ``reach`` minus
+    ``x`` and its neighbours.  Only the four-paths of ``search.live_paths``
+    are taken: on the others no guess can return a hole.
     """
     g = search.g
     full, adj = g.full_mask, g.adj
-    for p in search.live_paths:
-        for (c1, d1, c3, c4) in (p, p[::-1]):
-            cbits = (1 << c1) | (1 << d1) | (1 << c3) | (1 << c4)
+    for (p1, p2, p3, p4, rest) in search.live_paths:
+        cbits = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
+        x2 = full & ~(rest | cbits)
+        for (c1, d1, c3, c4) in ((p1, p2, p3, p4), (p4, p3, p2, p1)):
             anchor = c3 if anchor_on_c3 else c1
-            block = adj[d1] | adj[c3] | adj[anchor] | cbits
-            if not full & ~block:
+            pool = rest & ~adj[anchor]
+            if not pool:
                 continue
-            x2 = (adj[d1] | adj[c3]) & ~cbits
             reach = adj[anchor] & ~x2  # where the anchor can step into gp, before N(x) goes
             for x in bits(adj[d1] & ~cbits):
                 xbit = 1 << x
                 if not reach & ~(adj[x] | xbit):
                     continue
-                for d2 in bits(adj[x] & ~block):
+                for d2 in bits(adj[x] & pool):
                     spare = (1 << anchor) | (1 << d2)
                     drop = (adj[d1] & adj[d2] & ~xbit) | x2 | xbit
                     gp = full & ~(drop | (adj[x] & ~spare))
@@ -390,7 +394,7 @@ def _short_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = (d1,) + through(g, e1, e4, d3) + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = search.clean(gpp, test_clean)
+            hole = _clean(search, gpp)
             if hole is not None:
                 return hole
     return None
@@ -413,7 +417,7 @@ def _long_anchored(search: _Search, anchor_on_c3: bool) -> Optional[Hole]:
             cycle = body if anchor_on_c3 else body + (c3,)
             if is_odd_hole(g, cycle):
                 return cycle
-            hole = search.clean(gpp, test_clean)
+            hole = _clean(search, gpp)
             if hole is not None:
                 return hole
     return None

@@ -15,7 +15,7 @@ from itertools import permutations, product
 from typing import Optional
 
 from .formats import MAX_VERTICES, _numbers
-from .graph import Graph, bits
+from .graph import Graph, bfs_distances, bits
 
 
 def cycle_graph(k: int) -> Graph:
@@ -192,8 +192,6 @@ def small_graphs(n: int) -> tuple[Graph, ...]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    from .graph import bfs_distances
-
     return all(d >= 0 for d in bfs_distances(g, 0))
 
 

@@ -17,9 +17,8 @@ leaf.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-Vertex = int
 Mask = int
 
 UNREACHABLE = -1
@@ -161,12 +160,12 @@ def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> Dista
 
     Returns a list indexed by vertex; unreachable (or out-of-mask) vertices
     get ``UNREACHABLE``.  Its ``layers`` attribute holds the vertices at each
-    distance as bitmasks (see :class:`Distances`).  ``source`` must belong to
-    the mask.
+    distance as bitmasks (see :class:`Distances`).  ``source`` must be a
+    vertex of ``g`` inside the mask, or ``ValueError`` is raised.
     """
     allowed = g.full_mask if within is None else within
     src_bit = 1 << source
-    if not allowed & src_bit:
+    if not g.full_mask & allowed & src_bit:
         raise ValueError(f"source {source} not in mask")
     dist = [UNREACHABLE] * g.n
     layers = []
@@ -542,13 +541,12 @@ def split_leaves(g: Graph) -> list[Mask]:
     inside a shortest path of length four or less, and searching the rest
     of both passes changes witnesses, so those deletions only certify.
     """
-    rest = _peeled_rest(g)
-    if not rest:
-        return []
     leaves = []
-    todo = [rest]
+    todo = [g.full_mask]
     while todo:
-        mask = todo.pop()
+        mask = _peeled_rest(g, todo.pop())
+        if not mask:
+            continue
         parts = _pieces(g, mask, False)
         if len(parts) == 1:
             parts = _pieces(g, mask, True)
@@ -558,10 +556,7 @@ def split_leaves(g: Graph) -> list[Mask]:
                 leaves.append(mask)
                 continue
             parts = [kept]
-        for part in reversed(parts):
-            peeled = _peeled_rest(g, part)
-            if peeled:
-                todo.append(peeled)
+        todo.extend(reversed(parts))
     return leaves
 
 
@@ -629,8 +624,9 @@ class _Search:
     It is passed explicitly, never kept in module state, so concurrent
     calls share nothing.
 
-    It holds every masked BFS the call runs, keyed by (source, mask), every
-    clean-test fallback result, keyed by mask, and five tables, each built
+    It holds every masked BFS the call runs, keyed by (source, mask), in
+    ``cleaned`` every clean-test fallback result, keyed by mask
+    (``cleaning._clean`` fills it), and five tables, each built
     at most once, on its first read: ``closed``, which the jewel and pyramid
     searches and the path tables read; ``claw_centres``, which the pyramid
     search and ``fast.detect``'s claw-free exit read; ``four_paths``, which
@@ -663,7 +659,7 @@ class _Search:
     def __init__(self, g: Graph) -> None:
         self.g = g
         self._dist: dict[tuple[int, Mask], Distances] = {}
-        self._clean: dict[Mask, Optional[tuple[int, ...]]] = {}
+        self.cleaned: dict[Mask, Optional[tuple[int, ...]]] = {}
         self.edge_cuts: dict[Mask, list[tuple[int, int, Mask, Mask, Mask, Mask]]] = {}
 
     def dist(self, source: int, mask: Mask) -> Distances:
@@ -672,19 +668,6 @@ class _Search:
         if d is None:
             d = self._dist[key] = bfs_distances(self.g, source, mask)
         return d
-
-    def clean(
-        self, mask: Mask, test: Callable[[Graph, Mask], Optional[tuple[int, ...]]]
-    ) -> Optional[tuple[int, ...]]:
-        """``test(g, mask)``, run once per mask.
-
-        ``test`` is ``cleaning.test_clean`` as the caller looks it up in its
-        own module, so that a tracer rebinding it there counts the call; only
-        its full results are stored here.
-        """
-        if mask not in self._clean:
-            self._clean[mask] = test(self.g, mask)
-        return self._clean[mask]
 
     @cached_property
     def closed(self) -> list[Mask]:
@@ -703,28 +686,30 @@ class _Search:
         return mask_of(a for a, row in enumerate(self.g.adj) if _has_stable_triple(row, closed))
 
     @cached_property
-    def four_paths(self) -> list[tuple[int, int, int, int]]:
+    def four_paths(self) -> list[tuple[int, int, int, int, Mask]]:
         """The induced four-paths whose sweep mask has five or more vertices.
 
-        For a path ``p1-p2-p3-p4`` the sweep mask drops every neighbour of
-        ``p2`` or ``p3`` off the path, so it is the path plus ``V - (N[p2]
-        | N[p3])``.  The paths are listed middle edge first, as
-        ``induced_four_paths`` lists them and in its order, and a middle
-        edge that leaves no vertex outside ``N[p2] | N[p3]`` is skipped
-        whole: each path on it has a mask of four vertices, which holds no
-        odd hole.
+        Each entry is ``(p1, p2, p3, p4, rest)`` with ``rest = V - (N[p2] |
+        N[p3])``.  For a path ``p1-p2-p3-p4`` the sweep mask drops every
+        neighbour of ``p2`` or ``p3`` off the path, so it is ``rest`` plus
+        the path; this table is the one place that computes it.  The paths
+        are listed middle edge first, as ``induced_four_paths`` lists them
+        and in its order, and a middle edge with an empty ``rest`` is
+        skipped whole: each path on it has a mask of four vertices, which
+        holds no odd hole.
         """
         g = self.g
         full, adj, closed = g.full_mask, g.adj, self.closed
         out = []
         for b in range(g.n):
-            rest = full & ~closed[b]
+            off_b = full & ~closed[b]
             for c in bits(adj[b]):
-                if not rest & ~closed[c]:
+                rest = off_b & ~closed[c]
+                if not rest:
                     continue
                 for a in bits(adj[b] & ~closed[c]):
                     for d in bits(adj[c] & ~(closed[a] | closed[b]) >> (a + 1) << (a + 1)):
-                        out.append((a, b, c, d))
+                        out.append((a, b, c, d, rest))
         return out
 
     @cached_property
@@ -747,13 +732,13 @@ class _Search:
         return out
 
     @cached_property
-    def live_paths(self) -> list[tuple[int, int, int, int]]:
+    def live_paths(self) -> list[tuple[int, int, int, int, Mask]]:
         """The four-paths ``p1-p2-p3-p4`` whose sweep mask may hold an odd hole.
 
-        The sweep mask, which ``cleaning._sweep`` scans from ``p2``, drops
-        every neighbour of ``p2`` or ``p3`` off the path.  A path of
-        ``four_paths`` (whose masks have five or more vertices) is kept, in
-        its order, when :func:`certifies_berge` does not certify the mask.
+        The sweep mask, which ``cleaning._sweep`` scans from ``p2``, is
+        ``rest`` plus the path.  An entry of ``four_paths`` (whose masks have
+        five or more vertices) is kept as it is, in its order, when
+        :func:`certifies_berge` does not certify the mask.
         Every hole that shapes 3-6 can return from a guess on the path lies
         in that mask, so the others cannot close one
         (``docs/derived-types.md``).  Only those shapes read it; the sweep,
@@ -763,13 +748,11 @@ class _Search:
         tested once.
         """
         g = self.g
-        full, adj = g.full_mask, g.adj
         certified: dict[Mask, bool] = {}
         out = []
         for p in self.four_paths:
-            p1, p2, p3, p4 = p
-            four = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-            within = full & ~((adj[p2] | adj[p3]) & ~four)
+            p1, p2, p3, p4, rest = p
+            within = rest | (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
             if within not in certified:
                 certified[within] = certifies_berge(g, within)
             if not certified[within]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cleaning import _classify, test_clean
+from .cleaning import _classify, _clean
 from .graph import (
     Graph,
     _Search,
@@ -88,7 +88,7 @@ def _try_middle(search, x1, x2, gprime, pool, scope, dd1, dd2, x, d1, d2, d3, t1
     ends = (1 << d1) | (1 << d2) | (1 << d3)
     f = (geodesic_mask(dd1, dd3, t1, pool) | geodesic_mask(dd2, dd3, t1, pool)) & ~ends
     x3 = neighbourhood(g, f | 1 << d3) & gprime & ~f & ~ends & ~(1 << x)
-    return search.clean(g.full_mask & ~(x1 | x2 | x3 | (1 << x)), test_clean)
+    return _clean(search, g.full_mask & ~(x1 | x2 | x3 | (1 << x)))
 
 
 def detect_with_simple_pipeline(g: Graph) -> Optional[Hole]:

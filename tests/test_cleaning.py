@@ -4,7 +4,6 @@ import oddhole.cleaning
 import oddhole.graph
 from oddhole import Graph, detect, is_odd_hole
 from oddhole.cleaning import (
-    _clean_through,
     _opposite_hole,
     _sweep,
     classify_candidate,
@@ -88,12 +87,36 @@ def test_heavy_cleanable_examples():
     assert test_heavy_cleanable(cycle_graph(6)) is None
 
 
+def _scan(search, within, y1):
+    # the sweep's scan of one mask from y1 alone, on the context's BFS
+    return _opposite_hole(search.g, search.dist(y1, within))
+
+
+def _record_scans(monkeypatch):
+    # every scan of the sweep as [mask, y1, hole]: the sweep asks the
+    # context for the BFS from y1 in the mask and hands it to _opposite_hole
+    scans = []
+    dist = oddhole.graph._Search.dist
+
+    def asked(self, source, mask):
+        scans.append([mask, source, None])
+        return dist(self, source, mask)
+
+    def scanned(g, d1):
+        hole = scans[-1][2] = _opposite_hole(g, d1)
+        return hole
+
+    monkeypatch.setattr(oddhole.graph._Search, "dist", asked)
+    monkeypatch.setattr(oddhole.cleaning, "_opposite_hole", scanned)
+    return scans
+
+
 def test_clean_through_finds_odd_cycles_from_every_vertex():
     for k in range(5, 16, 2):
         g = cycle_graph(k)
         search = _Search(g)
         for y in range(k):
-            hole = _clean_through(search, g.full_mask, y)
+            hole = _scan(search, g.full_mask, y)
             assert hole is not None and len(hole) == k and y in hole, (k, y)
 
 
@@ -114,14 +137,7 @@ def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
     g = parse_graph6(PENDANT_C9).graph
     assert find_jewel(g) is None and find_pyramid(g) is None
     assert test_clean(g) is None
-    scans = []
-
-    def recorded(search, allowed, y1):
-        hole = _clean_through(search, allowed, y1)
-        scans.append((allowed, y1, hole))
-        return hole
-
-    monkeypatch.setattr(oddhole.cleaning, "_clean_through", recorded)
+    scans = _record_scans(monkeypatch)
     hole = test_heavy_cleanable(g)
     assert hole is not None and sorted(hole) == list(range(4, 13))
     within, p2, found = scans[-1]
@@ -131,7 +147,7 @@ def test_heavy_sweep_finds_the_hole_through_p2(monkeypatch):
     assert within & 0b11 == 0b11
     assert oracle_find_odd_hole(_induced(g, within & ~(1 << p2))) is None
     search = _Search(g)
-    assert all(_clean_through(search, within, y) is None for y in (0, 1))
+    assert all(_scan(search, within, y) is None for y in (0, 1))
 
 
 def _triple_scan(g, within):
@@ -271,7 +287,7 @@ def test_clean_through_runs_one_bfs(monkeypatch):
     for g in (parse_graph6(PENDANT_C9).graph, cycle_graph(9), petersen_graph()):
         for y in range(g.n):
             calls = 0
-            _clean_through(_Search(g), g.full_mask, y)
+            _scan(_Search(g), g.full_mask, y)
             assert calls == 1, (g, y)
 
 
@@ -308,8 +324,9 @@ def test_heavy_sweep_through_p2_matches_the_full_scan():
 
 
 def _steps_off(g, path):
-    # both ends of p1-p2-p3-p4 have a neighbour outside N[p2] | N[p3]
-    p1, p2, p3, p4 = path
+    # both ends of p1-p2-p3-p4 have a neighbour outside N[p2] | N[p3]; the
+    # path may carry its sweep's rest as a fifth entry, which is not read
+    p1, p2, p3, p4 = path[:4]
     rest = g.full_mask & ~(g.adj[p2] | g.adj[p3] | 1 << p2 | 1 << p3)
     return bool(g.adj[p1] & rest) and bool(g.adj[p4] & rest)
 
@@ -320,8 +337,8 @@ def _unskipped_sweep(search):
     g = search.g
     out = []
     for p in search.four_paths:
-        within = g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p))
-        out.append((p, within, _clean_through(search, within, p[1])))
+        within = g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p[:4]))
+        out.append((p, within, _scan(search, within, p[1])))
     return out
 
 
@@ -329,16 +346,14 @@ def test_heavy_sweep_scans_only_four_paths_whose_ends_step_off(monkeypatch):
     # The sweep returns what the scan of every four-path returns, and scans
     # exactly the four-paths up to its hole whose two ends can step off
     # them; on every other four-path the scan finds no hole.
-    scanned = []
-    monkeypatch.setattr(oddhole.cleaning, "_clean_through",
-                        lambda search, allowed, y1: scanned.append((allowed, y1))
-                        or _clean_through(search, allowed, y1))
+    scans = _record_scans(monkeypatch)
     skipped = kept = found = 0
     for i in range(120):
         g = gnp(8 + i % 6, (0.2, 0.3, 0.45)[i % 3], 6100 + i)
         for h in (g, g.complement()):
-            scanned.clear()
+            scans.clear()
             hole = _sweep(_Search(h))
+            scanned = [(within, y1) for within, y1, _ in scans]
             want = None
             expected = []
             for p, within, got in _unskipped_sweep(_Search(h)):

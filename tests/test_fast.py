@@ -227,8 +227,9 @@ def test_anchored_shapes_search_only_live_four_paths():
     search = _Search(g)
     assert _classify(search) is None
     assert len(search.four_paths) == 45 and "live_paths" not in search.__dict__
-    assert search.live_paths == LIVE_PATHS
-    assert [p for p in search.four_paths if p in LIVE_PATHS] == LIVE_PATHS
+    # each entry is a four-path and its rest, as the four-path table has it
+    assert [p[:4] for p in search.live_paths] == LIVE_PATHS
+    assert [p for p in search.four_paths if p[:4] in LIVE_PATHS] == search.live_paths
     # and both anchors guess on each of them (without the filter they would
     # guess on 41 of the 45)
     for anchor_on_c3 in (False, True):
@@ -343,6 +344,31 @@ def test_detect_runs_each_masked_bfs_once(monkeypatch):
         assert run(g) is None
         assert len(keys) == len(set(keys)), g
         assert bool(keys) == (g not in SHAPE_GRAPHS), g
+
+
+def test_detect_fast_tests_each_fallback_mask_once(monkeypatch):
+    # Every clean-test fallback of the shapes goes through cleaning._clean,
+    # which calls cleaning.test_clean as that module holds it, once per
+    # distinct mask of the context, and answers the repeats from the memo.
+    clean = oddhole.cleaning.test_clean
+    memo = oddhole.fast._clean
+    tested, asked = [], []
+    monkeypatch.setattr(oddhole.cleaning, "test_clean",
+                        lambda g, within=None: tested.append(within) or clean(g, within))
+    monkeypatch.setattr(oddhole.fast, "_clean",
+                        lambda search, mask: asked.append(mask) or memo(search, mask))
+    total = repeated = 0
+    for i in range(200):
+        g = gnp(8 + i % 5, (0.3, 0.45, 0.6)[i % 3], 3100 + i)
+        for h in (g, g.complement()):
+            tested.clear()
+            asked.clear()
+            hole = detect_fast(h)  # one context per call
+            assert sorted(tested) == sorted(set(asked)), h.adj
+            assert hole is None or is_odd_hole(h, hole)
+            total += len(tested)
+            repeated += len(asked) - len(tested)
+    assert total > 20 and repeated > 20, (total, repeated)
 
 
 def _count_tables(monkeypatch):
@@ -673,7 +699,7 @@ def test_stage3_prefilters_drop_only_dead_guesses():
                 unlinked += 1
             split += 1
         search = _Search(g)
-        live = set(search.live_paths)
+        live = {p[:4] for p in search.live_paths}
         no_hole = {}  # sweep mask -> whether the oracle finds no odd hole in it
         for anchor_on_c3 in (False, True):
             for guess in _dropped(_anchored_cuts(search, anchor_on_c3),

@@ -134,6 +134,12 @@ def test_bfs_respects_mask():
     assert d[4] == UNREACHABLE and d[5] == UNREACHABLE
     with pytest.raises(ValueError):
         bfs_distances(c6, 5, within)
+    # a mask may hold bits past the last vertex; a source there is refused
+    # the same way, and the other bits are ignored
+    for source, mask in ((7, c6.full_mask | 1 << 7), (6, 1 << 6), (6, None)):
+        with pytest.raises(ValueError, match="not in mask"):
+            bfs_distances(c6, source, mask)
+    assert bfs_distances(c6, 0, c6.full_mask | 1 << 7) == bfs_distances(c6, 0)
 
 
 def _queue_bfs(g, source, within):
@@ -333,7 +339,8 @@ def test_search_four_paths_are_those_with_a_sweep_mask_of_five_or_more():
         for p in every:
             within = g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p))
             if within.bit_count() >= 5:
-                want.append(p)
+                # each entry carries rest = V - (N[p2] | N[p3]), the mask less the path
+                want.append(p + (within & ~mask_of(p),))
         assert _Search(g).four_paths == want, g.adj
         kept += len(want)
         skipped += len(every) - len(want)
@@ -371,7 +378,7 @@ def test_search_live_paths_peel_each_distinct_mask_once(monkeypatch):
     for g in _path_table_graphs():
         search = _Search(g)
         want = [p for p in search.four_paths
-                if not peel(g, g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p)))]
+                if not peel(g, g.full_mask & ~((g.adj[p[1]] | g.adj[p[2]]) & ~mask_of(p[:4])))]
         peeled.clear()
         assert search.live_paths == want, g.adj
         assert len(peeled) == len(set(peeled)), g.adj
