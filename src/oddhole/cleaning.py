@@ -76,9 +76,12 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     inside the mask, so the answer is None without a BFS.  The stage-3
     fallbacks hand it many such masks: on the glued graph named in
     :func:`_clean`, ``detect`` hands it 10,080 masks, and 7,505 of them
-    are certified or smaller than five.
+    are certified or smaller than five.  A mask with a bit outside
+    ``g.full_mask`` (a negative one included) raises ``ValueError``.
     """
     allowed = g.full_mask if within is None else within
+    if allowed & ~g.full_mask:
+        raise ValueError(f"mask {within:#x} has vertices outside the graph")
     if allowed.bit_count() < 5 or certifies_berge(g, allowed):
         return None
     for y1 in bits(allowed):

@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional
 from .graph import (
     Graph,
     _Search,
+    _chordless,
     bits,
     is_induced_path,
     is_odd_hole,
@@ -54,58 +55,51 @@ class JewelWitness(NamedTuple):
 
 
 def verify_pyramid(g: Graph, w: PyramidWitness) -> bool:
-    """Check every pyramid condition directly against the graph."""
-    b = w.base
-    if len(set(b)) != 3 or w.apex in b:
+    """Check every pyramid condition against the graph, by masks.
+
+    The base is a triangle, a closed chordless chain of three vertices.
+    Each path is an induced path from the apex to its base vertex, and at
+    least two have length two or more.  A leg's body is its path past the
+    apex: the bodies are pairwise disjoint, and a vertex of one body sees
+    a vertex of another only as the base edge between their ends.  Ids
+    outside the graph give False.
+    """
+    a, b, paths = w.apex, w.base, w.paths
+    if len(b) != 3 or len(paths) != 3 or a in b or not _chordless(g, b, True):
         return False
-    if not (g.has_edge(b[0], b[1]) and g.has_edge(b[0], b[2]) and g.has_edge(b[1], b[2])):
-        return False
-    if len(w.paths) != 3:
-        return False
-    for i, p in enumerate(w.paths):
-        if len(p) < 2 or p[0] != w.apex or p[-1] != b[i]:
+    for p, end in zip(paths, b):
+        if len(p) < 2 or p[0] != a or p[-1] != end or not is_induced_path(g, p):
             return False
-        if not is_induced_path(g, p):
-            return False
-    if sum(len(p) >= 3 for p in w.paths) < 2:
+    if sum(len(p) >= 3 for p in paths) < 2:
         return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pi = [v for v in w.paths[i] if v != w.apex]
-            pj = [v for v in w.paths[j] if v != w.apex]
-            if set(pi) & set(pj):
+    bodies = [mask_of(p[1:]) for p in paths]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if bodies[i] & bodies[j]:
+            return False
+        for u in paths[i][1:]:
+            if g.adj[u] & bodies[j] != (1 << b[j] if u == b[i] else 0):
                 return False
-            for u in pi:
-                for v in pj:
-                    if g.has_edge(u, v) and (u, v) != (b[i], b[j]):
-                        return False
     return True
 
 
 def verify_jewel(g: Graph, w: JewelWitness) -> bool:
-    """Check every jewel condition directly against the graph."""
+    """Check every jewel condition against the graph, by masks.
+
+    The ring is two induced paths, ``v1-v2-v3-v4`` and ``v4-v5-v1``, which
+    give all its edges and non-edges.  They also make the five vertices
+    distinct: ``v5`` sees ``v4``, which ``v2`` misses, and ``v1``, which
+    ``v3`` misses.  The path is an induced ``v1-v4`` path whose interior
+    misses ``v2``, ``v3``, ``v5`` and their neighbours.  Ids outside the
+    graph give False.
+    """
     v1, v2, v3, v4, v5 = w.ring
-    if len(set(w.ring)) != 5:
-        return False
-    for u, v in ((v1, v2), (v2, v3), (v3, v4), (v4, v5), (v5, v1)):
-        if not g.has_edge(u, v):
-            return False
-    for u, v in ((v1, v3), (v2, v4), (v1, v4)):
-        if g.has_edge(u, v):
-            return False
     p = w.path
-    if len(p) < 3 or p[0] != v1 or p[-1] != v4:
+    if not (is_induced_path(g, (v1, v2, v3, v4)) and is_induced_path(g, (v4, v5, v1))):
         return False
-    if not is_induced_path(g, p):
+    if len(p) < 3 or p[0] != v1 or p[-1] != v4 or not is_induced_path(g, p):
         return False
-    interior = p[1:-1]
-    if set(interior) & {v2, v3, v5}:
-        return False
-    for x in (v2, v3, v5):
-        row = g.adj[x]
-        if any(row >> u & 1 for u in interior):
-            return False
-    return True
+    spoke = mask_of((v2, v3, v5))
+    return not mask_of(p[1:-1]) & (spoke | neighbourhood(g, spoke))
 
 
 def find_jewel(g: Graph) -> Optional[JewelWitness]:
@@ -130,12 +124,10 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
     v1 and v4 have one outside N[v5] too.  On the seed-1 benchmark corpora,
     in the jewel searches of ``detect`` that find nothing, this leaves 0 of
     8,248 tuples for a BFS on ``sparse-negative``, 2 of 38,674 on
-    ``perfect-mixed`` (both sides) and 6 of 3,396 on ``stream-batch``.
-    Stage 0 of ``detect`` now decides the ``stream-batch`` negatives and 93
-    ``perfect-mixed`` sides before any jewel search.  On a co-bipartite
-    graph no tuple is left: a neighbour of v4 outside N[v3] is on v1's
-    side, so v1 sees it and a tuple that passed would have a path of length
-    two, a jewel in a perfect graph.
+    ``perfect-mixed`` (both sides) and 6 of 3,396 on ``stream-batch``.  On a
+    co-bipartite graph no tuple is left: a neighbour of v4 outside N[v3] is
+    on v1's side, so v1 sees it and a tuple that passed would have a path of
+    length two, a jewel in a perfect graph.
     """
     return _jewel(_Search(g))
 
@@ -300,10 +292,7 @@ def _build_legs(search: _Search, a: int, si: int, bi: int, allowed: int) -> list
         reach |= layer
     paths: dict[Path, None] = {}
     for m in bits(reach):
-        joined = through(g, dist, back, m)  # si .. m .. bi
-        if len(set(joined)) != len(joined):
-            continue
-        cand = (a, *joined)
+        cand = (a, *through(g, dist, back, m))  # a, si .. m .. bi
         if is_induced_path(g, cand):
             paths.setdefault(cand, None)
     return [_leg(g, path) for path in paths]

@@ -17,6 +17,10 @@ from typing import Optional
 from .formats import MAX_VERTICES, _numbers
 from .graph import Graph, bfs_distances, bits
 
+# the most graph6 bytes (lines and newlines) that one spec may print: 4 MiB,
+# one graph of up to 7,094 vertices
+MAX_OUTPUT_BYTES = 1 << 22
+
 
 def cycle_graph(k: int) -> Graph:
     return Graph(k, [(i, (i + 1) % k) for i in range(k)]) if k >= 3 else path_graph(k)
@@ -250,8 +254,9 @@ def generate_corpus(spec: str) -> list[Graph]:
     ``seed + 1``, ...; the others build one graph and ignore both options.
     Sizes, ``seed`` and ``count`` are ASCII digits, with a leading ``-``
     allowed.  Raises ``ValueError`` on a malformed spec, a negative vertex
-    count or ``count``, a probability outside [0, 1] and a graph with more
-    vertices than graph6 can encode.
+    count or ``count``, a probability outside [0, 1], a graph with more
+    vertices than graph6 can encode and a spec whose graph6 lines, with
+    their newlines, would exceed ``MAX_OUTPUT_BYTES``, before it builds any.
     """
     tokens = spec.split()
     if not tokens:
@@ -278,6 +283,14 @@ def generate_corpus(spec: str) -> list[Graph]:
     if n > MAX_VERTICES:
         raise ValueError(f"{family} spec has {n} vertices, more than the "
                          f"{MAX_VERTICES} that graph6 can encode")
+    # and a graph6 output past MAX_OUTPUT_BYTES (per line: a 1- or 4-byte
+    # header, six bits of the upper triangle per byte, a newline): encoding
+    # is quadratic in n, and ``gen`` builds every graph before its first line
+    lines = count if seeded else 1
+    size = lines * ((1 if n <= 62 else 4) + -(-n * (n - 1) // 12) + 1)
+    if size > MAX_OUTPUT_BYTES:
+        raise ValueError(f"{family} spec would print {size} bytes of graph6, more than "
+                         f"the {MAX_OUTPUT_BYTES} allowed")
     if not seeded:
         return [build(*args)]
     return [build(*args, seed + i) for i in range(count)]

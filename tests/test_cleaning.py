@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import oddhole.cleaning
 import oddhole.graph
 from oddhole import Graph, detect, is_odd_hole
@@ -54,6 +56,12 @@ def test_clean_respects_mask():
     c7 = cycle_graph(7)
     within = c7.full_mask & ~1  # drop vertex 0: what remains is a path
     assert test_clean(c7, within) is None
+    # a mask with a bit outside the graph, a negative one included, is
+    # refused: (-1).bit_count() is 1, so -1 would pass for a mask too small
+    # to hold an odd hole, though C5 is one
+    for mask in (-1, 31 | 1 << 7):
+        with pytest.raises(ValueError, match="outside the graph"):
+            test_clean(cycle_graph(5), mask)
 
 
 def test_clean_witnesses_verify():

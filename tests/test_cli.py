@@ -238,6 +238,12 @@ def test_gen_command():
                  ["bipartite", "200000", "58048", "0.1"]):
         res = run(["gen", *spec])
         assert res.exit_code == 2 and res.output.startswith("spec error"), spec
+    # an output past the 4 MiB bound, refused the same way: one line of 3.3e9
+    # bytes (10^10 edges), and 10^9 lines that would all be built first
+    for spec in (["multipartite", "100000", "100000"], ["gnp", "5", "0.5", "count=1000000000"]):
+        res = run(["gen", *spec])
+        assert res.exit_code == 2 and res.stdout == "", spec
+        assert res.stderr.startswith("spec error") and "bytes of graph6" in res.stderr, spec
     # a probability outside [0, 1], or NaN; "--" ends the options, so a
     # negative value is a SPEC word
     for spec in (["gnp", "10", "1.5"], ["gnp", "10", "nan"], ["--", "bipartite", "4", "5", "-0.1"]):
@@ -255,13 +261,14 @@ def test_gen_command():
 
 
 def test_gen_out_of_memory_is_a_spec_error():
-    # 10^10 edges: the child runs out of address space within about a second
+    # 24.5 million edges, under the output bound (4.1 MB of graph6): the
+    # child runs out of address space within about a second
     pytest.importorskip("resource")
     code = ("import resource; "
             "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20)); "
             "from oddhole.cli import main; main()")
     env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", code, "gen", "multipartite", "100000", "100000"],
+    res = subprocess.run([sys.executable, "-c", code, "gen", "complete", "7000"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 2 and res.stdout == "", res.stderr
     assert res.stderr.startswith("spec error")

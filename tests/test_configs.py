@@ -43,6 +43,8 @@ def test_verify_pyramid_positive_and_broken():
     assert verify_pyramid(g, w)
     spoiled = Graph(6, list(g.edges()) + [(4, 5)])  # edge between leg middles
     assert not verify_pyramid(spoiled, w)
+    # a base vertex past n - 1 is no witness, and no lookup
+    assert not verify_pyramid(g, PyramidWitness(3, (9, 1, 2), ((3, 9), (3, 4, 1), (3, 5, 2))))
 
 
 def test_verify_pyramid_requires_two_long_legs():
@@ -58,6 +60,73 @@ def test_verify_jewel_positive_and_broken():
     assert verify_jewel(g, w)
     spoiled = Graph(6, list(g.edges()) + [(5, 1)])  # connector sees ring vertex
     assert not verify_jewel(spoiled, w)
+    # nor is a negative ring vertex
+    assert not verify_jewel(g, JewelWitness((0, -5, 2, 3, 4), (0, 5, 3)))
+
+
+def _induced(g, seq):
+    k = len(seq)
+    return (all(0 <= v < g.n for v in seq) and len(set(seq)) == k
+            and all(g.has_edge(seq[i], seq[j]) == (j == i + 1)
+                    for i in range(k) for j in range(i + 1, k)))
+
+
+def _pyramid_by_definition(g, w):
+    # the PyramidWitness docstring, one vertex pair at a time
+    a, b, paths = w
+    if len(b) != 3 or len(set(b)) != 3 or a in b or len(paths) != 3:
+        return False
+    if not all(0 <= v < g.n for v in b) or not all(g.has_edge(x, y) for x, y in combinations(b, 2)):
+        return False
+    for p, end in zip(paths, b):
+        if len(p) < 2 or p[0] != a or p[-1] != end or not _induced(g, p):
+            return False
+    if sum(len(p) >= 3 for p in paths) < 2:
+        return False
+    for i, j in combinations(range(3), 2):
+        for u in paths[i][1:]:
+            for v in paths[j][1:]:
+                if u == v or g.has_edge(u, v) and (u, v) != (b[i], b[j]):
+                    return False
+    return True
+
+
+def _jewel_by_definition(g, w):
+    # the JewelWitness docstring, one vertex pair at a time
+    ring, path = w
+    if len(set(ring)) != 5 or not all(0 <= v < g.n for v in ring):
+        return False
+    v1, v2, v3, v4, v5 = ring
+    if not all(g.has_edge(x, y) for x, y in ((v1, v2), (v2, v3), (v3, v4), (v4, v5), (v5, v1))):
+        return False
+    if any(g.has_edge(x, y) for x, y in ((v1, v3), (v2, v4), (v1, v4))):
+        return False
+    if len(path) < 3 or path[0] != v1 or path[-1] != v4 or not _induced(g, path):
+        return False
+    return not any(x == u or g.has_edge(x, u) for x in (v2, v3, v5) for u in path[1:-1])
+
+
+def test_verifiers_match_the_pairwise_definition_after_an_edge_toggle():
+    # oracle witnesses, on their own graph and with each one edge toggled
+    answers = {True: 0, False: 0}
+    witnesses = 0
+    for g in random_graphs(300, 6, 8, seed=31, ps=(0.3, 0.45, 0.6)):
+        found = [(verify_jewel, _jewel_by_definition, oracle_find_jewel(g)),
+                 (verify_pyramid, _pyramid_by_definition, oracle_find_pyramid(g))]
+        for verify, definition, w in found:
+            if w is None:
+                continue
+            witnesses += 1
+            for u, v in [(0, 0), *combinations(range(g.n), 2)]:
+                rows = list(g.adj)
+                if u != v:
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
+                h = Graph.from_rows(g.n, rows)
+                got = verify(h, w)
+                assert got == definition(h, w), (g.adj, w, u, v)
+                answers[got] += 1
+    assert witnesses >= 40 and all(answers.values()), (witnesses, answers)
 
 
 def test_find_jewel_positive_negative():

@@ -4,6 +4,7 @@ import pytest
 
 from oddhole.formats import encode_graph6
 from oddhole.generators import (
+    MAX_OUTPUT_BYTES,
     canonical_code,
     complete_graph,
     complete_multipartite,
@@ -158,6 +159,20 @@ def test_corpus_spec_errors():
         generate_corpus("whatever 3")
     with pytest.raises(ValueError):
         generate_corpus("cycle 7 bogus=1")
+    # an output past MAX_OUTPUT_BYTES: the size is the graph6 length at n,
+    # plus a newline, per line
+    for n in (0, 1, 2, 5, 62, 63, 100, 200):
+        size = (1 if n <= 62 else 4) + -(-n * (n - 1) // 12) + 1
+        assert len(encode_graph6(complete_graph(n))) + 1 == size, n
+    # 3.3e9 bytes in one line, 4e9 in 10^9 lines, 8.3e8 in one line, one
+    # vertex past the largest graph allowed (7,094), and one 4-byte line
+    # (n = 5) past 2^20 of them: refused before any graph is built
+    for spec in ("multipartite 100000 100000", "gnp 5 0.5 count=1000000000", "cycle 100000",
+                 "gnp 7095 0.5", "chordal 5 count=1048577"):
+        with pytest.raises(ValueError, match="bytes of graph6"):
+            generate_corpus(spec)
+    assert MAX_OUTPUT_BYTES == 1 << 22
+    assert len(generate_corpus("cycle 7094")[0].adj) == 7094
 
 
 def test_corpus_spec_integers_are_ascii_digits():

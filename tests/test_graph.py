@@ -76,21 +76,37 @@ def test_is_induced_path_basics():
     assert is_induced_path(p4, (2,))
 
 
+def _chordless_by_definition(g, seq, closed):
+    # pairwise: distinct vertices of g, each consecutive pair (and with
+    # closed the two ends) adjacent, every other pair not
+    k = len(seq)
+    if not all(0 <= v < g.n for v in seq) or len(set(seq)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            along = j == i + 1 or closed and (i, j) == (0, k - 1)
+            if g.has_edge(seq[i], seq[j]) != along:
+                return False
+    return True
+
+
 def test_is_induced_path_matches_definition_on_random_graphs():
-    for i in range(80):
-        g = gnp(8, 0.35, i)
-        # try all sequences of length 4 starting from vertex pairs
-        for seq in itertools.permutations(range(8), 4):
-            got = is_induced_path(g, seq)
-            consec = all(g.has_edge(seq[j], seq[j + 1]) for j in range(3))
-            nonconsec = all(
-                not g.has_edge(seq[a], seq[b])
-                for a in range(4)
-                for b in range(a + 2, 4)
-            )
-            assert got == (consec and nonconsec)
-        if i >= 8:  # the double loop is heavy; a few graphs suffice
-            break
+    # every sequence of length 0-6 over the ids -1..n, repeats included; the
+    # graphs hold a 4-hole, a 5-hole, and both
+    found = [0, 0, 0]
+    for n, seed in ((4, 1), (5, 8), (6, 7)):
+        g = gnp(n, 0.5, seed)
+        for k in range(7):
+            for seq in itertools.product(range(-1, n + 1), repeat=k):
+                path = k >= 1 and _chordless_by_definition(g, seq, False)
+                hole = k >= 4 and _chordless_by_definition(g, seq, True)
+                assert is_induced_path(g, seq) == path, (g.adj, seq)
+                assert is_hole(g, seq) == hole, (g.adj, seq)
+                assert is_odd_hole(g, seq) == (hole and k % 2 == 1), (g.adj, seq)
+                found[0] += path
+                found[1] += hole and k % 2 == 0
+                found[2] += hole and k % 2 == 1
+    assert all(found), found
 
 
 def test_is_odd_hole_examples():
@@ -495,6 +511,10 @@ def test_certifies_berge_within_a_mask_tests_the_induced_graph():
             for sub in subs:
                 assert certifies_berge(g, sub), (g.adj, mask, sub)
     assert certified > 300 and kept > 200 and co_only > 150, (certified, kept, co_only)
+    # a mask with a bit outside the graph, a negative one included, is refused
+    for mask in (31 | 1 << 7, -1):
+        with pytest.raises(ValueError, match="outside the graph"):
+            certifies_berge(cycle_graph(5), mask)
 
 
 def _reach(g, v, within):
