@@ -75,7 +75,7 @@ def test_clean(g: Graph, within: Optional[Mask] = None) -> Optional[Hole]:
     certifies, holds no odd hole, and every hole the scan returns lies
     inside the mask, so the answer is None without a BFS.  The stage-3
     fallbacks hand it many such masks: on the glued graph named in
-    :func:`_clean`, ``detect`` hands it 10,080 masks, and 7,505 of them
+    :func:`_clean`, ``detect`` hands it 7,466 masks, and 6,611 of them
     are certified or smaller than five.  A mask with a bit outside
     ``g.full_mask`` (a negative one included) raises ``ValueError``.
     """
@@ -98,7 +98,8 @@ def _clean(search: _Search, mask: Mask) -> Optional[Hole]:
     reference search; the results are kept in ``search.cleaned``.
     ``test_clean`` is looked up in this module at call time, so rebinding
     it here (as an outside tracer does) counts every fallback.  Its BFS
-    stay out of the context's BFS table: routing them through
+    stay out of the context's BFS table: before stage 0 certified line
+    graphs of bipartite graphs, routing them through
     ``search.dist`` on the line graph of 20 random edges of K6,6
     (``perfbench.corpora.line_graph_of_bipartite(6, 6, 20,
     random.Random(0))``) with a 6-cycle glued at vertex 0 (n = 25) took a

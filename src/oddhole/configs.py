@@ -90,8 +90,10 @@ def verify_jewel(g: Graph, w: JewelWitness) -> bool:
     distinct: ``v5`` sees ``v4``, which ``v2`` misses, and ``v1``, which
     ``v3`` misses.  The path is an induced ``v1-v4`` path whose interior
     misses ``v2``, ``v3``, ``v5`` and their neighbours.  Ids outside the
-    graph give False.
+    graph, and a ring of other than five vertices, give False.
     """
+    if len(w.ring) != 5:
+        return False
     v1, v2, v3, v4, v5 = w.ring
     p = w.path
     if not (is_induced_path(g, (v1, v2, v3, v4)) and is_induced_path(g, (v4, v5, v1))):
@@ -122,9 +124,10 @@ def find_jewel(g: Graph) -> Optional[JewelWitness]:
     N[v2] | N[v3] | N[v5].  A (v1, v2, v3) prefix is dropped when v1 has no
     neighbour outside N[v2] | N[v3], a v4 likewise, and a tuple unless both
     v1 and v4 have one outside N[v5] too.  On the seed-1 benchmark corpora,
-    in the jewel searches of ``detect`` that find nothing, this leaves 0 of
-    8,248 tuples for a BFS on ``sparse-negative``, 2 of 38,674 on
-    ``perfect-mixed`` (both sides) and 6 of 3,396 on ``stream-batch``.  On a
+    in the jewel searches of ``detect`` that find nothing, this leaves 2 of
+    8,092 tuples for a BFS on ``perfect-mixed`` (both sides); the
+    ``stream-batch`` searches have no tuple, and stage 0 decides every
+    ``sparse-negative`` graph.  On a
     co-bipartite graph no tuple is left: a neighbour of v4 outside N[v3] is
     on v1's side, so v1 sees it and a tuple that passed would have a path of
     length two, a jewel in a perfect graph.
@@ -228,8 +231,7 @@ def find_pyramid(g: Graph) -> Optional[PyramidWitness]:
     returns at once.  Only apexes with no anchor triple are dropped, so the
     leg sets built and the witness stay the same.  On the seed-1 benchmark
     corpora, in the pyramid searches of ``detect``, the apexes tried fall
-    from 7,065 to 0 on ``sparse-negative`` and 4,012 to 776 on
-    ``perfect-mixed`` (both sides).
+    from 3,138 to 20 on ``perfect-mixed`` (both sides).
 
     A leg set is built from two BFS that the search context keeps for the
     rest of the call.  Leg sets recur across the triangles of an apex, and

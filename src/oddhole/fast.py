@@ -55,33 +55,32 @@ delete the anchor or ``d2`` or leave either with no neighbour in ``gp``
 do not depend on the rest of the guess are made while the context lists
 its paths, so those paths are never listed.  Shapes 1-2 walk
 ``_Search.three_paths``, the three-paths whose ends each have a neighbour
-outside ``N[x]`` and the other end's closed neighbourhood; in the stage-3
-contexts of ``detect`` on seed-1 ``perfect-mixed`` (both sides of
-``test_perfect``) it keeps 837 of 2,960, and on an edge with none left no
-arc is walked.  The guesses left on
+outside ``N[x]`` and the other end's closed neighbourhood, and on an edge with
+none left no arc is walked.  The guesses left on
 an edge depend on the unordered edge alone, so :func:`_edge_cuts` lists
 them once per context, in ``_Search.edge_cuts``, and both shapes and both
 orientations read that list.  In the stage-3 context of :func:`detect`
 on the line graph of 20 random edges of K6,6 with a 6-cycle glued at one
 vertex (the graph named in ``cleaning._clean``), the component test drops
-1,994 of the 5,234 guesses that pass the step-off test, and 2,500 of those
-have no ``d1``-``d2`` path in ``gp``; in the 33 stage-3 contexts of
-``detect`` on seed-1 ``perfect-mixed`` (both sides) it drops all 1,798.
-The sweep walks ``_Search.four_paths``, the four-paths whose sweep mask
+1,994 of the 5,234 guesses that pass the step-off test, and 2,500 of
+those have no ``d1``-``d2`` path in ``gp``; ``_Search.three_paths`` keeps
+144 of its 156 three-paths there.  The sweep walks
+``_Search.four_paths``, the four-paths whose sweep mask
 (the path and, listed with it, its ``rest``: every vertex outside
 ``N[p2] | N[p3]``) has five or more vertices, listed middle edge first so
-that an edge with an empty ``rest`` is skipped whole (5,753 of 11,019 are
+that an edge with an empty ``rest`` is skipped whole (1,991 of 2,974 are
 kept in the contexts of ``detect`` on seed-1 ``perfect-mixed``, both
 sides).  Shapes 3-6 walk ``_Search.live_paths``, those four-paths whose
 mask ``graph.certifies_berge`` does not certify either.  Every hole that
 a guess on a four-path can return lies in that mask, so the others cannot
 close one.  Each table is built once
 per context, on the first call that reads it, and shared by the stages
-that read it.  ``live_paths`` keeps 275 of the 326 four-paths of that
-glued graph, and none of the 1,248 in the stage-3 contexts of ``detect``
-on seed-1 ``perfect-mixed``.  The clean-test fallbacks of every shape
-skip, inside :func:`cleaning.test_clean`, a certified mask.  The remaining guesses
-keep their order, and so the witnesses are unchanged.
+that read it.  ``live_paths`` keeps 128 of the 326 four-paths of that
+glued graph.  Stage 0 leaves no perfect side of seed-1 ``perfect-mixed``
+to the search, and no context there reaches stage 3.  The clean-test
+fallbacks of every shape skip, inside :func:`cleaning.test_clean`, a
+certified mask.  The remaining guesses keep their order, and so the
+witnesses are unchanged.
 Every path is read off the BFS layers by ``graph.walk_down``; a path from
 one end through a guessed middle vertex to the other is joined by
 ``graph.through``.
@@ -471,14 +470,16 @@ def detect(g: Graph) -> Optional[Hole]:
 
     Stage 0 is ``graph.split_leaves``.  It peels the graph: simplicial
     vertices are deleted as long as any is left, and then simplicial and
-    co-simplicial ones; if the rest is bipartite or co-bipartite, the
-    answer is None (``graph._peeled_rest`` has the proofs).  Bipartite,
-    chordal, co-bipartite and co-chordal graphs end there, and so, as the
-    test gives a graph and its complement the same answer, does either side
-    of ``pipeline.test_perfect`` on any of them.  Otherwise only the rest of
-    the simplicial pass goes on, and is split on components, co-components
-    and twins, each piece peeled the same way.  With no leaf left the answer
-    is None.  Each leaf, in the order the split yields it, is searched as
+    co-simplicial ones; if the rest is bipartite or co-bipartite, or the
+    line graph of a bipartite graph or the complement of one, the answer is
+    None (``graph._peeled_rest`` has the proofs).  Bipartite, chordal and
+    line graphs of bipartite graphs end there, and so do their complements;
+    as the test gives a graph and its complement the same answer, so does
+    either side of ``pipeline.test_perfect`` on any of them.  Otherwise
+    only the rest of the simplicial pass goes on, and is split on
+    components, co-components and twins, each piece peeled the same way.
+    With no leaf left the answer is None.  Each leaf, in the order the
+    split yields it, is searched as
     an induced graph (``Graph.induced``, which is this graph itself when it
     is its own only leaf), and a hole found there is mapped back to this
     graph's ids and verified; the graph has an odd hole iff some leaf has

@@ -31,20 +31,21 @@ def path_graph(k: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return Graph.from_rows(n, [full ^ 1 << v for v in range(n)])
 
 
 def complete_multipartite(sizes: list[int]) -> Graph:
-    bounds = []
+    """Each vertex sees every vertex outside its own part; the rows are
+    built directly, with no edge list."""
+    full = (1 << sum(sizes)) - 1
+    rows = []
     start = 0
     for s in sizes:
-        bounds.append((start, start + s))
+        part = ((1 << s) - 1) << start
+        rows += [full ^ part] * s
         start += s
-    edges = []
-    for ai, (a0, a1) in enumerate(bounds):
-        for (b0, b1) in bounds[ai + 1:]:
-            edges += [(u, v) for u in range(a0, a1) for v in range(b0, b1)]
-    return Graph(start, edges)
+    return Graph.from_rows(start, rows)
 
 
 def petersen_graph() -> Graph:
@@ -55,19 +56,29 @@ def petersen_graph() -> Graph:
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
+    """Each pair ``i < j`` is an edge with probability ``p``, drawn in
+    lexicographic order; the rows are built directly, with no edge list."""
     rng = random.Random(("gnp", n, p, seed).__repr__())
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    ]
-    return Graph(n, edges)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(n, rows)
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    """Each pair of ``i < a`` and ``a + j`` is an edge with probability
+    ``p``, drawn in lexicographic order; the rows are built directly."""
     rng = random.Random(("bip", a, b, p, seed).__repr__())
-    edges = [
-        (i, a + j) for i in range(a) for j in range(b) if rng.random() < p
-    ]
-    return Graph(a + b, edges)
+    rows = [0] * (a + b)
+    for i in range(a):
+        for j in range(a, a + b):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph.from_rows(a + b, rows)
 
 
 def random_chordal(n: int, seed: int) -> Graph:

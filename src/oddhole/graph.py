@@ -300,8 +300,9 @@ def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
 
 def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
     """True if peeling ``g`` (or the graph it induces on ``within``) leaves a
-    bipartite or a co-bipartite graph; then it has no odd hole and no odd
-    antihole.  The test is :func:`_peeled_rest`.  A mask with a bit outside
+    bipartite or a co-bipartite graph, or the line graph of a bipartite
+    graph or its complement; then it has no odd hole and no odd antihole.
+    The test is :func:`_peeled_rest`.  A mask with a bit outside
     ``g.full_mask`` (a negative one included) raises ``ValueError``.
     """
     if within is not None and within & ~g.full_mask:
@@ -318,8 +319,10 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     graphs peel away entirely.  Otherwise simplicial and co-simplicial
     vertices (their non-neighbours are pairwise non-adjacent) are deleted
     as long as any is left, and a rest that is bipartite or co-bipartite
-    (two cliques cover it) is certified.  So bipartite and chordal inputs
-    pay nothing for the second pass, and co-chordal inputs peel away in it.
+    (two cliques cover it) is certified, and so is one that is the line
+    graph of a bipartite graph, or whose complement is one
+    (:func:`_line_of_bipartite`).  So bipartite and chordal inputs pay
+    nothing for the second pass, and co-chordal inputs peel away in it.
 
     Each step is exact.  A simplicial vertex lies on no hole, since its two
     neighbours on the hole would be adjacent.  A co-simplicial vertex ``v``
@@ -327,17 +330,21 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     non-neighbours ``c2`` and ``c3`` are adjacent.  So deleting either kind
     keeps every odd hole.  A bipartite graph has no odd cycle, and two
     cliques meet a hole of length five or more in at most two vertices each,
-    so a co-bipartite graph has no such hole either.  The two kinds of
-    vertex, and the two kinds of rest, swap under complementation, so the
-    answer for ``g`` is the answer for its complement, and a certified graph
-    has no odd antihole either: it is Berge.
+    so a co-bipartite graph has no such hole either.  The line graph of a
+    bipartite graph is perfect (König's edge-colouring theorem), so it has
+    no odd hole, and so is its complement (Lovász's weak perfect graph
+    theorem, 1972).  The two kinds of vertex, and the two pairs of kinds of
+    rest, swap under complementation, so the answer for ``g`` is the answer
+    for its complement, and a certified graph has no odd antihole either:
+    it is Berge.
 
     Every property the test uses is hereditary: a vertex simplicial or
     co-simplicial in a graph stays so in every induced subgraph that keeps
-    it, and an induced subgraph of a bipartite or co-bipartite graph is one
-    too.  So deleting vertices keeps the others deletable, the worklist
-    order does not change what is left, and every sub-mask of a certified
-    mask is certified.
+    it, an induced subgraph of a bipartite or co-bipartite graph is one
+    too, and one of the line graph of a bipartite graph is the line graph
+    of a subgraph of its root.  So deleting vertices keeps the others
+    deletable, the worklist order does not change what is left, and every
+    sub-mask of a certified mask is certified.
 
     The rest of the simplicial pass has no simplicial vertex, and has five
     vertices or more, as a graph on four or fewer is chordal or a 4-cycle.
@@ -391,6 +398,8 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
             co_todo = (co_todo | alive & ~nbrs) & alive
     if alive != peeled and _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
         return 0
+    if _line_of_bipartite(adj, alive, 0) or _line_of_bipartite(adj, alive, -1):
+        return 0
     return peeled
 
 
@@ -417,6 +426,67 @@ def _two_colours(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
                 nxt |= row
             layer = nxt & alive
     return True
+
+
+def _line_of_bipartite(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
+    """True if the graph on ``alive`` is the line graph of a bipartite
+    graph; with ``flip`` -1, if its complement is (rows are read as in
+    :func:`_two_colours`).  Asked only of a rest of the peel that
+    :func:`_two_colours` did not certify: no vertex is simplicial (with
+    ``flip``, co-simplicial), so each has two non-adjacent neighbours, and
+    the graph is not bipartite.
+
+    Each vertex's neighbours must split into two cliques with no edge
+    between them, which is "no claw and no diamond".  Then each clique plus
+    the vertex is a maximal clique, each edge lies in exactly one and each
+    vertex in two, so the graph is the line graph of its root: the maximal
+    cliques, a vertex being the edge that joins its two.  The root is
+    bipartite iff its cliques 2-colour with each vertex's two cliques
+    apart.  A vertex with two neighbours passes.  If every vertex has two,
+    the graph is a union of cycles, its own root, and not bipartite, so
+    the answer is False without a root.
+
+    A clique is named by its lowest vertex ``k``: ``k`` if it is the one in
+    ``first[k]``, else ``n + k``, so the root's rows are a list, as ``adj``
+    is, and :func:`_two_colours` colours them.
+    """
+    branched = False
+    rest = alive
+    while rest:  # bits() inlined, as in _peeled_rest
+        low = rest & -rest
+        rest ^= low
+        nbrs = (adj[low.bit_length() - 1] ^ flip) & alive & ~low
+        top = nbrs & -nbrs
+        check = nbrs ^ top
+        if check & (check - 1):  # three neighbours or more
+            one = (adj[top.bit_length() - 1] ^ flip) & nbrs | top
+            two = nbrs ^ one
+            while check:  # each other neighbour sees exactly its own clique
+                high = check & -check
+                check ^= high
+                if (adj[high.bit_length() - 1] ^ flip) & nbrs | high != (one if high & one else two):
+                    return False
+            branched = True
+    if not branched:
+        return False
+    n = len(adj)
+    first = [0] * n  # each vertex's clique that holds its lowest neighbour
+    root = [0] * (2 * n)
+    cliques = 0
+    for v in bits(alive):
+        low = 1 << v
+        nbrs = (adj[v] ^ flip) & alive & ~low
+        top = nbrs & -nbrs
+        one = first[v] = (adj[top.bit_length() - 1] ^ flip) & nbrs | top | low
+        ends = []
+        for clique in (one, nbrs & ~one | low):
+            k = (clique & -clique).bit_length() - 1
+            ends.append(k if first[k] == clique else n + k)
+        a, b = ends
+        root[a] |= 1 << b
+        root[b] |= 1 << a
+        cliques |= 1 << a | 1 << b
+    return _two_colours(root, cliques, 0)
 
 
 def _component(g: Graph, v: int, within: Mask, co: bool = False) -> Mask:
@@ -492,8 +562,9 @@ def split_leaves(g: Graph) -> list[Mask]:
     mask that none of the three changes is a leaf: uncertified, with no
     simplicial vertex, connected, co-connected and twin-free, and so of
     five vertices or more.  Leaves come depth first, each split's pieces in
-    the order of their lowest ids.  A certified graph costs one peel and
-    no list but the empty answer.
+    the order of their lowest ids.  A certified graph (bipartite, chordal,
+    the line graph of a bipartite graph, or the complement of any of these)
+    costs one peel and no list but the empty answer.
 
     ``g`` has an odd hole iff some leaf induces one.  A certified mask and
     the vertices that a peel deletes lie on no odd hole (``_peeled_rest``).
@@ -640,15 +711,15 @@ class _Search:
     the call returns: a list of ``n`` integers and the tuple of its layer
     masks, with its key.  At n = 16 that entry is 460 bytes by
     ``sys.getsizeof``, of which the layers are 184.  On the seed-1 benchmark
-    corpora the largest context of a ``detect`` call holds 57 entries
-    (0.03 MB).  Stage 3 is where a context grows, and only a graph with a
-    claw reaches it.  Glue a 6-cycle at vertex 0 of the line graph of 24
-    random edges of K6,6 (``perfbench.corpora.line_graph_of_bipartite(6, 6,
-    24, random.Random(0))``): n = 29, one claw centre (vertex 0) and no odd
+    corpora the largest context of a ``detect`` call holds 10 entries.
+    Stage 3 is where a context grows, and only a graph with a claw reaches
+    it.  Glue a 6-cycle at vertex 0 of the line graph of 24 random edges of
+    K6,6 (``perfbench.corpora.line_graph_of_bipartite(6, 6, 24,
+    random.Random(0))``): n = 29, one claw centre (vertex 0) and no odd
     hole.  ``detect`` searches it as one leaf, and its context ends with
-    341,983 entries and 68,972 clean-test results; the process peaks at
-    239 MB RSS, and the call takes 11.5-13.3 s (Python 3.11, a shared
-    2-vCPU host).
+    263,400 entries and 51,013 clean-test results; the process peaks at
+    192 MB RSS, and the call takes 9.3-10.0 s (Python 3.11, a shared 2-vCPU
+    host).
 
     ``bfs_distances`` is looked up in this module at call time, so rebinding
     it here (as an outside tracer does) is honoured.  The entries are shared

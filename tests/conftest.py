@@ -60,6 +60,27 @@ def line_graph(h):
                            if set(es[i]) & set(es[j])])
 
 
+def elementary_graph(h, seed):
+    """The line graph of ``h`` with one flat edge ``xy`` (an edge in no
+    triangle), chosen at random, augmented: ``x`` and ``y`` become the
+    cliques ``{x, a}`` and ``{y, b}``, ``a`` sees the other neighbours of
+    ``x`` and ``b`` those of ``y``, and the edges between the two cliques
+    are ``xy``, ``xb`` and ``ab``.  For a bipartite ``h`` it is an elementary
+    graph (Maffray and Reed, 1999): claw-free and perfect.  ``x a b y`` with
+    ``x`` (or ``b``) holds a diamond, so it is no line graph of a bipartite
+    graph.  With no flat edge, it is the line graph itself."""
+    g = line_graph(h)
+    flat = [(x, y) for x, y in g.edges() if not g.adj[x] & g.adj[y]]
+    if not flat:
+        return g
+    x, y = random.Random(seed).choice(flat)
+    a, b = g.n, g.n + 1
+    edges = list(g.edges()) + [(x, a), (a, b), (x, b), (y, b)]
+    edges += [(a, u) for u in range(g.n) if g.has_edge(x, u) and u != y]
+    edges += [(b, u) for u in range(g.n) if g.has_edge(y, u) and u != x]
+    return Graph(g.n + 2, edges)
+
+
 def with_twin(g, v, true):
     """``g`` plus a vertex ``g.n`` with the neighbours of ``v``: a true twin
     of ``v`` (adjacent to it) if ``true``, else a false one."""

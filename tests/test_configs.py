@@ -64,6 +64,15 @@ def test_verify_jewel_positive_and_broken():
     assert not verify_jewel(g, JewelWitness((0, -5, 2, 3, 4), (0, 5, 3)))
 
 
+def test_verify_jewel_refuses_a_ring_of_other_length():
+    # a malformed ring is no jewel, not an unpacking error, as a pyramid
+    # with a base of the wrong length is no pyramid
+    g = _jewel6()
+    for ring in ((), (0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 0)):
+        assert not verify_jewel(g, JewelWitness(ring, (0, 5, 3)))
+    assert not verify_jewel(cycle_graph(6), JewelWitness((0, 1, 2, 3), (0, 5, 4, 3)))
+
+
 def _induced(g, seq):
     k = len(seq)
     return (all(0 <= v < g.n for v in seq) and len(set(seq)) == k

@@ -116,23 +116,23 @@ def _record_bfs(monkeypatch):
     return keys
 
 
-# The line graph of a bipartite graph (4 + 4 vertices, seed 2): perfect, not
-# decided by the peeling, a candidate and claw-free, so detect stops after
-# stage 2 on it.  One of its four-paths is live, and shapes 5-6 run no BFS on
-# it.
-LINE_CANDIDATE = "IrKy_SFAO"
+# Three elementary graphs (Maffray and Reed, 1999): each is the line graph
+# of a bipartite graph with one flat edge (an edge in no triangle) replaced
+# by two cliques with some edges between them.  Each is claw-free and
+# perfect, and has a diamond, so it is not the line graph of a bipartite
+# graph and the peeling does not decide it.  Each is a candidate, so detect
+# stops after stage 2 on it.
 
-# The line graph of 10 edges of K4,4 (``perfbench`` ``line_graph_of_bipartite
-# (4, 4, 10, Random(1))``): perfect, a candidate, and shapes 3-6 search it.
-# 5 of its 45 four-paths are live.  Shapes 1-2 ask for no BFS on it: the
-# component test drops every guess that can step off both ends.
-LIVE_CANDIDATE = "ILWqKNQBo"
-LIVE_PATHS = [(8, 1, 4, 9), (3, 2, 4, 9), (2, 3, 0, 7), (0, 7, 9, 4), (1, 8, 0, 7)]
+# Its one simplicial vertex is 9.  3 of its 37 four-paths are live, and each
+# of the six shapes asks for a BFS on it.
+SIMPLICIAL_CANDIDATE = "IlZEG[LAW"
 
-# A clique-cutset atom of a seed-1 ``perfbench`` ``sparse-negative`` graph:
-# perfect, no split, a candidate, and each of the six shapes asks for a BFS
-# on it.
-SPARSE_ATOM = "IW@KSeo[O"
+# No split, and shapes 3-6 search it: 6 of its 37 four-paths are live.
+LIVE_CANDIDATE = "JDPeP_pAWQ_"
+LIVE_PATHS = [(6, 0, 3, 7), (3, 0, 6, 4), (5, 1, 4, 9), (2, 5, 1, 4), (1, 5, 2, 7), (0, 6, 4, 9)]
+
+# No split, and each of the six shapes asks for a BFS on it.
+SHAPES_CANDIDATE = "HMaHXSf"
 
 # ``gnp(10, 0.5, 71406)``: perfect, not decided by the peeling, a candidate
 # with four claw centres, so detect runs stage 3 on it; each of the six
@@ -145,10 +145,10 @@ def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
     keys = _record_bfs(monkeypatch)
     # detect_fast runs all six shapes over one context: none repeats another's
     # BFS.  Shapes 3-6 drop every guess of SHAPE_GRAPHS before any BFS.
-    lines = tuple(parse_graph6(s).graph for s in (LINE_CANDIDATE, LIVE_CANDIDATE))
+    candidates = tuple(parse_graph6(s).graph for s in (SIMPLICIAL_CANDIDATE, LIVE_CANDIDATE))
     for det in ALL_TYPES + (detect_fast,):
         calls = 0
-        for g in SHAPE_GRAPHS + lines:
+        for g in SHAPE_GRAPHS + candidates:
             keys.clear()
             assert det(g) is None
             assert len(keys) == len(set(keys)), det.__name__
@@ -206,7 +206,7 @@ def test_detect_builds_one_search_per_leaf(monkeypatch):
     monkeypatch.setattr(oddhole.graph._Search, "__init__",
                         lambda self, graph: graphs.append(graph) or init(self, graph))
     live, atom, claw = (parse_graph6(text).graph
-                        for text in (LIVE_CANDIDATE, SPARSE_ATOM, CLAW_CANDIDATE))
+                        for text in (LIVE_CANDIDATE, SHAPES_CANDIDATE, CLAW_CANDIDATE))
     c7 = cycle_graph(7)
     for g, count, found in ((live, 1, False), (c7, 1, True), (claw, 1, False),
                             (disjoint_union(live, atom), 2, False),
@@ -220,18 +220,18 @@ def test_detect_builds_one_search_per_leaf(monkeypatch):
 
 
 def test_anchored_shapes_search_only_live_four_paths():
-    # The filter keeps 5 of the 45 four-paths, in their order, and only the
+    # The filter keeps 6 of the 37 four-paths, in their order, and only the
     # anchored shapes build it: stages 1-2 (whose sweep walks every
     # four-path) leave it unbuilt.
     g = parse_graph6(LIVE_CANDIDATE).graph
     search = _Search(g)
     assert _classify(search) is None
-    assert len(search.four_paths) == 45 and "live_paths" not in search.__dict__
+    assert len(search.four_paths) == 37 and "live_paths" not in search.__dict__
     # each entry is a four-path and its rest, as the four-path table has it
     assert [p[:4] for p in search.live_paths] == LIVE_PATHS
     assert [p for p in search.four_paths if p[:4] in LIVE_PATHS] == search.live_paths
     # and both anchors guess on each of them (without the filter they would
-    # guess on 41 of the 45)
+    # guess on all 37)
     for anchor_on_c3 in (False, True):
         paths = {guess[:4] for guess in _anchored_cuts(search, anchor_on_c3)}
         assert {p if p[0] < p[3] else p[::-1] for p in paths} == set(LIVE_PATHS)
@@ -245,19 +245,19 @@ def _split_hole(g, leaves, hole_mask):
     assert mask_of(hole) == hole_mask
 
 
-# LINE_CANDIDATE on vertices 0-9 and a 7-hole on 10-16, joined or side by
-# side: the line graph, less its simplicial vertex 9, is the first leaf and
-# has no odd hole, so the hole is found in the last leaf.  (A 6-cycle in its
-# place would be certified and dropped.)
+# SIMPLICIAL_CANDIDATE on vertices 0-9 and a 7-hole on 10-16, joined or
+# side by side: the candidate, less its simplicial vertex 9, is the first
+# leaf and has no odd hole, so the hole is found in the last leaf.  (A
+# 6-cycle in its place would be certified and dropped.)
 def test_detect_finds_a_hole_on_one_side_of_a_join():
-    line, seven = mask_of(range(9)), mask_of(range(10, 17))
-    _split_hole(join(parse_graph6(LINE_CANDIDATE).graph, cycle_graph(7)), [line, seven], seven)
+    rest, seven = mask_of(range(9)), mask_of(range(10, 17))
+    _split_hole(join(parse_graph6(SIMPLICIAL_CANDIDATE).graph, cycle_graph(7)), [rest, seven], seven)
 
 
 def test_detect_finds_a_hole_in_the_last_component():
-    line, seven = mask_of(range(9)), mask_of(range(10, 17))
-    _split_hole(disjoint_union(parse_graph6(LINE_CANDIDATE).graph, cycle_graph(7)),
-                [line, seven], seven)
+    rest, seven = mask_of(range(9)), mask_of(range(10, 17))
+    _split_hole(disjoint_union(parse_graph6(SIMPLICIAL_CANDIDATE).graph, cycle_graph(7)),
+                [rest, seven], seven)
 
 
 # A 7-hole whose vertex 0 has a twin 7: the split keeps 0, and every odd
@@ -336,7 +336,7 @@ def test_detect_runs_each_masked_bfs_once(monkeypatch):
     co_bipartite, chordal = SHAPE_GRAPHS
     paths = _Search(chordal).four_paths
     assert len(paths) == 14 and not any(_steps_off(chordal, p) for p in paths)
-    candidates = tuple(parse_graph6(text).graph for text in (LINE_CANDIDATE, CLAW_CANDIDATE))
+    candidates = tuple(parse_graph6(text).graph for text in (SIMPLICIAL_CANDIDATE, CLAW_CANDIDATE))
     runs = [(oddhole.fast._search_graph, g) for g in SHAPE_GRAPHS + candidates]
     runs += [(detect, g) for g in candidates]
     for run, g in runs:
@@ -409,7 +409,7 @@ def test_detect_lists_the_four_paths_once(monkeypatch):
     asked = []
     monkeypatch.setattr(oddhole.graph._Search, "dist",
                         lambda self, source, mask: asked.append(source) or dist(self, source, mask))
-    g = parse_graph6(SPARSE_ATOM).graph
+    g = parse_graph6(SHAPES_CANDIDATE).graph
     assert _type2(_Search(g)) is None and asked
     search = _Search(g)
     builds.clear()
@@ -440,7 +440,7 @@ def test_claw_free_candidates_stop_after_stage_2(monkeypatch):
     """
     builds = _count_tables(monkeypatch)
     staged = _count_staged(monkeypatch)
-    for text in (LINE_CANDIDATE, LIVE_CANDIDATE, SPARSE_ATOM):
+    for text in (SIMPLICIAL_CANDIDATE, LIVE_CANDIDATE, SHAPES_CANDIDATE):
         g = parse_graph6(text).graph
         assert not certifies_berge(g) and classify_candidate(g) is None
         assert not _Search(g).claw_centres
@@ -484,7 +484,7 @@ def test_detect_matches_oracle_on_claw_free_families(monkeypatch):
     # Line graphs of non-bipartite graphs and circular-interval graphs, which
     # the benchmark corpora lack: claw-free, with and without odd holes.
     # detect stops after stage 2 on every one, and agrees with the oracle.
-    # Stage 0 decides all but 4 of the hole-free ones before any search, so
+    # Stage 0 decides all but 2 of the hole-free ones before any search, so
     # the exit is counted on stages 1-3 run on each whole graph: stages 1-2
     # find every hole, and the exit fires on every hole-free graph.
     decided = []
@@ -604,15 +604,20 @@ def test_peeled_bipartite_inputs_skip_the_search(monkeypatch):
 def test_co_chordal_and_co_bipartite_inputs_skip_the_search(monkeypatch):
     # Stage 0 decides the complements of what the simplicial peel decides:
     # a co-chordal graph peels away through co-simplicial vertices, and a
-    # co-bipartite rest is covered by two cliques.  detect builds no search
-    # context on them and asks for no BFS.
+    # co-bipartite rest is covered by two cliques.  It also decides the line
+    # graph of a bipartite graph and its complement, which are perfect
+    # (Konig; Lovasz); before it did, the search ran on each of these:
+    # stages 1-2 on every line graph, and stage 3 on every complement.
+    # detect builds no search context on them and asks for no BFS.
     keys = _record_bfs(monkeypatch)
     built = _count_searches(monkeypatch)
+    roots = [random_bipartite(4 + i % 2, 5, 0.6, 4900 + i) for i in range(8)]
     decided = (
         [random_chordal(12, seed).complement() for seed in range(4)]
         + [random_bipartite(6, 7, (0.3, 0.5, 0.7)[seed % 3], seed).complement() for seed in range(6)]
         + [_with_pendant_cliques(random_bipartite(5, 5, 0.5, 2), 3, (0, 5, 9)).complement()]
         + [_random_tree(12, seed).complement() for seed in range(2)]
+        + [g for h in roots for g in (line_graph(h), line_graph(h).complement())]
     )
     for g in decided:
         keys.clear()
@@ -758,7 +763,7 @@ def test_shapes_1_2_share_one_list_per_edge():
     # The guesses of an edge are listed once per context: shape 1 fills the
     # lists, and shape 2, which walks both orientations of each arc, reads
     # the same lists and adds none.
-    g = parse_graph6(SPARSE_ATOM).graph
+    g = parse_graph6(SHAPES_CANDIDATE).graph
     search = _Search(g)
     assert _type1(search) is None
     lists = dict(search.edge_cuts)  # holds each list, so that no id is reused

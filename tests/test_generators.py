@@ -47,6 +47,31 @@ def test_gnp_deterministic():
     assert gnp(10, 0.3, 1) != gnp(10, 0.3, 2)
 
 
+def test_dense_families_match_their_edge_lists():
+    # the dense builders make rows directly, with the same draws in the same
+    # order as the edge lists they replaced, so every graph (and every
+    # corpus built from them) is bit-identical
+    import random
+
+    from oddhole import Graph
+
+    def by_edges(n, keep):
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if keep(i, j)])
+
+    for n in range(8):
+        assert complete_graph(n) == by_edges(n, lambda i, j: True)
+    for sizes in ([], [0], [3], [2, 2, 2], [1, 0, 4, 2], [5, 1]):
+        part = [k for k, s in enumerate(sizes) for _ in range(s)]
+        assert complete_multipartite(sizes) == by_edges(sum(sizes), lambda i, j: part[i] != part[j])
+    for n, p, seed in ((0, 0.5, 1), (1, 0.5, 1), (9, 0.3, 2), (12, 0.5, 3), (15, 1.0, 4), (7, 0.0, 5)):
+        rng = random.Random(("gnp", n, p, seed).__repr__())
+        assert gnp(n, p, seed) == by_edges(n, lambda i, j: rng.random() < p)
+    for a, b, p, seed in ((0, 3, 0.5, 1), (4, 5, 0.4, 2), (6, 7, 0.5, 3), (3, 0, 0.5, 4)):
+        rng = random.Random(("bip", a, b, p, seed).__repr__())
+        assert random_bipartite(a, b, p, seed) == by_edges(
+            a + b, lambda i, j: i < a <= j and rng.random() < p)
+
+
 def test_bipartite_has_no_odd_cycles():
     for i in range(10):
         g = random_bipartite(5, 6, 0.5, i)

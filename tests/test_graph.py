@@ -32,11 +32,12 @@ from oddhole.generators import (
     cycle_graph,
     gnp,
     path_graph,
+    petersen_graph,
     random_bipartite,
 )
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
 from oddhole.pipeline import ResultDocument, run_detection
-from .conftest import line_graph, split_family_graphs
+from .conftest import elementary_graph, line_graph, split_family_graphs
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -412,11 +413,13 @@ def test_relabel_preserves_structure():
             assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
 
 
-def _certified_by_definition(g, mask, co_simplicial=True):
+def _certified_by_definition(g, mask, co_simplicial=True, lines=True):
     # certifies_berge as its definition states it, one vertex and one pair at
     # a time: delete simplicial and co-simplicial vertices while any is left,
-    # then two-colour the rest or its complement.  Without ``co_simplicial``
-    # it is the simplicial peel and the bipartite test alone.
+    # then two-colour the rest or its complement, or find either to be the
+    # line graph of a bipartite graph.  Without ``co_simplicial`` it is the
+    # simplicial peel and the bipartite test alone; without ``lines``, it
+    # has no line-graph test.
     def edge(u, w):
         return bool(g.adj[u] >> w & 1)
 
@@ -435,17 +438,17 @@ def _certified_by_definition(g, mask, co_simplicial=True):
                 alive.discard(v)
                 changed = True
 
-    def two_colours(co):
+    def two_colour(nodes, linked):
         colour = {}
-        for s in sorted(alive):
+        for s in sorted(nodes):
             if s in colour:
                 continue
             colour[s] = 0
             todo = [s]
             while todo:
                 u = todo.pop()
-                for w in alive - {u}:
-                    if edge(u, w) != co:
+                for w in nodes:
+                    if w != u and linked(u, w):
                         if w not in colour:
                             colour[w] = 1 - colour[u]
                             todo.append(w)
@@ -453,7 +456,31 @@ def _certified_by_definition(g, mask, co_simplicial=True):
                             return False
         return True
 
-    return two_colours(False) or (co_simplicial and two_colours(True))
+    def two_colours(co):
+        return two_colour(alive, lambda u, w: edge(u, w) != co)
+
+    def line_of_bipartite(co):
+        # the maximal cliques, listed pair by pair: each edge lies in exactly
+        # one iff its ends and their common neighbours are a clique, and then
+        # that clique is the one.  Each vertex must lie in at most two, and
+        # the cliques, linked when they share a vertex, must two-colour:
+        # then the graph is the line graph of that bipartite clique graph.
+        def adjacent(u, w):
+            return edge(u, w) != co
+
+        cliques = set()
+        for u, w in pairs(sorted(alive)):
+            if adjacent(u, w):
+                clique = frozenset([u, w] + [x for x in alive if adjacent(x, u) and adjacent(x, w)])
+                if not all(adjacent(a, b) for a, b in pairs(clique)):
+                    return False
+                cliques.add(clique)
+        if any(sum(v in c for c in cliques) > 2 for v in alive):
+            return False
+        return two_colour(cliques, lambda c, d: bool(c & d))
+
+    return two_colours(False) or (co_simplicial and (two_colours(True) or lines and (
+        line_of_bipartite(False) or line_of_bipartite(True))))
 
 
 def test_certified_graphs_are_berge():
@@ -461,8 +488,8 @@ def test_certified_graphs_are_berge():
     # agrees with its definition and gives its complement the same answer
     graphs = [g for n in range(1, 8) for g in connected_small_graphs(n)]
     sampled = [gnp(8 + i % 3, (0.15, 0.3, 0.5)[i % 3], 4100 + i) for i in range(120)]
-    # line graphs of bipartite graphs are Berge, and many are not certified
-    sampled += [line_graph(random_bipartite(4, 4, 0.5, 4400 + i)) for i in range(40)]
+    # elementary graphs are Berge, and many are not certified
+    sampled += [elementary_graph(random_bipartite(4, 4, 0.5, 4400 + i), i) for i in range(40)]
     graphs += sampled + [g.complement() for g in sampled]
     certified = berge_left = 0
     for g in graphs:
@@ -481,15 +508,37 @@ def test_certified_graphs_are_berge():
     assert certifies_berge(cycle_graph(6).complement())
 
 
+def test_line_graphs_of_bipartite_graphs_are_certified():
+    # the line graph of a bipartite graph is Berge (Konig), and so is its
+    # complement (Lovasz): the peel certifies both, also when neither the
+    # rest nor its complement is bipartite, that is when the line graph has
+    # a triangle and a 4-hole.  Line graphs with an odd hole are not
+    # certified: C7, which is its own line graph, and that of the Petersen
+    # graph, nor are their complements.
+    roots = [random_bipartite(3 + i % 3, 4 + i % 2, 0.6, 4700 + i) for i in range(30)]
+    through_lines = 0
+    for h in roots:
+        for g in (line_graph(h), line_graph(h).complement()):
+            assert certifies_berge(g) and _certified_by_definition(g, g.full_mask), h.adj
+            assert oracle_find_odd_hole(g) is None, h.adj
+            through_lines += not _certified_by_definition(g, g.full_mask, lines=False)
+    assert through_lines >= 40, through_lines
+    for g in (cycle_graph(7), line_graph(petersen_graph())):
+        for h in (g, g.complement()):
+            assert not certifies_berge(h) and not _certified_by_definition(h, h.full_mask)
+
+
 def test_certifies_berge_within_a_mask_tests_the_induced_graph():
     # and every sub-mask of a certified mask is certified: the anchored
     # shapes drop a four-path whose sweep mask is certified, with every guess
     # inside it.  Many masks are certified only through co-simplicial
-    # deletions or a co-bipartite rest.
+    # deletions or a co-bipartite rest, and many only by the line-graph test.
     rng = random.Random(23)
     graphs = [gnp(10 + i % 4, (0.2, 0.35, 0.5, 0.65)[i % 4], 4500 + i) for i in range(120)]
+    # and many only as (complements of) line graphs of bipartite graphs
+    graphs += [line_graph(random_bipartite(4, 4 + i % 2, 0.6, 4800 + i)) for i in range(30)]
     graphs += [g.complement() for g in graphs]
-    certified = kept = co_only = 0
+    certified = kept = co_only = line_only = 0
     for g in graphs:
         assert certifies_berge(g, g.full_mask) == certifies_berge(g)
         for _ in range(3):
@@ -503,6 +552,7 @@ def test_certifies_berge_within_a_mask_tests_the_induced_graph():
                 continue
             certified += 1
             co_only += not _certified_by_definition(g, mask, co_simplicial=False)
+            line_only += not _certified_by_definition(g, mask, lines=False)
             # every sub-mask of a small mask, and 200 random ones of a larger one
             if mask.bit_count() <= 8:
                 subs = [sub for sub in range(mask + 1) if sub & mask == sub]
@@ -510,7 +560,8 @@ def test_certifies_berge_within_a_mask_tests_the_induced_graph():
                 subs = [rng.getrandbits(g.n) & mask for _ in range(200)]
             for sub in subs:
                 assert certifies_berge(g, sub), (g.adj, mask, sub)
-    assert certified > 300 and kept > 200 and co_only > 150, (certified, kept, co_only)
+    assert certified > 300 and kept > 200 and co_only > 150 and line_only > 40, (
+        certified, kept, co_only, line_only)
     # a mask with a bit outside the graph, a negative one included, is refused
     for mask in (31 | 1 << 7, -1):
         with pytest.raises(ValueError, match="outside the graph"):
