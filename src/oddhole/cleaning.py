@@ -146,8 +146,11 @@ def _opposite_hole(g: Graph, d1: Distances) -> Optional[Hole]:
     adj = g.adj
     pm = [0] * g.n
     above = [0] * g.n
-    for v in bits(layers[1]):
-        pm[v] = 1 << v
+    rest = layers[1]
+    while rest:  # bits() inlined in every loop of the scan
+        low = rest & -rest
+        rest ^= low
+        pm[low.bit_length() - 1] = low
     starts = 0
     for d in range(2, len(layers)):
         prev = layers[d - 1]
@@ -162,12 +165,19 @@ def _opposite_hole(g: Graph, d1: Distances) -> Optional[Hole]:
             above[v] = above[p] | adj[p]
             if adj[v] & rest:
                 starts |= low
-    for y2 in bits(starts):
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        y2 = low.bit_length() - 1
         row = adj[y2]
         block = pm[y2] | above[y2]
-        for y3 in bits(row & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)):
+        threes = row & layers[d1[y2]] >> (y2 + 1) << (y2 + 1)
+        while threes:
+            low = threes & -threes
+            threes ^= low
+            y3 = low.bit_length() - 1
             p3 = pm[y3]
-            if block & p3 or row & p3 != 1 << y3:
+            if block & p3 or row & p3 != low:
                 continue
             head = walk_down(g, d1, y2)
             head.reverse()
@@ -195,13 +205,16 @@ def test_heavy_cleanable(g: Graph) -> Optional[Hole]:
 
 
 def _sweep(search: _Search) -> Optional[Hole]:
-    """The sweep over ``search.four_paths``.
+    """The sweep over ``search.four_paths``, walked as it is listed.
 
     The scan of a four-path returns only a hole inside its mask, so the
-    table leaves out the four-paths whose mask is the path alone.  It does
-    not read ``live_paths``, as shapes 3-6 do: the sweep decides most
-    positives early, and would pay for a ``certifies_berge`` test per
-    four-path first.
+    table leaves out the four-paths whose mask is the path alone.  The
+    sweep reads the table through ``_Search.walk_four_paths``, so it stops
+    listing at its first hole; a context that goes on to stage 3 lists the
+    rest once, when ``live_paths`` reads the table.  It does not read
+    ``live_paths``, as shapes 3-6 do: the sweep decides most positives
+    early, and would pay for a ``certifies_berge`` test per four-path
+    first.
 
     A four-path ``p1-p2-p3-p4`` is scanned only if both its ends can step
     off it, into ``R = V - (N[p2] | N[p3])``.  Proof that the skip loses
@@ -216,7 +229,7 @@ def _sweep(search: _Search) -> Optional[Hole]:
     """
     g = search.g
     adj = g.adj
-    for (p1, p2, p3, p4, rest) in search.four_paths:
+    for (p1, p2, p3, p4, rest) in search.walk_four_paths():
         if not (adj[p1] & rest and adj[p4] & rest):
             continue
         within = rest | (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)

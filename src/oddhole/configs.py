@@ -139,21 +139,40 @@ def _jewel(search: _Search) -> Optional[JewelWitness]:
     g = search.g
     adj = g.adj
     closed = search.closed
+    # Lowest-bit loops stand for bits() at every level, in the same order:
+    # a generator made anew for each prefix cost more than the tests.
     for v1 in range(g.n):
-        for v2 in bits(adj[v1]):
-            for v3 in bits(adj[v2] & ~closed[v1]):
+        row1 = adj[v1]
+        twos = row1
+        while twos:
+            low = twos & -twos
+            twos ^= low
+            v2 = low.bit_length() - 1
+            threes = adj[v2] & ~closed[v1]
+            while threes:
+                low = threes & -threes
+                threes ^= low
+                v3 = low.bit_length() - 1
                 near = closed[v2] | closed[v3]
                 # the path's second vertex: a neighbour of v1 that is allowed
-                free1 = adj[v1] & ~near
+                free1 = row1 & ~near
                 if not free1:
                     continue
-                for v4 in bits(adj[v3] & ~(closed[v1] | closed[v2])):
+                fours = adj[v3] & ~(closed[v1] | closed[v2])
+                while fours:
+                    low = fours & -fours
+                    fours ^= low
+                    v4 = low.bit_length() - 1
                     # and its second-to-last: a neighbour of v4 that is allowed
                     free4 = adj[v4] & ~near
                     if not free4:
                         continue
                     # v5 sees v4 and v1, so it is not v2 (misses v4) or v3 (misses v1)
-                    for v5 in bits(adj[v4] & adj[v1]):
+                    fives = adj[v4] & row1
+                    while fives:
+                        low = fives & -fives
+                        fives ^= low
+                        v5 = low.bit_length() - 1
                         c5 = closed[v5]
                         if not (free1 & ~c5 and free4 & ~c5):
                             continue
@@ -255,9 +274,17 @@ def _pyramid(search: _Search) -> Optional[PyramidWitness]:
     if not centres:
         return None
     for b1 in range(g.n):
-        for b2 in bits(adj[b1] >> b1 << b1):
-            for b3 in bits(adj[b1] & adj[b2] >> b2 << b2):
-                apexes = centres & ~((1 << b1) | (1 << b2) | (1 << b3) | adj[b1] & adj[b2]
+        twos = adj[b1] >> b1 << b1
+        while twos:  # lowest-bit loops for bits() over the triangles, as in _jewel
+            low = twos & -twos
+            twos ^= low
+            b2 = low.bit_length() - 1
+            threes = adj[b1] & adj[b2] >> b2 << b2
+            while threes:
+                low = threes & -threes
+                threes ^= low
+                b3 = low.bit_length() - 1
+                apexes = centres & ~((1 << b1) | (1 << b2) | low | adj[b1] & adj[b2]
                                      | adj[b1] & adj[b3] | adj[b2] & adj[b3])
                 if not apexes:
                     continue

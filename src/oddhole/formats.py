@@ -15,6 +15,7 @@ most graph6 can encode, before allocating anything for them.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from typing import NamedTuple
 
 from .graph import Graph
@@ -44,7 +45,33 @@ class GraphDocument(NamedTuple):
     graph: Graph
 
 
+# base64 packs six bits per byte as graph6 does, most significant first;
+# only the alphabet differs
+_GRAPH6_ALPHABET = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+# the upper-triangle bits packed at a time: a multiple of 24, so that each
+# chunk is whole base64 groups, and small enough to bound the memory
+_CHUNK_BITS = 24 << 14
+
+
+def _pack(bits: str) -> str:
+    """The graph6 bytes of a string of ``0``/``1``, padded with zeros to six."""
+    pad = -len(bits) % 24
+    data = int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
+    packed = b2a_base64(data, newline=False).translate(_GRAPH6_ALPHABET)
+    return packed[:(len(bits) + 5) // 6].decode()
+
+
 def encode_graph6(g: Graph) -> str:
+    """The graph6 line of ``g``: its size, then the upper triangle of its
+    adjacency matrix column by column, six bits per byte.
+
+    Column ``j`` is bits ``0..j-1`` of row ``j``, lowest first, so one
+    ``bin`` call and one reversed slice give it; the columns are packed in
+    chunks of ``_CHUNK_BITS`` bits, so the memory beyond the output is
+    bounded.
+    """
     n = g.n
     if n <= 62:
         out = [chr(n + 63)]
@@ -52,20 +79,22 @@ def encode_graph6(g: Graph) -> str:
         out = ["~", chr(63 + (n >> 12)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
     else:
         raise ValueError("graph too large for this graph6 writer")
-    acc = 0
-    nbits = 0
+    adj = g.adj
+    columns: list[str] = []
+    size = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
+        # bit j marks the column's top, so bin() gives "0b1" and then its j
+        # bits, highest first; the slice drops "0b1" and reverses them
+        columns.append(bin(adj[j] & ((1 << j) - 1) | 1 << j)[:2:-1])
+        size += j
+        if size >= _CHUNK_BITS:
+            bits = "".join(columns)
+            whole = size - size % 24
+            out.append(_pack(bits[:whole]))
+            columns = [bits[whole:]]
+            size -= whole
+    if size:
+        out.append(_pack("".join(columns)))
     return "".join(out)
 
 

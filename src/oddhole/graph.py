@@ -111,10 +111,24 @@ class Graph:
         """
         if mask == self.full_mask:
             return self, tuple(range(self.n))
-        back = tuple(bits(mask))
-        pos = {v: i for i, v in enumerate(back)}
-        rows = [mask_of(pos[u] for u in bits(self.adj[v] & mask)) for v in back]
-        return Graph.from_rows(len(back), rows), back
+        # Each run of consecutive ids in the mask moves down by one shift:
+        # the count of ids below it that the mask leaves out.
+        runs = []
+        back: list[int] = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            run = rest & ~(rest + low)  # the carry of + low clears exactly the lowest run
+            start = low.bit_length() - 1
+            runs.append((run, start - len(back)))
+            back.extend(range(start, start + run.bit_count()))
+            rest ^= run
+        rows = [0] * len(back)
+        adj = self.adj
+        for run, shift in runs:
+            for i, v in enumerate(back):
+                rows[i] |= (adj[v] & run) >> shift
+        return Graph.from_rows(len(back), rows), tuple(back)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -315,14 +329,20 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     simplicial pass leaves of it, which is not empty.
 
     First simplicial vertices (their neighbours form a clique) are deleted
-    as long as any is left, and a bipartite rest is certified.  Chordal
-    graphs peel away entirely.  Otherwise simplicial and co-simplicial
-    vertices (their non-neighbours are pairwise non-adjacent) are deleted
     as long as any is left, and a rest that is bipartite or co-bipartite
-    (two cliques cover it) is certified, and so is one that is the line
-    graph of a bipartite graph, or whose complement is one
-    (:func:`_line_of_bipartite`).  So bipartite and chordal inputs pay
-    nothing for the second pass, and co-chordal inputs peel away in it.
+    (two cliques cover it) is certified.  Chordal graphs peel away
+    entirely.  Otherwise simplicial and co-simplicial vertices (their
+    non-neighbours are pairwise non-adjacent) are deleted as long as any is
+    left; the two tests are asked again only if that deleted a vertex, and
+    then a rest that is the line graph of a bipartite graph, or whose
+    complement is one (:func:`_line_of_bipartite`), is certified.  So
+    bipartite, co-bipartite and chordal inputs pay nothing for the second
+    pass, and co-chordal inputs peel away in it.  Asking the co-bipartite
+    test before the second pass, not after it only, raised seed-1
+    ``dense-negative`` throughput by 24% (``perfbench/run.py``, 3 pairs of
+    runs); asking the line-graph tests there too raised its p90 latency by
+    13%, as the co-chordal graphs then pay for them.  The order does not
+    change the answer, as every certificate is hereditary (below).
 
     Each step is exact.  A simplicial vertex lies on no hole, since its two
     neighbours on the hole would be adjacent.  A co-simplicial vertex ``v``
@@ -366,7 +386,7 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
         else:
             alive ^= low
             todo |= nbrs
-    if _two_colours(adj, alive, 0):
+    if _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
         return 0
     # The second pass.  No vertex left is simplicial, so each is tested for
     # a stable non-neighbourhood only; deleting ``v`` can make a neighbour
@@ -396,7 +416,7 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
             nbrs = adj[low.bit_length() - 1] & alive
             todo = (todo | nbrs) & alive
             co_todo = (co_todo | alive & ~nbrs) & alive
-    if alive != peeled and _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
+    if alive != peeled and (_two_colours(adj, alive, 0) or _two_colours(adj, alive, -1)):
         return 0
     if _line_of_bipartite(adj, alive, 0) or _line_of_bipartite(adj, alive, -1):
         return 0
@@ -579,6 +599,23 @@ def split_leaves(g: Graph) -> list[Mask]:
     a false twin ``u`` would put ``w`` in ``N(v) = N(u)`` and so ``u`` in
     ``N[w] = N[v]``.  So each twin class keeps its lowest id.
 
+    An empty answer also proves ``g`` Berge, as every step keeps odd
+    antiholes too, so ``pipeline.test_perfect`` builds no complement for
+    it.  An odd antihole of length five is a 5-hole.  One of length seven
+    or more is a hole of that length in the complement, where a simplicial
+    vertex of ``g`` is co-simplicial and a co-simplicial one simplicial, so
+    it holds neither kind.  It misses every certified mask, which is Berge.
+    Each of its vertices sees all but two of the others, so it is
+    connected, and its complement is a cycle, so it is co-connected: it
+    lies inside one component and one co-component.  True twins of ``g``
+    are false twins of the complement and the other way round, so it meets
+    a twin class at most once, and a dropped vertex on it can be replaced
+    by its kept twin.  So ``g`` has an odd antihole iff some leaf does, and
+    with no leaf it has neither, and is perfect by the strong perfect graph
+    theorem (Chudnovsky, Robertson, Seymour and Thomas, 2006).  On seeds
+    1-3 of the ``perfect-mixed`` benchmark corpus each of the 120 perfect
+    graphs has no leaf.
+
     Only the simplicial pass shrinks what is searched, because stages 1-2
     then return the same witness on the rest as on the mask.  A vertex
     ``s`` simplicial in the mask (its neighbours pairwise adjacent) lies on
@@ -660,25 +697,40 @@ def induced_four_paths(g: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _has_stable_triple(mask: Mask, closed: list[Mask]) -> bool:
-    """True if three vertices of ``mask`` are pairwise non-adjacent.
+FourPath = tuple[int, int, int, int, Mask]
 
-    ``closed`` holds each vertex's closed neighbourhood.  With ``mask`` a
-    vertex's row, the answer says whether that vertex is a claw centre.
+
+def _list_four_paths(g: Graph, closed: list[Mask], listed: list[FourPath]) -> Iterator[FourPath]:
+    """Append each entry of ``_Search.four_paths`` to ``listed``, and yield it.
+
+    The paths are listed middle edge first, as ``induced_four_paths`` lists
+    them and in its order, and a middle edge with an empty ``rest`` is
+    skipped whole: each path on it has a mask of four vertices, which holds
+    no odd hole.  Lowest-bit loops stand for ``bits()`` at every level.
     """
-    # bits() inlined twice, which made the claw-centre mask four times faster:
-    # over each u in mask, then each w above u that misses u, for an x above w
-    # that misses both
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        rest = mask & ~closed[low.bit_length() - 1]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest & ~closed[low.bit_length() - 1]:
-                return True
-    return False
+    full, adj = g.full_mask, g.adj
+    for b in range(g.n):
+        off_b = full & ~closed[b]
+        cs = adj[b]
+        while cs:
+            low = cs & -cs
+            cs ^= low
+            c = low.bit_length() - 1
+            rest = off_b & ~closed[c]
+            if not rest:
+                continue
+            ends = adj[b] & ~closed[c]
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                a = low.bit_length() - 1
+                far = adj[c] & ~(closed[a] | closed[b]) >> (a + 1) << (a + 1)
+                while far:
+                    low = far & -far
+                    far ^= low
+                    entry = (a, b, c, low.bit_length() - 1, rest)
+                    listed.append(entry)
+                    yield entry
 
 
 class _Search:
@@ -702,7 +754,13 @@ class _Search:
     the sweep walks; ``live_paths``, the part of it that shapes 3-6 search;
     and ``three_paths``, which shapes 1-2 search.  ``four_paths`` and
     ``three_paths`` make their exact mask tests while they list, so a path
-    on which no reader could find a hole is never listed.  ``edge_cuts``
+    on which no reader could find a hole is never listed.  ``four_paths``
+    is filled as it is walked (:meth:`walk_four_paths`): the sweep lists
+    entries only up to its first hole, and a later reader, such as
+    ``live_paths`` after a sweep that found none, lists what is left, so
+    each entry is listed once per context, in one order.  In the contexts
+    of ``test_perfect`` on seed-1 ``perfect-mixed`` that reach the sweep,
+    it lists 252 of the 1,991 entries of their tables.  ``edge_cuts``
     holds, per edge, keyed by the mask of its two ends, the list of shape
     1-2 guesses left on it, which ``fast._edge_cuts`` fills on the edge's
     first use and both shapes read in both orientations.
@@ -729,6 +787,8 @@ class _Search:
 
     def __init__(self, g: Graph) -> None:
         self.g = g
+        self._listed: list[FourPath] = []
+        self._lister: Optional[Iterator[FourPath]] = None
         self._dist: dict[tuple[int, Mask], Distances] = {}
         self.cleaned: dict[Mask, Optional[tuple[int, ...]]] = {}
         self.edge_cuts: dict[Mask, list[tuple[int, int, Mask, Mask, Mask, Mask]]] = {}
@@ -754,34 +814,53 @@ class _Search:
         ``fast.detect`` stops after stage 2 (``docs/derived-types.md``).
         """
         closed = self.closed
-        return mask_of(a for a, row in enumerate(self.g.adj) if _has_stable_triple(row, closed))
+        centres = 0
+        for a, row in enumerate(self.g.adj):
+            # lowest-bit loops, as in bfs_distances: over each u in the row,
+            # then each w above u that misses u, for an x above w that misses both
+            while row:
+                low = row & -row
+                row ^= low
+                rest = row & ~closed[low.bit_length() - 1]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if rest & ~closed[low.bit_length() - 1]:
+                        centres |= 1 << a
+                        row = 0
+                        break
+        return centres
 
     @cached_property
-    def four_paths(self) -> list[tuple[int, int, int, int, Mask]]:
+    def four_paths(self) -> list[FourPath]:
         """The induced four-paths whose sweep mask has five or more vertices.
 
         Each entry is ``(p1, p2, p3, p4, rest)`` with ``rest = V - (N[p2] |
         N[p3])``.  For a path ``p1-p2-p3-p4`` the sweep mask drops every
         neighbour of ``p2`` or ``p3`` off the path, so it is ``rest`` plus
-        the path; this table is the one place that computes it.  The paths
-        are listed middle edge first, as ``induced_four_paths`` lists them
-        and in its order, and a middle edge with an empty ``rest`` is
-        skipped whole: each path on it has a mask of four vertices, which
-        holds no odd hole.
+        the path; :func:`_list_four_paths` is the one place that computes
+        it.  This is the whole table: what :meth:`walk_four_paths` has
+        listed, and the rest listed now.
         """
-        g = self.g
-        full, adj, closed = g.full_mask, g.adj, self.closed
-        out = []
-        for b in range(g.n):
-            off_b = full & ~closed[b]
-            for c in bits(adj[b]):
-                rest = off_b & ~closed[c]
-                if not rest:
-                    continue
-                for a in bits(adj[b] & ~closed[c]):
-                    for d in bits(adj[c] & ~(closed[a] | closed[b]) >> (a + 1) << (a + 1)):
-                        out.append((a, b, c, d, rest))
-        return out
+        for _ in self.walk_four_paths():
+            pass
+        return self._listed
+
+    def walk_four_paths(self) -> Iterator[FourPath]:
+        """The entries of :attr:`four_paths` in order, each listed when it is
+        first reached.
+
+        So a reader that stops early, as the sweep does at its first hole,
+        lists no more of the table, and a later reader, or the whole table,
+        goes on from there: every entry is listed once per context.
+        """
+        if self._lister is None:
+            self._lister = _list_four_paths(self.g, self.closed, self._listed)
+        listed, lister = self._listed, self._lister
+        i = 0
+        while i < len(listed) or next(lister, None):
+            yield listed[i]
+            i += 1
 
     @cached_property
     def three_paths(self) -> list[tuple[int, int, int, Mask, Mask, Mask]]:

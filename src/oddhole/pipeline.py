@@ -3,9 +3,10 @@
 A graph is perfect exactly when neither it nor its complement contains an
 odd hole, so the perfection test is two detector runs; an imperfection
 witness is either a hole of the graph or a hole of the complement
-(reported as an antihole of the graph).  Both runs are ``detect``; the
-brute-force oracle and the reference detectors of ``oddhole.simple`` back
-the tests only.
+(reported as an antihole of the graph).  Both runs are ``detect``, and the
+second is skipped when stage 0 leaves no leaf of the graph, which proves
+it Berge; the brute-force oracle and the reference detectors of
+``oddhole.simple`` back the tests only.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import json
 import time
 from typing import NamedTuple, Optional
 
-from .fast import detect
+from .fast import _search_leaves, detect
 from .formats import encode_graph6
-from .graph import Graph, is_odd_hole
+from .graph import Graph, is_odd_hole, split_leaves
 
 # the witness kinds each verdict may carry; None means no witness
 WITNESS_KINDS: dict[str, tuple[Optional[str], ...]] = {
@@ -128,10 +129,17 @@ def run_detection(g: Graph) -> ResultDocument:
 
 
 def test_perfect(g: Graph) -> ResultDocument:
-    """Perfection via the strong characterization: check g and its complement."""
+    """Perfection via the strong characterization: check g and its complement.
+
+    The graph side is ``detect`` on the leaves of ``graph.split_leaves``.
+    With no leaf, ``g`` is Berge (every step of the split keeps odd
+    antiholes as well as odd holes; the proof is in ``split_leaves``), so
+    the answer is ``perfect`` and no complement is built or searched.
+    """
     t0 = time.perf_counter()
-    hole, kind = detect(g), "hole"
-    if hole is None:
+    leaves = split_leaves(g)
+    hole, kind = _search_leaves(g, leaves), "hole"
+    if hole is None and leaves:
         hole, kind = detect(g.complement()), "antihole"
     return _document(g, t0, hole, kind, "imperfect", "perfect")
 

@@ -446,3 +446,36 @@ def test_classify_witnesses_verify():
 def test_small_graph_shortcut():
     assert classify_candidate(complete_graph(4)) is None
     assert classify_candidate(Graph(0)) is None
+
+
+def test_sweep_lists_the_four_paths_only_up_to_its_hole(monkeypatch):
+    # The sweep walks the four-path table as it is listed: one that finds a
+    # hole lists the entries up to it only, and returns the hole that the
+    # sweep over the whole table returns.  A later reader of the context
+    # gets the whole table, and the rest is listed once.
+    lister = oddhole.graph._list_four_paths
+    listed = []
+
+    def counted(g, closed, out):
+        for entry in lister(g, closed, out):
+            listed.append(entry)
+            yield entry
+
+    monkeypatch.setattr(oddhole.graph, "_list_four_paths", counted)
+    shorter = 0
+    for i in range(120):
+        g = gnp(8 + i % 6, (0.2, 0.3, 0.45)[i % 3], 6100 + i)
+        for h in (g, g.complement()):
+            listed.clear()
+            search = _Search(h)
+            hole = _sweep(search)
+            walked = list(listed)
+            whole = _Search(h)
+            table = whole.four_paths
+            assert _sweep(whole) == hole and walked == table[:len(walked)], h.adj
+            if hole is None:
+                assert walked == table, h.adj
+            shorter += len(walked) < len(table)
+            listed.clear()
+            assert search.four_paths == table and listed == table[len(walked):], h.adj
+    assert shorter > 50, shorter

@@ -262,14 +262,14 @@ def test_gen_command():
 
 def test_gen_out_of_memory_is_a_spec_error():
     # 24.5 million edges, under the output bound (4.1 MB of graph6): the rows
-    # take about 7 MB and the encoder's list of 4.1 million characters about
-    # 33 MB, so a child capped at 16 MB above what it maps once the CLI is
-    # imported runs out of address space within a few seconds
+    # alone take about 7 MB, so a child capped at 4 MB above what it maps
+    # once the CLI is imported runs out of address space building them (the
+    # encoder packs the bits in bounded chunks, so the whole run fits in 16)
     pytest.importorskip("resource")
     if not Path("/proc/self/statm").exists():
         pytest.skip("needs /proc/self/statm to read the mapped size")
     code = ("import resource; from oddhole.cli import main; "
-            "cap = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize() + (16 << 20); "
+            "cap = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize() + (4 << 20); "
             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); main()")
     env = {**os.environ, "PYTHONPATH": str(Path(oddhole.__file__).parents[1])}
     res = subprocess.run([sys.executable, "-c", code, "gen", "complete", "7000"],

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oddhole.formats
 from oddhole.formats import (
     GRAPH6_HEADER,
     ParseError,
@@ -51,6 +52,43 @@ def test_graph6_larger_n_prefix():
         s = encode_graph6(g)
         assert s[0] == head
         assert parse_graph6(s).graph == g
+
+
+def _encode_graph6_bit_by_bit(g):
+    # the upper triangle one bit at a time, as the encoder once walked it
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~", chr(63 + (n >> 12)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (g.adj[j] >> i & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def test_graph6_encoder_matches_the_bit_by_bit_reference(monkeypatch):
+    # every size from 0 to 300, both size prefixes, every padding
+    for n in range(301):
+        g = gnp(n, (0.1, 0.5, 0.9)[n % 3], 4400 + n)
+        assert encode_graph6(g) == _encode_graph6_bit_by_bit(g), n
+    for n in (62, 63):
+        for g in (Graph(n), complete_graph(n), gnp(n, 0.5, n)):
+            assert encode_graph6(g) == _encode_graph6_bit_by_bit(g), n
+    # the triangle is packed in chunks; small ones put many chunk ends in
+    # every column and across column ends
+    for chunk in (24, 48, 96):
+        monkeypatch.setattr(oddhole.formats, "_CHUNK_BITS", chunk)
+        for n in range(40):
+            g = gnp(n, 0.5, 4800 + n)
+            assert encode_graph6(g) == _encode_graph6_bit_by_bit(g), (chunk, n)
 
 
 def test_graph6_parses_a_2000_vertex_cycle_in_seconds():

@@ -594,6 +594,28 @@ def test_induced_renumbers_in_id_order():
     assert g.induced(0) == (Graph(0), ())
 
 
+def _induced_by_neighbours(g, mask):
+    # the subgraph on ``mask`` renumbered one neighbour at a time
+    back = tuple(bits(mask))
+    pos = {v: i for i, v in enumerate(back)}
+    rows = [mask_of(pos[u] for u in bits(g.adj[v] & mask)) for v in back]
+    return Graph.from_rows(len(back), rows), back
+
+
+@given(st.integers(0, 10000), st.integers(1, 40), st.sampled_from((0.2, 0.5, 0.8)),
+       st.integers(0, (1 << 40) - 1))
+@settings(max_examples=200, deadline=None)
+def test_induced_matches_the_per_neighbour_reference(seed, n, p, mask):
+    # the rows are built from the runs of consecutive ids in the mask
+    g = gnp(n, p, seed)
+    top = 1 << (n - 1)
+    alternate = mask_of(range(0, n, 2))  # a run per kept vertex
+    for m in (mask & g.full_mask, 0, 1, top, top | 1, alternate, g.full_mask ^ top,
+              g.full_mask & ~alternate, g.full_mask ^ 1):
+        assert g.induced(m) == _induced_by_neighbours(g, m), (g.adj, m)
+    assert g.induced(g.full_mask)[0] is g
+
+
 def _twin_free(g, mask):
     # no two vertices of ``mask`` have the same open or the same closed
     # neighbourhood inside it
@@ -650,3 +672,13 @@ def test_split_leaves_match_brute_force_and_the_oracle():
     # none of the four kinds of graph is rare
     assert split >= 150 and len(graphs) - split >= 30, split
     assert leafless >= 30 and split_holes >= 20, (leafless, split_holes)
+
+
+@given(st.integers(0, 10000), st.integers(1, 10), st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)))
+@settings(max_examples=300, deadline=None)
+def test_an_empty_split_leaves_no_odd_antihole(seed, n, p):
+    # test_perfect answers perfect on an empty split without searching the
+    # complement: every step of the split keeps odd antiholes too
+    g = gnp(n, p, seed)
+    if split_leaves(g) == []:
+        assert oracle_find_odd_hole(g.complement()) is None, g.adj

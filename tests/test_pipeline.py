@@ -15,6 +15,7 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
+from oddhole.graph import split_leaves
 from oddhole.oracle import oracle_find_odd_hole
 from oddhole.pipeline import (
     ResultDocument,
@@ -171,6 +172,26 @@ def test_perfect_chordal_and_bipartite():
     for i in range(6):
         assert test_perfect(random_chordal(9, i)).verdict == "perfect"
         assert test_perfect(random_bipartite(4, 5, 0.5, i)).verdict == "perfect"
+
+
+def test_perfect_builds_no_complement_after_an_empty_split(monkeypatch):
+    # An empty split proves the graph Berge, so test_perfect answers
+    # perfect without the complement side; a graph with a leaf still builds
+    # and searches its complement, perfect or not.
+    complement = Graph.complement
+    built = []
+    monkeypatch.setattr(Graph, "complement", lambda g: built.append(g) or complement(g))
+    perfect_with_leaf = gnp(10, 0.5, 3)
+    antihole = cycle_graph(7).complement()
+    for g, leafless, verdict in ((random_chordal(9, 0), True, "perfect"),
+                                 (random_bipartite(4, 5, 0.5, 0), True, "perfect"),
+                                 (cycle_graph(6).complement(), True, "perfect"),
+                                 (perfect_with_leaf, False, "perfect"),
+                                 (antihole, False, "imperfect")):
+        assert (split_leaves(g) == []) == leafless, g.adj
+        built.clear()
+        assert test_perfect(g).verdict == verdict
+        assert built == ([] if leafless else [g]), g.adj
 
 
 def test_perfect_matches_oracle_small():

@@ -5,7 +5,8 @@ the same vertex tuple, in the same order, or the same witness object.  The
 test hashes the repr of those answers and compares the hash to a constant.
 A speed-up that changes a tie-break shows here even when every answer still
 verifies.  A change that alters witnesses on purpose updates ``DIGEST`` and
-records why in CHANGES.md.
+records why in CHANGES.md.  ``PERFECT_DIGEST`` pins ``test_perfect``'s
+``(verdict, witness, witness_kind)`` on the same graphs the same way.
 """
 
 import hashlib
@@ -14,10 +15,12 @@ from oddhole.cleaning import classify_candidate, test_clean, test_heavy_cleanabl
 from oddhole.configs import find_jewel, find_pyramid
 from oddhole.fast import detect
 from oddhole.generators import decorated_odd_cycle, gnp
+from oddhole.pipeline import test_perfect
 
 STAGES = (detect, classify_candidate, find_jewel, find_pyramid, test_clean, test_heavy_cleanable)
 
 DIGEST = "f7befd9374490fd30255faac08bbebc9bdaf11ea84dd56ab1712b8a2defab2a2"
+PERFECT_DIGEST = "d1c36b64e270539219869944a18d0f90a2af8299915d5f0f9ad7924973d3f3c1"
 
 
 def _graphs():
@@ -34,5 +37,17 @@ def witness_digest() -> str:
     return h.hexdigest()
 
 
+def perfect_digest() -> str:
+    h = hashlib.sha256()
+    for g in _graphs():
+        d = test_perfect(g)
+        h.update(f"{g.n} {g.adj} {(d.verdict, d.witness, d.witness_kind)!r}\n".encode())
+    return h.hexdigest()
+
+
 def test_witnesses_match_the_pinned_digest():
     assert witness_digest() == DIGEST
+
+
+def test_perfection_answers_match_the_pinned_digest():
+    assert perfect_digest() == PERFECT_DIGEST
