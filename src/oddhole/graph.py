@@ -328,21 +328,27 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     """0 if :func:`certifies_berge` certifies the mask; else what the
     simplicial pass leaves of it, which is not empty.
 
-    First simplicial vertices (their neighbours form a clique) are deleted
-    as long as any is left, and a rest that is bipartite or co-bipartite
-    (two cliques cover it) is certified.  Chordal graphs peel away
+    A mask that is bipartite or co-bipartite (two cliques cover it) is
+    certified at once.  Otherwise simplicial vertices (their neighbours
+    form a clique) are deleted as long as any is left, and the two tests
+    are asked again if that deleted a vertex; chordal graphs peel away
     entirely.  Otherwise simplicial and co-simplicial vertices (their
     non-neighbours are pairwise non-adjacent) are deleted as long as any is
     left; the two tests are asked again only if that deleted a vertex, and
     then a rest that is the line graph of a bipartite graph, or whose
     complement is one (:func:`_line_of_bipartite`), is certified.  So
-    bipartite, co-bipartite and chordal inputs pay nothing for the second
-    pass, and co-chordal inputs peel away in it.  Asking the co-bipartite
-    test before the second pass, not after it only, raised seed-1
-    ``dense-negative`` throughput by 24% (``perfbench/run.py``, 3 pairs of
-    runs); asking the line-graph tests there too raised its p90 latency by
-    13%, as the co-chordal graphs then pay for them.  The order does not
-    change the answer, as every certificate is hereditary (below).
+    bipartite and co-bipartite inputs pay for no pass, chordal ones for the
+    first only, and co-chordal inputs peel away in the second.  Asking the
+    two tests first, before the simplicial pass, with the line-graph test's
+    cliques spread from one vertex, raised seed-1 ``sparse-negative``
+    throughput by 39% (``perfbench/run.py``, 10 pairs of runs); it costs a
+    chordal graph about 1 µs, as both tests fail on it.  Asking the
+    co-bipartite test before the second pass, not after it only, raised
+    seed-1 ``dense-negative`` throughput by 24% (3 pairs); asking the
+    line-graph tests there too raised its p90 latency by 13%, as the
+    co-chordal graphs then pay for them.  The order does not change the
+    answer, as every certificate is hereditary (below), and an uncertified
+    mask leaves the same simplicial rest.
 
     Each step is exact.  A simplicial vertex lies on no hole, since its two
     neighbours on the hole would be adjacent.  A co-simplicial vertex ``v``
@@ -371,7 +377,9 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     :func:`split_leaves` splits it, and ``fast.detect`` searches it.
     """
     adj = g.adj
-    alive = g.full_mask if within is None else within
+    alive = whole = g.full_mask if within is None else within
+    if _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
+        return 0
     todo = alive
     while todo:  # bits() inlined in this function: stage 0 runs it on every graph
         low = todo & -todo
@@ -386,7 +394,7 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
         else:
             alive ^= low
             todo |= nbrs
-    if _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
+    if alive != whole and (_two_colours(adj, alive, 0) or _two_colours(adj, alive, -1)):
         return 0
     # The second pass.  No vertex left is simplicial, so each is tested for
     # a stable non-neighbourhood only; deleting ``v`` can make a neighbour
@@ -456,29 +464,36 @@ def _line_of_bipartite(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
     ``flip``, co-simplicial), so each has two non-adjacent neighbours, and
     the graph is not bipartite.
 
-    Each vertex's neighbours must split into two cliques with no edge
-    between them, which is "no claw and no diamond".  Then each clique plus
-    the vertex is a maximal clique, each edge lies in exactly one and each
-    vertex in two, so the graph is the line graph of its root: the maximal
-    cliques, a vertex being the edge that joins its two.  The root is
-    bipartite iff its cliques 2-colour with each vertex's two cliques
-    apart.  A vertex with two neighbours passes.  If every vertex has two,
-    the graph is a union of cycles, its own root, and not bipartite, so
-    the answer is False without a root.
+    The graph is such a line graph iff each vertex can be given two cliques,
+    one on each of two sides, that cover its closed neighbourhood and meet
+    only in it, with every member of a clique holding it on the same side:
+    the cliques are then the vertices of a bipartite root, and each vertex
+    is the edge between its two (``docs/derived-types.md`` has the proof).
 
-    A clique is named by its lowest vertex ``k``: ``k`` if it is the one in
-    ``first[k]``, else ``n + k``, so the root's rows are a list, as ``adj``
-    is, and :func:`_two_colours` colours them.
+    The vertices are first checked in order until one with three or more
+    neighbours splits them into two cliques with no edge between them.  A
+    vertex with two neighbours passes, and if every vertex has two, the
+    graph is a union of cycles, its own root, and not bipartite, so the
+    answer is False after one pass.  A claw or a diamond at the first
+    vertex with three neighbours refuses there.  The spread below would
+    give both answers too; the two exits keep refusals cheap.
+
+    Then the cliques spread through each component from its lowest vertex,
+    whose clique with its lowest neighbour goes on side 0.  A clique on a
+    side gives each member not yet reached that clique on that side, and
+    its closed row less the clique, plus itself, on the other side, which
+    spreads in turn.  A member whose row does not hold the clique refuses,
+    and so does a member already reached that holds another clique on that
+    side.  Each vertex is reached once.
     """
-    branched = False
     rest = alive
     while rest:  # bits() inlined, as in _peeled_rest
         low = rest & -rest
         rest ^= low
-        nbrs = (adj[low.bit_length() - 1] ^ flip) & alive & ~low
-        top = nbrs & -nbrs
-        check = nbrs ^ top
+        nbrs = (adj[low.bit_length() - 1] ^ flip) & (alive ^ low)
+        check = nbrs & (nbrs - 1)  # all but the lowest
         if check & (check - 1):  # three neighbours or more
+            top = nbrs ^ check
             one = (adj[top.bit_length() - 1] ^ flip) & nbrs | top
             two = nbrs ^ one
             while check:  # each other neighbour sees exactly its own clique
@@ -486,27 +501,37 @@ def _line_of_bipartite(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
                 check ^= high
                 if (adj[high.bit_length() - 1] ^ flip) & nbrs | high != (one if high & one else two):
                     return False
-            branched = True
-    if not branched:
+            break
+    else:
         return False
     n = len(adj)
-    first = [0] * n  # each vertex's clique that holds its lowest neighbour
-    root = [0] * (2 * n)
-    cliques = 0
-    for v in bits(alive):
-        low = 1 << v
-        nbrs = (adj[v] ^ flip) & alive & ~low
+    held = ([0] * n, [0] * n)  # each vertex's clique on side 0, on side 1
+    unmet = alive
+    while unmet:  # one component at a time, from its lowest vertex
+        low = unmet & -unmet
+        nbrs = (adj[low.bit_length() - 1] ^ flip) & (alive ^ low)
         top = nbrs & -nbrs
-        one = first[v] = (adj[top.bit_length() - 1] ^ flip) & nbrs | top | low
-        ends = []
-        for clique in (one, nbrs & ~one | low):
-            k = (clique & -clique).bit_length() - 1
-            ends.append(k if first[k] == clique else n + k)
-        a, b = ends
-        root[a] |= 1 << b
-        root[b] |= 1 << a
-        cliques |= 1 << a | 1 << b
-    return _two_colours(root, cliques, 0)
+        todo = [((adj[top.bit_length() - 1] ^ flip) & nbrs | top | low, 0)]
+        while todo:
+            clique, side = todo.pop()
+            mine = held[side]
+            theirs = held[1 - side]
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if unmet & low:
+                    row = (adj[v] ^ flip) & alive | low
+                    if clique & ~row:
+                        return False
+                    unmet ^= low
+                    mine[v] = clique
+                    theirs[v] = other = row & ~clique | low
+                    todo.append((other, 1 - side))
+                elif mine[v] != clique:
+                    return False
+    return True
 
 
 def _component(g: Graph, v: int, within: Mask, co: bool = False) -> Mask:

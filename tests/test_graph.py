@@ -28,6 +28,7 @@ from oddhole.graph import (
 )
 from oddhole.generators import (
     complete_graph,
+    complete_multipartite,
     connected_small_graphs,
     cycle_graph,
     gnp,
@@ -37,7 +38,7 @@ from oddhole.generators import (
 )
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
 from oddhole.pipeline import ResultDocument, run_detection
-from .conftest import elementary_graph, line_graph, split_family_graphs
+from .conftest import disjoint_union, elementary_graph, line_graph, split_family_graphs
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -413,6 +414,48 @@ def test_relabel_preserves_structure():
             assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
 
 
+def _two_colour(nodes, linked):
+    # two-colour ``nodes`` by a depth-first search over the pairs ``linked``
+    colour = {}
+    for s in sorted(nodes):
+        if s in colour:
+            continue
+        colour[s] = 0
+        todo = [s]
+        while todo:
+            u = todo.pop()
+            for w in nodes:
+                if w != u and linked(u, w):
+                    if w not in colour:
+                        colour[w] = 1 - colour[u]
+                        todo.append(w)
+                    elif colour[w] == colour[u]:
+                        return False
+    return True
+
+
+def _line_of_bipartite_by_definition(g, alive, co):
+    # the maximal cliques of the graph on ``alive`` (with ``co``, of its
+    # complement), listed pair by pair: each edge lies in exactly one iff its
+    # ends and their common neighbours are a clique, and then that clique is
+    # the one.  Each vertex must lie in at most two, and the cliques, linked
+    # when they share a vertex, must two-colour: then the graph is the line
+    # graph of that bipartite clique graph.
+    def adjacent(u, w):
+        return bool(g.adj[u] >> w & 1) != co
+
+    cliques = set()
+    for u, w in itertools.combinations(sorted(alive), 2):
+        if adjacent(u, w):
+            clique = frozenset([u, w] + [x for x in alive if adjacent(x, u) and adjacent(x, w)])
+            if not all(adjacent(a, b) for a, b in itertools.combinations(clique, 2)):
+                return False
+            cliques.add(clique)
+    if any(sum(v in c for c in cliques) > 2 for v in alive):
+        return False
+    return _two_colour(cliques, lambda c, d: bool(c & d))
+
+
 def _certified_by_definition(g, mask, co_simplicial=True, lines=True):
     # certifies_berge as its definition states it, one vertex and one pair at
     # a time: delete simplicial and co-simplicial vertices while any is left,
@@ -438,49 +481,11 @@ def _certified_by_definition(g, mask, co_simplicial=True, lines=True):
                 alive.discard(v)
                 changed = True
 
-    def two_colour(nodes, linked):
-        colour = {}
-        for s in sorted(nodes):
-            if s in colour:
-                continue
-            colour[s] = 0
-            todo = [s]
-            while todo:
-                u = todo.pop()
-                for w in nodes:
-                    if w != u and linked(u, w):
-                        if w not in colour:
-                            colour[w] = 1 - colour[u]
-                            todo.append(w)
-                        elif colour[w] == colour[u]:
-                            return False
-        return True
-
     def two_colours(co):
-        return two_colour(alive, lambda u, w: edge(u, w) != co)
-
-    def line_of_bipartite(co):
-        # the maximal cliques, listed pair by pair: each edge lies in exactly
-        # one iff its ends and their common neighbours are a clique, and then
-        # that clique is the one.  Each vertex must lie in at most two, and
-        # the cliques, linked when they share a vertex, must two-colour:
-        # then the graph is the line graph of that bipartite clique graph.
-        def adjacent(u, w):
-            return edge(u, w) != co
-
-        cliques = set()
-        for u, w in pairs(sorted(alive)):
-            if adjacent(u, w):
-                clique = frozenset([u, w] + [x for x in alive if adjacent(x, u) and adjacent(x, w)])
-                if not all(adjacent(a, b) for a, b in pairs(clique)):
-                    return False
-                cliques.add(clique)
-        if any(sum(v in c for c in cliques) > 2 for v in alive):
-            return False
-        return two_colour(cliques, lambda c, d: bool(c & d))
+        return _two_colour(alive, lambda u, w: edge(u, w) != co)
 
     return two_colours(False) or (co_simplicial and (two_colours(True) or lines and (
-        line_of_bipartite(False) or line_of_bipartite(True))))
+        _line_of_bipartite_by_definition(g, alive, False) or _line_of_bipartite_by_definition(g, alive, True))))
 
 
 def test_certified_graphs_are_berge():
@@ -526,6 +531,135 @@ def test_line_graphs_of_bipartite_graphs_are_certified():
     for g in (cycle_graph(7), line_graph(petersen_graph())):
         for h in (g, g.complement()):
             assert not certifies_berge(h) and not _certified_by_definition(h, h.full_mask)
+
+
+def _meets_the_line_test_precondition(g):
+    # what _peeled_rest guarantees when it asks _line_of_bipartite: every
+    # vertex has two non-adjacent neighbours, and the graph is not bipartite
+    def branched(v):
+        near = list(bits(g.adj[v]))
+        return any(not g.has_edge(a, b) for a, b in itertools.combinations(near, 2))
+
+    return all(branched(v) for v in range(g.n)) and not _two_colour(range(g.n), g.has_edge)
+
+
+def _first_branched_splits(g):
+    # the lowest vertex with three neighbours or more exists, and its
+    # neighbours split into two cliques with no edge between them
+    v = next(v for v in range(g.n) if g.degree(v) >= 3)
+    near = list(bits(g.adj[v]))
+    one = [u for u in near if u == near[0] or g.has_edge(u, near[0])]
+    return all(g.has_edge(a, b) == ((a in one) == (b in one)) for a, b in itertools.combinations(near, 2))
+
+
+class _CountedRows(list):
+    # adjacency rows that count how many times they are read
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_line_test_refuses_where_the_root_test_does():
+    # _line_of_bipartite against its definition, on graphs that meet its
+    # precondition, read directly (flip 0) and as the complement of the
+    # complement (flip -1).  The hand-built graphs pass the check at their
+    # first vertex with three neighbours, so the answer comes from spreading
+    # the cliques: a diamond and a claw away from vertex 0, roots that are
+    # triangle-free but not bipartite, a root with a vertex of degree two
+    # (a clique of two vertices), and a second component that fails.
+    rook = line_graph(complete_multipartite([3, 3]))  # vertex 3i + j is the edge (i, j)
+    diamond = Graph(10, list(rook.edges()) + [(9, 7), (9, 8), (9, 4)])
+    claw = Graph(10, list(rook.edges()) + [(9, 4), (9, 8)])
+    # triangles 012, 046 and 345, the edge 25, and a claw at 7 on 1, 3 and 6:
+    # 7 is reached last, when 1 and 3 already hold their cliques 17 and 37
+    late_claw = Graph(8, [(0, 1), (0, 2), (1, 2), (0, 4), (0, 6), (4, 6), (3, 4), (3, 5), (4, 5),
+                          (2, 5), (7, 1), (7, 3), (7, 6)])
+    petersen = line_graph(petersen_graph())
+    # C7 and a path of two edges between 0 and 3: a 5-cycle and a 6-cycle
+    chorded = line_graph(Graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 3)]))
+    two_by_three = line_graph(complete_multipartite([2, 3]))
+    # C6 with a chord: two 4-cycles, bipartite, with four vertices of degree 2
+    theta = line_graph(Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]))
+    hand_built = {
+        "diamond": (diamond, False),
+        "claw": (claw, False),
+        "claw reached last": (late_claw, False),
+        "Petersen": (petersen, False),
+        "C7 and a path": (chorded, False),
+        "K23": (two_by_three, True),
+        "theta": (theta, True),
+        "second component fails": (disjoint_union(two_by_three, chorded), False),
+        "second component is C7": (disjoint_union(rook, cycle_graph(7)), False),
+        "two components pass": (disjoint_union(theta, rook), True),
+    }
+    for name, (g, line) in hand_built.items():
+        assert _meets_the_line_test_precondition(g) and _first_branched_splits(g), name
+        assert _line_of_bipartite_by_definition(g, range(g.n), False) == line, name
+        assert oddhole.graph._line_of_bipartite(g.adj, g.full_mask, 0) == line, name
+        assert oddhole.graph._line_of_bipartite(g.complement().adj, g.full_mask, -1) == line, name
+    # a claw at the first vertex with three neighbours, and a union of
+    # cycles, refuse in the check before any clique spreads: it reads that
+    # vertex's row and its neighbours', or each row once
+    for g, reads in ((petersen_graph(), 4), (cycle_graph(9), 9),
+                     (disjoint_union(cycle_graph(5), cycle_graph(6)), 11)):
+        assert _meets_the_line_test_precondition(g)
+        assert not _line_of_bipartite_by_definition(g, range(g.n), False)
+        for adj, flip in ((g.adj, 0), (g.complement().adj, -1)):
+            rows = _CountedRows(adj)
+            assert not oddhole.graph._line_of_bipartite(rows, g.full_mask, flip)
+            assert rows.reads <= reads, (g.adj, flip, rows.reads)
+    # random line graphs of bipartite and other graphs, with an edge or two
+    # flipped, and their complements
+    rng = random.Random(31)
+    tested = accepted = 0
+    for i in range(400):
+        h = random_bipartite(3 + i % 3, 3 + i % 4, 0.75, 5200 + i)
+        if i % 4 == 3:
+            h = Graph(h.n, list(h.edges()) + [(0, 1)])  # an edge inside a side
+        g = line_graph(h)
+        for _ in range(i % 3):
+            if g.n > 1:
+                u, v = rng.sample(range(g.n), 2)
+                g = Graph(g.n, set(g.edges()) ^ {(min(u, v), max(u, v))})
+        for rest in (g, g.complement()):
+            if not _meets_the_line_test_precondition(rest):
+                continue
+            line = _line_of_bipartite_by_definition(rest, range(rest.n), False)
+            assert oddhole.graph._line_of_bipartite(rest.adj, rest.full_mask, 0) == line, rest.adj
+            assert oddhole.graph._line_of_bipartite(rest.complement().adj, rest.full_mask, -1) == line, rest.adj
+            tested += 1
+            accepted += line
+    assert tested >= 500 and accepted >= 50 and tested - accepted >= 400, (tested, accepted)
+
+
+def test_two_colour_tests_come_before_the_simplicial_pass(monkeypatch):
+    # _peeled_rest asks both two-colour tests of the whole mask first, so a
+    # bipartite or co-bipartite graph is certified with no simplicial pass:
+    # each graph below has a simplicial vertex, which that pass would delete
+    # before any later test.
+    calls = []
+    two_colours = oddhole.graph._two_colours
+
+    def spy(adj, alive, flip):
+        got = two_colours(adj, alive, flip)
+        calls.append((alive, flip, got))
+        return got
+
+    monkeypatch.setattr(oddhole.graph, "_two_colours", spy)
+    pendant = Graph(10, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (6, 7), (3, 8), (8, 9)])
+    # cliques {0, 1, 2} and {3, 4, 5}; vertex 0 sees no vertex of the other
+    co_bipartite = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 3), (2, 4), (1, 5)])
+    forest = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])  # 0 misses only 4 and 5
+    for g, flip in ((pendant, 0), (co_bipartite, -1), (forest.complement(), -1)):
+        assert any(all(g.has_edge(a, b) for a, b in itertools.combinations(bits(g.adj[v]), 2))
+                   for v in range(g.n)), g.adj
+        calls.clear()
+        assert certifies_berge(g)
+        whole = g.full_mask
+        expected = [(whole, 0, True)] if flip == 0 else [(whole, 0, False), (whole, -1, True)]
+        assert calls == expected, (g.adj, calls)
 
 
 def test_certifies_berge_within_a_mask_tests_the_induced_graph():

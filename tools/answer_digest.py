@@ -13,6 +13,10 @@ same vertex order, on every benchmark graph.  Standard
 library only; run from anywhere::
 
     python tools/answer_digest.py
+
+``tools/answer_digests.txt`` holds the lines of the committed answers, so
+``python tools/answer_digest.py | diff tools/answer_digests.txt -`` fails
+on any changed answer; a change meant to change answers updates that file.
 """
 
 from __future__ import annotations
