@@ -93,12 +93,15 @@ graphs their cost is the constant factor of their loops.  The jewel's
 the claw-centre mask and the four-path lister walk their masks with inline
 lowest-bit loops, not ``graph.bits`` generators, in the same increasing
 order; ``Graph.induced`` builds each leaf's rows from the runs of
-consecutive ids in the leaf, one AND and one shift per run.  With
-``pipeline.test_perfect`` skipping the complement of a graph with no leaf,
-a seed-1 ``perfect-mixed`` pass of ``test_perfect`` fell from 50.5 to
-37.5 ms in process (Python 3.11.7, 2 shared vCPUs): the jewel from 8.3 to
-5.9 ms, the sweep with its four-path listing from 8.8 to 5.6,
-``Graph.induced`` from 4.2 to 1.6, and stage 0 from 17.2 to 14.8.
+consecutive ids in the leaf, one AND and one shift per run.
+``pipeline.test_perfect`` builds no complement for a graph with no leaf,
+and searches the complement of each leaf, not of the whole graph, for one
+with a leaf: a seed-1 ``perfect-mixed`` pass of ``test_perfect`` takes
+34.8-35.5 ms in process (best of 25, two runs; Python 3.11.7, 2 shared
+vCPUs), 8.5-8.7 ms of it the complement sides of the 120 graphs with an
+odd antihole, each the complement of one 7- or 9-vertex leaf.  On the
+same machine, searching the complements of the whole 17-19-vertex graphs
+took 13.8-14.2 ms of a 40.8-40.9 ms pass.
 
 :func:`detect` runs the six shapes only on a graph with a claw: on a
 claw-free graph the jewel, pyramid and heavy-cleanable searches already
@@ -496,7 +499,8 @@ def detect(g: Graph) -> Optional[Hole]:
     With no leaf left the answer is None, and the graph is Berge, so
     ``pipeline.test_perfect`` skips its complement side (the proof is in
     ``split_leaves``).  The leaves go to ``_search_leaves``, which
-    ``test_perfect`` shares.  Each leaf, in the order the split yields it,
+    ``test_perfect`` shares; its complement side searches the complement
+    of each leaf.  Each leaf, in the order the split yields it,
     is searched as an induced graph (``Graph.induced``, which is this graph
     itself when it is its own only leaf), and a hole found there is mapped
     back to this graph's ids and verified; the graph has an odd hole iff

@@ -267,10 +267,12 @@ def geodesic_mask(du: Distances, dv: Distances, total: int, scope: Mask) -> Mask
     return out & scope
 
 
-def _chordless(g: Graph, seq: Sequence[int], closed: bool) -> bool:
+def _chordless(g: Graph, seq: Sequence[int], closed: bool, anti: bool = False) -> bool:
     """True iff ``seq`` lists distinct vertices of ``g``, and each one's row
     meets the mask of ``seq`` in exactly its neighbours along ``seq``; with
-    ``closed``, the two ends count as neighbours of each other too.
+    ``closed``, the two ends count as neighbours of each other too.  With
+    ``anti`` the rows are those of the complement, read off ``g``'s rows
+    inside the mask, so no complement is built.
 
     An id outside ``0..n-1`` gives False, never a lookup.  So ``seq`` is an
     induced path, or with ``closed`` a chordless cycle: one mask test per
@@ -286,7 +288,10 @@ def _chordless(g: Graph, seq: Sequence[int], closed: bool) -> bool:
     ends = (bit[-1], bit[0]) if closed else (0, 0)
     near = [ends[0], *bit, ends[1]]  # near[i] | near[i + 2]: the neighbours of seq[i]
     for i, v in enumerate(seq):
-        if adj[v] & mask != near[i] | near[i + 2]:
+        row = adj[v] & mask
+        if anti:
+            row ^= mask ^ bit[i]  # the non-neighbours of v in the mask
+        if row != near[i] | near[i + 2]:
             return False
     return True
 
@@ -310,6 +315,12 @@ def is_hole(g: Graph, cycle: Sequence[int]) -> bool:
 def is_odd_hole(g: Graph, cycle: Sequence[int]) -> bool:
     """True iff ``cycle`` is a chordless cycle of odd length (hence >= 5)."""
     return len(cycle) % 2 == 1 and is_hole(g, cycle)
+
+
+def is_odd_antihole(g: Graph, cycle: Sequence[int]) -> bool:
+    """True iff ``cycle`` is an odd hole of ``g``'s complement, that is,
+    ``is_odd_hole(g.complement(), cycle)``, without building the complement."""
+    return len(cycle) >= 5 and len(cycle) % 2 == 1 and _chordless(g, cycle, True, anti=True)
 
 
 def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
@@ -624,22 +635,22 @@ def split_leaves(g: Graph) -> list[Mask]:
     a false twin ``u`` would put ``w`` in ``N(v) = N(u)`` and so ``u`` in
     ``N[w] = N[v]``.  So each twin class keeps its lowest id.
 
-    An empty answer also proves ``g`` Berge, as every step keeps odd
-    antiholes too, so ``pipeline.test_perfect`` builds no complement for
-    it.  An odd antihole of length five is a 5-hole.  One of length seven
-    or more is a hole of that length in the complement, where a simplicial
-    vertex of ``g`` is co-simplicial and a co-simplicial one simplicial, so
-    it holds neither kind.  It misses every certified mask, which is Berge.
-    Each of its vertices sees all but two of the others, so it is
-    connected, and its complement is a cycle, so it is co-connected: it
-    lies inside one component and one co-component.  True twins of ``g``
-    are false twins of the complement and the other way round, so it meets
-    a twin class at most once, and a dropped vertex on it can be replaced
-    by its kept twin.  So ``g`` has an odd antihole iff some leaf does, and
-    with no leaf it has neither, and is perfect by the strong perfect graph
-    theorem (Chudnovsky, Robertson, Seymour and Thomas, 2006).  On seeds
-    1-3 of the ``perfect-mixed`` benchmark corpus each of the 120 perfect
-    graphs has no leaf.
+    Every step keeps odd antiholes too, so ``pipeline.test_perfect``
+    searches the complement of each leaf, not that of ``g``, and an empty
+    answer proves ``g`` Berge.  An odd antihole of length five is a 5-hole.
+    One of length seven or more is a hole of that length in the complement,
+    where a simplicial vertex of ``g`` is co-simplicial and a co-simplicial
+    one simplicial, so it holds neither kind.  It misses every certified
+    mask, which is Berge.  Each of its vertices sees all but two of the
+    others, so it is connected, and its complement is a cycle, so it is
+    co-connected: it lies inside one component and one co-component.  True
+    twins of ``g`` are false twins of the complement and the other way
+    round, so it meets a twin class at most once, and a dropped vertex on it
+    can be replaced by its kept twin.  So ``g`` has an odd antihole iff some
+    leaf does, and with no leaf it has neither, and is perfect by the strong
+    perfect graph theorem (Chudnovsky, Robertson, Seymour and Thomas, 2006).
+    On seeds 1-3 of the ``perfect-mixed`` benchmark corpus each of the 120
+    perfect graphs has no leaf.
 
     Only the simplicial pass shrinks what is searched, because stages 1-2
     then return the same witness on the rest as on the mask.  A vertex

@@ -3,9 +3,12 @@
 A graph is perfect exactly when neither it nor its complement contains an
 odd hole, so the perfection test is two detector runs; an imperfection
 witness is either a hole of the graph or a hole of the complement
-(reported as an antihole of the graph).  Both runs are ``detect``, and the
-second is skipped when stage 0 leaves no leaf of the graph, which proves
-it Berge; the brute-force oracle and the reference detectors of
+(reported as an antihole of the graph).  Both runs search the leaves that
+stage 0 (``graph.split_leaves``) leaves of the graph: the graph side runs
+stages 1-3 on each leaf, and the complement side runs ``detect`` on the
+complement of each leaf, as ``g`` has an odd antihole iff some leaf does.
+So no complement of the whole graph is built unless the graph is its own
+only leaf.  The brute-force oracle and the reference detectors of
 ``oddhole.simple`` back the tests only.
 """
 
@@ -18,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .fast import _search_leaves, detect
 from .formats import encode_graph6
-from .graph import Graph, is_odd_hole, split_leaves
+from .graph import Graph, Mask, is_odd_antihole, is_odd_hole, split_leaves
 
 # the witness kinds each verdict may carry; None means no witness
 WITNESS_KINDS: dict[str, tuple[Optional[str], ...]] = {
@@ -106,8 +109,8 @@ class ResultDocument(NamedTuple):
             return False
         if self.witness is None:
             return True
-        host = g.complement() if self.witness_kind == "antihole" else g
-        return is_odd_hole(host, self.witness)
+        check = is_odd_antihole if self.witness_kind == "antihole" else is_odd_hole
+        return check(g, self.witness)
 
 
 def _document(g: Graph, t0: float, hole: Optional[tuple[int, ...]], kind: str,
@@ -128,19 +131,39 @@ def run_detection(g: Graph) -> ResultDocument:
     return _document(g, t0, detect(g), "hole", "odd-hole-found", "no-odd-hole")
 
 
+def _search_leaf_complements(g: Graph, leaves: list[Mask]) -> Optional[tuple[int, ...]]:
+    """The first odd hole ``detect`` finds in the complement of a leaf, in
+    ``g``'s ids, as ``fast._search_leaves`` searches the leaves themselves."""
+    for leaf in leaves:
+        sub, back = g.induced(leaf)
+        hole = detect(sub.complement())
+        if hole is not None:
+            hole = tuple(back[v] for v in hole)
+            if is_odd_antihole(g, hole):
+                return hole
+    return None
+
+
 def test_perfect(g: Graph) -> ResultDocument:
     """Perfection via the strong characterization: check g and its complement.
 
     The graph side is ``detect`` on the leaves of ``graph.split_leaves``.
-    With no leaf, ``g`` is Berge (every step of the split keeps odd
-    antiholes as well as odd holes; the proof is in ``split_leaves``), so
-    the answer is ``perfect`` and no complement is built or searched.
+    The complement side is ``detect`` on the complement of each of the same
+    leaves, in split order, and its witness is the first odd hole found
+    there, in ``g``'s ids, verified as an antihole of ``g``.  That is exact:
+    an odd antihole of length five is a 5-hole, which the graph side finds
+    first, and one of length seven or more lies inside one leaf (the proof
+    is in ``split_leaves``).  With no leaf, ``g`` is Berge and the answer is
+    ``perfect``, with no complement built.  The witness can differ from
+    ``detect(g.complement())``'s: for graph6 ``H}NHCpl``, whose only leaf is
+    ``{0, 1, 2, 3, 4, 7, 8}``, it is ``(2, 3, 8, 0, 4, 1, 7)``, while the
+    whole complement gives ``(1, 7, 5, 3, 8, 0, 4)``.
     """
     t0 = time.perf_counter()
     leaves = split_leaves(g)
     hole, kind = _search_leaves(g, leaves), "hole"
-    if hole is None and leaves:
-        hole, kind = detect(g.complement()), "antihole"
+    if hole is None:
+        hole, kind = _search_leaf_complements(g, leaves), "antihole"
     return _document(g, t0, hole, kind, "imperfect", "perfect")
 
 

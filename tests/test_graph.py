@@ -20,6 +20,7 @@ from oddhole.graph import (
     induced_three_paths,
     is_hole,
     is_induced_path,
+    is_odd_antihole,
     is_odd_hole,
     mask_of,
     shortest_path,
@@ -94,20 +95,24 @@ def _chordless_by_definition(g, seq, closed):
 
 def test_is_induced_path_matches_definition_on_random_graphs():
     # every sequence of length 0-6 over the ids -1..n, repeats included; the
-    # graphs hold a 4-hole, a 5-hole, and both
-    found = [0, 0, 0]
+    # graphs hold a 4-hole, a 5-hole, and both, and their complements a 5-hole
+    found = [0, 0, 0, 0]
     for n, seed in ((4, 1), (5, 8), (6, 7)):
         g = gnp(n, 0.5, seed)
+        co = g.complement()
         for k in range(7):
             for seq in itertools.product(range(-1, n + 1), repeat=k):
                 path = k >= 1 and _chordless_by_definition(g, seq, False)
                 hole = k >= 4 and _chordless_by_definition(g, seq, True)
+                anti = k % 2 == 1 and k >= 4 and _chordless_by_definition(co, seq, True)
                 assert is_induced_path(g, seq) == path, (g.adj, seq)
                 assert is_hole(g, seq) == hole, (g.adj, seq)
                 assert is_odd_hole(g, seq) == (hole and k % 2 == 1), (g.adj, seq)
+                assert is_odd_antihole(g, seq) == anti, (g.adj, seq)
                 found[0] += path
                 found[1] += hole and k % 2 == 0
                 found[2] += hole and k % 2 == 1
+                found[3] += anti
     assert all(found), found
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from oddhole.generators import (
     random_bipartite,
     random_chordal,
 )
-from oddhole.graph import split_leaves
+from oddhole.fast import detect
+from oddhole.formats import parse_graph6
+from oddhole.graph import mask_of, split_leaves
 from oddhole.oracle import oracle_find_odd_hole
 from oddhole.pipeline import (
     ResultDocument,
@@ -176,22 +179,51 @@ def test_perfect_chordal_and_bipartite():
 
 def test_perfect_builds_no_complement_after_an_empty_split(monkeypatch):
     # An empty split proves the graph Berge, so test_perfect answers
-    # perfect without the complement side; a graph with a leaf still builds
-    # and searches its complement, perfect or not.
+    # perfect without the complement side.  A graph with leaves builds the
+    # complement of each leaf it searches, never its own unless it is its
+    # own only leaf.
     complement = Graph.complement
     built = []
     monkeypatch.setattr(Graph, "complement", lambda g: built.append(g) or complement(g))
     perfect_with_leaf = gnp(10, 0.5, 3)
     antihole = cycle_graph(7).complement()
-    for g, leafless, verdict in ((random_chordal(9, 0), True, "perfect"),
-                                 (random_bipartite(4, 5, 0.5, 0), True, "perfect"),
-                                 (cycle_graph(6).complement(), True, "perfect"),
-                                 (perfect_with_leaf, False, "perfect"),
-                                 (antihole, False, "imperfect")):
-        assert (split_leaves(g) == []) == leafless, g.adj
+    for g, leaves, verdict in ((random_chordal(9, 0), 0, "perfect"),
+                               (random_bipartite(4, 5, 0.5, 0), 0, "perfect"),
+                               (cycle_graph(6).complement(), 0, "perfect"),
+                               (perfect_with_leaf, 1, "perfect"),
+                               (antihole, 1, "imperfect")):
+        assert split_leaves(g) == [g.full_mask] * leaves, g.adj
         built.clear()
         assert test_perfect(g).verdict == verdict
-        assert built == ([] if leafless else [g]), g.adj
+        assert built == [g] * leaves, g.adj
+    for s in range(4):
+        # a chordal graph beside a 7-antihole: the leaf is the antihole
+        chordal = random_chordal(10, s)
+        g = Graph(17, list(chordal.edges()) + [(u + 10, v + 10) for u, v in antihole.edges()])
+        leaf = antihole.full_mask << 10
+        assert split_leaves(g) == [leaf]
+        built.clear()
+        doc = test_perfect(g)
+        assert doc.verdict == "imperfect" and doc.witness_kind == "antihole"
+        assert set(doc.witness) <= set(range(10, 17)) and doc.verify_witness(g)
+        assert built == [g.induced(leaf)[0]] and built[0].n == 7 and built[0] is not g
+
+
+def test_perfect_antihole_witness_comes_from_the_leaf_complement():
+    # The antihole witness is detect's first hole in the complement of a
+    # leaf, in g's ids; here it differs from detect on the whole complement.
+    g = parse_graph6("H}NHCpl").graph
+    (leaf,) = split_leaves(g)
+    assert leaf == mask_of((0, 1, 2, 3, 4, 7, 8))
+    doc = test_perfect(g)
+    assert doc.verdict == "imperfect" and doc.witness_kind == "antihole"
+    assert doc.witness == (2, 3, 8, 0, 4, 1, 7)
+    assert is_odd_hole(g.complement(), doc.witness)
+    assert mask_of(doc.witness) & ~leaf == 0
+    sub, back = g.induced(leaf)
+    assert doc.witness == tuple(back[v] for v in detect(sub.complement()))
+    assert detect(g.complement()) == (1, 7, 5, 3, 8, 0, 4)
+    assert doc.verify_witness(g)
 
 
 def test_perfect_matches_oracle_small():
@@ -203,6 +235,36 @@ def test_perfect_matches_oracle_small():
             and oracle_find_odd_hole(g.complement()) is None
         )
         assert (doc.verdict == "perfect") == want
+
+
+def _planted_antihole(k, noise, seed):
+    """A k-antihole and ``noise`` vertices joined at random, ids shuffled."""
+    rng = random.Random(seed)
+    n = k + noise
+    edges = [(u, v) for u in range(k) for v in range(u + 2, k) if (u, v) != (0, k - 1)]
+    edges += [(u, v) for v in range(k, n) for u in range(v) if rng.random() < 0.5]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, edges).relabel(perm)
+
+
+def test_perfect_matches_oracle_on_planted_antiholes():
+    # planted odd antiholes (7 and 9) with 1-4 noise vertices: the verdict
+    # and witness kind follow the oracle on g and on its complement
+    kinds = []
+    for i in range(400):
+        g = _planted_antihole(7 + 2 * (i % 2), 1 + i % 4, 8000 + i)
+        doc = test_perfect(g)
+        if oracle_find_odd_hole(g) is not None:
+            want = ("imperfect", "hole")
+        elif oracle_find_odd_hole(g.complement()) is not None:
+            want = ("imperfect", "antihole")
+        else:
+            want = ("perfect", None)
+        assert (doc.verdict, doc.witness_kind) == want, g.adj
+        assert doc.verify_witness(g), g.adj
+        kinds.append(doc.witness_kind)
+    assert kinds.count("antihole") >= 50 and "hole" in kinds, kinds.count("antihole")
 
 
 def test_digest_stable():
