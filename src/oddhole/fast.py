@@ -96,12 +96,25 @@ order; ``Graph.induced`` builds each leaf's rows from the runs of
 consecutive ids in the leaf, one AND and one shift per run.
 ``pipeline.test_perfect`` builds no complement for a graph with no leaf,
 and searches the complement of each leaf, not of the whole graph, for one
-with a leaf: a seed-1 ``perfect-mixed`` pass of ``test_perfect`` takes
-34.8-35.5 ms in process (best of 25, two runs; Python 3.11.7, 2 shared
-vCPUs), 8.5-8.7 ms of it the complement sides of the 120 graphs with an
-odd antihole, each the complement of one 7- or 9-vertex leaf.  On the
-same machine, searching the complements of the whole 17-19-vertex graphs
-took 13.8-14.2 ms of a 40.8-40.9 ms pass.
+with a leaf.
+
+Two leaves need no search, and :func:`_search_graph` decides them in O(n)
+before it builds a context.  A leaf that is an odd cycle of length seven
+or more gets, in closed form, the hole that stages 1-2 return on it
+(:func:`_cycle_hole`); one that is the complement of such a cycle has no
+odd hole.  One walker, :func:`_ring`, tests both, the second with ``co``
+on the rows of the complement, which it never builds.
+``pipeline.test_perfect`` asks :func:`_cycle_hole` first on the
+complement of each leaf, before ``detect`` and its stage 0.  ``detect``'s
+own entry gains no test, so a graph that stage 0 decides pays nothing.
+On seed-1 ``perfect-mixed``, 62 of the 240 leaves that the graph sides
+search are odd cycles and 120 are odd antiholes, whose complements are
+the 120 leaves of the complement sides; on seed-1 ``stream-batch``, 169 of
+the 200 leaves are odd cycles.  A seed-1 ``perfect-mixed`` pass of
+``test_perfect`` took 18.7 ms in process with the two tests, against 31.8
+ms without (best of 25, two runs each; Python 3.11.7, 2 shared vCPUs), and
+its complement sides 1.25 ms against 7.9.  A ``detect`` pass over seed-1
+``stream-batch`` took 10.2 ms against 15.7.
 
 :func:`detect` runs the six shapes only on a graph with a claw: on a
 claw-free graph the jewel, pyramid and heavy-cleanable searches already
@@ -507,8 +520,12 @@ def detect(g: Graph) -> Optional[Hole]:
     some leaf has one.  Stages 1-2 return the same witness on the
     simplicial rest as on the graph (the proof is in ``split_leaves``).
 
-    The search of one leaf goes through ``classify_candidate`` (jewel,
-    pyramid, heavy-cleanable sweep) on one search context.  If that finds
+    A leaf that is an odd cycle of length seven or more, or the complement
+    of one, is decided with no search (:func:`_search_graph`): the cycle
+    gets the hole that stages 1-2 would return (:func:`_cycle_hole`), and
+    the antihole has none.  Any other leaf is searched through
+    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) on one
+    search context.  If that finds
     nothing and the graph has no claw (``_Search.claw_centres`` is empty),
     the answer is None: in a claw-free graph every shortest odd hole has an
     edge whose ends see all of its major vertices, so the sweep would have
@@ -517,6 +534,76 @@ def detect(g: Graph) -> Optional[Hole]:
     same context.
     """
     return _search_leaves(g, split_leaves(g))
+
+
+def _ring(g: Graph, co: bool = False) -> Optional[list[int]]:
+    """The vertices of ``g`` in cycle order from 0, toward its lower
+    neighbour, if ``g`` is an odd cycle of length seven or more; else None.
+
+    With ``co`` the same for the complement of ``g`` (an odd antihole of
+    ``g``): each row read is ``full & ~N[v]``, so the complement is never
+    built.  The walk checks that each row it reaches has two bits and steps
+    to the one not yet visited.  When there is none, ``g`` is the cycle iff
+    the walk holds all ``n`` vertices and the last row holds 0: every
+    vertex then has degree two on one cycle through all of them.
+    """
+    n, adj, full = g.n, g.adj, g.full_mask
+    if n < 7 or not n & 1:
+        return None
+    order = [0]
+    seen = 1
+    while True:
+        v = order[-1]
+        row = full ^ adj[v] ^ 1 << v if co else adj[v]
+        if row.bit_count() != 2:
+            return None
+        step = row & ~seen
+        if not step:
+            return order if len(order) == n and row & 1 else None
+        low = step & -step
+        seen |= low
+        order.append(low.bit_length() - 1)
+
+
+def _cycle_hole(g: Graph) -> Optional[Hole]:
+    """The hole that stages 1-2 return on ``g`` if it is an odd cycle of
+    length seven or more (:func:`_ring`); else None.
+
+    On ``C_k``, ``k >= 7``, the jewel and the pyramid find nothing: a
+    jewel's ring is a 5-cycle, and a pyramid has a triangle.  So stages 1-2
+    return the sweep's first hole.  For ``b`` with neighbours ``x`` and
+    ``y``, write ``x'`` for the other neighbour of ``x`` and ``y'`` for
+    that of ``y``.  ``graph._list_four_paths`` lists, by ``b`` and then by
+    ``c``, the four-paths ``a-b-c-d`` with ``d > a``: on ``b`` they are
+    ``y-b-x-x'`` if ``x' > y`` and ``x-b-y-y'`` if ``y' > x``.  Each has a
+    ``rest`` of ``k - 4`` vertices, so it is listed, and both its ends step
+    into it (the other neighbour of ``a`` is not ``d``, as ``k > 5``).  So
+    the sweep scans first the lowest ``b`` with ``x' > y`` or ``y' > x``;
+    there is one, as the four-path ending at the highest id is listed.  Its
+    mask is the whole cycle, and ``cleaning._opposite_hole`` from ``b``
+    meets ``k // 2`` layers of two vertices each.  Only the last holds an
+    edge, joining the two antipodes of ``b``: the lower is ``y2`` and the
+    higher ``y3``.  The walks from each down to ``b`` are the two arcs,
+    which meet only at ``b`` and see each other only at ``y2y3``, so every
+    test passes.  The hole is the whole cycle, walked from ``b`` through
+    ``y2`` and then ``y3``: from ``b`` toward the lower of its antipodes.
+    """
+    order = _ring(g)
+    if order is None:
+        return None
+    k = len(order)
+    pos = [0] * k
+    for i, v in enumerate(order):
+        pos[v] = i
+    for b in range(k):  # x' > y or y' > x, read both ways round the ring
+        i = pos[b]
+        if order[(i + 2) % k] > order[i - 1] or order[i - 2] > order[(i + 1) % k]:
+            break
+    ring = order[i:] + order[:i]
+    h = k // 2
+    if ring[h] > ring[h + 1]:  # the lower antipode is h steps the other way
+        ring[1:] = ring[:0:-1]
+    return tuple(ring)
 
 
 def _search_leaves(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
@@ -532,7 +619,20 @@ def _search_leaves(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
 
 
 def _search_graph(g: Graph) -> Optional[Hole]:
-    """Stages 1-3 of :func:`detect`, with no stage 0, on one context."""
+    """Stages 1-3 of :func:`detect`, with no stage 0, on one context.
+
+    Two leaves are decided first, with no context: an odd cycle of length
+    seven or more gets the hole of :func:`_cycle_hole`, and the complement
+    of one has no odd hole.  Proof of the second: an induced subgraph of the
+    antihole on ``S`` is the complement of ``C_k[S]``, which is the whole
+    cycle or a union of paths.  A hole ``C_m`` there (``m >= 5``) would make
+    ``C_k[S]`` the complement of ``C_m``, whose vertices have degree ``m -
+    3``: that is not a union of paths for ``m >= 6``, and for ``m = 5`` it
+    is a 5-cycle, so ``S`` would be the whole cycle and ``k = 5``.
+    """
+    hole = _cycle_hole(g)
+    if hole is not None or _ring(g, co=True) is not None:
+        return hole
     search = _Search(g)
     hole = _classify(search)
     if hole is not None or not search.claw_centres:

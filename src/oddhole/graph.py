@@ -772,8 +772,10 @@ def _list_four_paths(g: Graph, closed: list[Mask], listed: list[FourPath]) -> It
 class _Search:
     """The search state of one detector call on one graph.
 
-    ``detect`` creates one per leaf of :func:`split_leaves` and hands it to
-    every stage: the jewel and pyramid searches, the heavy-cleanable sweep
+    ``detect`` creates one per leaf of :func:`split_leaves` that it
+    searches (``fast._search_graph`` decides a leaf that is an odd cycle or
+    antihole of length seven or more without one) and hands it to every
+    stage: the jewel and pyramid searches, the heavy-cleanable sweep
     and, on a graph with a claw, the six staged shapes.  The graph it
     searches is the leaf's induced graph, which is the input graph itself
     when that is its own only leaf.  The leaves are searched in turn, so one

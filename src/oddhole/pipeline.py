@@ -19,7 +19,7 @@ import json
 import time
 from typing import NamedTuple, Optional
 
-from .fast import _search_leaves, detect
+from .fast import _cycle_hole, _search_leaves, detect
 from .formats import encode_graph6
 from .graph import Graph, Mask, is_odd_antihole, is_odd_hole, split_leaves
 
@@ -133,10 +133,15 @@ def run_detection(g: Graph) -> ResultDocument:
 
 def _search_leaf_complements(g: Graph, leaves: list[Mask]) -> Optional[tuple[int, ...]]:
     """The first odd hole ``detect`` finds in the complement of a leaf, in
-    ``g``'s ids, as ``fast._search_leaves`` searches the leaves themselves."""
+    ``g``'s ids, as ``fast._search_leaves`` searches the leaves themselves.
+
+    A complement that is an odd cycle gets ``fast._cycle_hole``'s hole with
+    no stage 0: it is its own only leaf, so ``detect`` would return the
+    same."""
     for leaf in leaves:
         sub, back = g.induced(leaf)
-        hole = detect(sub.complement())
+        co = sub.complement()
+        hole = _cycle_hole(co) or detect(co)
         if hole is not None:
             hole = tuple(back[v] for v in hole)
             if is_odd_antihole(g, hole):

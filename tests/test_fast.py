@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -207,16 +208,86 @@ def test_detect_builds_one_search_per_leaf(monkeypatch):
                         lambda self, graph: graphs.append(graph) or init(self, graph))
     live, atom, claw = (parse_graph6(text).graph
                         for text in (LIVE_CANDIDATE, SHAPES_CANDIDATE, CLAW_CANDIDATE))
-    c7 = cycle_graph(7)
-    for g, count, found in ((live, 1, False), (c7, 1, True), (claw, 1, False),
+    # the Petersen graph is its own only leaf and has a 5-hole; an odd cycle
+    # would be decided with no context (test_odd_cycle_and_antihole_leaves_build_no_search)
+    pet = petersen_graph()
+    for g, count, found in ((live, 1, False), (pet, 1, True), (claw, 1, False),
                             (disjoint_union(live, atom), 2, False),
-                            (disjoint_union(live, c7), 2, True),
-                            (disjoint_union(c7, live), 1, True)):
+                            (disjoint_union(live, pet), 2, True),
+                            (disjoint_union(pet, live), 1, True)):
         graphs.clear()
         leaves = split_leaves(g)
         assert (detect(g) is not None) == found and len(graphs) == count, g.adj
         assert graphs == [g.induced(leaf)[0] for leaf in leaves[:count]], g.adj
         assert (graphs[0] is g) == (leaves == [g.full_mask]), g.adj
+
+
+def _relabelled(g, count, rng):
+    # ``count`` random relabellings of g
+    out = []
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+def test_odd_cycle_leaves_get_the_stages_witness_in_closed_form():
+    # fast._cycle_hole returns, with no search, the tuple that stages 1-2
+    # return on the same graph: on every labelling of C7, and on random
+    # labellings of the odd cycles C9-C31
+    rng = random.Random(9)
+    graphs = [cycle_graph(7).relabel(perm) for perm in itertools.permutations(range(7))]
+    for k in range(9, 32, 2):
+        graphs += _relabelled(cycle_graph(k), 12, rng)
+    for g in graphs:
+        hole = oddhole.fast._cycle_hole(g)
+        assert hole is not None and hole == _classify(_Search(g)) == detect(g), g.adj
+
+
+def test_odd_antihole_leaves_have_no_odd_hole():
+    # _search_graph answers None on the odd antiholes C7-bar to C15-bar, as
+    # the brute-force oracle does up to n = 11
+    rng = random.Random(11)
+    for k in range(7, 16, 2):
+        for g in _relabelled(cycle_graph(k).complement(), 6, rng):
+            assert oddhole.fast._ring(g, co=True) is not None
+            assert oddhole.fast._search_graph(g) is None, g.adj
+            if k <= 11:
+                assert oracle_find_odd_hole(g) is None, g.adj
+
+
+def test_ring_takes_only_one_odd_cycle_of_seven_or_more():
+    # none of these is one odd cycle of length seven or more, though C5, C8
+    # and three disjoint C7s (n = 21) have every vertex of degree two and
+    # the last two differ from C9 by one edge; nor is any complement an odd
+    # antihole
+    c7, c9 = cycle_graph(7), cycle_graph(9)
+    chord = Graph(9, list(c9.edges()) + [(0, 4)])
+    broken = Graph(9, [e for e in c9.edges() if e != (0, 8)])
+    assert broken.edge_count() == 8
+    for g in (cycle_graph(5), cycle_graph(8), disjoint_union(disjoint_union(c7, c7), c7),
+              chord, broken):
+        assert oddhole.fast._ring(g) is None and oddhole.fast._cycle_hole(g) is None, g.adj
+        assert oddhole.fast._ring(g.complement(), co=True) is None, g.adj
+    # and the walk reads a cycle from 0, toward its lower neighbour
+    assert oddhole.fast._ring(c9) == list(range(9))
+    assert oddhole.fast._ring(c9.complement(), co=True) == list(range(9))
+
+
+def test_odd_cycle_and_antihole_leaves_build_no_search(monkeypatch):
+    # both leaf tests decide before a context is built, so each one proves
+    # itself here: without it the leaf is searched on a context
+    built = _count_searches(monkeypatch)
+    c9 = cycle_graph(9)
+    assert split_leaves(c9) == [c9.full_mask]
+    assert detect(c9) is not None and built[0] == 0
+    assert oddhole.fast._search_graph(cycle_graph(7).complement()) is None and built[0] == 0
+    # a cycle after a searched leaf: only that leaf builds a context
+    live = parse_graph6(LIVE_CANDIDATE).graph
+    g = disjoint_union(live, c9)
+    hole = detect(g)
+    assert hole is not None and min(hole) >= live.n and built[0] == 1
 
 
 def test_anchored_shapes_search_only_live_four_paths():

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import oddhole
+import oddhole.fast
+import oddhole.graph
 from oddhole import Graph, is_odd_hole
 from oddhole.generators import (
     cycle_graph,
@@ -207,6 +209,33 @@ def test_perfect_builds_no_complement_after_an_empty_split(monkeypatch):
         assert doc.verdict == "imperfect" and doc.witness_kind == "antihole"
         assert set(doc.witness) <= set(range(10, 17)) and doc.verify_witness(g)
         assert built == [g.induced(leaf)[0]] and built[0].n == 7 and built[0] is not g
+
+
+def test_perfect_takes_an_odd_cycle_leaf_complement_in_closed_form(monkeypatch):
+    # A chordal graph beside a 9-antihole: the leaf is the antihole, which
+    # the graph side decides with no search, and its complement is a 9-cycle,
+    # whose hole fast._cycle_hole gives with no stage 0 and no search.
+    split = oddhole.fast.split_leaves  # detect's stage 0
+    split_on = []
+    monkeypatch.setattr(oddhole.fast, "split_leaves", lambda h: split_on.append(h) or split(h))
+    init = oddhole.graph._Search.__init__
+    searched = []
+    monkeypatch.setattr(oddhole.graph._Search, "__init__",
+                        lambda self, h: searched.append(h) or init(self, h))
+    antihole = cycle_graph(9).complement()
+    for s in range(3):
+        chordal = random_chordal(10, s)
+        g = Graph(19, list(chordal.edges()) + [(u + 10, v + 10) for u, v in antihole.edges()])
+        leaf = antihole.full_mask << 10
+        assert split_leaves(g) == [leaf]
+        doc = test_perfect(g)
+        assert doc.verdict == "imperfect" and doc.witness_kind == "antihole"
+        assert doc.verify_witness(g)
+        assert split_on == [] and searched == []
+        # the witness is still detect's on the leaf's complement
+        sub, back = g.induced(leaf)
+        assert doc.witness == tuple(back[v] for v in detect(sub.complement()))
+        split_on.clear()
 
 
 def test_perfect_antihole_witness_comes_from_the_leaf_complement():
