@@ -3,8 +3,10 @@
 The top-level entry points are :func:`detect` (find an induced odd cycle of
 length at least five, with a verified witness) and :func:`test_perfect` (a
 graph is perfect iff neither it nor its complement has an odd hole).  The
-stages, witness types, probes and reference detectors live in their own
-submodules; see the README's Library section.
+stages and their witness types, the formats and result documents, the
+graph families, the reference detector of ``oddhole.simple``, and the
+brute-force search and hole probes of the CLI's ``probe`` command live in
+their own submodules; see the README's Library section.
 """
 
 from .graph import Graph, is_odd_hole

@@ -244,18 +244,15 @@ test_clean.__test__ = False  # type: ignore[attr-defined]
 test_heavy_cleanable.__test__ = False  # type: ignore[attr-defined]
 
 
-def classify_candidate(g: Graph) -> Optional[Hole]:
-    """Return a verified odd hole, or None meaning "candidate".
+def _classify(search: _Search) -> Optional[Hole]:
+    """Stages 1-2 on one context: a verified odd hole, or None meaning
+    "candidate".
 
     A candidate has no jewel, no pyramid, and no heavy-cleanable shortest
     odd hole; such a graph may still contain odd holes, which the staged
-    detectors handle.  The checks run cheapest-first: jewel, pyramid, then
-    the dominating-edge sweep.
+    shapes of ``fast`` handle.  The checks run cheapest-first: jewel,
+    pyramid, then the dominating-edge sweep.
     """
-    return _classify(_Search(g))
-
-
-def _classify(search: _Search) -> Optional[Hole]:
     g = search.g
     jewel = _jewel(search)
     if jewel is not None:

@@ -23,13 +23,12 @@ oracle suites.  See docs/derived-types.md for how shapes 4-6 are obtained
 from their short counterparts.
 
 Two pieces are shared by all six shapes.  The search context
-(``graph._Search``), created once per :func:`detect_fast` call and once per
-leaf that :func:`detect` searches, and passed to every shape, answers every
-masked BFS and, through ``cleaning._clean``, every clean-test fallback, so
-each distinct (source, mask) pair is searched, and each fallback mask
-tested, once per context; it also builds, once each, the tables of paths
-that the shapes guess on (``_Search.three_paths``, ``four_paths`` and
-``live_paths``, below).  The jewel, pyramid and heavy-cleanable searches
+(``graph._Search``), created once per leaf that :func:`detect` searches
+and passed to every shape, answers every masked BFS and, through
+``cleaning._clean``, every clean-test fallback, so each distinct (source,
+mask) pair is searched, and each fallback mask tested, once per context;
+it also builds, once each, the tables of paths that the shapes guess on
+(``_Search.three_paths``, ``four_paths`` and ``live_paths``, below).  The jewel, pyramid and heavy-cleanable searches
 fill it first.  It is freed when the call returns; a public
 ``detect_typeN`` called alone gets a context of its own.  :func:`_strip` is
 the common deletion step, and the only place a shape builds a union of
@@ -68,10 +67,10 @@ those have no ``d1``-``d2`` path in ``gp``; ``_Search.three_paths`` keeps
 ``_Search.four_paths``, the four-paths whose sweep mask
 (the path and, listed with it, its ``rest``: every vertex outside
 ``N[p2] | N[p3]``) has five or more vertices, listed middle edge first so
-that an edge with an empty ``rest`` is skipped whole (1,991 of 2,974 are
-kept in the contexts of ``detect`` on seed-1 ``perfect-mixed``, both
-sides).  The sweep walks the table as it is listed and stops at its first
-hole, so those contexts list 252 of the 1,991.  Shapes 3-6 walk
+that an edge with an empty ``rest`` is skipped whole (475 of 498 are kept
+in the 22 contexts of ``test_perfect`` on seed-1 ``perfect-mixed`` that
+reach the sweep).  The sweep walks the table as it is listed and stops at
+its first hole, so those contexts list 70 of the 475.  Shapes 3-6 walk
 ``_Search.live_paths``, those four-paths whose mask
 ``graph.certifies_berge`` does not certify either.  Every hole that
 a guess on a four-path can return lies in that mask, so the others cannot
@@ -104,9 +103,10 @@ or more gets, in closed form, the hole that stages 1-2 return on it
 (:func:`_cycle_hole`); one that is the complement of such a cycle has no
 odd hole.  One walker, :func:`_ring`, tests both, the second with ``co``
 on the rows of the complement, which it never builds.
-``pipeline.test_perfect`` asks :func:`_cycle_hole` first on the
-complement of each leaf, before ``detect`` and its stage 0.  ``detect``'s
-own entry gains no test, so a graph that stage 0 decides pays nothing.
+``pipeline.test_perfect`` asks :func:`_cycle_hole`, with ``co``, first
+on the complement of each leaf, before it builds that complement and runs
+``detect`` and its stage 0 there.  ``detect``'s own entry gains no test,
+so a graph that stage 0 decides pays nothing.
 On seed-1 ``perfect-mixed``, 62 of the 240 leaves that the graph sides
 search are odd cycles and 120 are odd antiholes, whose complements are
 the 120 leaves of the complement sides; on seed-1 ``stream-batch``, 169 of
@@ -483,12 +483,8 @@ _SHAPES: tuple[Callable[[_Search], Optional[Hole]], ...] = (
 )
 
 
-def detect_fast(g: Graph) -> Optional[Hole]:
-    """Run the six shape detectors in order on a candidate graph."""
-    return _staged(_Search(g))
-
-
 def _staged(search: _Search) -> Optional[Hole]:
+    """Stage 3: the six shapes in order on one context; the first hole."""
     for shape in _SHAPES:
         hole = shape(search)
         if hole is not None:
@@ -524,14 +520,14 @@ def detect(g: Graph) -> Optional[Hole]:
     of one, is decided with no search (:func:`_search_graph`): the cycle
     gets the hole that stages 1-2 would return (:func:`_cycle_hole`), and
     the antihole has none.  Any other leaf is searched through
-    ``classify_candidate`` (jewel, pyramid, heavy-cleanable sweep) on one
+    ``cleaning._classify`` (jewel, pyramid, heavy-cleanable sweep) on one
     search context.  If that finds
     nothing and the graph has no claw (``_Search.claw_centres`` is empty),
     the answer is None: in a claw-free graph every shortest odd hole has an
     edge whose ends see all of its major vertices, so the sweep would have
     found one (``docs/derived-types.md``, "Claw-free graphs need no stage
-    3").  Otherwise the six staged shapes of :func:`detect_fast` run on the
-    same context.
+    3").  Otherwise the six staged shapes (:func:`_staged`) run on the same
+    context.
     """
     return _search_leaves(g, split_leaves(g))
 
@@ -565,9 +561,11 @@ def _ring(g: Graph, co: bool = False) -> Optional[list[int]]:
         order.append(low.bit_length() - 1)
 
 
-def _cycle_hole(g: Graph) -> Optional[Hole]:
+def _cycle_hole(g: Graph, co: bool = False) -> Optional[Hole]:
     """The hole that stages 1-2 return on ``g`` if it is an odd cycle of
-    length seven or more (:func:`_ring`); else None.
+    length seven or more (:func:`_ring`); else None.  With ``co`` the same
+    for the complement of ``g``, which :func:`_ring` walks without building
+    it: the hole that ``_cycle_hole(g.complement())`` returns.
 
     On ``C_k``, ``k >= 7``, the jewel and the pyramid find nothing: a
     jewel's ring is a 5-cycle, and a pyramid has a triangle.  So stages 1-2
@@ -588,7 +586,7 @@ def _cycle_hole(g: Graph) -> Optional[Hole]:
     test passes.  The hole is the whole cycle, walked from ``b`` through
     ``y2`` and then ``y3``: from ``b`` toward the lower of its antipodes.
     """
-    order = _ring(g)
+    order = _ring(g, co)
     if order is None:
         return None
     k = len(order)

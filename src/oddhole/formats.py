@@ -7,10 +7,11 @@ an offset of 63.  The edge-list format is line oriented: ``n m`` on the
 first line, then one ``u v`` pair per line with 0-based vertex ids, every
 number in ASCII digits.
 
-Both directions are provided and ``parse(encode(g))`` is the identity;
-encoded output is canonical, so canonical inputs round-trip bit-exactly.
-Both parsers refuse graphs with more than ``MAX_VERTICES`` vertices, the
-most graph6 can encode, before allocating anything for them.
+Both formats are read; graph6 is also written, and
+``parse_graph6(encode_graph6(g))`` is the identity.  The written graph6 is
+canonical, so canonical inputs round-trip bit-exactly.  Both parsers
+refuse graphs with more than ``MAX_VERTICES`` vertices, the most graph6
+can encode, before allocating anything for them.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ def parse_graph6(text: str) -> GraphDocument:
             if i == j:
                 i, j = 0, j + 1
     return GraphDocument(Graph.from_rows(n, rows))
-
-
-def encode_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines += [f"{u} {v}" for (u, v) in g.edges()]
-    return "\n".join(lines) + "\n"
 
 
 def parse_edgelist(text: str) -> GraphDocument:

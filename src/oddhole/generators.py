@@ -1,21 +1,15 @@
-"""Graph families for corpora and tests, plus small-graph enumeration.
+"""Graph families for the CLI's ``gen`` command, the corpora and the tests.
 
 The random families are all seeded and deterministic: the same spec string
-always yields the same graphs.  The enumeration of all graphs on up to
-eight-ish vertices (one per isomorphism class) backs the exhaustive suites;
-it uses degree-refinement plus minimum-code canonical forms, which is cheap
-at these sizes.
+always yields the same graphs (:func:`generate_corpus`).
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from itertools import permutations, product
-from typing import Optional
 
 from .formats import MAX_VERTICES, _numbers
-from .graph import Graph, bfs_distances, bits
+from .graph import Graph, bits
 
 # the most graph6 bytes (lines and newlines) that one spec may print: 4 MiB,
 # one graph of up to 7,094 vertices
@@ -138,81 +132,6 @@ def decorated_odd_cycle(
             if rng.random() < 0.4:
                 edges.append((v, w))
     return Graph(k + extras, edges)
-
-
-def _refined_labels(g: Graph) -> list[int]:
-    labels = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        sig = [
-            (labels[v], tuple(sorted(labels[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sig)))}
-        nxt = [remap[s] for s in sig]
-        if nxt == labels:
-            break
-        labels = nxt
-    return labels
-
-
-def canonical_code(g: Graph) -> tuple:
-    """Isomorphism-invariant key: refinement profile plus minimum bit code."""
-    n = g.n
-    labels = _refined_labels(g)
-    classes: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels):
-        classes.setdefault(lab, []).append(v)
-    ordered = [classes[lab] for lab in sorted(classes)]
-    profile = tuple(sorted((lab, len(classes[lab])) for lab in classes))
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    best: Optional[int] = None
-    for combo in product(*(permutations(cl) for cl in ordered)):
-        position = [0] * n
-        slot = 0
-        for group in combo:
-            for v in group:
-                position[v] = slot
-                slot += 1
-        inv = [0] * n
-        for v, s in enumerate(position):
-            inv[s] = v
-        code = 0
-        for (i, j) in pairs:
-            code = (code << 1) | (g.adj[inv[i]] >> inv[j] & 1)
-        if best is None or code < best:
-            best = code
-    return (n, profile, best)
-
-
-@lru_cache(maxsize=None)
-def small_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on exactly n vertices, one per isomorphism class."""
-    if n == 0:
-        return (Graph(0),)
-    if n == 1:
-        return (Graph(1),)
-    out: dict[tuple, Graph] = {}
-    for base in small_graphs(n - 1):
-        for subset in range(1 << (n - 1)):
-            rows = list(base.adj) + [subset]
-            for u in bits(subset):
-                rows[u] |= 1 << (n - 1)
-            g = Graph.from_rows(n, rows)
-            key = canonical_code(g)
-            if key not in out:
-                out[key] = g
-    return tuple(out.values())
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return all(d >= 0 for d in bfs_distances(g, 0))
-
-
-@lru_cache(maxsize=None)
-def connected_small_graphs(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in small_graphs(n) if is_connected(g))
 
 
 def _probability(token: str) -> float:

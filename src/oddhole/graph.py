@@ -94,13 +94,6 @@ class Graph:
         rows = [(~self.adj[v] & full) & ~(1 << v) for v in range(self.n)]
         return Graph.from_rows(self.n, rows)
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
-        rows = [0] * self.n
-        for u, row in enumerate(self.adj):
-            rows[perm[u]] = mask_of(perm[v] for v in bits(row))
-        return Graph.from_rows(self.n, rows)
-
     def induced(self, mask: Mask) -> tuple["Graph", tuple[int, ...]]:
         """The subgraph induced on ``mask``, and its back map.
 
@@ -202,23 +195,6 @@ def bfs_distances(g: Graph, source: int, within: Optional[Mask] = None) -> Dista
     out = Distances(dist)
     out.layers = tuple(layers)
     return out
-
-
-def shortest_path(g: Graph, u: int, v: int) -> Optional[tuple[int, ...]]:
-    """A deterministic shortest u-v path.
-
-    Ties are broken by always stepping to the lowest-id predecessor, so the
-    result depends only on the graph and the endpoints.  Any returned path
-    is induced (a chord would yield a shorter path).
-    """
-    if not g.full_mask >> v & 1:
-        raise ValueError(f"target {v} not in the graph")
-    dist = bfs_distances(g, u)
-    if dist[v] == UNREACHABLE:
-        return None
-    path = walk_down(g, dist, v)
-    path.reverse()
-    return tuple(path)
 
 
 def walk_down(g: Graph, dist: Distances, frm: int) -> list[int]:
@@ -796,9 +772,9 @@ class _Search:
     is filled as it is walked (:meth:`walk_four_paths`): the sweep lists
     entries only up to its first hole, and a later reader, such as
     ``live_paths`` after a sweep that found none, lists what is left, so
-    each entry is listed once per context, in one order.  In the contexts
-    of ``test_perfect`` on seed-1 ``perfect-mixed`` that reach the sweep,
-    it lists 252 of the 1,991 entries of their tables.  ``edge_cuts``
+    each entry is listed once per context, in one order.  In the 22
+    contexts of ``test_perfect`` on seed-1 ``perfect-mixed`` that reach the
+    sweep, it lists 70 of the 475 entries of their tables.  ``edge_cuts``
     holds, per edge, keyed by the mask of its two ends, the list of shape
     1-2 guesses left on it, which ``fast._edge_cuts`` fills on the edge's
     first use and both shapes read in both orientations.

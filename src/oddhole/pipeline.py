@@ -8,8 +8,8 @@ stage 0 (``graph.split_leaves``) leaves of the graph: the graph side runs
 stages 1-3 on each leaf, and the complement side runs ``detect`` on the
 complement of each leaf, as ``g`` has an odd antihole iff some leaf does.
 So no complement of the whole graph is built unless the graph is its own
-only leaf.  The brute-force oracle and the reference detectors of
-``oddhole.simple`` back the tests only.
+only leaf.  Neither side runs the brute-force oracle or the reference
+detectors of ``oddhole.simple``.
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ def _search_leaf_complements(g: Graph, leaves: list[Mask]) -> Optional[tuple[int
 
     A complement that is an odd cycle gets ``fast._cycle_hole``'s hole with
     no stage 0: it is its own only leaf, so ``detect`` would return the
-    same."""
+    same.  That test reads the leaf's own rows, so the complement is built
+    only for a leaf whose complement is no such cycle."""
     for leaf in leaves:
         sub, back = g.induced(leaf)
-        co = sub.complement()
-        hole = _cycle_hole(co) or detect(co)
+        hole = _cycle_hole(sub, co=True) or detect(sub.complement())
         if hole is not None:
             hole = tuple(back[v] for v in hole)
             if is_odd_antihole(g, hole):

@@ -2,8 +2,10 @@
 
 Given a hole (as an ordered vertex cycle), these helpers classify outside
 vertices by how their neighbors sit on the hole and cut the hole into gaps
-relative to a vertex subset or an outside vertex.  They power the property
-suites that pin down the structural facts the detectors rely on.
+relative to a vertex subset or an outside vertex.  The CLI's ``probe``
+command reports them for the hole it finds; the tests' property suites use
+them to pin down the structural facts the detectors rely on.  A hole is
+clean when :func:`major_vertices` is empty.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ def major_vertices(g: Graph, hole: Hole) -> Mask:
         if nbrs and all(len(gap) - 1 < k - 2 for gap in set_gaps(hole, nbrs)):
             out |= 1 << v
     return out
-
-
-def is_clean(g: Graph, hole: Hole) -> bool:
-    """True iff no vertex of the graph is major for this hole."""
-    return major_vertices(g, hole) == 0
 
 
 def set_gaps(hole: Hole, members: Iterable[int]) -> list[tuple[int, ...]]:
@@ -66,14 +63,6 @@ def set_gaps(hole: Hole, members: Iterable[int]) -> list[tuple[int, ...]]:
             run.append(hole[j])
             gaps.append(tuple(run))
     return gaps
-
-
-def is_normal_set(hole: Hole, members: Iterable[int]) -> bool:
-    """True iff every gap has even length (odd holes need a nonempty set)."""
-    member_list = list(members)
-    if len(hole) % 2 == 1 and not member_list:
-        return False
-    return all((len(gap) - 1) % 2 == 0 for gap in set_gaps(hole, member_list))
 
 
 def vertex_gaps(g: Graph, hole: Hole, x: int) -> list[tuple[int, ...]]:

@@ -9,33 +9,32 @@ import random
 import sys
 from contextlib import contextmanager
 
-import pytest
-
 from oddhole import Graph, detect, is_odd_hole
-from oddhole.cleaning import classify_candidate
+from oddhole.cleaning import _classify
 from oddhole.configs import find_jewel, find_pyramid
-from oddhole.fast import detect_fast
+from oddhole.fast import _staged
 from oddhole.generators import (
     complete_graph,
-    connected_small_graphs,
     cycle_graph,
     gnp,
     petersen_graph,
     random_bipartite,
     random_chordal,
-    small_graphs,
 )
-from oddhole.graph import bits, bfs_distances, shortest_path
-from oddhole.oracle import (
-    oracle_find_jewel,
-    oracle_find_odd_hole,
-    oracle_find_pyramid,
-    shortest_odd_holes,
-)
+from oddhole.graph import _Search, bits, bfs_distances, walk_down
+from oddhole.oracle import oracle_find_odd_hole
 from oddhole.pipeline import test_perfect
-from oddhole.probes import heavy_edges, is_clean, is_normal_set, major_vertices
+from oddhole.probes import heavy_edges, major_vertices
 from oddhole.simple import detect_simple
 from .conftest import parity_decorated
+from .reference import (
+    connected_small_graphs,
+    is_normal_set,
+    oracle_find_jewel,
+    oracle_find_pyramid,
+    shortest_odd_holes,
+    small_graphs,
+)
 
 
 @contextmanager
@@ -77,7 +76,7 @@ def test_criterion_2_randomized_oracle_equivalence():
 
 
 def test_criterion_3_differential_detectors():
-    with criterion(3, "detect_fast == detect_simple on every candidate, n <= 10"):
+    with criterion(3, "stage 3 == detect_simple on every candidate, n <= 10"):
         rng = random.Random(33)
         candidates = 0
         total = 0
@@ -86,10 +85,10 @@ def test_criterion_3_differential_detectors():
             p = rng.choice((0.15, 0.3, 0.5))
             g = gnp(n, p, 555000 + total)
             total += 1
-            if classify_candidate(g) is not None:
+            if _classify(_Search(g)) is not None:
                 continue
             candidates += 1
-            f = detect_fast(g)
+            f = _staged(_Search(g))
             s = detect_simple(g)
             assert (f is None) == (s is None), (n, p, total)
             if f is not None:
@@ -260,9 +259,9 @@ def _shortpath_suite():
         holes = shortest_odd_holes(g)
         if not holes:
             continue
-        if any(not is_clean(g, h) for h in holes):
+        if any(major_vertices(g, h) for h in holes):
             # the fact needs a clean shortest hole; check those that are
-            holes = [h for h in holes if is_clean(g, h)]
+            holes = [h for h in holes if not major_vertices(g, h)]
         if not holes:
             continue
         if oracle_find_pyramid(g) is not None or oracle_find_jewel(g) is not None:
@@ -278,9 +277,9 @@ def _shortpath_suite():
                 arc1 = b - a
                 arc2 = k - arc1
                 short_len = min(arc1, arc2)
-                d = bfs_distances(g, u)[v]
-                assert d == short_len, (g, hole, u, v)
-                p = shortest_path(g, u, v)
+                du = bfs_distances(g, u)
+                assert du[v] == short_len, (g, hole, u, v)
+                p = walk_down(g, du, v)[::-1]
                 # close through the longer hole arc, walking from v back to u
                 if arc1 > arc2:
                     interior = [hole[(a + t) % k] for t in range(1, arc1)]

@@ -6,29 +6,17 @@ import oddhole.cleaning
 import oddhole.graph
 from oddhole import Graph, detect, is_odd_hole
 from oddhole.cleaning import (
+    _classify,
     _opposite_hole,
     _sweep,
-    classify_candidate,
     test_clean,
     test_heavy_cleanable,
 )
 from oddhole.configs import find_jewel, find_pyramid, odd_hole_from_pyramid
 from oddhole.formats import parse_graph6
-from oddhole.generators import (
-    complete_graph,
-    connected_small_graphs,
-    cycle_graph,
-    gnp,
-    petersen_graph,
-    small_graphs,
-)
-from oddhole.oracle import (
-    oracle_find_jewel,
-    oracle_find_odd_hole,
-    oracle_find_pyramid,
-    shortest_odd_holes,
-)
-from oddhole.probes import is_clean, major_vertices
+from oddhole.generators import complete_graph, cycle_graph, gnp, petersen_graph
+from oddhole.oracle import oracle_find_odd_hole
+from oddhole.probes import major_vertices
 from oddhole.graph import (
     _Search,
     bfs_distances,
@@ -39,6 +27,13 @@ from oddhole.graph import (
     walk_down,
 )
 from .conftest import random_graphs
+from .reference import (
+    connected_small_graphs,
+    oracle_find_jewel,
+    oracle_find_pyramid,
+    shortest_odd_holes,
+    small_graphs,
+)
 
 
 def test_clean_finds_plain_odd_cycles():
@@ -82,7 +77,7 @@ def test_clean_complete_on_clean_small_graphs():
             continue
         if oracle_find_pyramid(g) is not None or oracle_find_jewel(g) is not None:
             continue
-        if not any(is_clean(g, h) for h in holes):
+        if all(major_vertices(g, h) for h in holes):
             continue
         exercised += 1
         assert test_clean(g) is not None
@@ -410,10 +405,10 @@ def test_heavy_cleanable_on_dominated_instances():
 
 
 def test_classify_examples():
-    hole = classify_candidate(cycle_graph(5))
+    hole = _classify(_Search(cycle_graph(5)))
     assert hole is not None and len(hole) == 5
-    assert classify_candidate(cycle_graph(6)) is None
-    hole = classify_candidate(petersen_graph())
+    assert _classify(_Search(cycle_graph(6))) is None
+    hole = _classify(_Search(petersen_graph()))
     assert hole is not None and is_odd_hole(petersen_graph(), hole)
 
 
@@ -426,26 +421,26 @@ def test_detect_finds_the_pyramid_hole_through_the_pyramid_stage():
     assert find_jewel(PYRAMID) is None
     hole = odd_hole_from_pyramid(PYRAMID, find_pyramid(PYRAMID))
     assert is_odd_hole(PYRAMID, hole)
-    assert detect(PYRAMID) == classify_candidate(PYRAMID) == hole
+    assert detect(PYRAMID) == _classify(_Search(PYRAMID)) == hole
 
 
 def test_classify_candidate_implies_no_configurations():
     for g in random_graphs(200, 5, 9, seed=41):
-        if classify_candidate(g) is None:
+        if _classify(_Search(g)) is None:
             assert oracle_find_pyramid(g) is None
             assert oracle_find_jewel(g) is None
 
 
 def test_classify_witnesses_verify():
     for g in random_graphs(300, 5, 10, seed=51):
-        hole = classify_candidate(g)
+        hole = _classify(_Search(g))
         if hole is not None:
             assert is_odd_hole(g, hole)
 
 
 def test_small_graph_shortcut():
-    assert classify_candidate(complete_graph(4)) is None
-    assert classify_candidate(Graph(0)) is None
+    assert _classify(_Search(complete_graph(4))) is None
+    assert _classify(_Search(Graph(0))) is None
 
 
 def test_sweep_lists_the_four_paths_only_up_to_its_hole(monkeypatch):

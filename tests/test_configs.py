@@ -15,16 +15,15 @@ from oddhole.configs import (
 )
 import oddhole.configs
 import oddhole.graph
-from oddhole.generators import (
-    connected_small_graphs,
-    cycle_graph,
-    gnp,
-    random_bipartite,
-    random_chordal,
-)
+from oddhole.generators import cycle_graph, gnp, random_bipartite, random_chordal
 from oddhole.graph import _Search, bits, mask_of
-from oddhole.oracle import oracle_find_jewel, oracle_find_pyramid
 from .conftest import line_graph, random_graphs
+from .reference import (
+    connected_small_graphs,
+    oracle_find_jewel,
+    oracle_find_pyramid,
+    small_graphs,
+)
 
 
 def _pyramid6():
@@ -178,8 +177,6 @@ def test_extraction_rejects_invalid_witness():
 
 
 def test_find_matches_oracle_exhaustive_small():
-    from oddhole.generators import small_graphs
-
     for n in range(4, 8):
         for g in small_graphs(n):
             assert (find_jewel(g) is None) == (oracle_find_jewel(g) is None)

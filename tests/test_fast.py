@@ -8,14 +8,14 @@ import oddhole.cleaning
 import oddhole.fast
 import oddhole.graph
 import oddhole.simple
-from oddhole.cleaning import _classify, classify_candidate
+from oddhole.cleaning import _classify
 from oddhole.configs import JewelWitness, PyramidWitness, find_jewel, find_pyramid
 from oddhole.fast import (
     _anchored_cuts,
     _split_cuts,
+    _staged,
     _type1,
     _type2,
-    detect_fast,
     detect_type1,
     detect_type2,
     detect_type3,
@@ -26,7 +26,6 @@ from oddhole.fast import (
 from oddhole.formats import parse_graph6
 from oddhole.generators import (
     complete_graph,
-    connected_small_graphs,
     cycle_graph,
     decorated_odd_cycle,
     gnp,
@@ -55,7 +54,18 @@ from .conftest import (
     split_family_graphs,
     with_twin,
 )
+from .reference import connected_small_graphs, relabel
 from .test_cleaning import _steps_off
+
+def _classify_alone(g):
+    """Stages 1-2 on a search context of their own."""
+    return _classify(_Search(g))
+
+
+def _shapes_alone(g):
+    """Stage 3 alone: the six shapes in order on a search context of their own."""
+    return _staged(_Search(g))
+
 
 ALL_TYPES = (
     detect_type1,
@@ -80,7 +90,7 @@ def test_types_sound_on_decorated_instances():
         g = decorated_odd_cycle(k, 1 + seed % 2, seed)
         # reversing the labels flips every c2 < c3 edge of shapes 1-2 onto
         # its mirror, which must not change any shape's verdict
-        flipped = g.relabel(range(g.n - 1, -1, -1))
+        flipped = relabel(g, range(g.n - 1, -1, -1))
         for i, det in enumerate(ALL_TYPES, 1):
             hole = det(g)
             if hole is not None:
@@ -91,7 +101,7 @@ def test_types_sound_on_decorated_instances():
     assert hits == {1: 37, 2: 12, 3: 41, 4: 36, 5: 60, 6: 5}
     # and the staged run returns the first shape's hole
     g = decorated_odd_cycle(9, 2, 1)
-    hole = detect_fast(g)
+    hole = _shapes_alone(g)
     assert hole is not None and is_odd_hole(g, hole)
 
 
@@ -144,10 +154,10 @@ CLAW_CANDIDATE = "I@wgNbIiO"
 
 def test_each_shape_searches_a_masked_bfs_once(monkeypatch):
     keys = _record_bfs(monkeypatch)
-    # detect_fast runs all six shapes over one context: none repeats another's
+    # _shapes_alone runs all six shapes over one context: none repeats another's
     # BFS.  Shapes 3-6 drop every guess of SHAPE_GRAPHS before any BFS.
     candidates = tuple(parse_graph6(s).graph for s in (SIMPLICIAL_CANDIDATE, LIVE_CANDIDATE))
-    for det in ALL_TYPES + (detect_fast,):
+    for det in ALL_TYPES + (_shapes_alone,):
         calls = 0
         for g in SHAPE_GRAPHS + candidates:
             keys.clear()
@@ -172,12 +182,12 @@ def _count_searches(monkeypatch):
 
 def test_detect_builds_one_search_per_call(monkeypatch):
     # one context for stages 1-3 of a candidate with a claw, as for
-    # detect_fast and the simple pipeline: detect searches the one leaf that
+    # _shapes_alone and the simple pipeline: detect searches the one leaf that
     # stage 0 leaves of it.  Each shape called alone builds its own and asks
     # it for a BFS.
     g = parse_graph6(CLAW_CANDIDATE).graph
     assert not certifies_berge(g) and len(split_leaves(g)) == 1
-    assert classify_candidate(g) is None and _Search(g).claw_centres
+    assert _classify_alone(g) is None and _Search(g).claw_centres
     built = _count_searches(monkeypatch)
     dist = oddhole.graph._Search.dist
     searches = []
@@ -192,7 +202,7 @@ def test_detect_builds_one_search_per_call(monkeypatch):
         built[0] = 0
         assert det(g) is None and built[0] == 1
     assert all(searches), searches
-    for run in (detect, detect_fast, detect_with_simple_pipeline):
+    for run in (detect, _shapes_alone, detect_with_simple_pipeline):
         built[0] = 0
         assert run(g) is None
         assert built[0] == 1, run.__name__
@@ -228,7 +238,7 @@ def _relabelled(g, count, rng):
     for _ in range(count):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        out.append(g.relabel(perm))
+        out.append(relabel(g, perm))
     return out
 
 
@@ -237,7 +247,7 @@ def test_odd_cycle_leaves_get_the_stages_witness_in_closed_form():
     # return on the same graph: on every labelling of C7, and on random
     # labellings of the odd cycles C9-C31
     rng = random.Random(9)
-    graphs = [cycle_graph(7).relabel(perm) for perm in itertools.permutations(range(7))]
+    graphs = [relabel(cycle_graph(7), perm) for perm in itertools.permutations(range(7))]
     for k in range(9, 32, 2):
         graphs += _relabelled(cycle_graph(k), 12, rng)
     for g in graphs:
@@ -247,11 +257,14 @@ def test_odd_cycle_leaves_get_the_stages_witness_in_closed_form():
 
 def test_odd_antihole_leaves_have_no_odd_hole():
     # _search_graph answers None on the odd antiholes C7-bar to C15-bar, as
-    # the brute-force oracle does up to n = 11
+    # the brute-force oracle does up to n = 11; and _cycle_hole with co reads
+    # the hole of their complement off their own rows
     rng = random.Random(11)
     for k in range(7, 16, 2):
         for g in _relabelled(cycle_graph(k).complement(), 6, rng):
             assert oddhole.fast._ring(g, co=True) is not None
+            hole = oddhole.fast._cycle_hole(g, co=True)
+            assert hole is not None and hole == oddhole.fast._cycle_hole(g.complement())
             assert oddhole.fast._search_graph(g) is None, g.adj
             if k <= 11:
                 assert oracle_find_odd_hole(g) is None, g.adj
@@ -362,7 +375,7 @@ def test_stages_1_2_return_the_same_witness_on_the_simplicial_rest():
     base = [gnp(6 + i % 8, (0.2, 0.3, 0.45, 0.6)[i % 4], 5200 + i) for i in range(600)]
     base += [decorated_odd_cycle(7 + 2 * (i % 3), 1 + i % 3, 5600 + i) for i in range(60)]
     searched = 0
-    hits = {stage: 0 for stage in (classify_candidate, find_jewel, find_pyramid)}
+    hits = {stage: 0 for stage in (_classify_alone, find_jewel, find_pyramid)}
     for g in (h for g in base for h in (g, g.complement())):
         rest = _peeled_rest(g)
         if rest in (0, g.full_mask):
@@ -434,7 +447,7 @@ def test_detect_fast_tests_each_fallback_mask_once(monkeypatch):
         for h in (g, g.complement()):
             tested.clear()
             asked.clear()
-            hole = detect_fast(h)  # one context per call
+            hole = _shapes_alone(h)  # one context per call
             assert sorted(tested) == sorted(set(asked)), h.adj
             assert hole is None or is_odd_hole(h, hole)
             total += len(tested)
@@ -522,14 +535,14 @@ def test_claw_free_candidates_stop_after_stage_2(monkeypatch):
     staged = _count_staged(monkeypatch)
     for text in (SIMPLICIAL_CANDIDATE, LIVE_CANDIDATE, SHAPES_CANDIDATE):
         g = parse_graph6(text).graph
-        assert not certifies_berge(g) and classify_candidate(g) is None
+        assert not certifies_berge(g) and _classify_alone(g) is None
         assert not _Search(g).claw_centres
         builds.clear()
         staged.clear()
         assert detect(g) is None
         assert {name for name, _ in builds} == {"four_paths"} and staged == [], text
         # stage 3 called on its own still searches it
-        assert detect_fast(g) is None and "live_paths" in {name for name, _ in builds}
+        assert _shapes_alone(g) is None and "live_paths" in {name for name, _ in builds}
     # stage 3 runs on the leaf that stage 0 leaves of it: all but its one
     # simplicial vertex, 3, and still with a claw
     g = parse_graph6(CLAW_CANDIDATE).graph
@@ -666,7 +679,7 @@ def test_peeled_bipartite_inputs_skip_the_search(monkeypatch):
         assert detect(g) is None
         assert calls == []
         # the search alone would have paid for BFS on the same graph
-        assert classify_candidate(g) is None and detect_fast(g) is None
+        assert _classify_alone(g) is None and _shapes_alone(g) is None
         assert calls
     # an odd hole survives the peeling: no simplicial or co-simplicial
     # vertex is on it, however many vertices hang off it, and an odd
@@ -880,10 +893,10 @@ def test_detect_known_families():
 def test_detect_fast_equals_simple_on_candidates():
     checked = 0
     for g in random_graphs(200, 5, 10, seed=81):
-        if classify_candidate(g) is not None:
+        if _classify_alone(g) is not None:
             continue
         checked += 1
-        assert (detect_fast(g) is None) == (detect_simple(g) is None)
+        assert (_shapes_alone(g) is None) == (detect_simple(g) is None)
     assert checked >= 60
 
 
@@ -902,7 +915,7 @@ def test_detect_relabeling_invariance():
         g = gnp(10, 0.3, 6100 + i)
         perm = list(range(10))
         rng.shuffle(perm)
-        assert (detect(g) is None) == (detect(g.relabel(perm)) is None)
+        assert (detect(g) is None) == (detect(relabel(g, perm)) is None)
 
 
 def test_detect_small_graphs():

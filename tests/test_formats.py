@@ -8,7 +8,6 @@ import oddhole.formats
 from oddhole.formats import (
     GRAPH6_HEADER,
     ParseError,
-    encode_edgelist,
     encode_graph6,
     parse_edgelist,
     parse_graph,
@@ -21,6 +20,7 @@ from oddhole.generators import (
     petersen_graph,
 )
 from oddhole.graph import Graph
+from .reference import encode_edgelist
 
 
 def test_graph6_known_value_roundtrip():

@@ -23,14 +23,12 @@ from oddhole.graph import (
     is_odd_antihole,
     is_odd_hole,
     mask_of,
-    shortest_path,
     split_leaves,
     walk_down,
 )
 from oddhole.generators import (
     complete_graph,
     complete_multipartite,
-    connected_small_graphs,
     cycle_graph,
     gnp,
     path_graph,
@@ -40,6 +38,7 @@ from oddhole.generators import (
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
 from oddhole.pipeline import ResultDocument, run_detection
 from .conftest import disjoint_union, elementary_graph, line_graph, split_family_graphs
+from .reference import connected_small_graphs, relabel
 
 
 def test_graph_rejects_loops_and_bad_edges():
@@ -224,15 +223,16 @@ def test_bfs_layers_partition_the_reached_vertices(seed, n, p, within, source):
 
 
 def test_shortest_path_examples():
+    # a shortest path is walk_down on a BFS from its other end
     c7 = cycle_graph(7)
-    assert shortest_path(c7, 0, 3) == (0, 1, 2, 3)
-    assert shortest_path(Graph(4, [(0, 1), (2, 3)]), 0, 3) is None
+    assert walk_down(c7, bfs_distances(c7, 0), 3) == [3, 2, 1, 0]
+    assert bfs_distances(Graph(4, [(0, 1), (2, 3)]), 0)[3] == UNREACHABLE
 
 
 def test_shortest_path_deterministic_lowest_id():
     # diamond: two shortest 0-3 routes via 1 or 2; lowest id wins
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert shortest_path(g, 0, 3) == (0, 1, 3)
+    assert walk_down(g, bfs_distances(g, 0), 3) == [3, 1, 0]
 
 
 def _all_shortest_paths(g, u, v, within=None):
@@ -264,11 +264,9 @@ def test_shortest_path_length_matches_bfs_on_random_graphs():
         g = gnp(9, 0.3, 1000 + i)
         d = bfs_distances(g, 0)
         for v in range(1, 9):
-            p = shortest_path(g, 0, v)
-            if d[v] == UNREACHABLE:
-                assert p is None
-            else:
-                assert p is not None and len(p) - 1 == d[v]
+            if d[v] != UNREACHABLE:
+                p = walk_down(g, d, v)
+                assert len(p) - 1 == d[v] and p[-1] == 0
                 assert is_induced_path(g, p)
                 checked += 1
     assert checked > 100
@@ -413,7 +411,7 @@ def test_search_live_paths_peel_each_distinct_mask_once(monkeypatch):
 def test_relabel_preserves_structure():
     g = gnp(8, 0.4, 77)
     perm = [3, 1, 4, 0, 6, 2, 7, 5]
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     for u in range(8):
         for v in range(8):
             assert g.has_edge(u, v) == h.has_edge(perm[u], perm[v])

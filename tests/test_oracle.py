@@ -10,13 +10,8 @@ from oddhole.generators import (
     random_bipartite,
 )
 from oddhole.graph import bits
-from oddhole.oracle import (
-    oracle_find_jewel,
-    oracle_find_odd_hole,
-    oracle_find_pyramid,
-    oracle_odd_holes,
-    shortest_odd_holes,
-)
+from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
+from .reference import oracle_find_jewel, oracle_find_pyramid, shortest_odd_holes
 
 
 def test_oracle_basic_families():

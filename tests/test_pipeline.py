@@ -28,6 +28,7 @@ from oddhole.pipeline import (
     run_detection,
     test_perfect,
 )
+from .reference import relabel
 
 
 def test_run_detection_document_fields():
@@ -183,21 +184,22 @@ def test_perfect_builds_no_complement_after_an_empty_split(monkeypatch):
     # An empty split proves the graph Berge, so test_perfect answers
     # perfect without the complement side.  A graph with leaves builds the
     # complement of each leaf it searches, never its own unless it is its
-    # own only leaf.
+    # own only leaf, and none for a leaf that is an odd antihole: the hole
+    # of that complement is read off the leaf's own rows.
     complement = Graph.complement
     built = []
     monkeypatch.setattr(Graph, "complement", lambda g: built.append(g) or complement(g))
     perfect_with_leaf = gnp(10, 0.5, 3)
     antihole = cycle_graph(7).complement()
-    for g, leaves, verdict in ((random_chordal(9, 0), 0, "perfect"),
-                               (random_bipartite(4, 5, 0.5, 0), 0, "perfect"),
-                               (cycle_graph(6).complement(), 0, "perfect"),
-                               (perfect_with_leaf, 1, "perfect"),
-                               (antihole, 1, "imperfect")):
+    for g, leaves, builds, verdict in ((random_chordal(9, 0), 0, 0, "perfect"),
+                                       (random_bipartite(4, 5, 0.5, 0), 0, 0, "perfect"),
+                                       (cycle_graph(6).complement(), 0, 0, "perfect"),
+                                       (perfect_with_leaf, 1, 1, "perfect"),
+                                       (antihole, 1, 0, "imperfect")):
         assert split_leaves(g) == [g.full_mask] * leaves, g.adj
         built.clear()
         assert test_perfect(g).verdict == verdict
-        assert built == [g] * leaves, g.adj
+        assert built == [g] * builds, g.adj
     for s in range(4):
         # a chordal graph beside a 7-antihole: the leaf is the antihole
         chordal = random_chordal(10, s)
@@ -208,7 +210,16 @@ def test_perfect_builds_no_complement_after_an_empty_split(monkeypatch):
         doc = test_perfect(g)
         assert doc.verdict == "imperfect" and doc.witness_kind == "antihole"
         assert set(doc.witness) <= set(range(10, 17)) and doc.verify_witness(g)
-        assert built == [g.induced(leaf)[0]] and built[0].n == 7 and built[0] is not g
+        assert built == []
+        # beside perfect_with_leaf, the leaf is that graph: its complement is
+        # built, not g's
+        g = Graph(20, list(chordal.edges())
+                  + [(u + 10, v + 10) for u, v in perfect_with_leaf.edges()])
+        leaf = perfect_with_leaf.full_mask << 10
+        assert split_leaves(g) == [leaf]
+        built.clear()
+        assert test_perfect(g).verdict == "perfect"
+        assert built == [g.induced(leaf)[0]] and built[0].n == 10 and built[0] is not g
 
 
 def test_perfect_takes_an_odd_cycle_leaf_complement_in_closed_form(monkeypatch):
@@ -274,7 +285,7 @@ def _planted_antihole(k, noise, seed):
     edges += [(u, v) for v in range(k, n) for u in range(v) if rng.random() < 0.5]
     perm = list(range(n))
     rng.shuffle(perm)
-    return Graph(n, edges).relabel(perm)
+    return relabel(Graph(n, edges), perm)
 
 
 def test_perfect_matches_oracle_on_planted_antiholes():
