@@ -101,20 +101,25 @@ Two leaves need no search, and :func:`_search_graph` decides them in O(n)
 before it builds a context.  A leaf that is an odd cycle of length seven
 or more gets, in closed form, the hole that stages 1-2 return on it
 (:func:`_cycle_hole`); one that is the complement of such a cycle has no
-odd hole.  One walker, :func:`_ring`, tests both, the second with ``co``
-on the rows of the complement, which it never builds.
-``pipeline.test_perfect`` asks :func:`_cycle_hole`, with ``co``, first
-on the complement of each leaf, before it builds that complement and runs
-``detect`` and its stage 0 there.  ``detect``'s own entry gains no test,
-so a graph that stage 0 decides pays nothing.
+odd hole.  One walker, ``graph._ring``, tests both in one walk: the
+degree of the lowest vertex tells it whether to walk the rows or those of
+the complement, which it never builds.  Stage 0 asks the same walker of
+the rest of each simplicial pass that deleted a vertex, and takes such a
+rest as a leaf with no split (``graph._peeled_rest``).  ``pipeline.test_perfect`` asks it again of
+each leaf before it builds the leaf's complement: the complement of an
+antihole leaf is a cycle, whose hole :func:`_cycle_hole` gives with no
+complement built and no ``detect`` run there.
 On seed-1 ``perfect-mixed``, 62 of the 240 leaves that the graph sides
 search are odd cycles and 120 are odd antiholes, whose complements are
 the 120 leaves of the complement sides; on seed-1 ``stream-batch``, 169 of
-the 200 leaves are odd cycles.  A seed-1 ``perfect-mixed`` pass of
-``test_perfect`` took 18.7 ms in process with the two tests, against 31.8
-ms without (best of 25, two runs each; Python 3.11.7, 2 shared vCPUs), and
-its complement sides 1.25 ms against 7.9.  A ``detect`` pass over seed-1
-``stream-batch`` took 10.2 ms against 15.7.
+the 200 leaves are odd cycles.  Stage 0 takes 181 of the 182 and 167 of
+the 169 as leaves at once.  A seed-1 ``perfect-mixed`` pass of
+``test_perfect`` takes 35.5 ms in process without the two leaf tests,
+20.6 ms with them, and 17.3 ms when stage 0 also takes those leaves at
+once and the digest encodes graph6 by table (best of 25 passes in each of
+8 rounds; Python 3.11.7, 2 shared vCPUs).  When the two tests came in,
+they cut the complement sides of that pass from 7.9 ms to 1.25, and a
+``detect`` pass over seed-1 ``stream-batch`` from 15.7 ms to 10.2.
 
 :func:`detect` runs the six shapes only on a graph with a claw: on a
 claw-free graph the jewel, pyramid and heavy-cleanable searches already
@@ -133,6 +138,7 @@ from .graph import (
     Graph,
     Mask,
     _pieces,
+    _ring,
     _Search,
     bits,
     geodesic_mask,
@@ -532,40 +538,12 @@ def detect(g: Graph) -> Optional[Hole]:
     return _search_leaves(g, split_leaves(g))
 
 
-def _ring(g: Graph, co: bool = False) -> Optional[list[int]]:
-    """The vertices of ``g`` in cycle order from 0, toward its lower
-    neighbour, if ``g`` is an odd cycle of length seven or more; else None.
-
-    With ``co`` the same for the complement of ``g`` (an odd antihole of
-    ``g``): each row read is ``full & ~N[v]``, so the complement is never
-    built.  The walk checks that each row it reaches has two bits and steps
-    to the one not yet visited.  When there is none, ``g`` is the cycle iff
-    the walk holds all ``n`` vertices and the last row holds 0: every
-    vertex then has degree two on one cycle through all of them.
-    """
-    n, adj, full = g.n, g.adj, g.full_mask
-    if n < 7 or not n & 1:
-        return None
-    order = [0]
-    seen = 1
-    while True:
-        v = order[-1]
-        row = full ^ adj[v] ^ 1 << v if co else adj[v]
-        if row.bit_count() != 2:
-            return None
-        step = row & ~seen
-        if not step:
-            return order if len(order) == n and row & 1 else None
-        low = step & -step
-        seen |= low
-        order.append(low.bit_length() - 1)
-
-
-def _cycle_hole(g: Graph, co: bool = False) -> Optional[Hole]:
-    """The hole that stages 1-2 return on ``g`` if it is an odd cycle of
-    length seven or more (:func:`_ring`); else None.  With ``co`` the same
-    for the complement of ``g``, which :func:`_ring` walks without building
-    it: the hole that ``_cycle_hole(g.complement())`` returns.
+def _cycle_hole(order: list[int]) -> Hole:
+    """The hole that stages 1-2 return on an odd cycle ``C_k``, ``k >= 7``,
+    on the vertices ``0..k-1``, given its cycle order from 0 toward its
+    lower neighbour (``graph._ring``).  The cycle can be the complement of
+    the graph that ``graph._ring`` walked: this is then the hole that
+    ``detect`` returns on that complement.
 
     On ``C_k``, ``k >= 7``, the jewel and the pyramid find nothing: a
     jewel's ring is a 5-cycle, and a pyramid has a triangle.  So stages 1-2
@@ -586,9 +564,6 @@ def _cycle_hole(g: Graph, co: bool = False) -> Optional[Hole]:
     test passes.  The hole is the whole cycle, walked from ``b`` through
     ``y2`` and then ``y3``: from ``b`` toward the lower of its antipodes.
     """
-    order = _ring(g, co)
-    if order is None:
-        return None
     k = len(order)
     pos = [0] * k
     for i, v in enumerate(order):
@@ -619,18 +594,20 @@ def _search_leaves(g: Graph, leaves: list[Mask]) -> Optional[Hole]:
 def _search_graph(g: Graph) -> Optional[Hole]:
     """Stages 1-3 of :func:`detect`, with no stage 0, on one context.
 
-    Two leaves are decided first, with no context: an odd cycle of length
-    seven or more gets the hole of :func:`_cycle_hole`, and the complement
-    of one has no odd hole.  Proof of the second: an induced subgraph of the
+    Two leaves are decided first, with no context, by one walk of
+    ``graph._ring``: an odd cycle of length seven or more gets the hole of
+    :func:`_cycle_hole`, and the complement of one has no odd hole.  Proof
+    of the second: an induced subgraph of the
     antihole on ``S`` is the complement of ``C_k[S]``, which is the whole
     cycle or a union of paths.  A hole ``C_m`` there (``m >= 5``) would make
     ``C_k[S]`` the complement of ``C_m``, whose vertices have degree ``m -
     3``: that is not a union of paths for ``m >= 6``, and for ``m = 5`` it
     is a 5-cycle, so ``S`` would be the whole cycle and ``k = 5``.
     """
-    hole = _cycle_hole(g)
-    if hole is not None or _ring(g, co=True) is not None:
-        return hole
+    ring = _ring(g.adj, g.full_mask)
+    if ring is not None:
+        order, co = ring
+        return None if co else _cycle_hole(order)
     search = _Search(g)
     hole = _classify(search)
     if hole is not None or not search.claw_centres:

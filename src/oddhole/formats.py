@@ -16,7 +16,7 @@ can encode, before allocating anything for them.
 
 from __future__ import annotations
 
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from typing import NamedTuple
 
 from .graph import Graph
@@ -48,30 +48,36 @@ class GraphDocument(NamedTuple):
 
 # base64 packs six bits per byte as graph6 does, most significant first;
 # only the alphabet differs
-_GRAPH6_ALPHABET = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_ALPHABET = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_BASE64_ALPHABET = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+# each byte with its eight bits in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # the upper-triangle bits packed at a time: a multiple of 24, so that each
 # chunk is whole base64 groups, and small enough to bound the memory
 _CHUNK_BITS = 24 << 14
 
 
-def _pack(bits: str) -> str:
-    """The graph6 bytes of a string of ``0``/``1``, padded with zeros to six."""
-    pad = -len(bits) % 24
-    data = int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
+def _pack(bits: int, size: int) -> str:
+    """The graph6 bytes of the ``size`` low bits of ``bits``, lowest first,
+    padded with zeros to six."""
+    data = bits.to_bytes((size + 23) // 24 * 3, "little").translate(_REVERSED)
     packed = b2a_base64(data, newline=False).translate(_GRAPH6_ALPHABET)
-    return packed[:(len(bits) + 5) // 6].decode()
+    return packed[:(size + 5) // 6].decode()
 
 
 def encode_graph6(g: Graph) -> str:
     """The graph6 line of ``g``: its size, then the upper triangle of its
     adjacency matrix column by column, six bits per byte.
 
-    Column ``j`` is bits ``0..j-1`` of row ``j``, lowest first, so one
-    ``bin`` call and one reversed slice give it; the columns are packed in
-    chunks of ``_CHUNK_BITS`` bits, so the memory beyond the output is
-    bounded.
+    Column ``j`` is bits ``0..j-1`` of row ``j``, and graph6 writes them
+    lowest first, so one shift puts each column above the last in one int,
+    whose bit ``p`` is the ``p``-th bit written.  Its little-endian bytes
+    hold those bits lowest first within each byte, while graph6, like
+    base64, reads each byte highest bit first; reversing the bits of every
+    byte (``_REVERSED``, one ``bytes.translate``) gives the stream that
+    base64 packs six bits at a time.  The columns are packed in chunks of
+    ``_CHUNK_BITS`` bits, so the memory beyond the output is bounded.
     """
     n = g.n
     if n <= 62:
@@ -81,61 +87,70 @@ def encode_graph6(g: Graph) -> str:
     else:
         raise ValueError("graph too large for this graph6 writer")
     adj = g.adj
-    columns: list[str] = []
-    size = 0
+    chunk = _CHUNK_BITS
+    bits = size = 0
     for j in range(1, n):
-        # bit j marks the column's top, so bin() gives "0b1" and then its j
-        # bits, highest first; the slice drops "0b1" and reverses them
-        columns.append(bin(adj[j] & ((1 << j) - 1) | 1 << j)[:2:-1])
+        bits |= (adj[j] & ((1 << j) - 1)) << size
         size += j
-        if size >= _CHUNK_BITS:
-            bits = "".join(columns)
+        if size >= chunk:
             whole = size - size % 24
-            out.append(_pack(bits[:whole]))
-            columns = [bits[whole:]]
+            out.append(_pack(bits & ((1 << whole) - 1), whole))
+            bits >>= whole
             size -= whole
     if size:
-        out.append(_pack("".join(columns)))
+        out.append(_pack(bits, size))
     return "".join(out)
 
 
 def parse_graph6(text: str) -> GraphDocument:
-    """Parse one graph6 value (optionally with the standard header)."""
+    """Parse one graph6 value (optionally with the standard header).
+
+    The body is read back as :func:`encode_graph6` writes it: base64 turns
+    it into bytes, ``_REVERSED`` puts each byte's first bit lowest, and the
+    columns are read off in chunks, lowest bits first.  The padding bits
+    after the last column are never read.
+    """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise ParseError("empty graph6 input")
-    data = [ord(c) - 63 for c in s]
-    for off, value in enumerate(data):
-        if not 0 <= value <= 63:
-            raise ParseError(f"invalid graph6 byte at offset {off}: {s[off]!r}")
-    if data[0] != 63:
-        n = data[0]
-        body = data[1:]
+    raw = s.encode()
+    if not s.isascii() or min(raw) < 63 or max(raw) > 126:
+        off = next(i for i, c in enumerate(s) if not "?" <= c <= "~")
+        raise ParseError(f"invalid graph6 byte at offset {off}: {s[off]!r}")
+    if raw[0] != 126:
+        n, body = raw[0] - 63, raw[1:]
     else:
-        if len(data) < 4 or data[1] == 63:
+        if len(raw) < 4 or raw[1] == 126:
             raise ParseError("unsupported graph6 size prefix")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = (raw[1] - 63) << 12 | (raw[2] - 63) << 6 | raw[3] - 63
+        body = raw[4:]
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ParseError(
             f"graph6 body length {len(body)} does not match n={n}"
         )
-    if pad := len(body) * 6 - need:
-        body[-1] &= -1 << pad  # padding bits carry no pair
-    # the bits run down each column in turn: (0, 1), (0, 2), (1, 2), (0, 3), ...
+    body = body.translate(_BASE64_ALPHABET) + b"A" * (-len(body) % 4)
+    data = a2b_base64(body).translate(_REVERSED)
+    # column j holds the pairs (0, j) .. (j - 1, j); ``bits`` holds the
+    # ``size`` bits read in and not yet taken, lowest first
     rows = [0] * n
-    i, j = 0, 1
-    for value in body:
-        for bit in (32, 16, 8, 4, 2, 1):
-            if value & bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    step = _CHUNK_BITS >> 3
+    at = bits = size = 0
+    for j in range(1, n):
+        while size < j:
+            bits |= int.from_bytes(data[at:at + step], "little") << size
+            at += step
+            size += step << 3
+        rows[j] = col = bits & ((1 << j) - 1)
+        bits >>= j
+        size -= j
+        bit = 1 << j
+        while col:  # each pair (i, j) also sets bit j of row i
+            i = col.bit_length() - 1
+            col ^= 1 << i
+            rows[i] |= bit
     return GraphDocument(Graph.from_rows(n, rows))
 
 

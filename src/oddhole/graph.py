@@ -308,12 +308,13 @@ def certifies_berge(g: Graph, within: Optional[Mask] = None) -> bool:
     """
     if within is not None and within & ~g.full_mask:
         raise ValueError(f"mask {within:#x} has vertices outside the graph")
-    return not _peeled_rest(g, within)
+    return not _peeled_rest(g, within)[0]
 
 
-def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
-    """0 if :func:`certifies_berge` certifies the mask; else what the
-    simplicial pass leaves of it, which is not empty.
+def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> tuple[Mask, bool]:
+    """``(0, False)`` if :func:`certifies_berge` certifies the mask; else
+    what the simplicial pass leaves of it, which is not empty, and whether
+    that rest is already a leaf of :func:`split_leaves`.
 
     A mask that is bipartite or co-bipartite (two cliques cover it) is
     certified at once.  Otherwise simplicial vertices (their neighbours
@@ -362,11 +363,32 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
     The rest of the simplicial pass has no simplicial vertex, and has five
     vertices or more, as a graph on four or fewer is chordal or a 4-cycle.
     :func:`split_leaves` splits it, and ``fast.detect`` searches it.
+
+    If the simplicial pass deleted a vertex and its rest is an odd cycle of
+    length ``k >= 7`` or the complement of one (:func:`_ring`), that rest
+    is returned at once as a leaf, and it is the leaf that the long way
+    gives.  It is not Berge, so no certificate fires.  In ``C_k`` the two
+    neighbours of a vertex are not adjacent, and two of its non-neighbours
+    are (``k >= 5``), so no vertex is simplicial or co-simplicial; in the
+    complement the two kinds swap.  So the second pass deletes nothing, and
+    the rest would be returned.  ``C_k`` and its complement are both
+    connected, so :func:`split_leaves` finds one component and one
+    co-component; and no two vertices of ``C_k`` have the same open or
+    closed neighbourhood, nor, as complementation swaps the two kinds of
+    twin, of its complement.  So the split keeps the rest whole, as a leaf.
+    A mask that the pass left whole pays one comparison and goes the long
+    way, ring or not: asking every such mask cost seed-1 ``dense-negative``
+    about 2% in process, where the pass leaves 135 of the 300 graphs
+    whole, while on seed-1 ``perfect-mixed`` and ``stream-batch`` it would
+    catch only 1 and 2 more ring leaves, pieces of a split that the pass
+    leaves whole.  Any other rest costs its vertex count and, if that is
+    odd and seven or more, the degree of its lowest vertex; the walk goes
+    on only while the degrees it reads are two, or all ``k - 3``.
     """
     adj = g.adj
     alive = whole = g.full_mask if within is None else within
     if _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
-        return 0
+        return 0, False
     todo = alive
     while todo:  # bits() inlined in this function: stage 0 runs it on every graph
         low = todo & -todo
@@ -381,8 +403,11 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
         else:
             alive ^= low
             todo |= nbrs
-    if alive != whole and (_two_colours(adj, alive, 0) or _two_colours(adj, alive, -1)):
-        return 0
+    if alive != whole:
+        if _two_colours(adj, alive, 0) or _two_colours(adj, alive, -1):
+            return 0, False
+        if _ring(adj, alive) is not None:
+            return alive, True
     # The second pass.  No vertex left is simplicial, so each is tested for
     # a stable non-neighbourhood only; deleting ``v`` can make a neighbour
     # of ``v`` simplicial or a non-neighbour co-simplicial, so those are
@@ -412,10 +437,10 @@ def _peeled_rest(g: Graph, within: Optional[Mask] = None) -> Mask:
             todo = (todo | nbrs) & alive
             co_todo = (co_todo | alive & ~nbrs) & alive
     if alive != peeled and (_two_colours(adj, alive, 0) or _two_colours(adj, alive, -1)):
-        return 0
+        return 0, False
     if _line_of_bipartite(adj, alive, 0) or _line_of_bipartite(adj, alive, -1):
-        return 0
-    return peeled
+        return 0, False
+    return peeled, False
 
 
 def _two_colours(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
@@ -521,6 +546,43 @@ def _line_of_bipartite(adj: Sequence[Mask], alive: Mask, flip: int) -> bool:
     return True
 
 
+def _ring(adj: Sequence[Mask], mask: Mask) -> Optional[tuple[list[int], bool]]:
+    """The vertices of ``mask`` in cycle order, from its lowest toward the
+    lower of that vertex's two neighbours, and False, if ``mask`` induces
+    an odd cycle of length ``k >= 7``; the same, with True, if it induces
+    the complement of one (an odd antihole, walked round its complement's
+    cycle); else None.
+
+    The lowest vertex's degree tells which to walk: two on the cycle,
+    ``k - 3`` on the antihole, and ``k - 3 > 2``.  On the antihole each
+    row is read as ``mask & ~N[v]``, so the complement is never built.  The
+    walk checks that each row it reaches has two bits and steps to the one
+    not yet visited.  When there is none, the mask is the cycle iff the
+    walk holds all ``k`` vertices and the last row holds the first: every
+    vertex then has degree two on one cycle through all of them.
+    """
+    k = mask.bit_count()
+    if k < 7 or not k & 1:
+        return None
+    low = mask & -mask
+    degree = (adj[low.bit_length() - 1] & mask).bit_count()
+    if degree != 2 and degree != k - 3:
+        return None
+    flip = 0 if degree == 2 else -1
+    first = seen = low
+    order = [low.bit_length() - 1]
+    while True:
+        row = (adj[order[-1]] ^ flip) & mask & ~low
+        if row.bit_count() != 2:
+            return None
+        step = row & ~seen
+        if not step:
+            return (order, bool(flip)) if row & first and len(order) == k else None
+        low = step & -step
+        seen |= low
+        order.append(low.bit_length() - 1)
+
+
 def _component(g: Graph, v: int, within: Mask, co: bool = False) -> Mask:
     """The vertices that ``v`` reaches inside ``within`` (``v`` included).
 
@@ -593,7 +655,10 @@ def split_leaves(g: Graph) -> list[Mask]:
     neighbourhood inside the mask) is dropped and the rest splits again.  A
     mask that none of the three changes is a leaf: uncertified, with no
     simplicial vertex, connected, co-connected and twin-free, and so of
-    five vertices or more.  Leaves come depth first, each split's pieces in
+    five vertices or more.  A peeled mask that the peel already found to be
+    an odd cycle of length seven or more, or the complement of one, is taken
+    as a leaf with no split, as no split would change it (the proof is in
+    ``_peeled_rest``).  Leaves come depth first, each split's pieces in
     the order of their lowest ids.  A certified graph (bipartite, chordal,
     the line graph of a bipartite graph, or the complement of any of these)
     costs one peel and no list but the empty answer.
@@ -662,7 +727,10 @@ def split_leaves(g: Graph) -> list[Mask]:
     leaves = []
     todo = [g.full_mask]
     while todo:
-        mask = _peeled_rest(g, todo.pop())
+        mask, ring = _peeled_rest(g, todo.pop())
+        if ring:
+            leaves.append(mask)
+            continue
         if not mask:
             continue
         parts = _pieces(g, mask, False)

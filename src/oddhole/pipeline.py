@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .fast import _cycle_hole, _search_leaves, detect
 from .formats import encode_graph6
-from .graph import Graph, Mask, is_odd_antihole, is_odd_hole, split_leaves
+from .graph import Graph, Mask, _ring, is_odd_antihole, is_odd_hole, split_leaves
 
 # the witness kinds each verdict may carry; None means no witness
 WITNESS_KINDS: dict[str, tuple[Optional[str], ...]] = {
@@ -137,11 +137,13 @@ def _search_leaf_complements(g: Graph, leaves: list[Mask]) -> Optional[tuple[int
 
     A complement that is an odd cycle gets ``fast._cycle_hole``'s hole with
     no stage 0: it is its own only leaf, so ``detect`` would return the
-    same.  That test reads the leaf's own rows, so the complement is built
-    only for a leaf whose complement is no such cycle."""
+    same.  ``graph._ring`` tells that from the leaf's own rows, so the
+    complement is built only for a leaf whose complement is no such
+    cycle."""
     for leaf in leaves:
         sub, back = g.induced(leaf)
-        hole = _cycle_hole(sub, co=True) or detect(sub.complement())
+        ring = _ring(sub.adj, sub.full_mask)
+        hole = _cycle_hole(ring[0]) if ring and ring[1] else detect(sub.complement())
         if hole is not None:
             hole = tuple(back[v] for v in hole)
             if is_odd_antihole(g, hole):

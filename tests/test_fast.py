@@ -35,6 +35,7 @@ from oddhole.generators import (
 )
 from oddhole.graph import (
     _peeled_rest,
+    _ring,
     _Search,
     bfs_distances,
     bits,
@@ -244,27 +245,29 @@ def _relabelled(g, count, rng):
 
 def test_odd_cycle_leaves_get_the_stages_witness_in_closed_form():
     # fast._cycle_hole returns, with no search, the tuple that stages 1-2
-    # return on the same graph: on every labelling of C7, and on random
-    # labellings of the odd cycles C9-C31
+    # return on the same graph, from the order graph._ring walks: on every
+    # labelling of C7, and on random labellings of the odd cycles C9-C31
     rng = random.Random(9)
     graphs = [relabel(cycle_graph(7), perm) for perm in itertools.permutations(range(7))]
     for k in range(9, 32, 2):
         graphs += _relabelled(cycle_graph(k), 12, rng)
     for g in graphs:
-        hole = oddhole.fast._cycle_hole(g)
-        assert hole is not None and hole == _classify(_Search(g)) == detect(g), g.adj
+        order, co = _ring(g.adj, g.full_mask)
+        hole = oddhole.fast._cycle_hole(order)
+        assert not co and hole == _classify(_Search(g)) == detect(g), g.adj
 
 
 def test_odd_antihole_leaves_have_no_odd_hole():
     # _search_graph answers None on the odd antiholes C7-bar to C15-bar, as
-    # the brute-force oracle does up to n = 11; and _cycle_hole with co reads
-    # the hole of their complement off their own rows
+    # the brute-force oracle does up to n = 11; and _cycle_hole gives the
+    # hole of their complement from the order graph._ring reads off their
+    # own rows
     rng = random.Random(11)
     for k in range(7, 16, 2):
         for g in _relabelled(cycle_graph(k).complement(), 6, rng):
-            assert oddhole.fast._ring(g, co=True) is not None
-            hole = oddhole.fast._cycle_hole(g, co=True)
-            assert hole is not None and hole == oddhole.fast._cycle_hole(g.complement())
+            order, co = _ring(g.adj, g.full_mask)
+            assert co and (order, False) == _ring(g.complement().adj, g.full_mask)
+            assert oddhole.fast._cycle_hole(order) == detect(g.complement())
             assert oddhole.fast._search_graph(g) is None, g.adj
             if k <= 11:
                 assert oracle_find_odd_hole(g) is None, g.adj
@@ -281,11 +284,11 @@ def test_ring_takes_only_one_odd_cycle_of_seven_or_more():
     assert broken.edge_count() == 8
     for g in (cycle_graph(5), cycle_graph(8), disjoint_union(disjoint_union(c7, c7), c7),
               chord, broken):
-        assert oddhole.fast._ring(g) is None and oddhole.fast._cycle_hole(g) is None, g.adj
-        assert oddhole.fast._ring(g.complement(), co=True) is None, g.adj
+        for h in (g, g.complement()):
+            assert _ring(h.adj, h.full_mask) is None, h.adj
     # and the walk reads a cycle from 0, toward its lower neighbour
-    assert oddhole.fast._ring(c9) == list(range(9))
-    assert oddhole.fast._ring(c9.complement(), co=True) == list(range(9))
+    assert _ring(c9.adj, c9.full_mask) == (list(range(9)), False)
+    assert _ring(c9.complement().adj, c9.full_mask) == (list(range(9)), True)
 
 
 def test_odd_cycle_and_antihole_leaves_build_no_search(monkeypatch):
@@ -377,7 +380,7 @@ def test_stages_1_2_return_the_same_witness_on_the_simplicial_rest():
     searched = 0
     hits = {stage: 0 for stage in (_classify_alone, find_jewel, find_pyramid)}
     for g in (h for g in base for h in (g, g.complement())):
-        rest = _peeled_rest(g)
+        rest, _ = _peeled_rest(g)
         if rest in (0, g.full_mask):
             continue
         sub, back = g.induced(rest)

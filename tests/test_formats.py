@@ -91,6 +91,49 @@ def test_graph6_encoder_matches_the_bit_by_bit_reference(monkeypatch):
             assert encode_graph6(g) == _encode_graph6_bit_by_bit(g), (chunk, n)
 
 
+def _parse_graph6_bit_by_bit(s):
+    # the body one bit at a time, down each column in turn: (0, 1), (0, 2),
+    # (1, 2), (0, 3), ...; the padding bits after the last pair are skipped
+    data = [ord(c) - 63 for c in s]
+    if data[0] != 63:
+        n, body = data[0], data[1:]
+    else:
+        n, body = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
+    rows = [0] * n
+    i, j = 0, 1
+    for value in body:
+        for bit in (32, 16, 8, 4, 2, 1):
+            if j < n and value & bit:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph.from_rows(n, rows)
+
+
+def test_graph6_parser_matches_the_bit_by_bit_reference(monkeypatch):
+    # every size from 0 to 300, both size prefixes, with the header or
+    # blanks around the value, and the padding bits set at random: the
+    # parser must ignore them
+    rng = random.Random(38)
+    for n in range(301):
+        g = gnp(n, (0.1, 0.5, 0.9)[n % 3], 5400 + n)
+        s = encode_graph6(g)
+        pad = -(n * (n - 1) // 2) % 6
+        if pad:
+            s = s[:-1] + chr(ord(s[-1]) | rng.randrange(1, 1 << pad))
+        assert _parse_graph6_bit_by_bit(s) == g, n
+        for text in (s, GRAPH6_HEADER + s, f" {s}\n"):
+            assert parse_graph6(text).graph == g, n
+    # the body is read in chunks; small ones end inside columns
+    for chunk in (24, 48, 96):
+        monkeypatch.setattr(oddhole.formats, "_CHUNK_BITS", chunk)
+        for n in range(40):
+            g = gnp(n, 0.5, 5800 + n)
+            assert parse_graph6(encode_graph6(g)).graph == g, (chunk, n)
+
+
 def test_graph6_parses_a_2000_vertex_cycle_in_seconds():
     # the CLI accepts graphs this large and larger, so parsing must scale with the body
     text = encode_graph6(cycle_graph(2000))
@@ -102,12 +145,14 @@ def test_graph6_parses_a_2000_vertex_cycle_in_seconds():
 def test_graph6_errors():
     with pytest.raises(ParseError):
         parse_graph6("")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="body length 1 does not match n=5"):
         parse_graph6("D~")  # truncated body
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="body length 3 does not match n=5"):
         parse_graph6("D~{{")  # trailing junk
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="invalid graph6 byte at offset 1:"):
         parse_graph6("D\x07{")  # byte out of range
+    with pytest.raises(ParseError, match="invalid graph6 byte at offset 2: 'é'"):
+        parse_graph6("D~é")  # not ASCII
     with pytest.raises(ParseError, match="size prefix"):
         parse_graph6("~~")  # a long size prefix cut short
 

@@ -34,6 +34,7 @@ from oddhole.generators import (
     path_graph,
     petersen_graph,
     random_bipartite,
+    random_chordal,
 )
 from oddhole.oracle import oracle_find_odd_hole, oracle_odd_holes
 from oddhole.pipeline import ResultDocument, run_detection
@@ -809,6 +810,84 @@ def test_split_leaves_match_brute_force_and_the_oracle():
     # none of the four kinds of graph is rare
     assert split >= 150 and len(graphs) - split >= 30, split
     assert leafless >= 30 and split_holes >= 20, (leafless, split_holes)
+
+
+def _spy_split(monkeypatch):
+    # counts the calls of each split step, and records what each peel returns
+    calls = {"_pieces": 0, "_drop_twins": 0, "_line_of_bipartite": 0, "peels": []}
+    for name in ("_pieces", "_drop_twins", "_line_of_bipartite"):
+        def counted(*args, _name=name, _step=getattr(oddhole.graph, name)):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(oddhole.graph, name, counted)
+    peel = oddhole.graph._peeled_rest
+
+    def recorded(g, within=None):
+        calls["peels"].append(peel(g, within))
+        return calls["peels"][-1]
+
+    monkeypatch.setattr(oddhole.graph, "_peeled_rest", recorded)
+    return calls
+
+
+def _glued_cycle(host, k):
+    # C_k sharing the lowest edge (a, b) of ``host``: b, then k - 2 new
+    # vertices, then a
+    a, b = next(host.edges())
+    path = [b] + list(range(host.n, host.n + k - 2)) + [a]
+    return Graph(host.n + k - 2, list(host.edges()) + list(zip(path, path[1:])))
+
+
+def test_an_odd_cycle_or_antihole_rest_is_a_leaf_with_no_split(monkeypatch):
+    # The simplicial pass leaves an odd antihole beside a chordal graph, and
+    # an odd cycle glued along an edge to one; stage 0 takes that rest as
+    # the only leaf at once, with no second pass, line-graph test or split.
+    calls = _spy_split(monkeypatch)
+    rng = random.Random(38)
+    cases = []
+    for s in range(4):
+        host = random_chordal(8, s)
+        for k in (7, 9):
+            cases.append((disjoint_union(host, cycle_graph(k).complement()), ((1 << k) - 1) << 8))
+        for k in (9, 11):
+            glued = _glued_cycle(host, k)
+            a, b = next(host.edges())
+            cases.append((glued, glued.full_mask & ~host.full_mask | 1 << a | 1 << b))
+    for g, ring in cases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        want = mask_of(perm[v] for v in bits(ring))
+        calls["peels"].clear()
+        assert split_leaves(h) == [want], h.adj
+        assert calls["peels"] == [(want, True)], h.adj
+    assert (calls["_pieces"], calls["_drop_twins"], calls["_line_of_bipartite"]) == (0, 0, 0)
+
+
+def test_near_rings_still_go_through_the_split(monkeypatch):
+    # none of these is an odd cycle of seven or more or the complement of
+    # one, so the first peel returns no ring, alone or beside a chordal
+    # graph; the leaves are pinned.  The C7 with a vertex that sees three
+    # consecutive cycle vertices loses it as a twin of the middle one, and
+    # the C7 left is then a leaf, as each piece of C7 + C9 is: the pass
+    # leaves those pieces whole, so they go the long way.
+    c7, c9 = cycle_graph(7), cycle_graph(9)
+    near = [
+        (cycle_graph(5), [0x1F]),
+        (cycle_graph(8), []),  # bipartite: certified
+        (Graph(7, list(c7.edges()) + [(0, 3)]), [0x7F]),
+        (disjoint_union(c7, c9), [0x7F, 0xFF80]),
+        (Graph(8, list(c7.edges()) + [(7, 0), (7, 1), (7, 2)]), [0x7F]),
+    ]
+    calls = _spy_split(monkeypatch)
+    host = random_chordal(6, 1)
+    for g, leaves in near:
+        for h, shift in ((g, 0), (disjoint_union(host, g), host.n)):
+            calls["peels"].clear()
+            assert split_leaves(h) == [leaf << shift for leaf in leaves], h.adj
+            assert not calls["peels"][0][1], h.adj
+    # each of the four uncertified ones was split (or tested for one)
+    assert calls["_pieces"] >= 8 and calls["_drop_twins"] >= 6, calls
 
 
 @given(st.integers(0, 10000), st.integers(1, 10), st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)))
